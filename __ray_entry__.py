@@ -584,7 +584,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
         ),
         # ExactSubstr-style cleaning (Lee et al. 2021, n-gram anchors):
         # drop every token covered by a cross-doc duplicated 5-gram;
-        # hybrid broadcast/join span removal (mode decided by dup count).
+        # hybrid broadcast/join span removal (path decided by dup-set size).
         "remove_dup_spans": lambda sf: dedup.remove_dup_spans(
             read_parquet_clean(f"{sf}/documents.parquet", columns=["doc_id", "text"]),
             n=5,

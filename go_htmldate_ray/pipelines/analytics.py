@@ -55,9 +55,8 @@ def events_by_type(sf_dir: str):
 
 
 def _combine_partials_by(keys: list[str]):
-    """Associative reducer for (part_sum, part_count) partial rows keyed
-    by ``keys`` — maps the partial schema back to itself, so it is
-    valid at either :func:`tree_combine` level."""
+    """Reducer for (part_sum, part_count) partial rows keyed by ``keys``,
+    mapping the partial schema back to itself."""
 
     def combine(batch: pa.Table) -> pa.Table:
         t = batch.group_by(keys).aggregate(
@@ -565,8 +564,7 @@ def events_rollup(sf_dir: str):
     from ..stages.combine import tree_combine
 
     # grouped output is (4 sets x types x days) — a few thousand rows at
-    # most, so merge the light partials in one task; levels=2 is the
-    # switch if block counts ever make the single concat meaningful
+    # most, so merge the light partials in one task
     agg = tree_combine(
         ds.map_batches(partials, batch_format="pyarrow"),
         _combine_partials_by(["grouping_id", "event_type", "day"]),

@@ -592,7 +592,7 @@ def anchor_summary_from_pages(pages):
     )
 
 
-def redirect_resolution(sf_dir: str, *, broadcast_limit: int = 100_000):
+def redirect_resolution(sf_dir: str):
     """Redirect-chain resolution over a synthesized per-URL redirect
     map: every URL whose ``doc_id % 8 != 0`` 301-redirects to
     ``doc_id - 1`` (chains up to 7 hops ending at multiples of 8; final
@@ -605,25 +605,19 @@ def redirect_resolution(sf_dir: str, *, broadcast_limit: int = 100_000):
     resolve_pointers`, log₂(chain) bucketed join rounds) → two more
     hash joins re-attaching the source and final URL strings from the
     map itself (ids travel through every exchange; URL strings only on
-    the last joins).  Maps ≤100k ids skip both joins: the id→url table
-    broadcasts once and attaches via one searchsorted pass (the same
-    hybrid small-side bound the dedup verify stages use).
+    the last joins).  A map within
+    :func:`~go_htmldate_ray.stages.blocks.light_table`'s budget skips
+    both joins: the id→url table broadcasts once and attaches via one
+    searchsorted pass (the same hybrid small side the dedup verify
+    stages use).
     """
     from ..sources.io import read_parquet_clean
     from ..sources.pages import page_url
+    from ..stages.blocks import light_table
     from ..stages.graph import resolve_pointers
     from ..stages.joins import hash_join
 
-    from ..sources.pages import count_documents
-
     docs = read_parquet_clean(f"{sf_dir}/documents.parquet", columns=["doc_id"])
-    # size the URL re-attach joins to the map size, like resolve_pointers
-    # does internally — 64 near-empty bucket tasks × 2 joins is pure
-    # scheduling overhead on a small map
-    from ..stages.joins import adaptive_buckets
-
-    n_docs = count_documents(sf_dir)
-    n_buckets = adaptive_buckets(n_docs)
 
     def make_map(batch: pa.Table) -> pa.Table:
         ids = batch.column("doc_id").to_pylist()
@@ -638,7 +632,7 @@ def redirect_resolution(sf_dir: str, *, broadcast_limit: int = 100_000):
         )
 
     # materialize the map once: resolve_pointers (count + prep), the
-    # broadcast take_all, and both join sides otherwise re-execute the
+    # broadcast collect, and both join sides otherwise re-execute the
     # parquet read + URL synthesis lineage up to 4x per call
     rmap = docs.map_batches(make_map, batch_format="pyarrow").materialize()
     resolved = resolve_pointers(
@@ -647,30 +641,21 @@ def redirect_resolution(sf_dir: str, *, broadcast_limit: int = 100_000):
         nxt="next_id",
         max_chain=8,
     )
-    if n_docs <= broadcast_limit:
+    pairs = light_table(
+        rmap, pa.schema([("id", pa.int64()), ("page_url", pa.string())])
+    )
+    if pairs is not None:
         # broadcast re-attach: the id->url map ships once (sorted-id
         # numpy + object array via ray.put) and BOTH url columns attach
         # in one searchsorted pass — two barrier joins saved; the join
-        # path below is the >100k scale route (same hybrid bound the
-        # dedup verify stages use)
+        # path below is the scale route
         import numpy as np
         import ray
 
-        pairs = rmap.select_columns(["id", "page_url"]).take_all()
-        if len(pairs) > broadcast_limit:
-            # loud in-stage guard (same convention as skew_join's
-            # _SKEW_HOT_KEY_LIMIT): the pre-checked doc count can lie
-            # (stale metadata, multi-row-per-doc maps) and a silently
-            # oversized broadcast would OOM every worker heap at once
-            raise ValueError(
-                f"redirect_resolution: broadcast map has {len(pairs)} rows "
-                f"> broadcast_limit={broadcast_limit}; use the join path "
-                "(raise broadcast_limit only with a matching worker heap)"
-            )
-        ids_sorted = np.array([p["id"] for p in pairs], dtype=np.int64)
+        ids_sorted = pairs.column("id").to_numpy()
         order = np.argsort(ids_sorted)
         ids_sorted = ids_sorted[order]
-        urls_arr = np.array([p["page_url"] for p in pairs], dtype=object)[order]
+        urls_arr = np.array(pairs.column("page_url").to_pylist(), dtype=object)[order]
         map_ref = ray.put((ids_sorted, urls_arr))
 
         def attach(batch: pa.Table) -> pa.Table:
@@ -699,6 +684,13 @@ def redirect_resolution(sf_dir: str, *, broadcast_limit: int = 100_000):
 
         return resolved.map_batches(attach, batch_format="pyarrow")
 
+    # size the URL re-attach joins to the map size, like resolve_pointers
+    # does internally — 64 near-empty bucket tasks × 2 joins is pure
+    # scheduling overhead on a small map
+    from ..sources.pages import count_documents
+    from ..stages.joins import adaptive_buckets
+
+    n_buckets = adaptive_buckets(count_documents(sf_dir))
     with_src = hash_join(
         resolved,
         rmap.select_columns(["id", "page_url"]).map_batches(

@@ -123,28 +123,26 @@ def windowed_events(sf_dir: str):
     )
 
 
-_ASOF_BROADCAST_ROW_LIMIT = 1_000_000  # small-side bound for the orders table
-
-
-def asof_join_latest_order(sf_dir: str, mode: str = "auto"):
+def asof_join_latest_order(sf_dir: str):
     """events ⟕asof orders: for each event, the latest order of the same
     customer placed on or before the event date → (event_id, o_orderkey);
     -1 when the customer has no earlier order.
 
-    ``mode``: "broadcast" ships the per-customer order history once via
-    ``ray.put`` (right while orders ≪ events); "copartition" is the
-    scale path — both sides hash-co-located on the customer key by one
-    union + groupby shuffle, the as-of walk running per key group with
-    no driver-side or broadcast state.  "auto" picks by orders row
-    count."""
+    While the orders file's uncompressed size (parquet metadata) fits
+    :func:`~go_htmldate_ray.stages.blocks.light_table`'s budget, the
+    per-customer order history ships once via ``ray.put``; above it the
+    co-partitioned scale path runs — both sides hash-co-located on the
+    customer key by one union + groupby shuffle, the as-of walk running
+    per key group with no driver-side or broadcast state."""
     import pyarrow.parquet as pq
     import ray
     import ray.data
 
-    if mode == "auto":
-        n_orders = pq.ParquetFile(f"{sf_dir}/orders.parquet").metadata.num_rows
-        mode = "broadcast" if n_orders <= _ASOF_BROADCAST_ROW_LIMIT else "copartition"
-    if mode == "copartition":
+    from ..stages.blocks import LIGHT_TABLE_BYTES
+
+    meta = pq.ParquetFile(f"{sf_dir}/orders.parquet").metadata
+    n_bytes = sum(meta.row_group(i).total_byte_size for i in range(meta.num_row_groups))
+    if n_bytes > LIGHT_TABLE_BYTES:
         return _asof_latest_order_copartition(sf_dir)
 
     orders = pq.read_table(

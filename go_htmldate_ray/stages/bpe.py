@@ -124,9 +124,9 @@ def bpe_train(
     ``max_word_len`` guards the per-word Python rewrite against
     pathological unbroken runs (URLs, DNA dumps); longer words are
     truncated for training statistics, the standard practical cap."""
-    import ray
-    import ray.data
     from ray.data.aggregate import Sum
+
+    from .blocks import rebase
 
     def to_symbols(batch: pa.Table) -> pa.Table:
         words = batch.column("word").to_pylist()
@@ -139,9 +139,6 @@ def bpe_train(
                 "c": batch.column("c"),
             }
         )
-
-    def rebase(mat):
-        return ray.data.from_arrow_refs(mat.to_arrow_refs())
 
     vocab = rebase(
         word_count_dataset(ds, text_col=text_col)

@@ -12,12 +12,9 @@ measured A/B at sf0.1 (32 cpus, warm workers) on the TPC-H Q1 shape read
 ``groupby().aggregate().sort()`` on identical partials.
 
 :func:`tree_combine` replaces that exchange with a repartition of the
-light rows into one (or ``fanin`` then one) merge task running an
-ASSOCIATIVE reducer.  Everything stays inside the Dataset — no driver
-materialization — so the 100-TB story is unchanged: only
-``groups x blocks`` light rows ever move, and ``levels=2`` bounds the
-final merge's input to ``fanin`` pre-combined blocks when block counts
-reach the hundreds of thousands.
+light rows into one merge task running the reducer.  Everything stays
+inside the Dataset — no driver materialization — so only
+``groups x blocks`` light rows ever move.
 """
 
 from __future__ import annotations
@@ -27,49 +24,29 @@ from typing import Callable
 import pyarrow as pa
 
 
-def tree_combine(
-    ds,
-    combine_fn: Callable[[pa.Table], pa.Table],
-    *,
-    levels: int = 1,
-    fanin: int = 32,
-):
+def tree_combine(ds, combine_fn: Callable[[pa.Table], pa.Table]):
     """Merge light partial rows with ``combine_fn`` instead of a sort
-    exchange.
+    exchange: one ``repartition(1)`` + a single merge task, right when
+    partial cardinality is ``groups x blocks`` with tiny ``groups``.
 
-    ``combine_fn`` must be an associative per-table reducer over
-    already-partial rows (a ``pa.Table.group_by(...).aggregate`` of
-    sums / counts / mins / maxs): applied to any concatenation of
-    partial tables it yields rows of the same partial schema, and
-    applied to all rows it yields the final grouped table.  With
-    ``levels=1`` the reducer runs exactly once, so callers may fuse the
-    finalize step (rename / round / sort) into it; with ``levels=2`` it
-    runs twice per row path, so it must map the partial schema back to
-    the partial schema and finalization belongs in a separate
-    ``map_batches`` afterwards.
+    ``combine_fn`` reduces the concatenation of all partial rows (a
+    ``pa.Table.group_by(...).aggregate`` of sums / counts / mins / maxs)
+    to the final grouped table.  It runs exactly once, so callers may
+    fuse the finalize step (rename / round) into it.
 
-    ``levels=1`` — one ``repartition(1)`` + a single merge task: right
-    when partial cardinality is ``groups x blocks`` with tiny
-    ``groups``.  ``levels=2`` — an intermediate ``repartition(fanin)``
-    + per-block pre-combine first: the at-scale shape once block counts
-    make a single concat of per-block partials meaningful.
+    Output row order is unspecified: it follows ``combine_fn``'s
+    grouping, not key order.  Sort in ``combine_fn`` or downstream when
+    order matters.
     """
-    if levels not in (1, 2):
-        raise ValueError(f"tree_combine: levels must be 1 or 2, got {levels}")
-    if levels == 2:
-        ds = ds.repartition(fanin).map_batches(
-            combine_fn, batch_format="pyarrow", batch_size=None
-        )
     return ds.repartition(1).map_batches(
         combine_fn, batch_format="pyarrow", batch_size=None
     )
 
 
-def combine_sum_by(ds_partials, keys: list[str], sum_cols: list[str], *, levels: int = 1):
+def combine_sum_by(ds_partials, keys: list[str], sum_cols: list[str]):
     """:func:`tree_combine` specialization for the common partial shape:
     group by ``keys`` and sum ``sum_cols``, with output columns keeping
-    their input names — so the reducer maps the partial schema to
-    itself and is valid at either level."""
+    their input names."""
 
     def combine(batch: pa.Table) -> pa.Table:
         t = batch.group_by(keys).aggregate([(c, "sum") for c in sum_cols])
@@ -78,4 +55,4 @@ def combine_sum_by(ds_partials, keys: list[str], sum_cols: list[str], *, levels:
             cols[c] = t.column(f"{c}_sum")
         return pa.table(cols)
 
-    return tree_combine(ds_partials, combine, levels=levels)
+    return tree_combine(ds_partials, combine)

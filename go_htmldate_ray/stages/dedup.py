@@ -254,7 +254,8 @@ def _bucket_candidates(group: pa.Table, strict: bool = False) -> pa.Table:
     )
 
 
-_BROADCAST_DOC_LIMIT = 100_000  # ≈100 MB of signatures — small-side bound
+# (key, payload) rows: an int64 id and its vector packed as raw numpy bytes
+_PAYLOAD_SCHEMA = pa.schema([("key", pa.int64()), ("payload", pa.binary())])
 
 
 def _signature_rows(batch: pa.Table, num_perm: int) -> pa.Table:
@@ -306,19 +307,18 @@ def _dedupe_pairs_agg(ds, a_col: str, b_col: str, val_col: str):
     )
 
 
-def _broadcast_table(rows, width: int, dtype) -> tuple[np.ndarray, np.ndarray]:
-    """(sorted ids, row-aligned matrix) from (key, payload-bytes) rows.
-    Numpy arrays are served zero-copy by the object store — a worker's
-    ``ray.get`` maps them read-only instead of unpickling a dict per
-    group invocation (the dict shape cost O(groups x table) CPU)."""
-    ids = np.asarray([r["key"] for r in rows], dtype=np.int64)
+def _broadcast_table(tbl: pa.Table, dtype) -> tuple[np.ndarray, np.ndarray]:
+    """(sorted ids, row-aligned matrix) from a ``_PAYLOAD_SCHEMA`` table
+    whose payloads all have one width.  Numpy arrays are served zero-copy
+    by the object store — a worker's ``ray.get`` maps them read-only
+    instead of unpickling a dict per group invocation (the dict shape
+    cost O(groups x table) CPU)."""
+    ids = tbl.column("key").to_numpy()
+    if len(ids) == 0:
+        return ids, np.zeros((0, 0), dtype=dtype)
     order = np.argsort(ids)
-    if len(rows) == 0:
-        return ids, np.zeros((0, width), dtype=dtype)
-    mat = np.vstack(
-        [np.frombuffer(rows[int(i)]["payload"], dtype=dtype) for i in order]
-    )
-    return ids[order], mat
+    flat = np.frombuffer(b"".join(tbl.column("payload").to_pylist()), dtype=dtype)
+    return ids[order], flat.reshape(len(ids), -1)[order]
 
 
 def _lookup_rows(ids: np.ndarray, mat: np.ndarray, keys) -> np.ndarray:
@@ -332,7 +332,6 @@ def minhash_lsh_pairs(
     num_perm: int = 128,
     num_bands: int = 16,
     threshold: float = 0.8,
-    verify_mode: str = "auto",
     hot_buckets: str = "sample",
 ):
     """documents → near-duplicate pairs (doc_a, doc_b, est_jaccard):
@@ -342,17 +341,18 @@ def minhash_lsh_pairs(
     est_jaccard is the fraction of agreeing signature components — the
     standard unbiased MinHash estimate of shingle-set Jaccard.
 
-    Verification is hybrid (``verify_mode``): "broadcast" ``ray.put``s
-    the byte-packed signature table once and verifies inside the bucket
-    stage (one light shuffle + one tiny pair-dedupe shuffle) — chosen
-    automatically while the table is ≤ ~100 MB; "join" switches to two
-    hash-partitioned lookup-joins, the 100 TB path where no single-node
-    broadcast fits.
+    Verification is hybrid: while the byte-packed signature table fits
+    :func:`~go_htmldate_ray.stages.blocks.light_table`'s budget it is
+    ``ray.put`` once and verified inside the bucket stage (one light
+    shuffle + one tiny pair-dedupe shuffle); above it two
+    hash-partitioned lookup-joins take over, the 100 TB path where no
+    single-node broadcast fits.
 
     ``hot_buckets``: "sample" (default) star-samples buckets above
     ``joins.PAIR_CAP`` with a warning; "error" raises instead — the mode
     oracle runs use, since the SQL oracle enumerates every collision
     pair."""
+    from .blocks import light_table
     from .joins import attach_payload
 
     strict = hot_buckets == "error"
@@ -376,12 +376,8 @@ def minhash_lsh_pairs(
 
     banded = sigs_bin.map_batches(band_and_bucket, batch_format="pyarrow")
 
-    if verify_mode == "auto":
-        verify_mode = (
-            "broadcast" if sigs_bin.count() <= _BROADCAST_DOC_LIMIT else "join"
-        )
-
-    if verify_mode == "broadcast":
+    sigs = light_table(sigs_bin, _PAYLOAD_SCHEMA)
+    if sigs is not None:
         # Small-side path: one ray.put of (sorted ids, signature matrix) —
         # numpy arrays the object store serves zero-copy, so each bucket
         # group's ray.get maps the table instead of unpickling it —
@@ -389,9 +385,7 @@ def minhash_lsh_pairs(
         # band shuffle + 1 tiny dedupe over surviving pairs).
         import ray
 
-        sigs_ref = ray.put(
-            _broadcast_table(sigs_bin.take_all(), num_perm, np.int64)
-        )  # bounded by _BROADCAST_DOC_LIMIT
+        sigs_ref = ray.put(_broadcast_table(sigs, np.int64))
 
         def bucket_verify(group: pa.Table) -> pa.Table:
             cand = _bucket_candidates(group, strict=strict)
@@ -479,7 +473,6 @@ def near_dup_clusters(
     num_perm: int = 128,
     num_bands: int = 16,
     threshold: float = 0.8,
-    verify_mode: str = "auto",
     hot_buckets: str = "sample",
     max_iters: int = 25,
 ):
@@ -503,31 +496,17 @@ def near_dup_clusters(
         num_perm=num_perm,
         num_bands=num_bands,
         threshold=threshold,
-        verify_mode=verify_mode,
         hot_buckets=hot_buckets,
     ).materialize()
     return connected_components(pairs, max_iters=max_iters)
 
 
-# Below this many edge rows the whole symmetric edge list fits one
-# task's working set (~32M rows ≈ 512 MB int64 pairs) and the label
-# propagation runs as ONE vectorized remote task instead of paying
-# 2 joins + groupby + materialize of fixed latency per distributed
-# round — a 97-node host graph must not cost 15 s of scheduling.
-# The distributed rounds below remain the >32M-edge scale path.
-_SMALL_CC_EDGE_ROWS = 32_000_000
-
-
-def _cc_small_task(*tables: pa.Table) -> pa.Table:
+def _cc_labels(edges: pa.Table) -> pa.Table:
     """In-memory min-label propagation with pointer jumping — identical
     fixed point (label = min node id in component) to the distributed
     rounds, all numpy."""
-    u = np.concatenate(
-        [np.asarray(t.column("u"), dtype=np.int64) for t in tables]
-    )
-    v = np.concatenate(
-        [np.asarray(t.column("v"), dtype=np.int64) for t in tables]
-    )
+    u = edges.column("u").to_numpy()
+    v = edges.column("v").to_numpy()
     uniq, u_idx = np.unique(u, return_inverse=True)
     v_idx = np.searchsorted(uniq, v)  # v ⊆ u by symmetry
     lab = uniq.copy()
@@ -552,13 +531,18 @@ def connected_components(
     """(a, b) pair Dataset → (doc_id, cluster_rep) component labels via
     distributed min-label propagation (see :func:`near_dup_clusters`).
 
-    Hybrid: edge lists under ``_SMALL_CC_EDGE_ROWS`` solve in ONE
-    vectorized remote task (same min-label fixed point); larger graphs
-    run the per-round join + Min-groupby + pointer-doubling exchanges.
+    Hybrid: an edge list within
+    :func:`~go_htmldate_ray.stages.blocks.light_table`'s budget solves in
+    numpy on the driver (same min-label fixed point) instead of paying
+    2 joins + groupby + materialize of fixed latency per distributed
+    round — a 97-node host graph must not cost 15 s of scheduling.
+    Larger graphs run the per-round join + Min-groupby +
+    pointer-doubling exchanges.
     """
     import ray.data
     from ray.data.aggregate import Min, Sum
 
+    from .blocks import light_table, rebase
     from .joins import hash_join
 
     def to_edges(b: pa.Table) -> pa.Table:
@@ -578,8 +562,7 @@ def connected_components(
         )
 
     edges = pairs.map_batches(to_edges, batch_format="pyarrow").materialize()
-    n_edges = edges.count()
-    if n_edges == 0:
+    if edges.count() == 0:
         import pandas as pd
 
         return pd.DataFrame(
@@ -588,22 +571,11 @@ def connected_components(
                 "cluster_rep": pd.Series([], dtype="int64"),
             }
         )
-    if n_edges <= _SMALL_CC_EDGE_ROWS:
-        import ray as _ray
-
-        fn = _ray.remote(_cc_small_task)
-        # from_arrow_refs keeps the label table in the object store —
-        # the result never lands on the driver
-        return ray.data.from_arrow_refs([fn.remote(*edges.to_arrow_refs())])
-
-    def rebase(mat):
-        """Fresh Dataset over a materialized dataset's blocks (zero-copy
-        object-store refs).  Iterative algorithms MUST cut the lineage
-        each round: a materialized Dataset still carries its whole stats
-        ancestry, and Ray's stats summarisation recurses over it —
-        exponentially across rounds (observed as a driver hang in
-        stats.to_summary by round ~6)."""
-        return ray.data.from_arrow_refs(mat.to_arrow_refs())
+    small = light_table(
+        edges, pa.schema([("u", pa.int64()), ("v", pa.int64())])
+    )
+    if small is not None:
+        return ray.data.from_arrow(_cc_labels(small))
 
     def self_label(b: pa.Table) -> pa.Table:
         return pa.table({"node": b.column("u"), "label": b.column("u")})
@@ -699,7 +671,6 @@ def near_dup_keep(
     num_perm: int = 128,
     num_bands: int = 16,
     threshold: float = 0.8,
-    verify_mode: str = "auto",
     hot_buckets: str = "sample",
     max_iters: int = 25,
 ):
@@ -721,7 +692,6 @@ def near_dup_keep(
         num_perm=num_perm,
         num_bands=num_bands,
         threshold=threshold,
-        verify_mode=verify_mode,
         hot_buckets=hot_buckets,
         max_iters=max_iters,
     )
@@ -1026,8 +996,6 @@ def remove_dup_spans(
     *,
     n: int = 5,
     min_docs: int = 2,
-    broadcast_limit: int = 100_000,
-    mode: str = "auto",
 ):
     """Exact duplicated-substring removal at word n-gram granularity
     (the ExactSubstr cleaning of Lee et al. 2021, "Deduplicating
@@ -1042,33 +1010,33 @@ def remove_dup_spans(
     feeding it).
 
     Shape: stage 1 is :func:`dup_ngrams` (light hash rows → one Count
-    groupby).  Stage 2 removes spans in one of two modes:
+    groupby).  Stage 2 removes spans along one of two paths:
 
-    - ``broadcast`` (dup set ≤ ``broadcast_limit``): the sorted dup-hash
-      array ships once via ``ray.put`` (numpy → zero-copy from plasma)
-      and ONE ``map_batches`` pass rebuilds every document —
-      ``np.searchsorted`` membership, difference-array cumsum for the
-      covered mask, no further shuffle.
-    - ``join`` (scale path): per-position ``(ngram_hash, doc_id, pos)``
+    - broadcast (the dup set fits
+      :func:`~go_htmldate_ray.stages.blocks.light_table`'s budget): the
+      sorted dup-hash array ships once via ``ray.put`` (numpy →
+      zero-copy from plasma) and ONE ``map_batches`` pass rebuilds every
+      document — ``np.searchsorted`` membership, difference-array cumsum
+      for the covered mask, no further shuffle.
+    - join (scale path): per-position ``(ngram_hash, doc_id, pos)``
       light rows hash-join the dup set (the one unavoidable
       token-count-sized exchange — the same cost ExactSubstr pays),
       covered starts group per doc (group size = dup grams in that doc,
       not doc length), and a left join re-attaches text so untouched
       documents pass through unchanged.
 
-    ``mode="auto"`` counts the dup set and picks; both modes are
-    pytest-equivalent on planted fixtures.
+    Both paths are pytest-equivalent on planted fixtures.
     """
     import ray
     from ray.data.aggregate import Count
 
+    from .blocks import light_table
     from .cleaning import _hash63_cached
     from .joins import hash_join
 
-    if mode not in ("auto", "broadcast", "join"):
-        raise ValueError(f"unknown mode {mode!r}")
-
-    dup = dup_ngrams(ds, n=n, min_docs=min_docs)
+    # materialize once so the size decision and the chosen path reuse
+    # the same blocks instead of recomputing detection twice
+    dup = dup_ngrams(ds, n=n, min_docs=min_docs).materialize()
 
     def gram_hash_array(toks: list[str]) -> np.ndarray:
         m = len(toks) - n + 1
@@ -1105,22 +1073,9 @@ def remove_dup_spans(
             }
         )
 
-    if mode == "auto":
-        # materialize once so the decide-count and the chosen path reuse
-        # the same blocks instead of recomputing detection twice; an
-        # explicit mode="join" keeps the dup set streaming (at corpus
-        # scale it can be too large to pin)
-        dup = dup.materialize()
-        mode = "broadcast" if dup.count() <= broadcast_limit else "join"
-
-    if mode == "broadcast":
-        dup_sorted = np.sort(
-            np.asarray(
-                [r["ngram_hash"] for r in dup.select_columns(["ngram_hash"]).take_all()],
-                dtype=np.int64,
-            )
-        )
-        dup_ref = ray.put(dup_sorted)
+    small = light_table(dup, pa.schema([("ngram_hash", pa.int64())]))
+    if small is not None:
+        dup_ref = ray.put(np.sort(small.column("ngram_hash").to_numpy()))
 
         def clean_batch(batch: pa.Table) -> pa.Table:
             dups = ray.get(dup_ref)

@@ -24,6 +24,8 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
+_EDGE_SCHEMA = pa.schema([("src", pa.int64()), ("dst", pa.int64())])
+
 
 def pagerank(
     nodes,
@@ -35,7 +37,6 @@ def pagerank(
     damping_den: int = 100,
     n_buckets: int | None = None,
     seed_col: str | None = None,
-    small_graph_limit: int = 5_000_000,
     _extra_vectors: list | None = None,
 ):
     """(nodes: ``id``, edges: ``src``/``dst``) → Dataset (doc_id,
@@ -55,16 +56,18 @@ def pagerank(
     The extra cost over plain PageRank is one ``sum()`` pass over the
     node set — the iteration loop is unchanged.
 
-    ``small_graph_limit``: graphs whose node+edge count fits under it
-    (light int64 rows) skip the per-round bucketed join + keyed-Sum
-    exchanges and replay the SAME integer arithmetic in one numpy task
-    on the driver — bit-exact (pytest parity gate), because below this
-    size the synchronous-barrier fixed cost dominates every round.
-    Above the bound the bucketed loop is the scale path.
+    Graphs whose light int64 node and edge rows fit
+    :func:`~go_htmldate_ray.stages.blocks.light_table`'s budget skip the
+    per-round bucketed join + keyed-Sum exchanges and replay the SAME
+    integer arithmetic in numpy on the driver — bit-exact (pytest parity
+    gate), because below that size the synchronous-barrier fixed cost
+    dominates every round.  Above the budget the bucketed loop is the
+    scale path.
     """
     import ray.data
     from ray.data.aggregate import Sum
 
+    from .blocks import light_table, rebase
     from .joins import hash_join
 
     # Pin the (light, int64) node/edge relations once: count(), the
@@ -105,6 +108,73 @@ def pagerank(
                 damping_den * n_nodes
             )
             r0 = total // n_nodes
+    # vectors: list of (column name, base, r0, seed mask col or None).
+    # The public pagerank runs ONE vector; spam_mass pushes the uniform
+    # AND the seeded vector through the SAME joins/groupbys (one loop,
+    # k extra int64 columns — not k× the exchanges).
+    vecs = [("c0", base, r0, seed_col)]
+    if _extra_vectors:
+        vecs = list(_extra_vectors)
+    names = [v[0] for v in vecs]
+
+    # Bounded fast path: collect the LIGHT int64 node/edge rows once and
+    # replay the identical integer power iteration in numpy — bit-exact
+    # vs the distributed loop (parity-gated in pytest), with zero
+    # per-round barriers.  Decided before the outdegree join below,
+    # which only the distributed loop uses.
+    seed_cols = list(dict.fromkeys(v[3] for v in vecs if v[3] is not None))
+    nt = light_table(
+        nodes, pa.schema([(c, pa.int64()) for c in ["id", *seed_cols]])
+    )
+    et = None if nt is None else light_table(edges, _EDGE_SCHEMA)
+    if et is not None:
+        ids = nt.column("id").to_numpy()
+        order = np.argsort(ids, kind="stable")
+        ids_sorted = ids[order]
+        nn = len(ids_sorted)
+        src = et.column("src").to_numpy()
+        dst = et.column("dst").to_numpy()
+
+        def locate(vals: np.ndarray):
+            idx = np.searchsorted(ids_sorted, vals)
+            safe = np.minimum(idx, nn - 1)
+            return safe, ids_sorted[safe] == vals
+
+        si, si_ok = locate(src)
+        di, di_ok = locate(dst)
+        # edges from phantom srcs never join a rank row; edges to
+        # phantom dsts contribute mass the real-node filter drops
+        e_si = si[si_ok]
+        e_di = di[si_ok]
+        e_di_ok = di_ok[si_ok]
+        outdeg = np.bincount(e_si, minlength=nn).astype(np.int64)
+
+        out_cols: dict = {"id": pa.array(ids_sorted, pa.int64())}
+        denom = damping_den * outdeg
+        for name, vbase, vr0, vseed in vecs:
+            if vseed is not None:
+                seedm = nt.column(vseed).to_numpy()[order]
+                base_vec = vbase * seedm
+                r = vr0 * seedm
+            else:
+                base_vec = np.full(nn, vbase, np.int64)
+                r = np.full(nn, vr0, np.int64)
+            for _ in range(iters):
+                contrib = (r[e_si] * damping_num) // denom[e_si]
+                acc = np.zeros(nn, np.int64)
+                np.add.at(acc, e_di[e_di_ok], contrib[e_di_ok])
+                r = base_vec + acc
+            out_cols[name] = pa.array(r, pa.int64())
+
+        tbl = pa.table(out_cols)
+        if _extra_vectors:
+            return ray.data.from_arrow(tbl)
+        return ray.data.from_arrow(
+            pa.table(
+                {"doc_id": tbl.column("id"), "rank_units": tbl.column("c0")}
+            )
+        )
+
     if n_buckets is None:
         # Per-iteration shuffle task count scales with buckets; size to
         # the node count (~500k rank rows per bucket, floor 8) so a
@@ -113,9 +183,6 @@ def pagerank(
         from .joins import adaptive_buckets
 
         n_buckets = adaptive_buckets(n_nodes)
-
-    def rebase(mat):
-        return ray.data.from_arrow_refs(mat.to_arrow_refs())
 
     # ~2M rank rows per block, like connected_components
     n_blocks = max(1, min(512, n_nodes // 2_000_000 + 1))
@@ -159,86 +226,6 @@ def pagerank(
         .repartition(n_blocks)
         .materialize()
     )
-
-    # vectors: list of (column name, base, r0, seed mask col or None).
-    # The public pagerank runs ONE vector; spam_mass pushes the uniform
-    # AND the seeded vector through the SAME joins/groupbys (one loop,
-    # k extra int64 columns — not k× the exchanges).
-    vecs = [("c0", base, r0, seed_col)]
-    if _extra_vectors:
-        vecs = list(_extra_vectors)
-    names = [v[0] for v in vecs]
-
-    n_edges_ct = edges.count()
-    if 0 < n_nodes + n_edges_ct <= small_graph_limit:
-        # Bounded single-task fast path (same hybrid pattern as
-        # connected_components / redirect_resolution): collect the LIGHT
-        # int64 node/edge rows once and replay the identical integer
-        # power iteration in numpy — bit-exact vs the distributed loop
-        # (parity-gated in pytest), with zero per-round barriers.
-        import ray as _ray
-
-        # raw to_arrow_refs on the MATERIALIZED inputs is free; any
-        # select_columns / map_batches here would spin up a streaming
-        # execution (~1s fixed cost) just to project light rows the
-        # driver is about to hold anyway — project in Arrow instead
-        nt = pa.concat_tables(_ray.get(nodes.to_arrow_refs()))
-        et = pa.concat_tables(_ray.get(edges.to_arrow_refs()))
-
-        def col64(t: pa.Table, name: str) -> np.ndarray:
-            return (
-                t.column(name)
-                .cast(pa.int64())
-                .to_numpy(zero_copy_only=False)
-                .astype(np.int64, copy=False)
-            )
-
-        ids = col64(nt, "id")
-        order = np.argsort(ids, kind="stable")
-        ids_sorted = ids[order]
-        nn = len(ids_sorted)
-        src = col64(et, "src")
-        dst = col64(et, "dst")
-
-        def locate(vals: np.ndarray):
-            idx = np.searchsorted(ids_sorted, vals)
-            safe = np.minimum(idx, nn - 1)
-            return safe, ids_sorted[safe] == vals
-
-        si, si_ok = locate(src)
-        di, di_ok = locate(dst)
-        # edges from phantom srcs never join a rank row; edges to
-        # phantom dsts contribute mass the real-node filter drops
-        e_si = si[si_ok]
-        e_di = di[si_ok]
-        e_di_ok = di_ok[si_ok]
-        outdeg = np.bincount(e_si, minlength=nn).astype(np.int64)
-
-        out_cols: dict = {"id": pa.array(ids_sorted, pa.int64())}
-        denom = damping_den * outdeg
-        for name, vbase, vr0, vseed in vecs:
-            if vseed is not None:
-                seedm = col64(nt, vseed)[order]
-                base_vec = vbase * seedm
-                r = vr0 * seedm
-            else:
-                base_vec = np.full(nn, vbase, np.int64)
-                r = np.full(nn, vr0, np.int64)
-            for _ in range(iters):
-                contrib = (r[e_si] * damping_num) // denom[e_si]
-                acc = np.zeros(nn, np.int64)
-                np.add.at(acc, e_di[e_di_ok], contrib[e_di_ok])
-                r = base_vec + acc
-            out_cols[name] = pa.array(r, pa.int64())
-
-        tbl = pa.table(out_cols)
-        if _extra_vectors:
-            return ray.data.from_arrow(tbl)
-        return ray.data.from_arrow(
-            pa.table(
-                {"doc_id": tbl.column("id"), "rank_units": tbl.column("c0")}
-            )
-        )
 
     def node_rows(use_r0: bool, marker: int):
         def f(batch: pa.Table) -> pa.Table:
@@ -421,6 +408,7 @@ def resolve_pointers(
     import pyarrow.compute as pc
     import ray.data
 
+    from .blocks import rebase
     from .joins import hash_join
 
     n_rows = ds.count()
@@ -439,9 +427,6 @@ def resolve_pointers(
 
         n_buckets = adaptive_buckets(n_rows)
     n_blocks = max(1, min(512, n_rows // 2_000_000 + 1))
-
-    def rebase(mat):
-        return ray.data.from_arrow_refs(mat.to_arrow_refs())
 
     def prep(batch: pa.Table) -> pa.Table:
         s = batch.column(src).cast(pa.int64())
@@ -501,7 +486,7 @@ def resolve_pointers(
     )
 
 
-def hits(nodes, edges, *, iters: int = 2, scale_shift: int = 1, base_shift: int = 20, n_buckets: int | None = None, small_graph_limit: int = 5_000_000):
+def hits(nodes, edges, *, iters: int = 2, scale_shift: int = 1, base_shift: int = 20, n_buckets: int | None = None):
     """Integer-exact HITS hubs/authorities (Kleinberg 1999, "Authoritative
     sources in a hyperlinked environment") over a (src, dst) edge set:
 
@@ -528,6 +513,7 @@ def hits(nodes, edges, *, iters: int = 2, scale_shift: int = 1, base_shift: int 
     import ray.data
     from ray.data.aggregate import Sum
 
+    from .blocks import light_table, rebase
     from .joins import adaptive_buckets, hash_join
 
     if iters < 1:
@@ -554,24 +540,13 @@ def hits(nodes, edges, *, iters: int = 2, scale_shift: int = 1, base_shift: int 
             )
         )
 
-    if 0 < n_nodes + edges.count() <= small_graph_limit:
-        import ray as _ray
-
-        nt = pa.concat_tables(_ray.get(nodes.to_arrow_refs()))
-        et = pa.concat_tables(_ray.get(edges.to_arrow_refs()))
-
-        def col64(t: pa.Table, name: str) -> np.ndarray:
-            return (
-                t.column(name)
-                .cast(pa.int64())
-                .to_numpy(zero_copy_only=False)
-                .astype(np.int64, copy=False)
-            )
-
-        ids_sorted = np.sort(col64(nt, "id"), kind="stable")
+    nt = light_table(nodes, pa.schema([("id", pa.int64())]))
+    et = None if nt is None else light_table(edges, _EDGE_SCHEMA)
+    if et is not None:
+        ids_sorted = np.sort(nt.column("id").to_numpy(), kind="stable")
         nn = len(ids_sorted)
-        src = col64(et, "src")
-        dst = col64(et, "dst")
+        src = et.column("src").to_numpy()
+        dst = et.column("dst").to_numpy()
 
         def locate(vals: np.ndarray):
             idx = np.searchsorted(ids_sorted, vals)
@@ -609,9 +584,6 @@ def hits(nodes, edges, *, iters: int = 2, scale_shift: int = 1, base_shift: int 
         n_buckets = adaptive_buckets(n_nodes)
     n_blocks = max(1, min(512, n_nodes // 2_000_000 + 1))
     base = 1 << base_shift
-
-    def rebase(mat):
-        return ray.data.from_arrow_refs(mat.to_arrow_refs())
 
     e = rebase(
         edges.map_batches(

@@ -593,9 +593,6 @@ def interval_overlap_join(
     return joined.map_batches(contain, batch_format="pyarrow")
 
 
-_SKEW_HOT_KEY_LIMIT = 100_000  # driver-side hot-key set bound
-
-
 def skew_join(
     left,
     right,
@@ -617,7 +614,8 @@ def skew_join(
     Assumes the dimension-table shape on the right: few rows per hot key
     (the broadcast side is ``|hot keys| × right-rows-per-key``, and the
     hot-key SET itself is bounded by ``|left| / hot_threshold``, both
-    enforced against ``_SKEW_HOT_KEY_LIMIT``).  Hot right rows are
+    enforced by :func:`~go_htmldate_ray.stages.blocks.light_table`'s
+    budget).  Hot right rows are
     collected by a DISTRIBUTED filter pass — only the (bounded)
     survivors plus one count-sentinel row per block reach the driver,
     never the right table itself — and the same pass yields the right
@@ -633,6 +631,8 @@ def skew_join(
     """
     import ray
     from ray.data.aggregate import Sum
+
+    from .blocks import light_table
 
     right_on = right_on or on
     right_names = [n for n in right.schema().names if n != right_on]
@@ -656,18 +656,21 @@ def skew_join(
         .groupby("k")
         .aggregate(Sum("c"))
     )
-    hot_rows = counts.map_batches(
-        # vectorized filter: counts has one row per DISTINCT left key —
-        # a per-row Python callback here is the max-overhead shape
-        lambda b: b.filter(pc.greater_equal(b.column("sum(c)"), hot_threshold)),
-        batch_format="pyarrow",
-    ).take_all()  # ≤ |left| / hot_threshold rows by construction
-    if len(hot_rows) > _SKEW_HOT_KEY_LIMIT:
+    hot_rows = light_table(
+        counts.map_batches(
+            # vectorized filter: counts has one row per DISTINCT left key —
+            # a per-row Python callback here is the max-overhead shape
+            lambda b: b.filter(pc.greater_equal(b.column("sum(c)"), hot_threshold)),
+            batch_format="pyarrow",
+        ),  # ≤ |left| / hot_threshold rows by construction
+        pa.schema([("k", pa.int64())]),
+    )
+    if hot_rows is None:
         raise ValueError(
-            f"skew_join: {len(hot_rows)} hot keys exceed the broadcast "
-            f"bound {_SKEW_HOT_KEY_LIMIT}; raise hot_threshold"
+            "skew_join: the hot keys exceed the broadcast bound; "
+            "raise hot_threshold"
         )
-    hot_keys = frozenset(int(r["k"]) for r in hot_rows)
+    hot_keys = frozenset(hot_rows.column("k").to_pylist())
 
     if not hot_keys:
         return hash_join(left, right, on=on, right_on=right_on, n_buckets=n_buckets)
@@ -683,13 +686,6 @@ def skew_join(
         batch's total row count — so the driver learns |right| from the
         same pass that collects the (bounded) broadcast side."""
         hot = batch.filter(pc.is_in(batch.column(right_on), value_set=hot_arr))
-        if hot.num_rows > _SKEW_HOT_KEY_LIMIT:
-            # fail inside the task, before anything ships to the driver
-            raise ValueError(
-                f"skew_join: right side has >{_SKEW_HOT_KEY_LIMIT} rows for "
-                "hot keys in one block — not the dimension shape this "
-                "broadcast assumes"
-            )
         hot = hot.append_column(
             _PROBE_N, pa.array(np.zeros(hot.num_rows, dtype=np.int64), pa.int64())
         )
@@ -705,25 +701,17 @@ def skew_join(
 
     # batch_size=None → whole-block batches: one sentinel row per block
     probe = right.map_batches(probe_hot, batch_format="pyarrow", batch_size=None)
-    empty_probe = pa.table(
-        {
-            **{n: pa.array([], t) for n, t in probe_fields},
-            _PROBE_N: pa.array([], pa.int64()),
-        }
-    )
-    # gather as Arrow block refs (schema-exact, zero row re-inference);
-    # the empty seed keeps an all-empty right side a typed empty join
-    parts = [t for t in ray.get(probe.to_arrow_refs()) if t.num_rows]
-    tbl = pa.concat_tables([empty_probe] + parts)
+    # a typed table even when the right side is empty (an empty join)
+    tbl = light_table(probe, pa.schema(probe_fields + [(_PROBE_N, pa.int64())]))
+    if tbl is None:
+        raise ValueError(
+            "skew_join: the right side's hot-key rows exceed the broadcast "
+            "bound — not the dimension shape this broadcast assumes"
+        )
     right_total = int(pc.sum(tbl.column(_PROBE_N)).as_py() or 0)
     right_hot_tbl = tbl.filter(pc.equal(tbl.column(_PROBE_N), 0)).drop_columns(
         [_PROBE_N]
     )
-    if right_hot_tbl.num_rows > _SKEW_HOT_KEY_LIMIT:
-        raise ValueError(
-            f"skew_join: right side has {right_hot_tbl.num_rows} rows for "
-            "hot keys — not the dimension shape this broadcast assumes"
-        )
     # sorted by key ONCE here, so the per-batch hot path is pure
     # searchsorted — no argsort or table copy per batch
     right_hot_tbl = right_hot_tbl.sort_by(right_on)

@@ -358,16 +358,12 @@ def _bucket_candidates(group: pa.Table, strict: bool = False) -> pa.Table:
     )
 
 
-_BROADCAST_VEC_LIMIT = 100_000  # ≈50 MB of unit-norm vectors — small-side bound
-
-
 def embedding_dup_pairs_lsh(
     ds,
     *,
     threshold: float = 0.9,
     n_bands: int = 16,
     planes_per_band: int = 8,
-    verify_mode: str = "auto",
     hot_buckets: str = "sample",
 ):
     """Banded hyperplane-LSH near-duplicate pairs with exact verification —
@@ -376,9 +372,11 @@ def embedding_dup_pairs_lsh(
     Shape: light (bucket, vec_id) rows → one bucket-key shuffle →
     candidate pairs per bucket (hot buckets star-sampled + logged) →
     pair dedup → two lookup-joins back to the unit-norm embeddings →
-    exact cosine filter.  Only candidate pairs (≪ N²) are ever scored;
-    the embedding table itself is never broadcast or materialised on the
-    driver.
+    exact cosine filter.  Only candidate pairs (≪ N²) are ever scored.
+    While the packed unit-norm table fits
+    :func:`~go_htmldate_ray.stages.blocks.light_table`'s budget it is
+    broadcast once and verified inside the bucket stage instead of the
+    two lookup-joins.
 
     Recall for a pair at cosine c is 1-(1-p^r)^b with p = 1-arccos(c)/π:
     the defaults (r=8, b=16) give ≈0.996 at c=0.9 — pick the banding for
@@ -390,6 +388,8 @@ def embedding_dup_pairs_lsh(
     oracle runs so a divergence from the exact-enumeration SQL surfaces
     loudly rather than as a hash mismatch.
     """
+    from .blocks import light_table
+    from .dedup import _PAYLOAD_SCHEMA
     from .joins import attach_payload
 
     strict = hot_buckets == "error"
@@ -413,7 +413,9 @@ def embedding_dup_pairs_lsh(
             }
         )
 
-    norm_bin = norm.map_batches(pack, batch_format="pyarrow")
+    # consumed by the broadcast or twice by the join path (both attach
+    # sides): pin the packed bytes once
+    norm_bin = norm.map_batches(pack, batch_format="pyarrow").materialize()
 
     def band(batch: pa.Table) -> pa.Table:
         # Task-pool stage with a per-process cached hasher: plane state
@@ -429,10 +431,8 @@ def embedding_dup_pairs_lsh(
 
     banded = norm.map_batches(band, batch_format="pyarrow")
 
-    if verify_mode == "auto":
-        verify_mode = "broadcast" if norm.count() <= _BROADCAST_VEC_LIMIT else "join"
-
-    if verify_mode == "broadcast":
+    packed = light_table(norm_bin, _PAYLOAD_SCHEMA)
+    if packed is not None:
         # Small-side path: ray.put (sorted ids, unit-norm matrix) once —
         # numpy arrays are zero-copy out of the object store, so each
         # bucket group maps the table instead of unpickling a dict —
@@ -442,9 +442,7 @@ def embedding_dup_pairs_lsh(
 
         from .dedup import _broadcast_table, _lookup_rows
 
-        rows = norm_bin.take_all()
-        dim = len(rows[0]["payload"]) // 8 if rows else 0
-        emb_ref = ray.put(_broadcast_table(rows, dim, np.float64))
+        emb_ref = ray.put(_broadcast_table(packed, np.float64))
 
         def bucket_verify(group: pa.Table) -> pa.Table:
             cand = _bucket_candidates(group, strict=strict)
@@ -483,9 +481,6 @@ def embedding_dup_pairs_lsh(
     candidates = banded.groupby("shuffle_bucket").map_groups(
         lambda g: _bucket_candidates(g, strict=strict), batch_format="pyarrow"
     )
-    # join mode consumes norm_bin twice (both attach sides): pin the
-    # packed bytes once instead of re-running the per-row pack pass
-    norm_bin = norm_bin.materialize()
     # Cross-band duplicate pairs share vec_a → they co-locate on the
     # first lookup-join's key and dedupe there (no extra shuffle).
     with_a = attach_payload(
@@ -542,7 +537,6 @@ def knn_graph(
     k: int = 3,
     n_bands: int = 8,
     planes_per_band: int = 6,
-    verify_mode: str = "auto",
     hot_buckets: str = "sample",
 ):
     """Corpus→corpus approximate k-NN graph: (vec_id, neighbor_id, rank)
@@ -565,7 +559,6 @@ def knn_graph(
         threshold=-1.0,
         n_bands=n_bands,
         planes_per_band=planes_per_band,
-        verify_mode=verify_mode,
         hot_buckets=hot_buckets,
     )
 
@@ -1063,9 +1056,6 @@ def semdedup(
 # --- margin-based bitext mining (Artetxe & Schwenk 2019) ---------------------
 
 
-_XLING_SIDE_LIMIT = 100_000  # broadcast bound for the planted language side
-
-
 def xling_margin_pairs(
     ds,
     *,
@@ -1095,24 +1085,23 @@ def xling_margin_pairs(
     → (src_id, matched_id, margin_micro4), one row per B vector.
     """
     import ray
+    import ray.data
+
+    from .blocks import light_table
 
     def planted_side(b: pa.Table) -> pa.Table:
         ids = np.asarray(b.column("vec_id"), dtype=np.int64)
         return b.filter(pa.array(ids % plant_mod == plant_res))
 
-    src_rows = (
-        ds.map_batches(planted_side, batch_format="pyarrow")
-        .select_columns(["vec_id", "embedding"])
-        .take_all()
+    src = light_table(
+        ds.map_batches(planted_side, batch_format="pyarrow"),
+        pa.schema([("vec_id", pa.int64()), ("embedding", pa.list_(pa.float64()))]),
     )
-    if len(src_rows) > _XLING_SIDE_LIMIT:
+    if src is None:
         raise ValueError(
-            f"xling_margin_pairs: {len(src_rows)} planted-side rows exceed "
-            f"the broadcast bound {_XLING_SIDE_LIMIT}"
+            "xling_margin_pairs: the planted side exceeds the broadcast bound"
         )
-    import ray.data
-
-    if not src_rows:  # no planted side: empty typed result, not a crash
+    if src.num_rows == 0:  # no planted side: empty typed result, not a crash
         return ray.data.from_arrow(
             pa.table(
                 {
@@ -1122,9 +1111,9 @@ def xling_margin_pairs(
                 }
             )
         )
-    src_rows.sort(key=lambda r: r["vec_id"])
-    src_ids = np.asarray([r["vec_id"] for r in src_rows], dtype=np.int64)
-    amat = np.asarray([r["embedding"] for r in src_rows], dtype=np.float64)
+    src = src.sort_by("vec_id")
+    src_ids = src.column("vec_id").to_numpy()
+    amat = np.asarray(src.column("embedding").to_pylist(), dtype=np.float64)
     dim = amat.shape[1]
     # the planted perturbation (double arithmetic, SQL-replayable)
     shift = ((src_ids[:, None] + np.arange(dim)[None, :]) % 7 - 3) * 0.01

@@ -58,6 +58,7 @@ def suffix_array(
     import ray.data
     from ray.data.aggregate import Count
 
+    from .blocks import rebase
     from .joins import adaptive_buckets, hash_join
     from .packing import ordered_cumsum
 
@@ -90,9 +91,6 @@ def suffix_array(
                 "rank": pa.array(np.concatenate(ranks), pa.int64()),
             }
         )
-
-    def rebase(mat):
-        return ray.data.from_arrow_refs(mat.to_arrow_refs())
 
     # pin the char-explosion once: count() plus round 1's two join sides
     # otherwise re-run the doc→per-char expansion three times before the

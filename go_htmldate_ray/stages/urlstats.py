@@ -55,7 +55,7 @@ def hot_path_subtrees(ds, *, host_col: str = "host", path_col: str = "path", thr
 
     from ray.data.aggregate import Sum
 
-    _CANDIDATE_LIMIT = 1_000_000  # driver small-side bound, like skew_join's
+    from .blocks import light_table
 
     def partial(batch: pa.Table) -> pa.Table:
         counts: Counter = Counter()
@@ -92,12 +92,18 @@ def hot_path_subtrees(ds, *, host_col: str = "host", path_col: str = "path", thr
         batch_format="pyarrow",
     )
     # candidate set is the bounded driver small side: resolve maximality
-    rows = candidates.take_all()
-    if len(rows) > _CANDIDATE_LIMIT:
+    tbl = light_table(
+        candidates,
+        pa.schema(
+            [("host", pa.string()), ("prefix", pa.string()), ("n_urls", pa.int64())]
+        ),
+    )
+    if tbl is None:
         raise ValueError(
-            f"hot_path_subtrees: {len(rows)} candidates exceed the driver "
-            f"bound {_CANDIDATE_LIMIT}; raise threshold"
+            "hot_path_subtrees: the candidates exceed the driver bound; "
+            "raise threshold"
         )
+    rows = tbl.to_pylist()
     by_host: dict[str, list[dict]] = {}
     for r in rows:
         by_host.setdefault(r["host"], []).append(r)

@@ -20,3 +20,21 @@ def ray_session():
         )
     yield
     ray.shutdown()
+
+
+@pytest.fixture
+def scale_path(monkeypatch):
+    """Context manager that forces every bounded ``light_table``
+    collection onto its distributed scale path: inside it the byte
+    budget is 0, so any non-empty input is "above the budget"."""
+    from contextlib import contextmanager
+
+    from go_htmldate_ray.stages import blocks
+
+    @contextmanager
+    def forced():
+        with monkeypatch.context() as m:
+            m.setattr(blocks, "LIGHT_TABLE_BYTES", 0)
+            yield
+
+    return forced

@@ -341,7 +341,7 @@ def test_multimodal_resize_and_audio_stages():
     assert abs(rows[0]["rms"] - expect0) < 1e-12
 
 
-def test_lsh_verify_modes_equivalent():
+def test_lsh_verify_modes_equivalent(scale_path):
     """Broadcast (small-side) and lookup-join (scale) verification paths
     must produce identical pair sets."""
     import numpy as np
@@ -356,10 +356,9 @@ def test_lsh_verify_modes_equivalent():
         {"doc_id": 3, "text": "x " * 120},
     ]
     key = lambda rows: sorted((r["doc_a"], r["doc_b"]) for r in rows)
-    a = key(minhash_lsh_pairs(ray.data.from_items(docs), threshold=0.5,
-                              verify_mode="broadcast").take_all())
-    b = key(minhash_lsh_pairs(ray.data.from_items(docs), threshold=0.5,
-                              verify_mode="join").take_all())
+    a = key(minhash_lsh_pairs(ray.data.from_items(docs), threshold=0.5).take_all())
+    with scale_path():
+        b = key(minhash_lsh_pairs(ray.data.from_items(docs), threshold=0.5).take_all())
     assert a == b and (1, 2) in a
 
     rng = np.random.RandomState(11)
@@ -368,10 +367,9 @@ def test_lsh_verify_modes_equivalent():
             for i in range(4)]
     vecs += [{"vec_id": 4 + i, "embedding": rng.standard_normal(32).tolist()} for i in range(40)]
     vkey = lambda rows: sorted((r["vec_a"], r["vec_b"]) for r in rows)
-    va = vkey(embedding_dup_pairs_lsh(ray.data.from_items(vecs), threshold=0.9,
-                                      verify_mode="broadcast").take_all())
-    vb = vkey(embedding_dup_pairs_lsh(ray.data.from_items(vecs), threshold=0.9,
-                                      verify_mode="join").take_all())
+    va = vkey(embedding_dup_pairs_lsh(ray.data.from_items(vecs), threshold=0.9).take_all())
+    with scale_path():
+        vb = vkey(embedding_dup_pairs_lsh(ray.data.from_items(vecs), threshold=0.9).take_all())
     assert va == vb and len(va) == 6
 
 
@@ -405,14 +403,15 @@ def test_hash_join_semantics():
     assert set(rows[0]) == {"k", "lv", "rv"}
 
 
-def test_asof_modes_equivalent():
+def test_asof_modes_equivalent(scale_path):
     """Broadcast and co-partitioned as-of join paths return identical
     (event_id, o_orderkey) mappings."""
     from go_htmldate_ray.pipelines.streaming import asof_join_latest_order
 
     key = lambda rows: sorted((r["event_id"], r["o_orderkey"]) for r in rows)
-    a = key(asof_join_latest_order(SF, mode="broadcast").take_all())
-    b = key(asof_join_latest_order(SF, mode="copartition").take_all())
+    a = key(asof_join_latest_order(SF).take_all())
+    with scale_path():
+        b = key(asof_join_latest_order(SF).take_all())
     assert a == b and len(a) > 0
 
 
@@ -1166,7 +1165,7 @@ def test_cap_per_group_vs_python(ray_session):
     assert len(all_rows) == n
 
 
-def test_pagerank_small_graph_fast_path_parity(ray_session):
+def test_pagerank_small_graph_fast_path_parity(ray_session, scale_path):
     """The bounded driver fast path replays the distributed loop's
     integer arithmetic BIT-EXACTLY — plain, seeded (TrustRank) and
     multi-vector modes — on a graph with phantom srcs/dsts (ids outside
@@ -1202,10 +1201,10 @@ def test_pagerank_small_graph_fast_path_parity(ray_session):
             for r in pagerank(nodes, edges, iters=5, **kw).take_all()
         }
 
-    assert run() == run(small_graph_limit=0)  # plain
-    assert run(seed_col="seed") == run(
-        seed_col="seed", small_graph_limit=0
-    )  # TrustRank
+    fast, fast_seeded = run(), run(seed_col="seed")
+    with scale_path():
+        assert fast == run()  # plain
+        assert fast_seeded == run(seed_col="seed")  # TrustRank
 
     # HITS shares the hybrid: hubs/authorities bit-exact across paths
     from go_htmldate_ray.stages.graph import hits
@@ -1216,7 +1215,9 @@ def test_pagerank_small_graph_fast_path_parity(ray_session):
             for r in hits(nodes, edges, iters=2, **kw).take_all()
         )
 
-    assert run_hits() == run_hits(small_graph_limit=0)
+    fast_hits = run_hits()
+    with scale_path():
+        assert fast_hits == run_hits()
 
 
 def test_pagerank_vs_python_reference(ray_session):
@@ -2116,7 +2117,7 @@ def test_resolve_pointers_randomized_vs_python_walk(ray_session):
     assert full[3]["hops"] == 3 and full[3]["final"] == 0
 
 
-def test_remove_dup_spans_planted_and_modes_equivalent(ray_session):
+def test_remove_dup_spans_planted_and_modes_equivalent(ray_session, scale_path):
     """Planted cross-doc 5-gram is cut from BOTH docs (overlapping
     coverage union, not per-gram), unique text survives, and the
     broadcast and join modes produce identical tables."""
@@ -2140,7 +2141,7 @@ def test_remove_dup_spans_planted_and_modes_equivalent(ray_session):
 
     out = {
         r["doc_id"]: r
-        for r in remove_dup_spans(ds, n=5, min_docs=2, mode="broadcast").take_all()
+        for r in remove_dup_spans(ds, n=5, min_docs=2).take_all()
     }
     assert out[0]["clean_text"] == "alpha beta gamma delta epsilon zeta"
     assert out[0]["n_removed"] == 8
@@ -2153,15 +2154,16 @@ def test_remove_dup_spans_planted_and_modes_equivalent(ray_session):
     assert out[3] == {"doc_id": 3, "n_tokens": 0, "n_removed": 0, "clean_text": ""}
     assert out[4]["clean_text"] == "short" and out[4]["n_removed"] == 0
 
-    joined = {
-        r["doc_id"]: r
-        for r in remove_dup_spans(ds, n=5, min_docs=2, mode="join").take_all()
-    }
+    with scale_path():
+        joined = {
+            r["doc_id"]: r
+            for r in remove_dup_spans(ds, n=5, min_docs=2).take_all()
+        }
     assert joined == out
 
 
-def test_redirect_resolution_broadcast_join_parity(ray_session):
-    """The ≤100k broadcast URL re-attach and the scale join path agree."""
+def test_redirect_resolution_broadcast_join_parity(ray_session, scale_path):
+    """The broadcast URL re-attach and the scale join path agree."""
     from go_htmldate_ray.pipelines.extract_dates import redirect_resolution
 
     sf = "/root/testdata/sf0.001"
@@ -2169,25 +2171,12 @@ def test_redirect_resolution_broadcast_join_parity(ray_session):
         (r["url"], r["final_url"], r["hops"])
         for r in redirect_resolution(sf).take_all()
     )
-    joined = sorted(
-        (r["url"], r["final_url"], r["hops"])
-        for r in redirect_resolution(sf, broadcast_limit=0).take_all()
-    )
+    with scale_path():
+        joined = sorted(
+            (r["url"], r["final_url"], r["hops"])
+            for r in redirect_resolution(sf).take_all()
+        )
     assert fast == joined and len(fast) == 500
-
-
-def test_redirect_resolution_broadcast_guard(ray_session, monkeypatch):
-    """The broadcast re-attach raises loudly (skew_join convention) when
-    the materialized map exceeds broadcast_limit — i.e. when the
-    pre-checked doc count understated the map size."""
-    import go_htmldate_ray.sources.pages as pages_mod
-    from go_htmldate_ray.pipelines.extract_dates import redirect_resolution
-
-    # lie about the corpus size so the ≤limit branch is taken while the
-    # real map (500 rows at sf0.001) blows past the limit
-    monkeypatch.setattr(pages_mod, "count_documents", lambda sf: 5)
-    with pytest.raises(ValueError, match="broadcast map has 500 rows"):
-        redirect_resolution("/root/testdata/sf0.001", broadcast_limit=10)
 
 
 def test_budget_allocation_exact_and_vs_python(ray_session):
@@ -2233,7 +2222,7 @@ def test_budget_allocation_exact_and_vs_python(ray_session):
     assert {r["host"]: r["n_urls"] for r in out} == counts
 
 
-def test_remove_dup_spans_randomized_vs_python(ray_session):
+def test_remove_dup_spans_randomized_vs_python(ray_session, scale_path):
     """Randomized corpora from a tiny vocabulary (dense natural 5-gram
     collisions) match a brute-force single-process reference, in both
     modes."""
@@ -2278,12 +2267,16 @@ def test_remove_dup_spans_randomized_vs_python(ray_session):
     assert any(v[1] == 0 and v[0] > 0 for v in expected.values())  # and clean docs
 
     ds = ray.data.from_items(rows)
-    for mode in ("broadcast", "join"):
-        got = {
+
+    def run():
+        return {
             r["doc_id"]: (r["n_tokens"], r["n_removed"], r["clean_text"])
-            for r in remove_dup_spans(ds, n=n, min_docs=2, mode=mode).take_all()
+            for r in remove_dup_spans(ds, n=n, min_docs=2).take_all()
         }
-        assert got == expected, mode
+
+    assert run() == expected
+    with scale_path():
+        assert run() == expected
 
 
 def test_anchor_summary_hot_target_collapses_per_block(ray_session):
@@ -4197,10 +4190,10 @@ def test_host_boilerplate_host_col():
     assert len(out) == 4
 
 
-def test_tree_combine_levels_agree_and_match_groupby():
-    """tree_combine levels=1 and levels=2 produce identical grouped sums,
-    and both equal the plain Ray groupby aggregate — the bit-exactness
-    contract the small-aggregate fast path rests on."""
+def test_tree_combine_matches_groupby():
+    """tree_combine's one-task merge equals the plain Ray groupby
+    aggregate — the bit-exactness contract the small-aggregate fast path
+    rests on."""
     import ray.data
     from ray.data.aggregate import Sum
 
@@ -4230,7 +4223,6 @@ def test_tree_combine_levels_agree_and_match_groupby():
         )
 
     one = norm(tree_combine(ds, combine).take_all())
-    two = norm(tree_combine(ds, combine, levels=2, fanin=3).take_all())
     ref = norm(
         {
             "k": r["k"],
@@ -4239,22 +4231,8 @@ def test_tree_combine_levels_agree_and_match_groupby():
         }
         for r in ds.groupby("k").aggregate(Sum("part_sum"), Sum("part_count")).take_all()
     )
-    assert one == two == ref
+    assert one == ref
     assert len(one) == 5
-
-
-def test_tree_combine_rejects_bad_levels():
-    import ray.data
-
-    from go_htmldate_ray.stages.combine import tree_combine
-
-    ds = ray.data.from_items([{"k": "a", "part_sum": 1.0, "part_count": 1}])
-    try:
-        tree_combine(ds, lambda b: b, levels=3)
-    except ValueError as e:
-        assert "levels" in str(e)
-    else:
-        raise AssertionError("levels=3 should raise")
 
 
 def test_grouped_split_is_leakage_safe():
