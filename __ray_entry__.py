@@ -3260,6 +3260,8 @@ def oracle_sql() -> dict[str, str]:
                   FROM documents)""",
         # stages/sampling.py::grouped_split — md5(seed:source) decides
         # once per GROUP (leakage-safe split); same byte rule as above.
+        # A NULL source makes h NULL, so the CASE falls through to
+        # 'test'; the engine labels a NULL group 'test' by the same rule.
         "source_split_counts": f"""
             SELECT CASE WHEN h < {int(0.8 * (1 << 63))}::UBIGINT THEN 'train'
                         WHEN h < {int(0.9 * (1 << 63))}::UBIGINT THEN 'val'

@@ -225,6 +225,15 @@ def _str_or(*strs: str) -> str:
     return ""
 
 
+# Class-attribute substrings of selector/date.go:62-97, as one alternation.
+_CLASS_TOKENS = re.compile("|".join(re.escape(token) for token in (
+    "info", "post_detail", "block-content", "byline", "subline",
+    "posted", "submitted", "created-post", "publication", "author",
+    "autor", "field-content", "fa-clock-o", "fa-calendar", "fecha",
+    "parution",
+)))
+
+
 def date_rule(el: dom.Node) -> bool:
     """Token tests on id/class/itemprop (selector/date.go:62-97)."""
     id_ = el.id
@@ -241,15 +250,7 @@ def date_rule(el: dom.Node) -> bool:
         return True
     if "time" in id_class or "publish" in id_class or "footer" in id_class:
         return True
-    return any(
-        token in class_
-        for token in (
-            "info", "post_detail", "block-content", "byline", "subline",
-            "posted", "submitted", "created-post", "publication", "author",
-            "autor", "field-content", "fa-clock-o", "fa-calendar", "fecha",
-            "parution",
-        )
-    )
+    return _CLASS_TOKENS.search(class_) is not None
 
 
 def slow_date_rule(el: dom.Node) -> bool:
@@ -666,8 +667,10 @@ def plausible_year_filter(
     rx_year: re.Pattern,
     to_complete: bool,
     opts: Options,
+    starts: list[int],
 ) -> list[YearCandidate]:
-    """Exact dedup + count + plausible-year gate (validators.go:120-202)."""
+    """Exact dedup + count + plausible-year gate (validators.go:120-202).
+    ``finder`` is tried only at ``starts``, its token index (patterns.py)."""
     min_year = opts.min_date.year
     max_year = opts.max_date.year
 
@@ -675,7 +678,7 @@ def plausible_year_filter(
     match_count: dict[str, int] = {}
     match_raw: dict[str, str] = {}
 
-    for m in finder.finditer(html_string):
+    for m in P.anchored_finditer(finder, html_string, starts):
         match = m.group(1) if m.groups() else m.group(0)
         if match not in match_count:
             unique_matches.append(match)
@@ -794,9 +797,14 @@ def search_pattern(
     catch_pattern: re.Pattern,
     rx_year: re.Pattern,
     opts: Options,
+    starts: Optional[list[int]] = None,
 ) -> tuple[str, list[str]]:
-    """Chained candidate filtering and selection (core.go:817-820)."""
-    candidates = plausible_year_filter(html_string, finder, rx_year, False, opts)
+    """Chained candidate filtering and selection (core.go:817-820).
+    ``starts`` defaults to the digit index, which covers every
+    ``\\D[0-9]``- or ``/[0-9]``-led finder."""
+    if starts is None:
+        starts = P.digit_starts(html_string)
+    candidates = plausible_year_filter(html_string, finder, rx_year, False, opts, starts)
     return select_candidate(candidates, catch_pattern, rx_year, opts)
 
 
@@ -817,12 +825,16 @@ def filter_ymd_candidate(
 
 
 def search_page(html_string: str, opts: Options) -> DateTuple:
-    """The extensive whole-page cascade (core.go:656-798)."""
+    """The extensive whole-page cascade (core.go:656-798).  One digit index
+    of the page serves every ``\\D``-led scanner."""
+    digits = P.digit_starts(html_string)
+
     # Copyright year: a floor for later stages
     cop_year = 0
     cop_raw = ""
     raw, best = search_pattern(
-        html_string, P.COPYRIGHT_PATTERN, C.RX_YEAR_PATTERN, C.RX_YEAR_PATTERN, opts
+        html_string, P.COPYRIGHT_PATTERN, C.RX_YEAR_PATTERN, C.RX_YEAR_PATTERN, opts,
+        P.copyright_starts(html_string),
     )
     if best:
         year = atoi(best[0])
@@ -835,14 +847,16 @@ def search_page(html_string: str, opts: Options) -> DateTuple:
         (P.THREE_PATTERN, C.RX_THREE_CATCH),
         (P.THREE_LOOSE_PATTERN, C.RX_THREE_LOOSE_CATCH),
     ):
-        raw, best = search_pattern(html_string, finder, catcher, C.RX_YEAR_PATTERN, opts)
+        raw, best = search_pattern(
+            html_string, finder, catcher, C.RX_YEAR_PATTERN, opts, digits
+        )
         result = filter_ymd_candidate(best, cop_year, opts)
         if result is not None:
             return raw, result
 
     # YYYY-MM-DD / DD-MM-YYYY
     candidates = plausible_year_filter(
-        html_string, P.SELECT_YMD_PATTERN, C.RX_SELECT_YMD_YEAR, False, opts
+        html_string, P.SELECT_YMD_PATTERN, C.RX_SELECT_YMD_YEAR, False, opts, digits
     )
     candidates = normalize_candidates(candidates, opts)
     raw, best = select_candidate(candidates, C.RX_YMD_PATTERN, C.RX_YMD_YEAR, opts)
@@ -852,7 +866,8 @@ def search_page(html_string: str, opts: Options) -> DateTuple:
 
     # Valid date strings (YYYYMMDD)
     raw, best = search_pattern(
-        html_string, P.DATE_STRINGS_PATTERN, C.RX_DATE_STRINGS_CATCH, C.RX_YEAR_PATTERN, opts
+        html_string, P.DATE_STRINGS_PATTERN, C.RX_DATE_STRINGS_CATCH, C.RX_YEAR_PATTERN, opts,
+        digits,
     )
     result = filter_ymd_candidate(best, cop_year, opts)
     if result is not None:
@@ -860,7 +875,7 @@ def search_page(html_string: str, opts: Options) -> DateTuple:
 
     # DD?/MM?/YY slashes
     candidates = plausible_year_filter(
-        html_string, P.SLASHES_PATTERN, C.RX_SLASHES_YEAR, True, opts
+        html_string, P.SLASHES_PATTERN, C.RX_SLASHES_YEAR, True, opts, digits
     )
     candidates = normalize_candidates(candidates, opts)
     raw, best = select_candidate(candidates, C.RX_YMD_PATTERN, C.RX_YMD_YEAR, opts)
@@ -870,7 +885,7 @@ def search_page(html_string: str, opts: Options) -> DateTuple:
 
     # 2 components: YYYY-MM
     raw, best = search_pattern(
-        html_string, P.YYYY_MM_PATTERN, C.RX_YYYY_MM_CATCH, C.RX_YEAR_PATTERN, opts
+        html_string, P.YYYY_MM_PATTERN, C.RX_YYYY_MM_CATCH, C.RX_YEAR_PATTERN, opts, digits
     )
     if len(best) >= 3:
         dt = validate_date_parts(atoi(best[1]), atoi(best[2]), 1, opts)
@@ -879,7 +894,7 @@ def search_page(html_string: str, opts: Options) -> DateTuple:
 
     # MM-YYYY, re-normalized to first-of-month
     candidates = plausible_year_filter(
-        html_string, P.MM_YYYY_PATTERN, C.RX_MM_YYYY_YEAR, False, opts
+        html_string, P.MM_YYYY_PATTERN, C.RX_MM_YYYY_YEAR, False, opts, digits
     )
     unique: list[str] = []
     counts: dict[str, int] = {}
@@ -914,7 +929,7 @@ def search_page(html_string: str, opts: Options) -> DateTuple:
     if cop_year != 0:
         return cop_raw, datetime(cop_year, 1, 1, tzinfo=UTC)
 
-    # Last resort: bare year, after W3-URL cleaning
+    # Last resort: bare year, after W3-URL cleaning (its own digit index)
     cleaned = C.RX_SIMPLE_W3_CLEANER.sub(" ", html_string)
     raw, best = search_pattern(
         cleaned, P.SIMPLE_PATTERN, C.RX_YEAR_PATTERN, C.RX_YEAR_PATTERN, opts

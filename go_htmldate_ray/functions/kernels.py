@@ -30,6 +30,8 @@ class DateParserConfig:
 
     - ``languages``: restrict month-name recognition to these language
       codes (see patterns.LOCALE_MONTHS); None = all built-in locales.
+      A region or script variant ("en-GB", "pt_BR", "zh-Hant") uses its
+      base language's tables.
     - ``date_order``: "MDY" (default) or "DMY" — numeric-triple
       disambiguation.
     - ``strict_parsing``: require a full year/month/day; when False a

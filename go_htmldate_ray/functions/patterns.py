@@ -2,13 +2,36 @@
 
 Each scanner reimplements, with Python ``re``, one of the original published
 patterns documented in the re2go file headers of the reference
-(/root/reference/internal/re2go/*.re "Original pattern" comments).  The
-reference compiles these to re2c DFAs; the *semantics* (leftmost match,
-consumed trailing delimiter, capture layout) are preserved here.
+(internal/re2go/*.re "Original pattern" comments).  The reference compiles
+these to re2c DFAs; the *semantics* (leftmost match, consumed trailing
+delimiter, capture layout) are preserved here.
 
 Trailing ``\\D`` delimiters also match end-of-string (the DFAs append a
 terminating NUL byte that the ``[^0-9]`` class matches); we encode that as
 ``(?:\\D|$)``.  Leading ``\\D`` requires a real character, as in the DFAs.
+
+Anchoring invariant.  A DFA reads a page once; a backtracking ``re`` scan
+retries at every offset.  So every whole-page scan of the extensive cascade
+tries its pattern only at offsets where a match can start, taken from one
+cheap index of a token the pattern cannot match without
+(:func:`anchored_finditer` then yields exactly ``pattern.finditer(s)``):
+
+- the ``\\D``-led scanners (``THREE_LOOSE``, ``SELECT_YMD``,
+  ``DATE_STRINGS``, ``SLASHES``, ``YYYY_MM``, ``MM_YYYY``, ``SIMPLE``) and
+  the ``/``-led ``THREE``: a non-digit, then an ASCII digit, so a match
+  starts one before a maximal ``[0-9]+`` run (:func:`digit_starts`);
+- ``COPYRIGHT``: at one of its four lead literals, the first one before
+  each digit (:func:`copyright_starts`);
+- long-form MDY/DMY: the match ends in ``[\\t\\n\\f\\r ]`` plus a year,
+  that whitespace 5-15 (MDY) or 5-18 (DMY) characters after the match
+  start (``(?i)`` matches one code point per code point, so a month
+  alternative is as long as its literal: 3-9);
+- the four idiosyncrasy patterns all need
+  ``[0-9][./][0-9]{1,2}[./][0-9]{2}``; without it none is run.
+
+None of the anchored patterns uses ``^``, ``\\b`` or a lookbehind, so
+``pattern.match(s, pos)`` tries exactly what a scan reaching ``pos`` tries;
+``$`` keeps its whole-string meaning.
 """
 
 from __future__ import annotations
@@ -16,7 +39,7 @@ from __future__ import annotations
 import re
 import unicodedata
 from datetime import datetime, timezone
-from typing import Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
 _YEAR = r"199[0-9]|20[0-3][0-9]"
 
@@ -58,8 +81,63 @@ MM_YYYY_PATTERN = re.compile(r"\D([01]?[0-9][/.-][12][0-9]{3})(?:\D|$)")
 SIMPLE_PATTERN = re.compile(rf"\D({_YEAR})(?:\D|$)")
 
 
-def finditer(pattern: re.Pattern, s: str) -> Iterator[re.Match]:
-    return pattern.finditer(s)
+# --- token indexes (see the module docstring) --------------------------------
+
+_DIGIT_RUN = re.compile(r"[0-9]+")
+_ANY_DIGIT = re.compile(r"\d")  # what ends a ``\D*`` run
+_COPYRIGHT_LEADS = ("©", "&copy;", "Copyright", "(c)")
+
+
+def digit_starts(s: str) -> list[int]:
+    """Ascending offsets one before each maximal ASCII digit run: the only
+    places a ``\\D[0-9]``- or ``/[0-9]``-led scanner can match."""
+    return [m.start() - 1 for m in _DIGIT_RUN.finditer(s) if m.start()]
+
+
+def copyright_starts(s: str) -> list[int]:
+    """Ascending offsets of COPYRIGHT_PATTERN's lead literals, keeping only
+    the first lead before each digit.  After its lead the pattern reads
+    ``\\D*`` and then needs the year at the first digit (or at the ``-``
+    just before it), so two leads with no digit between them succeed or
+    fail together, and the later one lies inside the earlier one's match.
+    Trying each lead would rescan the same non-digit stretch once per
+    lead."""
+    leads: list[int] = []
+    for lead in _COPYRIGHT_LEADS:
+        i = s.find(lead)
+        while i != -1:
+            leads.append(i)
+            i = s.find(lead, i + 1)
+    leads.sort()
+    starts: list[int] = []
+    digit = -1  # first digit at or after the last kept lead
+    for a in leads:
+        if a < digit:
+            continue
+        m = _ANY_DIGIT.search(s, a)
+        if m is None:
+            break
+        digit = m.start()
+        starts.append(a)
+    return starts
+
+
+def anchored_finditer(
+    pattern: re.Pattern, s: str, starts: Iterable[int]
+) -> Iterator[re.Match]:
+    """``pattern.finditer(s)``, tried only at ``starts`` (ascending, a
+    superset of the offsets where ``pattern`` can match): a candidate
+    inside the previous match is skipped, as the scan resumes at its end.
+    Exact for non-empty matches of a pattern without ``^``, ``\\b`` or a
+    lookbehind."""
+    end = 0
+    match = pattern.match
+    for a in starts:
+        if a >= end:
+            m = match(s, a)
+            if m is not None:
+                yield m
+                end = m.end()
 
 
 # --- first-match submatch scanners ------------------------------------------
@@ -100,10 +178,16 @@ _IDIOSYNCRASY_PATTERNS = [
 ]
 
 
+# Every idiom pattern above contains this token.
+_IDIOSYNCRASY_TOKEN = re.compile(r"[0-9][./][0-9]{1,2}[./][0-9]{2}")
+
+
 def idiosyncrasy_pattern_submatch(s: str) -> tuple[list[str], int]:
     """Earliest match across the four idiom patterns (DFA-race semantics):
     minimum start position wins; ties break by pattern order.
     Returns ([full, g1, g2, g3], start) or ([], -1)."""
+    if _IDIOSYNCRASY_TOKEN.search(s) is None:
+        return [], -1
     best: Optional[re.Match] = None
     for pat in _IDIOSYNCRASY_PATTERNS:
         m = pat.search(s)
@@ -133,13 +217,36 @@ _DMY_PATTERN = re.compile(
 )
 
 
-def _first_valid(pattern: re.Pattern, s: str, month_group: int) -> Optional[re.Match]:
-    """First match whose month is a real table entry — Python's IGNORECASE
-    folds dotless ı↔i, which the reference's byte-DFA does not, so e.g.
-    'Aprıl' must be rejected here."""
+# A match ends in whitespace plus a year; that whitespace lies this many
+# characters after the match start (month 3-9, whitespace, day 1-2,
+# suffix 0-2, comma 0-1; DMY: day 1-2, suffix 0-2, whitespace, "of " 0-3,
+# month 3-9, [,.] 0-1).
+_WS_YEAR = re.compile(rf"{_WS}(?:{_YEAR})")
+_MDY_WS_OFFSETS = (5, 15)
+_DMY_WS_OFFSETS = (5, 18)
+
+
+def _window_starts(anchors: list[int], lo: int, hi: int) -> Iterator[int]:
+    """Ascending, distinct offsets ``a`` with ``lo <= w - a <= hi`` for some
+    ``w`` in ``anchors`` (ascending)."""
+    nxt = 0
+    for w in anchors:
+        a = max(w - hi, nxt)
+        b = w - lo + 1
+        if a < b:
+            yield from range(a, b)
+            nxt = b
+
+
+def _first_valid(
+    pattern: re.Pattern, s: str, month_group: int, starts: Iterable[int]
+) -> Optional[re.Match]:
+    """First match, tried at ``starts``, whose month is a real table
+    entry — Python's IGNORECASE folds dotless ı↔i, which the reference's
+    byte-DFA does not, so e.g. 'Aprıl' must be rejected here."""
     from .constants import MONTH_NUMBER
 
-    for m in pattern.finditer(s):
+    for m in anchored_finditer(pattern, s, starts):
         if m.group(month_group).lower() in MONTH_NUMBER:
             return m
     return None
@@ -147,8 +254,9 @@ def _first_valid(pattern: re.Pattern, s: str, month_group: int) -> Optional[re.M
 
 def find_long_text_pattern(s: str) -> Optional[tuple[str, str, str]]:
     """Earliest MDY-or-DMY long-form match → (year, month, day) strings."""
-    m_mdy = _first_valid(_MDY_PATTERN, s, 1)
-    m_dmy = _first_valid(_DMY_PATTERN, s, 2)
+    anchors = [m.start() for m in _WS_YEAR.finditer(s)]
+    m_mdy = _first_valid(_MDY_PATTERN, s, 1, _window_starts(anchors, *_MDY_WS_OFFSETS))
+    m_dmy = _first_valid(_DMY_PATTERN, s, 2, _window_starts(anchors, *_DMY_WS_OFFSETS))
     if m_mdy is not None and (m_dmy is None or m_mdy.start() <= m_dmy.start()):
         return m_mdy.group(3), m_mdy.group(1), m_mdy.group(2)
     if m_dmy is not None:
@@ -964,6 +1072,13 @@ _TOKEN = re.compile(
 )
 
 
+def _base_language(tag: str) -> str:
+    """Base key of a language tag: region and script variants ("en-GB",
+    "pt_BR", "ZH-hant") share their base language's tables, as
+    go-dateparser aliases a variant to its base locale."""
+    return re.split(r"[-_]", tag, maxsplit=1)[0].lower()
+
+
 def lenient_absolute_parse(s: str, cfg=None) -> Optional[datetime]:
     """Strict absolute parse: needs year + month-name + day; weekdays,
     ordinal suffixes, skip-words and timezone abbreviations are tolerated,
@@ -979,6 +1094,8 @@ def lenient_absolute_parse(s: str, cfg=None) -> Optional[datetime]:
     from .tz_data import TIMEZONE_OFFSETS
 
     languages = getattr(cfg, "languages", None)
+    if languages is not None:
+        languages = [_base_language(lang) for lang in languages]
     date_order = getattr(cfg, "date_order", "MDY") or "MDY"
     strict = getattr(cfg, "strict_parsing", True)
     prefer_dom = getattr(cfg, "preferred_day_of_month", "first")

@@ -116,7 +116,8 @@ def grouped_split(
 
     Note the fractions are honored in expectation over GROUPS, not
     rows — a skewed group carries all its rows with it, which is the
-    point."""
+    point.  A NULL group is labelled ``test``, as SQL's
+    ``'seed:' || NULL`` is NULL and falls through every threshold."""
     if (
         len(fractions) != 2
         or min(fractions) < 0
@@ -132,6 +133,9 @@ def grouped_split(
     def f(batch: pa.Table) -> pa.Table:
         labels = []
         for g in batch.column(group_col).to_pylist():
+            if g is None:
+                labels.append("test")
+                continue
             u = _keep_hash(seed, g)
             labels.append(
                 "train" if u < t_train else "val" if u < t_val else "test"

@@ -571,6 +571,31 @@ def test_date_parser_config_through_options():
     assert r2.format() != "2020-03-03"
 
 
+def test_date_parser_config_language_variants():
+    """Region and script variants alias to their base language."""
+    from go_htmldate_ray.functions.kernels import DateParserConfig
+    from go_htmldate_ray.functions.patterns import lenient_absolute_parse
+
+    s = "3 de março de 2021"
+    base = lenient_absolute_parse(s, DateParserConfig(languages=["pt"]))
+    assert base == datetime(2021, 3, 3, tzinfo=UTC)
+    for variant in (["pt-BR"], ["pt_BR"], ["PT-br"]):
+        assert lenient_absolute_parse(s, DateParserConfig(languages=variant)) == base
+    # restricted abbreviations follow the variant too ("out" = pt October)
+    assert lenient_absolute_parse("3 out 2020", DateParserConfig(languages=["pt-PT"])) == (
+        datetime(2020, 10, 3, tzinfo=UTC)
+    )
+    # the zh/mn/vi gates see the base key
+    assert lenient_absolute_parse(
+        "2021年3月4日", DateParserConfig(languages=["ZH-hant"])
+    ) == datetime(2021, 3, 4, tzinfo=UTC)
+    assert lenient_absolute_parse(
+        "ngày 2 tháng 9 năm 1945", DateParserConfig(languages=["vi-VN"])
+    ) == datetime(1945, 9, 2, tzinfo=UTC)
+    # a variant of an unrelated language still restricts
+    assert lenient_absolute_parse(s, DateParserConfig(languages=["en-GB"])) is None
+
+
 def test_locale_months_uk_nominative():
     """Ukrainian nominative month names (archive-header form)."""
     from go_htmldate_ray.functions.patterns import lenient_absolute_parse

@@ -4265,6 +4265,40 @@ def test_grouped_split_is_leakage_safe():
         raise AssertionError("fractions summing > 1 should raise")
 
 
+def test_grouped_split_null_group_is_test():
+    """A NULL group lands in 'test' whatever the seed, as in SQL, where
+    '11:' || NULL is NULL; the engine agrees with the source_split_counts
+    oracle on a column holding nulls."""
+    from collections import Counter
+
+    import duckdb
+    import ray.data
+
+    import __ray_entry__ as entry
+    from go_htmldate_ray.stages.sampling import grouped_split
+
+    documents = pa.table({
+        "doc_id": pa.array(range(60), pa.int64()),
+        "source": pa.array(
+            [None if i % 4 == 0 else f"src{i % 9}" for i in range(60)], pa.string()
+        ),
+    })
+    ds = ray.data.from_arrow(documents)
+    # hashing the string "None" would send seeds 3 and 7 to train
+    for seed in (3, 7, 11):
+        out = grouped_split(ds, group_col="source", seed=seed).take_all()
+        assert {r["split"] for r in out if r["source"] is None} == {"test"}
+
+    got = Counter((r["split"], r["source"]) for r in out)
+    con = duckdb.connect()
+    con.register("documents", documents)
+    want = {
+        (split, source): n
+        for split, source, n in con.sql(entry.oracle_sql()["source_split_counts"]).fetchall()
+    }
+    assert dict(got) == want
+
+
 def test_split_contamination_labels_and_totals():
     """split_contamination: totals equal the minhash pair count and each
     label pair follows the dataset_split md5 rule."""
