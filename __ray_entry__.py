@@ -1550,24 +1550,20 @@ def _golden_corpus_dates(sf_dir, exclude_known: bool = False):
     import pyarrow as pa
     import ray.data
 
+    from go_htmldate_ray.sources import reference_files
     from go_htmldate_ray.stages.extract_stage import HtmldateExtractor
 
+    if not reference_files.available():
+        # no rows to hash: an empty result would read as a wrong answer
+        raise FileNotFoundError(reference_files.ABSENT)
     data = Path(__file__).parent / "tests" / "data" / "comparison_corpus.json"
     entries = json.loads(data.read_text())
     skip = set(_known_inconsistent_urls()) if exclude_known else set()
-    dirs = [
-        Path("/root/reference/test-files") / d
-        for d in ("mediacloud", "comparison", "mock")
-    ]
     items = []
     for e in entries:
-        if e["url"] in skip:
-            continue
-        for d in dirs:
-            p = d / e["file"]
-            if p.exists():
-                items.append({"url": e["url"], "path": str(p)})
-                break
+        p = reference_files.corpus_path(e["file"])
+        if e["url"] not in skip and p is not None:
+            items.append({"url": e["url"], "path": str(p)})
     ds = ray.data.from_items(items, override_num_blocks=64)
 
     def load(batch):

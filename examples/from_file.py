@@ -7,8 +7,12 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 
 from go_htmldate_ray import Options, from_html
+from go_htmldate_ray.sources import reference_files
 
-raw = open("/root/reference/test-files/mock/blog.python.org.html", "rb").read()
+page = reference_files.MOCK_DIR / "blog.python.org.html"
+if not page.exists():
+    raise SystemExit(reference_files.ABSENT)
+raw = page.read_bytes()
 result = from_html(raw, Options(use_original_date=True))
 print("Date      :", result.format())
 print("Source    :", result.src_string)

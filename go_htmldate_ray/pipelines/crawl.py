@@ -5,12 +5,13 @@ The crawl runs as repeated **fetch waves** over a frontier Dataset:
 
     frontier_w (parquet)
       → combiner + Min-aggregate on url_hash         # exact within-wave dedup
-      → map_batches(seen-shard `contains`)           # READ-ONLY semi-join
-      → map_batches(robots filter, cached rules)     # denied rows marked seen
+      → map_batches(seen-set membership)             # READ-ONLY semi-join
+      → map_batches(robots filter, cached rules)     # denied rows handled
       → salted (host, salt) precut → host rank       # politeness, skew-split
-      → fetch_now (marked seen) / deferred split
+      → fetch_now / deferred split
       → fetch_now.map_batches(CrawlFetcher actors)   # fetch + date extract + link discovery
       → visited_w.parquet  +  frontier_{w+1} = deferred ∪ new links
+      → driver merges the wave's handled url_hashes into the seen set
 
     Seen-set discipline: the frontier check is read-only; a URL becomes
     "seen" only when it is actually handled (fetched, or permanently
@@ -18,19 +19,24 @@ The crawl runs as repeated **fetch waves** over a frontier Dataset:
     re-enter the next wave's frontier and are eventually fetched — a
     mark-on-sight check would silently starve every deferral.
 
-Every stage is a Dataset transform; the driver only sequences waves and
-checkpoints.  Politeness is **logical-time**: each host may fetch at most
-``politeness_budget`` URLs per wave, making crawl ordering a pure function
-of (seed list, budget) — the determinism the north rule requires.  Wave
-state (frontier parquet, seen-shard dumps, visited log, lineage manifest)
-is checkpointed per wave; ``resume=True`` restarts from the latest
-complete wave.
+Every stage is a Dataset transform; the driver only sequences waves,
+owns the seen set and checkpoints.  Politeness is **logical-time**: each
+host may fetch at most ``politeness_budget`` URLs per wave, making crawl
+ordering a pure function of (seed list, budget) — the determinism the
+north rule requires.  Wave state (frontier parquet, seen-set delta,
+visited log, lineage manifest) is checkpointed per wave; ``resume=True``
+restarts from the latest complete wave.
 
 Scale notes: the frontier lives in parquet between waves (never
-materialised on the driver); the seen set is sharded by
-``sha1(url) % n_shards``; hot hosts are bounded by the budget itself
+materialised on the driver); hot hosts are bounded by the budget itself
 (a host contributes ≤ budget fetches/wave regardless of frontier skew);
-the within-wave dedup shuffle keys on the uniform url_hash.
+the within-wave dedup shuffle keys on the uniform url_hash.  The seen set
+(:class:`~go_htmldate_ray.state.seen_filter.SeenSet`) is one sorted int64
+array on the driver, 8 bytes per URL, bounded by ``LIGHT_TABLE_BYTES``
+(128 MiB, about 16.7M URLs); a crawl past that raises ``ValueError``.
+The sharded actor pool it replaces held each key as a Python int in a
+set, about 75 bytes per key (a 36-byte int plus its set slot), so on one
+node the same memory held far fewer URLs than this array does.
 
 The fetch slot is pluggable: the sandbox default is a deterministic
 synthetic store (pages rebuilt from the documents table); passing
@@ -53,6 +59,7 @@ import pyarrow.parquet as pq
 
 from ..sources.pages import build_page_html, count_documents, page_url
 from ..state.robots import allowed
+from ..state.seen_filter import SeenSet, member
 from ..state.urls import canonicalize, host_of, host_of_canonical_batch, url_hash
 
 FRONTIER_SCHEMA = pa.schema(
@@ -79,6 +86,9 @@ def _frontier_table(urls, depth, wave) -> pa.Table:
             "discovered_wave": pa.array([wave] * len(canon), pa.int64()),
         }
     )
+
+
+_VISITED_KEYS = ("url", "url_hash", "host", "depth", "discovered_wave", "fetch_rank")
 
 
 class CrawlFetcher:
@@ -199,7 +209,11 @@ class CrawlFetcher:
             links_col.append(links)
         if archived:
             self._write_archive(archived)
-        out = batch.select(["url", "host", "depth", "discovered_wave", "fetch_rank"])
+        # url_hash rides along (when the frontier slice has it) so the
+        # dataset wave reads its fetched hashes back from the visited log
+        out = batch.select(
+            [c for c in _VISITED_KEYS if c in batch.column_names]
+        )
         out = out.append_column("doc_id", pa.array(doc_ids, pa.int64()))
         out = out.append_column("date_str", pa.array(dates, pa.string()))
         out = out.append_column("links", pa.array(links_col, pa.list_(pa.string())))
@@ -208,8 +222,8 @@ class CrawlFetcher:
 
 class WaveStatsCounter:
     """Tiny zero-CPU counter actor: distributed stages report per-batch
-    drop counts here instead of shipping whole partitions to the driver
-    just to count them.
+    drop counts, and the url_hashes of robots-denied rows, here instead
+    of shipping whole partitions to the driver.
 
     Batch reports are keyed by a content-derived batch id and OVERWRITE:
     a Ray task/actor retry re-reporting the same batch replaces its
@@ -218,9 +232,11 @@ class WaveStatsCounter:
 
     def __init__(self):
         self.keyed: dict[str, dict[str, int]] = {}
+        self.denied: dict[str, list[int]] = {}
 
-    def add_keyed(self, key: str, **kv) -> None:
+    def add_keyed(self, key: str, denied=(), **kv) -> None:
         self.keyed[key] = {k: int(v) for k, v in kv.items()}
+        self.denied[key] = list(denied)
 
     def get(self) -> dict:
         out: dict[str, int] = {}
@@ -229,30 +245,12 @@ class WaveStatsCounter:
                 out[k] = out.get(k, 0) + v
         return out
 
+    def denied_hashes(self) -> list[int]:
+        return [h for hs in self.denied.values() for h in hs]
+
     def reset(self) -> None:
         self.keyed = {}
-
-
-def _mark_seen(hashes, shard_handles, n_sh) -> None:
-    """Permanently add url_hashes to the sharded seen set (blocking;
-    idempotent under task retry — check_and_add re-adding is a no-op)."""
-    import numpy as np
-    import ray
-
-    h = np.asarray(hashes, dtype=np.int64)
-    if len(h) == 0:
-        return
-    shard = h % n_sh
-    order = np.argsort(shard, kind="stable")
-    hs = h[order]
-    present, starts = np.unique(shard[order], return_index=True)
-    bounds = np.append(starts, len(h))
-    ray.get(
-        [
-            shard_handles[int(s)].check_and_add.remote(hs[b0:b1].tolist())
-            for s, b0, b1 in zip(present, bounds[:-1], bounds[1:])
-        ]
-    )
+        self.denied = {}
 
 
 class RobotsFilterStage:
@@ -262,20 +260,15 @@ class RobotsFilterStage:
     Rules are pulled from the shared :class:`RobotsCache` actor only for
     hosts this actor hasn't cached yet — the per-actor cache makes the
     robots lookup a small-side join without any driver-side host
-    collection.  DENIED rows are permanently marked in the seen shards
+    collection.  DENIED rows' url_hashes go to the wave stats counter with
+    the batch's drop counts, and the driver marks them seen after the wave
     (a robots verdict is deterministic — re-discovering the URL must not
     re-run the check every wave); rows merely *deferred* by politeness
-    downstream stay unmarked so later waves fetch them.  Batch drop
-    counts go to the wave stats counter."""
+    downstream stay unmarked so later waves fetch them."""
 
-    def __init__(
-        self, robots_handle, stats_handle, seen_handles, n_shards,
-        politeness_budget=None,
-    ):
+    def __init__(self, robots_handle, stats_handle, politeness_budget=None):
         self.robots = robots_handle
         self.stats = stats_handle
-        self.seen_handles = seen_handles
-        self.n_shards = n_shards
         self.politeness_budget = politeness_budget
         self.cache: dict[str, list] = {}
         self.delays: dict[str, float] = {}
@@ -311,11 +304,6 @@ class RobotsFilterStage:
                     pa.int64(),
                 ),
             )
-        _mark_seen(
-            t.filter(pa.compute.invert(keep_arr)).column("url_hash").to_pylist(),
-            self.seen_handles,
-            self.n_shards,
-        )
         # Blocking on the counter keeps the post-materialize stats read
         # exact; the cost is one tiny RPC per multi-thousand-row batch,
         # negligible next to the robots matching above.  The report key is
@@ -329,6 +317,9 @@ class RobotsFilterStage:
         ray.get(
             self.stats.add_keyed.remote(
                 batch_key,
+                denied=t.filter(pa.compute.invert(keep_arr))
+                .column("url_hash")
+                .to_pylist(),
                 deduped_in=n_in,
                 not_new=n_in - t.num_rows,
                 robots_denied=t.num_rows - out.num_rows,
@@ -542,10 +533,8 @@ def crawl(
     *,
     max_waves: int = 64,
     politeness_budget: int = 4,
-    n_shards: int = 8,
     checkpoint_dir: Optional[str] = None,
     resume: bool = False,
-    namespace: str = "crawl",
     fetch_concurrency=(1, 8),
     small_wave_threshold: int = 100_000,
     fetcher_kwargs: Optional[dict] = None,
@@ -574,7 +563,6 @@ def crawl(
     import ray.data
 
     from ..state.robots import RobotsCache
-    from ..state.seen_filter import SeenSet
 
     if seeds is None:
         seeds = default_seeds()
@@ -586,10 +574,8 @@ def crawl(
         checkpoint_dir = tempfile.mkdtemp(prefix="crawl-ckpt-")
     os.makedirs(checkpoint_dir, exist_ok=True)
 
-    # Anonymous actors owned by this call: resume rebuilds their state
-    # from the checkpoint files, so cross-call naming would only race
-    # against the previous call's actors being refcount-killed.
-    seen = SeenSet(n_shards=n_shards)
+    # Owned by this call: resume rebuilds it from the checkpoint files.
+    seen = SeenSet()
     # Live-HTTP mode fetches robots.txt over the same endpoint the page
     # fetcher uses (one request per host, cached in the actor); the
     # sandbox default is the deterministic synthetic policy.
@@ -611,7 +597,6 @@ def crawl(
         # wave's delta write and its manifest update leaves that wave's
         # delta unreferenced, so the replayed wave starts from pre-wave
         # state instead of seeing its own URLs as duplicates.
-        seen.reset()  # surviving actors may hold post-crash keys
         # Legacy checkpoint layout (one full seen.json dump, no deltas for
         # its waves): load the full dump FIRST, then replay whichever
         # per-wave deltas exist — a legacy checkpoint resumed under the
@@ -672,39 +657,6 @@ def crawl(
             os.path.join(checkpoint_dir, "frontier_0.parquet"),
         )
 
-    shard_handles = seen.shards
-    n_sh = seen.n_shards
-
-    def check_new(batch: pa.Table) -> pa.Table:
-        """READ-ONLY seen-shard semi-join: shard-partition the batch's
-        url_hashes with one argsort (no per-row Python), one `contains`
-        RPC per shard, flags scattered back through the inverse
-        permutation.  Marking happens later and only for rows actually
-        handled (fetched or robots-denied) — a row politeness defers must
-        NOT be marked, or the next wave's check would drop it unfetched.
-        Read-only also makes this stage safe under lazy re-execution."""
-        import numpy as np
-
-        hashes = np.asarray(batch.column("url_hash"), dtype=np.int64)
-        shard = hashes % n_sh
-        order = np.argsort(shard, kind="stable")
-        sorted_hashes = hashes[order]
-        present, starts = np.unique(shard[order], return_index=True)
-        bounds = np.append(starts, len(hashes))
-        futs = [
-            shard_handles[int(s)].contains.remote(sorted_hashes[b0:b1].tolist())
-            for s, b0, b1 in zip(present, bounds[:-1], bounds[1:])
-        ]
-        flags = np.zeros(len(hashes), dtype=bool)
-        for f, b0, b1 in zip(ray.get(futs), bounds[:-1], bounds[1:]):
-            flags[order[b0:b1]] = np.logical_not(f)
-        return batch.append_column("is_new", pa.array(flags))
-
-    def mark_fetch_batch(batch: pa.Table) -> pa.Table:
-        """Mark rows about to be fetched as seen (idempotent on retry)."""
-        _mark_seen(batch.column("url_hash").to_pylist(), shard_handles, n_sh)
-        return batch
-
     stats = {"waves": 0, "fetched": 0, "robots_denied": 0, "dedup_dropped": 0}
     lineage: list[dict] = []
 
@@ -723,6 +675,7 @@ def crawl(
     _EMPTY_VISITED = pa.table(
         {
             "url": pa.array([], pa.string()),
+            "url_hash": pa.array([], pa.int64()),
             "host": pa.array([], pa.string()),
             "depth": pa.array([], pa.int64()),
             "discovered_wave": pa.array([], pa.int64()),
@@ -790,8 +743,7 @@ def crawl(
         # READ-ONLY membership check; marking happens only for handled
         # rows (denied / fetched) so politeness-deferred rows survive to
         # the next wave instead of being dropped as "seen but unfetched".
-        flags = seen.contains(t.column("url_hash").to_pylist())
-        t = t.filter(pa.array([not f for f in flags], pa.bool_()))
+        t = t.filter(pa.array(~seen.contains(t.column("url_hash"))))
         tp = _tick("seen", tp)
 
         hosts = t.column("host").to_pylist()
@@ -803,11 +755,7 @@ def crawl(
         stats["robots_denied"] += keep_r.count(False)
         keep_arr = pa.array(keep_r, pa.bool_())
         # robots verdicts are permanent: mark denied rows seen
-        # (fire-and-forget: per-actor ordering sequences these inserts
-        # before any later contains/drain from this driver)
-        seen.add(
-            t.filter(pa.compute.invert(keep_arr)).column("url_hash").to_pylist()
-        )
+        seen.add(t.filter(pa.compute.invert(keep_arr)).column("url_hash"))
         t = t.filter(keep_arr)
         tp = _tick("robots", tp)
 
@@ -841,8 +789,8 @@ def crawl(
         defer_arr = pa.array(defer, pa.bool_())
         fetch_now = t.filter(pa.compute.invert(defer_arr))
         deferred_tbl = t.filter(defer_arr).drop_columns(["fetch_rank"])
-        # only rows actually fetched become "seen" (fire-and-forget)
-        seen.add(fetch_now.column("url_hash").to_pylist())
+        # only rows actually fetched become "seen"
+        seen.add(fetch_now.column("url_hash"))
         tp = _tick("politeness", tp)
         out = local_fetch(fetch_now), [deferred_tbl.select(FRONTIER_SCHEMA.names)]
         _tick("fetch", tp)
@@ -854,16 +802,19 @@ def crawl(
     wave_stats = ray.remote(num_cpus=0)(WaveStatsCounter).remote()
 
     def run_wave_dataset(frontier_path: str, wave: int) -> tuple[int, int]:
-        """Full Ray-Data wave — the 10^10-frontier path.  Nothing
-        wave-sized ever lands on the driver: the frontier streams through
-        dedup (url_hash shuffle) → seen-shard semi-join → robots
-        actor-pool filter → politeness (host shuffle), is materialized
-        ONCE into object-store blocks (the mandatory barrier:
-        ``check_and_add`` mutates the seen shards, so the flagged wave
-        must execute exactly once before the fetch/deferred branches
-        consume it), and the fetch/deferred/link outputs are written as
-        partitioned parquet by the workers themselves.  The driver sees
-        only row counts (parquet metadata) and the stats counter."""
+        """Full Ray-Data wave — the large-frontier path.  The frontier
+        streams through dedup (url_hash shuffle) → seen-set semi-join →
+        robots actor-pool filter → politeness (host shuffle), and the
+        fetch/deferred/link outputs are written as partitioned parquet by
+        the workers themselves.  The driver sees row counts (parquet
+        metadata), the stats counter, and the wave's handled url_hashes,
+        which it merges into the seen set after the wave.
+
+        The semi-join tests membership against the seen set as it was at
+        wave start (one ``ray.put`` per wave).  That gives exactly the
+        flags of marking while the wave runs: after the within-wave dedup
+        the batches hold disjoint url_hash sets, so no batch can see a
+        hash another batch of the same wave handles."""
         ray.get(wave_stats.reset.remote())
         # Idempotent wave restart: Ray's write_parquet APPENDS part files,
         # so outputs of a crashed, unmanifested attempt at this wave must
@@ -881,14 +832,22 @@ def crawl(
             .aggregate(Min("packed"))
             .map_batches(_unpack_frontier, batch_format="pyarrow")
         )
+        keys_ref = ray.put(seen.keys)
+
+        def check_new(batch: pa.Table) -> pa.Table:
+            """READ-ONLY semi-join against the wave-start seen set.
+            Marking happens after the wave and only for rows actually
+            handled (fetched or robots-denied): a row politeness defers
+            must NOT be marked, or the next wave would drop it unfetched."""
+            fresh = ~member(ray.get(keys_ref), batch.column("url_hash"))
+            return batch.append_column("is_new", pa.array(fresh))
+
         checked = deduped.map_batches(check_new, batch_format="pyarrow")
         allowed_ds = checked.map_batches(
             RobotsFilterStage,
             fn_constructor_kwargs={
                 "robots_handle": robots,
                 "stats_handle": wave_stats,
-                "seen_handles": shard_handles,
-                "n_shards": n_sh,
                 "politeness_budget": politeness_budget,
             },
             batch_format="pyarrow",
@@ -923,11 +882,10 @@ def crawl(
 
         # Politeness phase 1 — salted (host, salt) grouping bounds every
         # group to ~1/S of a hot host's frontier shard; each sub-group
-        # keeps only its first `budget` rows as candidates.  This
-        # materialize is the wave's mandatory barrier: the robots stage
-        # upstream MUTATES the seen shards (denied-row marking), so the
-        # flagged wave must execute exactly once before the
-        # candidate/overflow branches consume it.
+        # keeps only its first `budget` rows as candidates.  Materialized
+        # because two branches consume it (the candidates and the
+        # overflow), so the upstream dedup, semi-join and robots stages
+        # run once per wave.
         pre = (
             allowed_ds.map_batches(add_salt, batch_format="pyarrow")
             .groupby(["host", "salt"])
@@ -973,7 +931,6 @@ def crawl(
 
         fetched = (
             ranked.map_batches(now_batch, batch_format="pyarrow")
-            .map_batches(mark_fetch_batch, batch_format="pyarrow")
             .map_batches(
                 CrawlFetcher,
                 fn_constructor_kwargs={"sf_dir": sf_dir, **(fetcher_kwargs or {})},
@@ -1021,6 +978,11 @@ def crawl(
                 expand, batch_format="pyarrow"
             ).write_parquet(os.path.join(next_dir, "links"))
 
+        # The wave's handled rows become seen: fetched ones from the
+        # visited log, robots-denied ones from the stats reports.
+        if n_fetched:
+            seen.add(pq.read_table(visited_dir, columns=["url_hash"]).column("url_hash"))
+        seen.add(ray.get(wave_stats.denied_hashes.remote()))
         s = ray.get(wave_stats.get.remote())
         stats["robots_denied"] += s.get("robots_denied", 0)
         stats["dedup_dropped"] += _count_parquet(frontier_path) - s.get(
@@ -1151,7 +1113,7 @@ def crawl(
     return visited, stats
 
 
-def crawl_wave_counts(sf_dir: str, namespace: str = "crawlw"):
+def crawl_wave_counts(sf_dir: str):
     """Crawl-ordering evidence: pages fetched per wave.
 
     With a non-binding politeness budget a URL is fetched in the wave
@@ -1160,14 +1122,7 @@ def crawl_wave_counts(sf_dir: str, namespace: str = "crawlw"):
     (min depth per reachable, robots-allowed node → GROUP BY depth).
     This pins the *ordering* half of the north rule (the reachable-set
     query pins membership)."""
-    import uuid
-
-    visited, stats = crawl(
-        sf_dir,
-        namespace=f"{namespace}-{uuid.uuid4().hex[:8]}",
-        politeness_budget=1000,
-        max_waves=64,
-    )
+    visited, stats = crawl(sf_dir, politeness_budget=1000, max_waves=64)
     from ..stages.combine import combine_sum_by
 
     def partial(b: pa.Table) -> pa.Table:
@@ -1203,20 +1158,13 @@ def crawl_wave_counts(sf_dir: str, namespace: str = "crawlw"):
     return out
 
 
-def crawl_reachable(sf_dir: str, namespace: str = "crawlq"):
+def crawl_reachable(sf_dir: str):
     """Oracle-checkable crawl: converged visited set → (doc_id, url).
 
     With enough waves the visited set equals the robots-respecting
     reachable set of the deterministic link graph — independently
     recomputable in SQL with a recursive CTE (see __ray_entry__)."""
-    import uuid
-
-    visited, stats = crawl(
-        sf_dir,
-        namespace=f"{namespace}-{uuid.uuid4().hex[:8]}",
-        politeness_budget=1000,
-        max_waves=64,
-    )
+    visited, stats = crawl(sf_dir, politeness_budget=1000, max_waves=64)
     # Materialise the (small) result before dropping its backing checkpoint.
     out = visited.select_columns(["doc_id", "url"]).materialize()
     shutil.rmtree(stats["checkpoint_dir"], ignore_errors=True)

@@ -911,9 +911,9 @@ def charset_audit(sf_dir: str):
 def bloom_seen_audit(sf_dir: str, *, m_bits: int = 1024, k: int = 4):
     """Bloom-filter URL-seen membership audit over the synthesized
     frontier (:mod:`~go_htmldate_ray.state.bloom` — the commutative
-    OR-monoid half of the north rule's "bloom/cuckoo URL-seen" state;
-    the exact mutation-ordered half is the sharded cuckoo-fronted
-    actors in :mod:`~go_htmldate_ray.state.seen_filter`).
+    OR-monoid half of the north rule's URL-seen state; the exact,
+    wave-ordered half is the crawl's driver-side sorted array in
+    :mod:`~go_htmldate_ray.state.seen_filter`).
 
     Build side = URLs with ``doc_id % 3 != 0`` ("visited" on a prior
     crawl); probe side = the whole frontier.  The filter is deliberately

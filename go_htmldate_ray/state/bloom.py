@@ -1,9 +1,9 @@
 """Distributed Bloom filter over URL keys (the north rule's "bloom" half
-of the "bloom/cuckoo URL-seen" membership state; the exact/cuckoo half
-lives in :mod:`.seen_filter` / :mod:`.cuckoo`).
+of the URL-seen membership state; the crawl's exact seen set lives in
+:mod:`.seen_filter`).
 
-Unlike the sharded seen-set actors — which must serialize check-and-add
-mutations — a Bloom filter is a pure commutative OR-monoid, so it builds
+Unlike the crawl's seen set — which the driver updates wave by wave — a
+Bloom filter is a pure commutative OR-monoid, so it builds
 as an embarrassingly parallel per-block partial aggregation: every block
 emits its local bitmap, the driver ORs the (one-per-block, fixed-size)
 partials, and the final bitmap broadcasts to the probe stage.  No

@@ -176,7 +176,7 @@ class RobotsCache:
         self.timeout = timeout
         self.agent = agent
         # hosts resolved since the last drain — the per-wave checkpoint
-        # unit (mirrors SeenShard.delta: I/O ∝ new hosts per wave, not
+        # unit (as the seen set's wave delta: I/O ∝ new hosts per wave, not
         # total hosts ever seen)
         self._delta_hosts: set[str] = set()
 

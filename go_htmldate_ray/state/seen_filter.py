@@ -1,176 +1,92 @@
-"""Sharded URL-seen set: the crawl's incremental membership state.
+"""URL-seen set: the crawl's incremental membership state.
 
-A pool of ``SeenShard`` actors, each owning the keys with
-``url_hash % n_shards == shard_id``.  Candidate batches are hash-
-partitioned driver-side (one round-trip per shard per wave, not per
-URL).  Each shard fronts its exact set with a cuckoo filter: the filter
-answers the common "definitely new" case from ~1 byte/key; the exact set
-arbitrates positives, so membership semantics are exact and independent
-of shard count (SURVEY.md §2.6/§7).
+One sorted, unique ``int64`` numpy array of url hashes owned by the crawl
+driver for the length of one ``crawl()`` call.  Membership is a binary
+search (:func:`member`), so it is exact; inserts merge new keys in and
+record them as the current wave's delta, which is what the per-wave
+checkpoint writes.  The dataset wave path tests membership in its workers
+against a ``ray.put`` snapshot of the same array.
 
-Checkpoint: ``dump()`` returns the sorted key list per shard; ``load()``
-restores it — written per wave next to the frontier snapshot.
+The array is bounded by :data:`~go_htmldate_ray.stages.blocks.LIGHT_TABLE_BYTES`
+(128 MiB, about 16.7M URLs): a merge that would take it past the budget
+raises ``ValueError`` instead.
 """
 
 from __future__ import annotations
 
-import ray
+import numpy as np
 
-from .cuckoo import CuckooFilter
+from ..stages import blocks
 
 
-@ray.remote
-class SeenShard:
-    def __init__(self, shard_id: int, filter_capacity: int = 1 << 18):
-        self.shard_id = shard_id
-        self.filter_capacity = filter_capacity
-        self.exact: set[int] = set()
-        self.filter = CuckooFilter(capacity=filter_capacity)
-        # keys added since the last drain — the per-wave checkpoint unit
-        self.delta: list[int] = []
-
-    def check_and_add(self, hashes: list[int]) -> list[bool]:
-        """For each hash: True if newly added (not seen before).
-
-        The exact set is the sole arbiter; the cuckoo filter is kept
-        in sync purely as the compact fast-reject structure a native
-        port would query first (its bucket count is forced to a power
-        of two in :class:`CuckooFilter`, so its negatives are sound,
-        but membership here never depends on that).
-        """
-        out = []
-        for h in hashes:
-            if h in self.exact:
-                out.append(False)
-            else:
-                self.exact.add(h)
-                self.filter.add(h)
-                self.delta.append(h)
-                out.append(True)
-        return out
-
-    def drain_delta(self) -> list[int]:
-        """Keys added since the previous drain — checkpointing dumps ONLY
-        this delta per wave (I/O ∝ wave size, not total crawl size)."""
-        d, self.delta = self.delta, []
-        return sorted(d)
-
-    def load_delta(self, keys: list[int]) -> int:
-        """Apply one checkpointed delta (no reset, no delta tracking)."""
-        for h in keys:
-            if h not in self.exact:
-                self.exact.add(h)
-                self.filter.add(h)
-        return len(self.exact)
-
-    def contains(self, hashes: list[int]) -> list[bool]:
-        return [h in self.exact for h in hashes]
-
-    def dump(self) -> list[int]:
-        return sorted(self.exact)
-
-    def load(self, keys: list[int]) -> int:
-        """Restore EXACTLY the checkpointed membership: resuming from a
-        snapshot must also roll back keys a half-completed wave added
-        after it (merging would make a replayed wave see its own URLs
-        as duplicates when the actors survived the interruption)."""
-        self.exact = set(keys)
-        self.filter = CuckooFilter(capacity=self.filter_capacity)
-        for h in self.exact:
-            self.filter.add(h)
-        self.delta = []
-        return len(self.exact)
-
-    def reset(self) -> None:
-        self.exact = set()
-        self.filter = CuckooFilter(capacity=self.filter_capacity)
-        self.delta = []
-
-    def size(self) -> int:
-        return len(self.exact)
+def member(keys: np.ndarray, hashes) -> np.ndarray:
+    """Boolean mask: which ``hashes`` are in the sorted unique ``keys``."""
+    h = np.asarray(hashes, dtype=np.int64)
+    if not len(keys):
+        return np.zeros(len(h), dtype=bool)
+    i = np.searchsorted(keys, h)
+    return keys[np.minimum(i, len(keys) - 1)] == h
 
 
 class SeenSet:
-    """Driver-side handle over the shard pool.
+    # ``n_shards`` is accepted and ignored for perfbench's state probe;
+    # the next benchmark change drops it.
+    def __init__(self, n_shards: int | None = None):
+        self.keys = np.empty(0, dtype=np.int64)
+        self._delta: list[np.ndarray] = []
 
-    Shards are anonymous actors owned by this handle: they die with the
-    last reference, and checkpoint resume rebuilds membership from the
-    per-wave delta files — naming them (`get_if_exists`) only created a
-    race against a previous crawl's actors being torn down.  Pass
-    ``namespace`` to name them anyway when two concurrent drivers must
-    share one seen set."""
+    def contains(self, hashes) -> np.ndarray:
+        """Read-only batch membership test, in input order."""
+        return member(self.keys, hashes)
 
-    def __init__(self, n_shards: int = 8, namespace: str | None = None):
-        self.n_shards = n_shards
-        if namespace is None:
-            self.shards = [SeenShard.remote(i) for i in range(n_shards)]
-        else:
-            self.shards = [
-                SeenShard.options(name=f"{namespace}-{i}", get_if_exists=True).remote(i)
-                for i in range(n_shards)
-            ]
+    def check_and_add(self, hashes) -> np.ndarray:
+        """Insert ``hashes``; True where a hash was not seen before (the
+        first of several equal hashes in one batch counts as new)."""
+        h = np.asarray(hashes, dtype=np.int64)
+        uniq, first = np.unique(h, return_index=True)
+        fresh = ~member(self.keys, uniq)
+        self._merge(uniq[fresh], record=True)
+        flags = np.zeros(len(h), dtype=bool)
+        flags[first[fresh]] = True
+        return flags
 
-    def check_and_add(self, hashes: list[int]) -> list[bool]:
-        """Batch membership-test-and-insert, preserving input order."""
-        return self._sharded_call("check_and_add", hashes)
+    def add(self, hashes) -> None:
+        uniq = np.unique(np.asarray(hashes, dtype=np.int64))
+        self._merge(uniq[~member(self.keys, uniq)], record=True)
 
-    def add(self, hashes: list[int]) -> None:
-        """Fire-and-forget insert: shard-partition and submit WITHOUT
-        waiting for results.  Safe whenever the caller discards the
-        membership booleans: Ray orders calls per (caller, actor), so a
-        later ``contains``/``drain_deltas`` from the same driver observes
-        these inserts.  Saves one blocking RPC fan-out per call site —
-        ~2 of the 3 seen-set barriers every crawl wave."""
-        by_shard: dict[int, list[int]] = {}
-        for h in hashes:
-            by_shard.setdefault(h % self.n_shards, []).append(h)
-        for s, hs in by_shard.items():
-            self.shards[s].check_and_add.remote(hs)
-
-    def contains(self, hashes: list[int]) -> list[bool]:
-        """Read-only batch membership test, preserving input order."""
-        return self._sharded_call("contains", hashes)
-
-    def _sharded_call(self, method: str, hashes: list[int]) -> list[bool]:
-        by_shard: dict[int, list[int]] = {}
-        positions: dict[int, list[int]] = {}
-        for pos, h in enumerate(hashes):
-            s = h % self.n_shards
-            by_shard.setdefault(s, []).append(h)
-            positions.setdefault(s, []).append(pos)
-        shard_ids = list(by_shard)
-        # ONE ray.get over all shard futures — a per-shard get loop costs
-        # n_shards sequential RPC round-trips per call (measured ~1s of an
-        # sf0.1 crawl's 4.5s wall in the seen phase)
-        results = ray.get(
-            [getattr(self.shards[s], method).remote(by_shard[s]) for s in shard_ids]
-        )
-        out = [False] * len(hashes)
-        for s, flags in zip(shard_ids, results):
-            for pos, flag in zip(positions[s], flags):
-                out[pos] = flag
-        return out
-
-    def dump(self) -> list[list[int]]:
-        return ray.get([s.dump.remote() for s in self.shards])
-
-    def load(self, dumps: list[list[int]]) -> None:
-        ray.get(
-            [s.load.remote(keys) for s, keys in zip(self.shards, dumps)]
-        )
+    def _merge(self, new: np.ndarray, record: bool) -> None:
+        """Merge sorted unique keys that are not yet members."""
+        if not len(new):
+            return
+        n = len(self.keys) + len(new)
+        if n * self.keys.itemsize > blocks.LIGHT_TABLE_BYTES:
+            raise ValueError(
+                f"crawl seen set: {n} url hashes exceed the "
+                f"{blocks.LIGHT_TABLE_BYTES}-byte driver budget"
+            )
+        self.keys = np.insert(self.keys, np.searchsorted(self.keys, new), new)
+        if record:
+            self._delta.append(new)
 
     def drain_deltas(self) -> list[list[int]]:
-        """Per-shard keys added since the last drain (the per-wave
-        checkpoint payload)."""
-        return ray.get([s.drain_delta.remote() for s in self.shards])
+        """Keys added since the previous drain, as ONE sorted key list
+        (the per-wave checkpoint payload: I/O ∝ wave size)."""
+        d = np.sort(np.concatenate(self._delta)) if self._delta else self.keys[:0]
+        self._delta = []
+        return [d.tolist()]
 
-    def load_deltas(self, deltas: list[list[int]]) -> None:
-        ray.get(
-            [s.load_delta.remote(keys) for s, keys in zip(self.shards, deltas)]
-        )
+    def load_deltas(self, key_lists: list[list[int]]) -> None:
+        """Merge checkpointed key lists (any number of lists, so the
+        per-shard layout of older checkpoints loads too); not recorded
+        as a delta."""
+        flat = np.unique(np.fromiter((h for keys in key_lists for h in keys), np.int64))
+        self._merge(flat[~member(self.keys, flat)], record=False)
 
-    def reset(self) -> None:
-        ray.get([s.reset.remote() for s in self.shards])
+    def load(self, dumps: list[list[int]]) -> None:
+        """Restore exactly the membership of a full checkpoint dump."""
+        self.keys = self.keys[:0]
+        self._delta = []
+        self.load_deltas(dumps)
 
     def total(self) -> int:
-        return sum(ray.get([s.size.remote() for s in self.shards]))
+        return len(self.keys)

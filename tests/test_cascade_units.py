@@ -16,6 +16,7 @@ from go_htmldate_ray.extract import (
     select_candidate,
 )
 from go_htmldate_ray.functions.kernels import compare_reference, find_time
+from go_htmldate_ray.sources import reference_files
 from go_htmldate_ray import dom
 
 
@@ -182,8 +183,9 @@ def test_search_page(html, expected, kw):
     assert _search(html, **kw) == expected
 
 
+@pytest.mark.skipif(not reference_files.available(), reason=reference_files.ABSENT)
 def test_search_page_mock_file():
-    raw = open("/root/reference/test-files/mock/heimicke.de.zahlen.html", "rb").read()
+    raw = (reference_files.MOCK_DIR / "heimicke.de.zahlen.html").read_bytes()
     from go_htmldate_ray.dom import _decode
 
     assert _search(_decode(raw)) == "2019-04-06"

@@ -3,6 +3,10 @@
 import subprocess
 import sys
 
+import pytest
+
+from go_htmldate_ray.sources import reference_files
+
 REPO = "/root/repo"
 
 
@@ -16,24 +20,22 @@ def _run(*args):
     )
 
 
+_BLOG = str(reference_files.MOCK_DIR / "blog.python.org.html")
+_NEEDS_MOCK = pytest.mark.skipif(
+    not reference_files.available(), reason=reference_files.ABSENT
+)
+
+
+@_NEEDS_MOCK
 def test_cli_extract():
-    out = _run(
-        "extract",
-        "/root/reference/test-files/mock/blog.python.org.html",
-        "--original",
-    )
+    out = _run("extract", _BLOG, "--original")
     assert out.returncode == 0
     assert out.stdout.strip() == "2016-12-23"
 
 
+@_NEEDS_MOCK
 def test_cli_extract_custom_format():
-    out = _run(
-        "extract",
-        "/root/reference/test-files/mock/blog.python.org.html",
-        "--original",
-        "--format",
-        "%d/%m/%Y",
-    )
+    out = _run("extract", _BLOG, "--original", "--format", "%d/%m/%Y")
     assert out.stdout.strip() == "23/12/2016"
 
 
@@ -45,14 +47,14 @@ def test_cli_extract_no_date(tmp_path):
     assert "no date found" in out.stderr
 
 
-def test_cli_extract_min_date_window():
-    out = _run(
-        "extract",
-        "/root/reference/test-files/mock/blog.python.org.html",
-        "--original",
-        "--min-date",
-        "2020-01-01",
+def test_cli_extract_min_date_window(tmp_path):
+    p = tmp_path / "dated.html"
+    p.write_text(
+        '<html><head><meta property="article:published_time" '
+        'content="2016-12-23"></head><body>post</body></html>'
     )
+    assert _run("extract", str(p), "--original").stdout.strip() == "2016-12-23"
+    out = _run("extract", str(p), "--original", "--min-date", "2020-01-01")
     # the 2016 date is outside the window -> some other/no date
     assert out.stdout.strip() != "2016-12-23"
 

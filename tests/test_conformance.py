@@ -14,9 +14,9 @@ from pathlib import Path
 import pytest
 
 from go_htmldate_ray import Options, from_html
+from go_htmldate_ray.sources import reference_files
 
 DATA = Path(__file__).parent / "data"
-MOCK_DIR = Path("/root/reference/test-files/mock")
 
 CASES = json.loads((DATA / "core_cases.json").read_text())
 MOCK_MAP = json.loads((DATA / "mock_files.json").read_text())
@@ -35,7 +35,7 @@ def build_opts(case: dict) -> Options:
 
 def load_input(case: dict) -> bytes | str:
     if case["kind"] == "mock":
-        return (MOCK_DIR / MOCK_MAP[case["input"]]).read_bytes()
+        return (reference_files.MOCK_DIR / MOCK_MAP[case["input"]]).read_bytes()
     if case["kind"] == "url":
         return ""
     return case["input"]
@@ -46,8 +46,17 @@ def case_id(i: int, case: dict) -> str:
     return f"{i:03d}-{case['kind']}-{tag}"
 
 
+_NEEDS_MOCK = pytest.mark.skipif(
+    not reference_files.available(), reason=reference_files.ABSENT
+)
+
+
 @pytest.mark.parametrize(
-    "case", CASES, ids=[case_id(i, c) for i, c in enumerate(CASES)]
+    "case",
+    [
+        pytest.param(c, id=case_id(i, c), marks=_NEEDS_MOCK if c["kind"] == "mock" else ())
+        for i, c in enumerate(CASES)
+    ],
 )
 def test_conformance_case(case):
     result = from_html(load_input(case), build_opts(case))

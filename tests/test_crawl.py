@@ -1,8 +1,6 @@
 """Frontier crawl scheduler tests: determinism, politeness, robots,
 seen-set exactness, checkpoint/resume equivalence (north-rule criteria)."""
 
-import uuid
-
 import pytest
 
 SF = "/root/testdata/sf0.001"
@@ -13,14 +11,9 @@ def _ray(ray_session):
     yield
 
 
-def _ns():
-    return f"test-{uuid.uuid4().hex[:8]}"
-
-
 def _run(tmp_path=None, **kw):
     from go_htmldate_ray.pipelines.crawl import crawl
 
-    kw.setdefault("namespace", _ns())
     kw.setdefault("max_waves", 40)
     visited, stats = crawl(SF, **kw)
     rows = visited.take_all()
@@ -245,7 +238,7 @@ def test_sitemap_seeds_crawl():
     seeds = [u for u, _ in parse_sitemap(synthetic_sitemap_xml("site1.example.org", n))]
     assert seeds
     visited, stats = crawl(
-        SF, seeds=seeds, namespace=_ns(), max_waves=40, politeness_budget=1000
+        SF, seeds=seeds, max_waves=40, politeness_budget=1000
     )
     urls = {r["url"] for r in visited.take_all()}
     assert set(seeds) <= urls  # every sitemap URL of the host was fetched
@@ -368,10 +361,9 @@ def test_checkpoint_resume_equivalence(tmp_path):
 
     # Interrupted run: stop after 3 waves, then resume from checkpoint
     ckpt = str(tmp_path / "ckpt")
-    ns = _ns()
-    crawl(SF, namespace=ns, max_waves=3, checkpoint_dir=ckpt)
+    crawl(SF, max_waves=3, checkpoint_dir=ckpt)
     visited, stats = crawl(
-        SF, namespace=ns, max_waves=40, checkpoint_dir=ckpt, resume=True
+        SF, max_waves=40, checkpoint_dir=ckpt, resume=True
     )
     rows = visited.take_all()
     rows.sort(key=lambda r: (r["wave"], r["host"], r["fetch_rank"]))
@@ -396,7 +388,7 @@ def test_resume_from_legacy_robots_checkpoint(tmp_path):
     full_rows, _ = _run()
 
     ckpt = str(tmp_path / "ckpt-legacy")
-    crawl(SF, namespace=_ns(), max_waves=3, checkpoint_dir=ckpt)
+    crawl(SF, max_waves=3, checkpoint_dir=ckpt)
     # fold the per-wave deltas into the legacy full-dump layout
     rules: dict = {}
     delays: dict = {}
@@ -410,7 +402,7 @@ def test_resume_from_legacy_robots_checkpoint(tmp_path):
         _json.dumps({"rules": rules, "delays": delays})
     )
     visited, _ = crawl(
-        SF, namespace=_ns(), max_waves=40, checkpoint_dir=ckpt, resume=True
+        SF, max_waves=40, checkpoint_dir=ckpt, resume=True
     )
     assert sorted(r["url"] for r in visited.take_all()) == sorted(
         r["url"] for r in full_rows
@@ -418,11 +410,11 @@ def test_resume_from_legacy_robots_checkpoint(tmp_path):
 
     # no robots state at all: still resumes (cache re-fills)
     ckpt2 = str(tmp_path / "ckpt-none")
-    crawl(SF, namespace=_ns(), max_waves=3, checkpoint_dir=ckpt2)
+    crawl(SF, max_waves=3, checkpoint_dir=ckpt2)
     for p in glob.glob(os.path.join(ckpt2, "robots_delta_*.json")):
         os.remove(p)
     visited2, _ = crawl(
-        SF, namespace=_ns(), max_waves=40, checkpoint_dir=ckpt2, resume=True
+        SF, max_waves=40, checkpoint_dir=ckpt2, resume=True
     )
     assert sorted(r["url"] for r in visited2.take_all()) == sorted(
         r["url"] for r in full_rows
@@ -430,16 +422,17 @@ def test_resume_from_legacy_robots_checkpoint(tmp_path):
 
 
 def test_resume_across_actor_loss(tmp_path):
-    """Resume must rebuild seen/robots state from the checkpoint files even
-    when the actors are gone (fresh namespace = simulated restart)."""
+    """Resume must rebuild seen/robots state from the checkpoint files
+    alone: a new crawl() call is a simulated restart, since no seen or
+    robots state outlives the call that built it."""
     from go_htmldate_ray.pipelines.crawl import crawl
 
     full_rows, _ = _run()
 
     ckpt = str(tmp_path / "ckpt2")
-    crawl(SF, namespace=_ns(), max_waves=3, checkpoint_dir=ckpt)
+    crawl(SF, max_waves=3, checkpoint_dir=ckpt)
     visited, _ = crawl(
-        SF, namespace=_ns(), max_waves=40, checkpoint_dir=ckpt, resume=True
+        SF, max_waves=40, checkpoint_dir=ckpt, resume=True
     )
     rows = visited.take_all()
     assert sorted(r["url"] for r in rows) == sorted(r["url"] for r in full_rows)
@@ -495,11 +488,10 @@ def test_dataset_path_resume_equivalence(tmp_path):
     full_rows, full_stats = _run()
 
     ckpt = str(tmp_path / "dsckpt")
-    ns = _ns()
-    crawl(SF, namespace=ns, max_waves=3, checkpoint_dir=ckpt,
+    crawl(SF, max_waves=3, checkpoint_dir=ckpt,
           small_wave_threshold=0)
     visited, stats = crawl(
-        SF, namespace=ns, max_waves=40, checkpoint_dir=ckpt, resume=True,
+        SF, max_waves=40, checkpoint_dir=ckpt, resume=True,
         small_wave_threshold=0,
     )
     rows = visited.take_all()
@@ -522,8 +514,7 @@ def test_wave_rerun_idempotent_after_partial_crash(tmp_path):
     full_rows, _ = _run(small_wave_threshold=0, max_waves=6)
 
     ckpt = str(tmp_path / "crashckpt")
-    ns = _ns()
-    crawl(SF, namespace=ns, max_waves=3, checkpoint_dir=ckpt,
+    crawl(SF, max_waves=3, checkpoint_dir=ckpt,
           small_wave_threshold=0)
     # Simulate "crashed after writing wave 2's outputs, before the
     # manifest recorded it": roll the manifest back one wave.
@@ -533,7 +524,7 @@ def test_wave_rerun_idempotent_after_partial_crash(tmp_path):
     m["lineage"] = m["lineage"][:-1]
     open(mpath, "w").write(_json.dumps(m))
 
-    visited, _ = crawl(SF, namespace=ns, max_waves=6, checkpoint_dir=ckpt,
+    visited, _ = crawl(SF, max_waves=6, checkpoint_dir=ckpt,
                        resume=True, small_wave_threshold=0)
     rows = visited.take_all()
     urls = [r["url"] for r in rows]
@@ -616,7 +607,7 @@ def test_legacy_checkpoint_double_resume(tmp_path):
     full_rows, _ = _run()
 
     ckpt = str(tmp_path / "legacyckpt")
-    crawl(SF, namespace=_ns(), max_waves=3, checkpoint_dir=ckpt)
+    crawl(SF, max_waves=3, checkpoint_dir=ckpt)
     # convert to the legacy layout: one full seen.json, no deltas
     shards = []
     for w in range(3):
@@ -633,14 +624,42 @@ def test_legacy_checkpoint_double_resume(tmp_path):
 
     # first resume under the delta code: runs waves 3..4, writes deltas
     # for them but leaves seen.json stale
-    crawl(SF, namespace=_ns(), max_waves=5, checkpoint_dir=ckpt, resume=True)
+    crawl(SF, max_waves=5, checkpoint_dir=ckpt, resume=True)
     # second resume: must replay legacy dump AND the new deltas
     visited, _ = crawl(
-        SF, namespace=_ns(), max_waves=40, checkpoint_dir=ckpt, resume=True
+        SF, max_waves=40, checkpoint_dir=ckpt, resume=True
     )
     rows = visited.take_all()
     urls = [r["url"] for r in rows]
     assert len(urls) == len(set(urls)), "duplicate fetches after double resume"
+    assert sorted(urls) == sorted(r["url"] for r in full_rows)
+
+
+@pytest.mark.parametrize("extra", [{}, {"small_wave_threshold": 0}])
+def test_resume_from_per_shard_seen_deltas(tmp_path, extra):
+    """Older checkpoints hold each wave's seen delta as 8 per-shard key
+    lists (``h % 8``, each sorted) instead of one list.  Resuming such a
+    checkpoint must visit the same URLs as an uninterrupted crawl, with
+    no URL fetched twice, on both wave paths."""
+    import json as _json
+    import os
+
+    from go_htmldate_ray.pipelines.crawl import crawl
+
+    full_rows, _ = _run(max_waves=6)
+
+    ckpt = str(tmp_path / "shardckpt")
+    crawl(SF, max_waves=3, checkpoint_dir=ckpt, **extra)
+    for w in range(3):
+        dp = os.path.join(ckpt, f"seen_delta_{w}.json")
+        keys = [h for lst in _json.loads(open(dp).read()) for h in lst]
+        assert keys
+        shards = [sorted(h for h in keys if h % 8 == s) for s in range(8)]
+        open(dp, "w").write(_json.dumps(shards))
+
+    visited, _ = crawl(SF, max_waves=6, checkpoint_dir=ckpt, resume=True, **extra)
+    urls = [r["url"] for r in visited.take_all()]
+    assert len(urls) == len(set(urls)), "duplicate fetches after resume"
     assert sorted(urls) == sorted(r["url"] for r in full_rows)
 
 
@@ -657,8 +676,13 @@ def test_wave_stats_counter_retry_idempotent(ray_session):
     ray.get(c.add_keyed.remote("batch-a", deduped_in=10, not_new=2))  # retry
     got = ray.get(c.get.remote())
     assert got == {"deduped_in": 15, "not_new": 3}
+    # robots-denied hashes ride on the same keyed report
+    ray.get(c.add_keyed.remote("batch-c", denied=[7, -8], deduped_in=2))
+    ray.get(c.add_keyed.remote("batch-c", denied=[7, -8], deduped_in=2))  # retry
+    assert sorted(ray.get(c.denied_hashes.remote())) == [-8, 7]
     ray.get(c.reset.remote())
     assert ray.get(c.get.remote()) == {}
+    assert ray.get(c.denied_hashes.remote()) == []
     ray.kill(c)
 
 

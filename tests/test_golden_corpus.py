@@ -18,31 +18,22 @@ from pathlib import Path
 import pytest
 
 from go_htmldate_ray import Options, from_html
+from go_htmldate_ray.sources import reference_files
 
 DATA = Path(__file__).parent / "data"
-DIRS = [
-    Path("/root/reference/test-files/mediacloud"),
-    Path("/root/reference/test-files/comparison"),
-    Path("/root/reference/test-files/mock"),
-]
-
-
-def _open(name: str):
-    for d in DIRS:
-        p = d / name
-        if p.exists():
-            return p.read_bytes()
-    return None
 
 
 @pytest.fixture(scope="module")
 def corpus_results():
+    if not reference_files.available():
+        pytest.skip(reference_files.ABSENT)
     entries = json.loads((DATA / "comparison_corpus.json").read_text())
     results = []
     for e in entries:
-        raw = _open(e["file"])
-        if raw is None:
+        p = reference_files.corpus_path(e["file"])
+        if p is None:
             continue
+        raw = p.read_bytes()
         fast = from_html(
             raw, Options(use_original_date=True, skip_extensive_search=True)
         ).format()

@@ -164,19 +164,15 @@ def test_crawl_over_live_http(ray_session, synthetic_web):
     """The whole scheduler (seen set, robots, politeness, extraction) with a
     real HTTP fetcher in the loop must visit the same pages with the same
     dates as the in-process synthetic store."""
-    import uuid
-
     from go_htmldate_ray.pipelines.crawl import crawl
 
     http_visited, _ = crawl(
         "/root/testdata/sf0.001",
-        namespace=f"http-{uuid.uuid4().hex[:8]}",
         max_waves=4,
         fetcher_kwargs={"http_base": synthetic_web, "timeout": 10},
     )
     plain_visited, _ = crawl(
         "/root/testdata/sf0.001",
-        namespace=f"plain-{uuid.uuid4().hex[:8]}",
         max_waves=4,
     )
     key = lambda rows: sorted(

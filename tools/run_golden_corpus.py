@@ -13,21 +13,9 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 
 from go_htmldate_ray import Options, from_html
+from go_htmldate_ray.sources import reference_files
 
 DATA = Path(__file__).resolve().parent.parent / "tests" / "data"
-DIRS = [
-    Path("/root/reference/test-files/mediacloud"),
-    Path("/root/reference/test-files/comparison"),
-    Path("/root/reference/test-files/mock"),
-]
-
-
-def open_file(name: str) -> bytes | None:
-    for d in DIRS:
-        p = d / name
-        if p.exists():
-            return p.read_bytes()
-    return None
 
 
 def score(results: list[tuple[str, str]]) -> dict:
@@ -52,6 +40,8 @@ def score(results: list[tuple[str, str]]) -> dict:
 
 
 def main(limit: int | None = None, show_mismatches: int = 0) -> None:
+    if not reference_files.available():
+        raise SystemExit(reference_files.ABSENT)
     entries = json.loads((DATA / "comparison_corpus.json").read_text())
     if limit:
         entries = entries[:limit]
@@ -63,10 +53,11 @@ def main(limit: int | None = None, show_mismatches: int = 0) -> None:
     t_fast = t_ext = 0.0
 
     for e in entries:
-        raw = open_file(e["file"])
-        if raw is None:
+        p = reference_files.corpus_path(e["file"])
+        if p is None:
             missing += 1
             continue
+        raw = p.read_bytes()
         t0 = time.perf_counter()
         fast = from_html(raw, Options(use_original_date=True, skip_extensive_search=True)).format()
         t1 = time.perf_counter()
