@@ -9,11 +9,22 @@ script/style raw text, and serialization for the string-search stages.
 
 One parser instance per extraction call; the per-actor Ray stage reuses the
 module (compiled tables) across batches.
+
+The extensive cascade visits every element, so the per-element work is kept
+to what a stage can use:
+
+- attributes parse lazily from the raw tag blob, and ``Node.attrs_lack``
+  answers "can any value hold one of these literals?" from the blob alone
+  when parsing it would change nothing the page serializes to;
+- the parse root indexes elements by tag, in document order, and several
+  tags' lists merge by source offset instead of by a walk of the tree;
+- ``_render`` serializes a subtree in one loop into one list.
 """
 
 from __future__ import annotations
 
 import re
+from operator import attrgetter
 from typing import Iterator, Optional
 
 ELEMENT = 0
@@ -42,17 +53,16 @@ _ESCAPES = {"&": "&amp;", "<": "&lt;", ">": "&gt;", '"': "&#34;", "'": "&#39;"}
 
 
 def _escape(s: str) -> str:
-    if not any(c in s for c in '&<>"\''):
-        return s
-    for ch, rep in _ESCAPES.items():
-        s = s.replace(ch, rep)
+    if "&" in s or "<" in s or ">" in s or '"' in s or "'" in s:
+        for ch, rep in _ESCAPES.items():
+            s = s.replace(ch, rep)
     return s
 
 
 class Node:
     __slots__ = (
         "type", "tag", "_attrs", "_blob", "children", "parent", "data",
-        "tag_index",
+        "tag_index", "src_pos",
     )
 
     def __init__(self, type_: int, tag: str = "", data: str = ""):
@@ -64,6 +74,8 @@ class Node:
         self.parent: Optional["Node"] = None
         self.data = data
         self.tag_index: Optional[dict[str, list["Node"]]] = None  # root only
+        # src_pos: offset of the start tag in the parsed source, set by
+        # parse_html on the elements it indexes (their document order)
 
     # --- attribute access ---------------------------------------------------
     # Attributes parse lazily from the raw tag blob: ~800 attr blobs per
@@ -80,6 +92,24 @@ class Node:
 
     def attr(self, name: str) -> str:
         return self.attrs.get(name, "")
+
+    def attrs_lack(self, literals: re.Pattern) -> bool:
+        """True when no attribute value can contain a match of ``literals``,
+        decided from the raw blob without parsing it.  That holds for a
+        plain blob: unparsed, with every value verbatim (no ``&`` entity)
+        and rendering back to itself, so leaving it unparsed does not change
+        the serialized page.  False means "parse and look"."""
+        if self._attrs is not None:
+            return False
+        blob = self._blob
+        if not blob:
+            return True
+        if literals.search(blob) is not None or not _PLAIN_BLOB.fullmatch(blob):
+            return False
+        if blob.count("=") > 1:  # duplicate names render only once
+            names = _PLAIN_NAME.findall(blob)
+            return len(names) == len(set(names))
+        return True
 
     @property
     def id(self) -> str:
@@ -109,23 +139,21 @@ class Node:
                 stack.extend(reversed(node.children))
 
     def get_elements_by_tag(self, *tags: str) -> list["Node"]:
-        # The parse root carries a tag index built during tokenization;
-        # detached (pruned) nodes are filtered by walking to the root.
+        # The parse root carries a tag index built during tokenization, one
+        # list per tag in document order; detached (pruned) nodes are
+        # filtered by walking to the root, and several tags' lists merge
+        # by source offset.
         if self.tag_index is not None:
             out = []
             for tag in tags:
                 nodes = self.tag_index.get(tag)
                 if nodes:
                     out.extend(n for n in nodes if _attached(n, self))
-            return out if len(tags) == 1 else self._in_document_order(out)
+            if len(tags) > 1:
+                out.sort(key=_src_pos)
+            return out
         tagset = frozenset(tags)
         return [e for e in self.iter_elements() if e.tag in tagset]
-
-    def _in_document_order(self, nodes: list["Node"]) -> list["Node"]:
-        if len(nodes) < 2:
-            return nodes
-        wanted = {id(n) for n in nodes}
-        return [e for e in self.iter_elements() if id(e) in wanted]
 
     def text_content(self) -> str:
         """Concatenated text of the subtree (dom.TextContent semantics)."""
@@ -150,10 +178,18 @@ class Node:
         return "".join(parts)
 
     def inner_html(self) -> str:
-        return "".join(_render(c) for c in self.children)
+        out: list[str] = []
+        for child in self.children:
+            _render(child, out)
+        return "".join(out)
 
     def outer_html(self) -> str:
-        return _render(self)
+        out: list[str] = []
+        _render(self, out)
+        return "".join(out)
+
+
+_src_pos = attrgetter("src_pos")
 
 
 def _attached(node: Node, root: Node) -> bool:
@@ -164,22 +200,44 @@ def _attached(node: Node, root: Node) -> bool:
     return False
 
 
-def _render(node: Node) -> str:
-    if node.type == COMMENT:
-        return f"<!--{node.data}-->"
-    if node.type == TEXT:
-        if node.parent is not None and node.parent.tag in ("script", "style"):
-            return node.data
-        return _escape(node.data)
-    if node._attrs is None:
-        attrs = node._blob.rstrip()  # raw blob verbatim: cheaper, and the
-        # string-search stages see the author's original attribute text
-    else:
-        attrs = "".join(f' {k}="{_escape(v)}"' for k, v in node._attrs.items())
-    if node.tag in VOID_ELEMENTS and not node.children:
-        return f"<{node.tag}{attrs}/>"
-    inner = "".join(_render(c) for c in node.children)
-    return f"<{node.tag}{attrs}>{inner}</{node.tag}>"
+def _render(node: Node, out: list[str]) -> None:
+    """Append the serialization of ``node``'s subtree to ``out``.  One loop
+    walks the tree with a stack of (sibling iterator, end tag) pairs, one
+    per open element, instead of one generator join per element."""
+    append = out.append
+    stack: list[tuple[Iterator[Node], str]] = []
+    siblings: Iterator[Node] = iter((node,))
+    while True:
+        for node in siblings:
+            kind = node.type
+            if kind == TEXT:
+                parent = node.parent
+                if parent is not None and parent.tag in ("script", "style"):
+                    append(node.data)
+                else:
+                    append(_escape(node.data))
+            elif kind == COMMENT:
+                append(f"<!--{node.data}-->")
+            else:
+                if node._attrs is None:
+                    attrs = node._blob.rstrip()  # raw blob verbatim: cheaper, and
+                    # the string-search stages see the author's attribute text
+                else:
+                    attrs = "".join(f' {k}="{_escape(v)}"' for k, v in node._attrs.items())
+                tag = node.tag
+                children = node.children
+                if tag in VOID_ELEMENTS and not children:
+                    append(f"<{tag}{attrs}/>")
+                    continue
+                append(f"<{tag}{attrs}>")
+                stack.append((siblings, f"</{tag}>"))
+                siblings = iter(children)
+                break
+        else:
+            if not stack:
+                return
+            siblings, end_tag = stack.pop()
+            append(end_tag)
 
 
 # Single-pass tokenizer: one compiled regex finds every markup construct;
@@ -202,6 +260,11 @@ _MARKUP = re.compile(
 _ATTR = re.compile(
     r"([^\s=/>]+)(?:\s*=\s*(?:\"([^\"]*)\"|'([^']*)'|([^\s>]*)))?"
 )
+# A blob that _parse_attrs reads value for value and _render writes back
+# unchanged: ` name="value"` pairs, lowercase names, values that need
+# neither unescaping nor escaping (checked for duplicate names apart).
+_PLAIN_NAME = re.compile(r' ([a-z][-a-z0-9_:.]*)="')
+_PLAIN_BLOB = re.compile(r'(?: [a-z][-a-z0-9_:.]*="[^"&<>\']*")* *')
 _RAW_TEXT_END = {
     "script": re.compile(r"</script\s*>", re.I),
     "style": re.compile(r"</style\s*>", re.I),
@@ -269,6 +332,7 @@ def parse_html(content: bytes | str) -> Node:
                 while len(stack) > 1 and stack[-1].tag in implied:
                     stack.pop()
             node = Node(ELEMENT, tag)
+            node.src_pos = start
             blob = m.group(7)
             if blob and not blob.isspace():
                 node._blob = blob

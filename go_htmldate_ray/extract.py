@@ -46,6 +46,9 @@ _log = logging.getLogger(__name__)
 DateTuple = tuple[str, Optional[datetime]]
 _ZERO: DateTuple = ("", None)
 
+# Free-text segments longer than this are first measured on a prefix.
+_SEGMENT_PROBE = 2 * C.MAX_SEGMENT_LEN
+
 
 # --- public API (core.go:48-133) --------------------------------------------
 
@@ -167,12 +170,14 @@ def find_date_staged(doc: dom.Node, opts: Options):
     if dt is not None:
         return _hit(opts, raw, dt, "time-element")
 
-    # Serialize once, reused by M9/M11/M13 (core.go:212-219)
+    # Serialize once, reused by M9/M11/M13 (core.go:212-219), with one
+    # digit index of the string that anchors their scans (patterns.py)
     html_node = dom.query_first_element(doc, "html")
     html_string = html_node.inner_html() if html_node is not None else doc.inner_html()
+    runs = P.digit_runs(html_string)
 
     # M9: serialized timestamp regex (core.go:221-227)
-    parts, _start = P.timestamp_pattern_submatch(html_string)
+    parts, _start = P.timestamp_pattern_submatch(html_string, runs)
     if len(parts) >= 2:
         dt = fast_parse(parts[1], opts)
         if validate_date(dt, opts):
@@ -184,7 +189,7 @@ def find_date_staged(doc: dom.Node, opts: Options):
         return _hit(opts, raw, dt, "og-image")
 
     # M11: idiosyncrasies (core.go:235-239)
-    raw, dt = idiosyncrasies_search(html_string, opts)
+    raw, dt = idiosyncrasies_search(html_string, opts, runs)
     if dt is not None:
         return _hit(opts, raw, dt, "idiosyncrasies")
 
@@ -193,7 +198,14 @@ def find_date_staged(doc: dom.Node, opts: Options):
         ref_value = 0
         ref_string = ""
         for text_node in query_free_text_nodes(doc):
-            text = normalize_spaces(text_node.data)
+            data = text_node.data
+            # Spaces normalized in a prefix give a prefix of the normalized
+            # whole, so a long normalized prefix rules the segment out.
+            if len(data) > _SEGMENT_PROBE and len(
+                normalize_spaces(data[:_SEGMENT_PROBE])
+            ) >= C.MAX_SEGMENT_LEN:
+                continue
+            text = normalize_spaces(data)
             n = len(text)
             if C.MIN_SEGMENT_LEN < n < C.MAX_SEGMENT_LEN:
                 ref_string, ref_value = compare_reference(ref_string, ref_value, text, opts)
@@ -202,7 +214,7 @@ def find_date_staged(doc: dom.Node, opts: Options):
         if converted is not None:
             return _hit(opts, ref_string, converted, "free-text")
 
-        raw, dt = search_page(html_string, opts)
+        raw, dt = search_page(html_string, opts, runs)
         if dt is not None:
             return _hit(opts, raw, dt, "search-page")
 
@@ -234,8 +246,18 @@ _CLASS_TOKENS = re.compile("|".join(re.escape(token) for token in (
 )))
 
 
+# Every literal date_rule tests for, with the case variants its D→d and
+# M→m replacements let through: it cannot hold on an element whose
+# attribute values contain none of them.
+_DATE_RULE_LITERALS = re.compile("|".join(re.escape(token) for token in (
+    "date", "Date", "datum", "Datum", "meta", "Meta", "time", "publish", "footer",
+)) + "|" + _CLASS_TOKENS.pattern)
+
+
 def date_rule(el: dom.Node) -> bool:
     """Token tests on id/class/itemprop (selector/date.go:62-97)."""
+    if el.attrs_lack(_DATE_RULE_LITERALS):
+        return False
     id_ = el.id
     class_ = el.class_name
     itemprop = el.attr("itemprop")
@@ -614,8 +636,10 @@ def meta_img_search(doc: dom.Node, opts: Options) -> DateTuple:
 
 # --- M11: idiosyncrasies (extractors.go:329-363) ----------------------------
 
-def idiosyncrasies_search(html_string: str, opts: Options) -> DateTuple:
-    parts, start_idx = P.idiosyncrasy_pattern_submatch(html_string)
+def idiosyncrasies_search(
+    html_string: str, opts: Options, runs: Optional[P.DigitRuns] = None
+) -> DateTuple:
+    parts, start_idx = P.idiosyncrasy_pattern_submatch(html_string, runs)
     if not parts:
         return _ZERO
 
@@ -824,17 +848,22 @@ def filter_ymd_candidate(
     return None
 
 
-def search_page(html_string: str, opts: Options) -> DateTuple:
+def search_page(
+    html_string: str, opts: Options, runs: Optional[P.DigitRuns] = None
+) -> DateTuple:
     """The extensive whole-page cascade (core.go:656-798).  One digit index
-    of the page serves every ``\\D``-led scanner."""
-    digits = P.digit_starts(html_string)
+    of the page (``runs``, built here when not given) anchors every scan
+    but the last, which reads a cleaned copy of the page."""
+    if runs is None:
+        runs = P.digit_runs(html_string)
+    digits = P.digit_starts(html_string, runs)
 
     # Copyright year: a floor for later stages
     cop_year = 0
     cop_raw = ""
     raw, best = search_pattern(
         html_string, P.COPYRIGHT_PATTERN, C.RX_YEAR_PATTERN, C.RX_YEAR_PATTERN, opts,
-        P.copyright_starts(html_string),
+        P.copyright_starts(html_string, runs),
     )
     if best:
         year = atoi(best[0])
@@ -921,7 +950,7 @@ def search_page(html_string: str, opts: Options) -> DateTuple:
         return raw, result
 
     # Full-text long-form regex over the whole HTML
-    dt = regex_parse(html_string, opts)
+    dt = regex_parse(html_string, opts, runs)
     if validate_date(dt, opts) and (cop_year == 0 or dt.year >= cop_year):
         return html_string, dt
 

@@ -234,10 +234,13 @@ def extract_url_date(url: str, opts: Options) -> Optional[datetime]:
     return validate_date_parts(atoi(m.group(1)), atoi(m.group(2)), atoi(m.group(3)), opts)
 
 
-def regex_parse(s: str, opts: Options) -> Optional[datetime]:
-    """Multilingual long-form date parse (extractors.go:403-427)."""
+def regex_parse(
+    s: str, opts: Options, runs: Optional[P.DigitRuns] = None
+) -> Optional[datetime]:
+    """Multilingual long-form date parse (extractors.go:403-427); ``runs``
+    is the digit index of ``s`` when the caller has one."""
     year = month = day = 0
-    found = P.find_long_text_pattern(s)
+    found = P.find_long_text_pattern(s, runs)
     if found is not None:
         str_year, str_month, str_day = found
         m = C.MONTH_NUMBER.get(str_month.lower())

@@ -13,33 +13,40 @@ terminating NUL byte that the ``[^0-9]`` class matches); we encode that as
 Anchoring invariant.  A DFA reads a page once; a backtracking ``re`` scan
 retries at every offset.  So every whole-page scan of the extensive cascade
 tries its pattern only at offsets where a match can start, taken from one
-cheap index of a token the pattern cannot match without
-(:func:`anchored_finditer` then yields exactly ``pattern.finditer(s)``):
+digit index of the page (:func:`digit_runs`: the maximal ``[0-9]`` runs,
+found with ten ``str.find`` scans) or from a lead literal the pattern cannot
+match without (:func:`anchored_finditer` then yields exactly
+``pattern.finditer(s)``, and a first match is exactly ``pattern.search(s)``):
 
 - the ``\\D``-led scanners (``THREE_LOOSE``, ``SELECT_YMD``,
   ``DATE_STRINGS``, ``SLASHES``, ``YYYY_MM``, ``MM_YYYY``, ``SIMPLE``) and
   the ``/``-led ``THREE``: a non-digit, then an ASCII digit, so a match
-  starts one before a maximal ``[0-9]+`` run (:func:`digit_starts`);
+  starts one before a run (:func:`digit_starts`);
 - ``COPYRIGHT``: at one of its four lead literals, the first one before
   each digit (:func:`copyright_starts`);
 - long-form MDY/DMY: the match ends in ``[\\t\\n\\f\\r ]`` plus a year,
-  that whitespace 5-15 (MDY) or 5-18 (DMY) characters after the match
-  start (``(?i)`` matches one code point per code point, so a month
-  alternative is as long as its literal: 3-9);
-- the four idiosyncrasy patterns all need
-  ``[0-9][./][0-9]{1,2}[./][0-9]{2}``; without it none is run.
+  that whitespace just before a run, 5-15 (MDY) or 5-18 (DMY) characters
+  after the match start (``(?i)`` matches one code point per code point,
+  so a month alternative is as long as its literal: 3-9);
+- ``TIMESTAMP``: its year is the last four digits of a run followed by
+  ``-``;
+- the four idiosyncrasy patterns all contain three runs spelling
+  ``[0-9]+[./][0-9]{1,2}[./][0-9]{2,}``; each is tried in a window before
+  such a token, bounded by its lead (:func:`idiosyncrasy_pattern_submatch`).
 
-None of the anchored patterns uses ``^``, ``\\b`` or a lookbehind, so
-``pattern.match(s, pos)`` tries exactly what a scan reaching ``pos`` tries;
-``$`` keeps its whole-string meaning.
+``\\d`` in a ``str`` pattern is Unicode, so only ``[0-9]`` anchors come from
+the index.  None of the anchored patterns uses ``^``, ``\\b`` or a
+lookbehind, so ``pattern.match(s, pos)`` tries exactly what a scan reaching
+``pos`` tries; ``$`` keeps its whole-string meaning.
 """
 
 from __future__ import annotations
 
 import re
 import unicodedata
+from bisect import bisect_left
 from datetime import datetime, timezone
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 _YEAR = r"199[0-9]|20[0-3][0-9]"
 
@@ -88,38 +95,104 @@ _ANY_DIGIT = re.compile(r"\d")  # what ends a ``\D*`` run
 _COPYRIGHT_LEADS = ("©", "&copy;", "Copyright", "(c)")
 
 
-def digit_starts(s: str) -> list[int]:
+class DigitRuns(NamedTuple):
+    """The maximal ASCII digit runs of a page: ``s[starts[k]:ends[k]]``,
+    ascending."""
+
+    starts: list[int]
+    ends: list[int]
+
+
+def digit_runs(s: str) -> DigitRuns:
+    """The page's digit index.  Ten ``str.find`` scans collect every ASCII
+    digit, far cheaper than a ``[0-9]+`` regex scan (which tries every
+    offset) on the few dozen digits of a typical page.  Past about one digit
+    in 32 characters collecting them costs more than the regex scan, which
+    then builds the same runs."""
+    limit = 64 + len(s) // 32
+    pos: list[int] = []
+    find = s.find
+    for d in "0123456789":
+        i = find(d)
+        while i != -1:
+            pos.append(i)
+            i = find(d, i + 1)
+        if len(pos) > limit:
+            starts, ends = [], []
+            for m in _DIGIT_RUN.finditer(s):
+                starts.append(m.start())
+                ends.append(m.end())
+            return DigitRuns(starts, ends)
+    pos.sort()
+    starts, ends = [], []
+    prev = -2
+    for i in pos:
+        if i != prev + 1:
+            if starts:
+                ends.append(prev + 1)
+            starts.append(i)
+        prev = i
+    if starts:
+        ends.append(prev + 1)
+    return DigitRuns(starts, ends)
+
+
+def digit_starts(s: str, runs: Optional[DigitRuns] = None) -> list[int]:
     """Ascending offsets one before each maximal ASCII digit run: the only
     places a ``\\D[0-9]``- or ``/[0-9]``-led scanner can match."""
-    return [m.start() - 1 for m in _DIGIT_RUN.finditer(s) if m.start()]
+    if runs is None:
+        runs = digit_runs(s)
+    return [a - 1 for a in runs.starts if a]
 
 
-def copyright_starts(s: str) -> list[int]:
+def copyright_starts(s: str, runs: Optional[DigitRuns] = None) -> list[int]:
     """Ascending offsets of COPYRIGHT_PATTERN's lead literals, keeping only
     the first lead before each digit.  After its lead the pattern reads
     ``\\D*`` and then needs the year at the first digit (or at the ``-``
     just before it), so two leads with no digit between them succeed or
     fail together, and the later one lies inside the earlier one's match.
     Trying each lead would rescan the same non-digit stretch once per
-    lead."""
+    lead.  The first ASCII digit comes from the index; on a non-ASCII page
+    a Unicode digit (``\\d``) before it is looked for in between."""
     leads: list[int] = []
     for lead in _COPYRIGHT_LEADS:
         i = s.find(lead)
         while i != -1:
             leads.append(i)
             i = s.find(lead, i + 1)
+    if not leads:
+        return []
+    if runs is None:
+        runs = digit_runs(s)
     leads.sort()
+    run_starts = runs.starts
+    ascii_only = s.isascii()
     starts: list[int] = []
     digit = -1  # first digit at or after the last kept lead
     for a in leads:
         if a < digit:
             continue
-        m = _ANY_DIGIT.search(s, a)
-        if m is None:
+        k = bisect_left(run_starts, a)
+        digit = run_starts[k] if k < len(run_starts) else len(s)
+        if not ascii_only:
+            m = _ANY_DIGIT.search(s, a, digit)
+            if m is not None:
+                digit = m.start()
+        if digit == len(s):
             break
-        digit = m.start()
         starts.append(a)
     return starts
+
+
+def _merged(windows: Iterable[tuple[int, int]]) -> Iterator[int]:
+    """Ascending, distinct, non-negative offsets of the windows ``[lo, hi]``,
+    given with ``lo`` and ``hi`` each non-decreasing."""
+    nxt = 0
+    for lo, hi in windows:
+        a = max(lo, nxt)
+        if a <= hi:
+            yield from range(a, hi + 1)
+            nxt = hi + 1
 
 
 def anchored_finditer(
@@ -148,9 +221,32 @@ TIMESTAMP_PATTERN = re.compile(
 )
 
 
-def timestamp_pattern_submatch(s: str) -> tuple[list[str], int]:
-    """First timestamp match: ([full, date], start) or ([], -1)."""
-    m = TIMESTAMP_PATTERN.search(s)
+def _first_match(
+    pattern: re.Pattern, s: str, starts: Iterable[int], stop: Optional[int] = None
+) -> Optional[re.Match]:
+    """``pattern.search(s)``, tried only at ``starts`` (ascending, a superset
+    of the offsets where ``pattern`` can match); with ``stop``, only a match
+    starting before it."""
+    match = pattern.match
+    for a in starts:
+        if stop is not None and a >= stop:
+            break
+        m = match(s, a)
+        if m is not None:
+            return m
+    return None
+
+
+def timestamp_pattern_submatch(
+    s: str, runs: Optional[DigitRuns] = None
+) -> tuple[list[str], int]:
+    """First timestamp match: ([full, date], start) or ([], -1).  The year
+    is the last four digits of a run followed by ``-``."""
+    if runs is None:
+        runs = digit_runs(s)
+    m = _first_match(TIMESTAMP_PATTERN, s, (
+        e - 4 for a, e in zip(*runs) if e - a >= 4 and s[e:e + 1] == "-"
+    ))
     if m is None:
         return [], -1
     return [m.group(0), m.group(1)], m.start()
@@ -177,22 +273,91 @@ _IDIOSYNCRASY_PATTERNS = [
     ),
 ]
 
+# Start windows, one per pattern above, before each token: runs A, B, C
+# spelling ``A[./]B[./]C`` with B of 1-2 digits and C of 2 or more, which
+# every pattern contains (``[0-9]{1,2}`` or ``{1,4}`` before a separator is
+# a whole run when a non-digit lead precedes it, else the run's tail).
+# A window is ``(lo, hi)`` for the match start.
+_TARIHI = re.compile(r"(?i)tarihi")
 
-# Every idiom pattern above contains this token.
-_IDIOSYNCRASY_TOKEN = re.compile(r"[0-9][./][0-9]{1,2}[./][0-9]{2}")
+
+def _skip_back(s: str, j: int, chars: str) -> int:
+    while j and s[j - 1] in chars:
+        j -= 1
+    return j
 
 
-def idiosyncrasy_pattern_submatch(s: str) -> tuple[list[str], int]:
+def _windows_updated(s: str, a: int, b: int, dots: bool):
+    # date[^0-9"]{0,20}|updated|published|on, then [ :]*?, then A{1,4}
+    if b - a <= 4:
+        return _skip_back(s, a, " :") - 24, a - 2
+    return None
+
+
+def _windows_datum(s: str, a: int, b: int, dots: bool):
+    # Datum|Stand|Veröffentlicht am (5 or 17), :? ?, then A{1,2}, dots
+    if b - a <= 2 and dots:
+        return a - 19, a - 5
+    return None
+
+
+def _windows_guncelleme(s: str, a: int, b: int, dots: bool):
+    # a 9-11 character lead, then ' *?(?:tarihi)? *?:? *?', then A{1,2}:
+    # walk back over that gap to its earliest possible start
+    if b - a > 2:
+        return None
+    j = _skip_back(s, a, " ")
+    if j and s[j - 1] == ":":
+        j = _skip_back(s, j - 1, " ")
+    if j >= 6 and _TARIHI.fullmatch(s, j - 6, j):
+        j = _skip_back(s, j - 6, " ")
+    return j - 11, a - 9
+
+
+def _windows_tarihinde(s: str, a: int, b: int, dots: bool):
+    # the match opens with the last one or two digits of A
+    return max(a, b - 2), b - 1
+
+
+_IDIOSYNCRASY_WINDOWS = (
+    _windows_updated, _windows_datum, _windows_guncelleme, _windows_tarihinde,
+)
+
+
+def _idiosyncrasy_tokens(s: str, runs: DigitRuns) -> list[tuple[int, int, bool]]:
+    """``(start, end, both separators are dots)`` of run A for each
+    ``A[./]B[./]C`` token, ascending: the offsets where
+    ``[0-9][./][0-9]{1,2}[./][0-9]{2}`` matches, moved to the start of its
+    first run."""
+    starts, ends = runs
+    tokens = []
+    for k in range(len(starts) - 2):
+        e1 = ends[k]
+        if starts[k + 1] != e1 + 1 or s[e1] not in "./" or ends[k + 1] - e1 > 3:
+            continue
+        e2 = ends[k + 1]
+        if starts[k + 2] == e2 + 1 and s[e2] in "./" and ends[k + 2] - e2 >= 3:
+            tokens.append((starts[k], e1, s[e1] == s[e2] == "."))
+    return tokens
+
+
+def idiosyncrasy_pattern_submatch(
+    s: str, runs: Optional[DigitRuns] = None
+) -> tuple[list[str], int]:
     """Earliest match across the four idiom patterns (DFA-race semantics):
-    minimum start position wins; ties break by pattern order.
-    Returns ([full, g1, g2, g3], start) or ([], -1)."""
-    if _IDIOSYNCRASY_TOKEN.search(s) is None:
-        return [], -1
+    minimum start position wins; ties break by pattern order.  Each pattern
+    is tried only in its start windows; a later pattern only before the
+    best start so far.  Returns ([full, g1, g2, g3], start) or ([], -1)."""
+    if runs is None:
+        runs = digit_runs(s)
+    tokens = _idiosyncrasy_tokens(s, runs)
     best: Optional[re.Match] = None
-    for pat in _IDIOSYNCRASY_PATTERNS:
-        m = pat.search(s)
-        if m is not None and (best is None or m.start() < best.start()):
-            best = m
+    if tokens:
+        for pat, windows in zip(_IDIOSYNCRASY_PATTERNS, _IDIOSYNCRASY_WINDOWS):
+            spans = (w for w in (windows(s, *t) for t in tokens) if w is not None)
+            m = _first_match(pat, s, _merged(spans), None if best is None else best.start())
+            if m is not None:
+                best = m
     if best is None:
         return [], -1
     return [best.group(0), best.group(1), best.group(2), best.group(3)], best.start()
@@ -221,21 +386,24 @@ _DMY_PATTERN = re.compile(
 # characters after the match start (month 3-9, whitespace, day 1-2,
 # suffix 0-2, comma 0-1; DMY: day 1-2, suffix 0-2, whitespace, "of " 0-3,
 # month 3-9, [,.] 0-1).
-_WS_YEAR = re.compile(rf"{_WS}(?:{_YEAR})")
+_YEAR_AT = re.compile(_YEAR)
 _MDY_WS_OFFSETS = (5, 15)
 _DMY_WS_OFFSETS = (5, 18)
+
+
+def ws_year_anchors(s: str, runs: DigitRuns) -> list[int]:
+    """Ascending offsets where ``[\\t\\n\\f\\r ](?:YEAR)`` matches: the
+    whitespace just before a run that opens with a year."""
+    return [
+        a - 1 for a, e in zip(*runs)
+        if a and e - a >= 4 and s[a - 1] in "\t\n\f\r " and _YEAR_AT.match(s, a)
+    ]
 
 
 def _window_starts(anchors: list[int], lo: int, hi: int) -> Iterator[int]:
     """Ascending, distinct offsets ``a`` with ``lo <= w - a <= hi`` for some
     ``w`` in ``anchors`` (ascending)."""
-    nxt = 0
-    for w in anchors:
-        a = max(w - hi, nxt)
-        b = w - lo + 1
-        if a < b:
-            yield from range(a, b)
-            nxt = b
+    return _merged((w - hi, w - lo) for w in anchors)
 
 
 def _first_valid(
@@ -252,9 +420,11 @@ def _first_valid(
     return None
 
 
-def find_long_text_pattern(s: str) -> Optional[tuple[str, str, str]]:
+def find_long_text_pattern(
+    s: str, runs: Optional[DigitRuns] = None
+) -> Optional[tuple[str, str, str]]:
     """Earliest MDY-or-DMY long-form match → (year, month, day) strings."""
-    anchors = [m.start() for m in _WS_YEAR.finditer(s)]
+    anchors = ws_year_anchors(s, digit_runs(s) if runs is None else runs)
     m_mdy = _first_valid(_MDY_PATTERN, s, 1, _window_starts(anchors, *_MDY_WS_OFFSETS))
     m_dmy = _first_valid(_DMY_PATTERN, s, 2, _window_starts(anchors, *_DMY_WS_OFFSETS))
     if m_mdy is not None and (m_dmy is None or m_mdy.start() <= m_dmy.start()):

@@ -796,10 +796,12 @@ def crawl(
         _tick("fetch", tp)
         return out
 
-    # Anonymous per-crawl actor: stats are reset every wave, so there is
-    # no cross-call state to name — and a named get_if_exists handle races
-    # with the previous call's actor being torn down (refcount death).
-    wave_stats = ray.remote(num_cpus=0)(WaveStatsCounter).remote()
+    # Anonymous per-crawl actor, started by the first dataset-path wave
+    # (driver-side waves count in this process): stats are reset every
+    # wave, so there is no cross-call state to name — and a named
+    # get_if_exists handle races with the previous call's actor being torn
+    # down (refcount death).
+    wave_stats = None
 
     def run_wave_dataset(frontier_path: str, wave: int) -> tuple[int, int]:
         """Full Ray-Data wave — the large-frontier path.  The frontier
@@ -815,6 +817,9 @@ def crawl(
         flags of marking while the wave runs: after the within-wave dedup
         the batches hold disjoint url_hash sets, so no batch can see a
         hash another batch of the same wave handles."""
+        nonlocal wave_stats
+        if wave_stats is None:
+            wave_stats = ray.remote(num_cpus=0)(WaveStatsCounter).remote()
         ray.get(wave_stats.reset.remote())
         # Idempotent wave restart: Ray's write_parquet APPENDS part files,
         # so outputs of a crashed, unmanifested attempt at this wave must
