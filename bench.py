@@ -250,7 +250,7 @@ def bench_crawl():
         SF_DIR,
         politeness_budget=1000,
         max_waves=64,
-        fetch_concurrency=(1, NUM_CPUS - 2),
+        fetch_concurrency=NUM_CPUS - 2,
     )
     n = stats["fetched"]
     dt = time.perf_counter() - t0

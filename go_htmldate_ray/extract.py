@@ -57,20 +57,25 @@ def from_html(content: bytes | str, opts: Optional[Options] = None) -> Result:
     return from_document(dom.parse_html(content), opts)
 
 
+def _canonical_url(doc: dom.Node) -> str:
+    """Canonical-URL recovery (core.go:78-94): the stripped href of the
+    first ``link rel=canonical`` whose href is not blank, else ""."""
+    for elem in doc.get_elements_by_tag("link"):
+        if elem.attr("rel") == "canonical":
+            href = elem.attr("href").strip()
+            if href:
+                return href
+    return ""
+
+
 def from_document(doc: dom.Node, opts: Optional[Options] = None) -> Result:
     """Extract the publication date from a parsed document (FromDocument,
     core.go:59-133)."""
     opts = replace(opts) if opts is not None else Options()
     opts.with_defaults()
 
-    # Canonical-URL recovery (core.go:78-94)
     if not opts.url:
-        for elem in doc.iter_elements():
-            if elem.tag == "link" and elem.attr("rel") == "canonical":
-                href = elem.attr("href").strip()
-                if href:
-                    opts.url = href
-                    break
+        opts.url = _canonical_url(doc)
 
     raw_string, date, src_stage = find_date_staged(doc, opts)
 

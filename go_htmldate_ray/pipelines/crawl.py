@@ -1,17 +1,17 @@
-"""URL-frontier crawl scheduler — brand-new Ray-Data design (no reference
+"""URL-frontier crawl scheduler — brand-new design (no reference
 counterpart; mandated by the north rule).
 
-The crawl runs as repeated **fetch waves** over a frontier Dataset:
+The crawl runs as repeated **fetch waves**.  Each wave reads its frontier
+file onto the driver and runs, in pyarrow:
 
-    frontier_w (parquet)
-      → combiner + Min-aggregate on url_hash         # exact within-wave dedup
-      → map_batches(seen-set membership)             # READ-ONLY semi-join
-      → map_batches(robots filter, cached rules)     # denied rows handled
-      → salted (host, salt) precut → host rank       # politeness, skew-split
+    frontier_w.parquet
+      → sort on (url_hash, depth, discovered_wave, url) → first per hash   # exact dedup
+      → seen-set membership                          # READ-ONLY check
+      → robots filter (driver-side rules cache)      # denied rows marked seen
+      → per-host rank on (host, [prio,] depth, url)  # politeness budget
       → fetch_now / deferred split
-      → fetch_now.map_batches(CrawlFetcher actors)   # fetch + date extract + link discovery
-      → visited_w.parquet  +  frontier_{w+1} = deferred ∪ new links
-      → driver merges the wave's handled url_hashes into the seen set
+      → fetch_now → CrawlFetcher actor pool          # fetch + date extract + link discovery
+      → visited_w.parquet  +  frontier_{w+1}.parquet = deferred ∪ new links
 
     Seen-set discipline: the frontier check is read-only; a URL becomes
     "seen" only when it is actually handled (fetched, or permanently
@@ -19,24 +19,24 @@ The crawl runs as repeated **fetch waves** over a frontier Dataset:
     re-enter the next wave's frontier and are eventually fetched — a
     mark-on-sight check would silently starve every deferral.
 
-Every stage is a Dataset transform; the driver only sequences waves,
-owns the seen set and checkpoints.  Politeness is **logical-time**: each
+The driver sequences waves, owns the seen set and the robots cache, and
+checkpoints; the fetches go to a pool of ``CrawlFetcher`` actors, the
+only Ray actors a crawl starts.  Politeness is **logical-time**: each
 host may fetch at most ``politeness_budget`` URLs per wave, making crawl
 ordering a pure function of (seed list, budget) — the determinism the
 north rule requires.  Wave state (frontier parquet, seen-set delta,
 visited log, lineage manifest) is checkpointed per wave; ``resume=True``
 restarts from the latest complete wave.
 
-Scale notes: the frontier lives in parquet between waves (never
-materialised on the driver); hot hosts are bounded by the budget itself
-(a host contributes ≤ budget fetches/wave regardless of frontier skew);
-the within-wave dedup shuffle keys on the uniform url_hash.  The seen set
+Scale notes: the frontier lives in parquet between waves and each wave
+reads it whole onto the driver, so a frontier file whose uncompressed
+row groups exceed :data:`~go_htmldate_ray.stages.blocks.LIGHT_TABLE_BYTES`
+(128 MiB) raises ``ValueError`` before it is read.  Each synthetic page
+carries two outlinks, so frontiers stay far below that (a few thousand
+rows on the largest test web).  The seen set
 (:class:`~go_htmldate_ray.state.seen_filter.SeenSet`) is one sorted int64
-array on the driver, 8 bytes per URL, bounded by ``LIGHT_TABLE_BYTES``
-(128 MiB, about 16.7M URLs); a crawl past that raises ``ValueError``.
-The sharded actor pool it replaces held each key as a Python int in a
-set, about 75 bytes per key (a 36-byte int plus its set slot), so on one
-node the same memory held far fewer URLs than this array does.
+array on the driver, 8 bytes per URL, bounded by the same budget (about
+16.7M URLs).
 
 The fetch slot is pluggable: the sandbox default is a deterministic
 synthetic store (pages rebuilt from the documents table); passing
@@ -57,10 +57,11 @@ from typing import Optional
 import pyarrow as pa
 import pyarrow.parquet as pq
 
-from ..sources.pages import build_page_html, count_documents, page_url
-from ..state.robots import allowed
-from ..state.seen_filter import SeenSet, member
-from ..state.urls import canonicalize, host_of, host_of_canonical_batch, url_hash
+from ..sources.pages import build_page_html, page_url
+from ..stages import blocks
+from ..state.robots import RobotsCache, allowed
+from ..state.seen_filter import SeenSet
+from ..state.urls import canonicalize, host_of, url_hash
 
 FRONTIER_SCHEMA = pa.schema(
     [
@@ -89,6 +90,16 @@ def _frontier_table(urls, depth, wave) -> pa.Table:
 
 
 _VISITED_KEYS = ("url", "url_hash", "host", "depth", "discovered_wave", "fetch_rank")
+
+
+def outlinks(tree) -> list[str]:
+    """Canonicalized absolute (``http``-prefixed) anchor hrefs of a
+    parsed page, in document order."""
+    return [
+        canonicalize(href)
+        for el in tree.get_elements_by_tag("a")
+        if (href := el.attr("href")).startswith("http")
+    ]
 
 
 class CrawlFetcher:
@@ -197,20 +208,12 @@ class CrawlFetcher:
             if self.archive_dir is not None:
                 archived.append((url, html))
             tree = dom.parse_html(html)
-            links = []
-            for el in tree.iter_elements():
-                if el.tag == "a":
-                    href = el.attr("href")
-                    if href.startswith("http"):
-                        links.append(canonicalize(href))
+            links_col.append(outlinks(tree))
             result = from_document(tree, self.opts)
             doc_ids.append(doc_id)
             dates.append(result.format() or None)
-            links_col.append(links)
         if archived:
             self._write_archive(archived)
-        # url_hash rides along (when the frontier slice has it) so the
-        # dataset wave reads its fetched hashes back from the visited log
         out = batch.select(
             [c for c in _VISITED_KEYS if c in batch.column_names]
         )
@@ -220,155 +223,21 @@ class CrawlFetcher:
         return out
 
 
-class WaveStatsCounter:
-    """Tiny zero-CPU counter actor: distributed stages report per-batch
-    drop counts, and the url_hashes of robots-denied rows, here instead
-    of shipping whole partitions to the driver.
-
-    Batch reports are keyed by a content-derived batch id and OVERWRITE:
-    a Ray task/actor retry re-reporting the same batch replaces its
-    previous entry instead of double-counting (batches are disjoint
-    url_hash sets after dedup, so ids are collision-free)."""
-
-    def __init__(self):
-        self.keyed: dict[str, dict[str, int]] = {}
-        self.denied: dict[str, list[int]] = {}
-
-    def add_keyed(self, key: str, denied=(), **kv) -> None:
-        self.keyed[key] = {k: int(v) for k, v in kv.items()}
-        self.denied[key] = list(denied)
-
-    def get(self) -> dict:
-        out: dict[str, int] = {}
-        for kv in self.keyed.values():
-            for k, v in kv.items():
-                out[k] = out.get(k, 0) + v
-        return out
-
-    def denied_hashes(self) -> list[int]:
-        return [h for hs in self.denied.values() for h in hs]
-
-    def reset(self) -> None:
-        self.keyed = {}
-        self.denied = {}
-
-
-class RobotsFilterStage:
-    """Actor-pool stage: drops rows the seen-set semi-join flagged as
-    already handled (``is_new == False``) and robots-disallowed rows.
-
-    Rules are pulled from the shared :class:`RobotsCache` actor only for
-    hosts this actor hasn't cached yet — the per-actor cache makes the
-    robots lookup a small-side join without any driver-side host
-    collection.  DENIED rows' url_hashes go to the wave stats counter with
-    the batch's drop counts, and the driver marks them seen after the wave
-    (a robots verdict is deterministic — re-discovering the URL must not
-    re-run the check every wave); rows merely *deferred* by politeness
-    downstream stay unmarked so later waves fetch them."""
-
-    def __init__(self, robots_handle, stats_handle, politeness_budget=None):
-        self.robots = robots_handle
-        self.stats = stats_handle
-        self.politeness_budget = politeness_budget
-        self.cache: dict[str, list] = {}
-        self.delays: dict[str, float] = {}
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        import ray
-
-        n_in = batch.num_rows
-        t = batch.filter(batch.column("is_new")).drop_columns(["is_new"])
-        hosts = t.column("host").to_pylist()
-        missing = sorted({h for h in hosts if h not in self.cache})
-        if missing:
-            self.cache.update(ray.get(self.robots.get_rules.remote(missing)))
-            self.delays.update(ray.get(self.robots.get_delays.remote(missing)))
-        keep = []
-        for url, host in zip(t.column("url").to_pylist(), hosts):
-            path = url.split(host, 1)[-1] if host else "/"
-            keep.append(allowed(path, self.cache.get(host, [])))
-        keep_arr = pa.array(keep, pa.bool_())
-        out = t.filter(keep_arr)
-        if self.politeness_budget is not None:
-            # Crawl-delay → per-host wave budget, stamped as a column so
-            # the downstream politeness groupby needs no actor lookup
-            out = out.append_column(
-                "host_budget",
-                pa.array(
-                    [
-                        _host_budget(
-                            self.politeness_budget, self.delays.get(h, 0.0)
-                        )
-                        for h in out.column("host").to_pylist()
-                    ],
-                    pa.int64(),
-                ),
-            )
-        # Blocking on the counter keeps the post-materialize stats read
-        # exact; the cost is one tiny RPC per multi-thousand-row batch,
-        # negligible next to the robots matching above.  The report key is
-        # derived from the batch's url_hash content, so a task retry
-        # re-reporting the same batch overwrites rather than accumulates.
-        import hashlib
-
-        batch_key = hashlib.md5(
-            b"".join(h.to_bytes(8, "big") for h in batch.column("url_hash").to_pylist())
-        ).hexdigest()
-        ray.get(
-            self.stats.add_keyed.remote(
-                batch_key,
-                denied=t.filter(pa.compute.invert(keep_arr))
-                .column("url_hash")
-                .to_pylist(),
-                deduped_in=n_in,
-                not_new=n_in - t.num_rows,
-                robots_denied=t.num_rows - out.num_rows,
-            )
-        )
-        return out
-
-
-def _count_parquet(path: str) -> int:
-    """Row count of a parquet file OR directory (0 if absent/empty) —
-    metadata only, nothing is read onto the driver."""
-    import pyarrow.dataset as pads
-
+def _frontier_rows(path: str) -> int:
+    """Row count of a wave's frontier file (0 when absent), read from the
+    parquet footer.  The wave reads the whole frontier onto the driver,
+    so a frontier whose uncompressed row groups exceed ``LIGHT_TABLE_BYTES``
+    raises ``ValueError`` here, before anything is read or fetched."""
     if not os.path.exists(path):
         return 0
-    try:
-        return pads.dataset(path, format="parquet").count_rows()
-    except (OSError, pa.ArrowInvalid):
-        return 0
-
-
-def _clear_wave_outputs(checkpoint_dir: str, wave: int) -> None:
-    """Remove any outputs a previous (crashed, unmanifested) attempt at
-    this wave left behind — visited_{wave} file/dir and the next
-    frontier file/dir — so wave execution is idempotent under resume."""
-    for path in (
-        os.path.join(checkpoint_dir, f"visited_{wave}.parquet"),
-        os.path.join(checkpoint_dir, f"visited_{wave}"),
-        os.path.join(checkpoint_dir, f"frontier_{wave + 1}.parquet"),
-        os.path.join(checkpoint_dir, f"frontier_{wave + 1}"),
-        os.path.join(checkpoint_dir, f"seen_delta_{wave}.json"),
-        os.path.join(checkpoint_dir, f"robots_delta_{wave}.json"),
-    ):
-        if os.path.isdir(path):
-            shutil.rmtree(path, ignore_errors=True)
-        elif os.path.exists(path):
-            os.remove(path)
-
-
-def _frontier_location(checkpoint_dir: str, wave: int) -> Optional[str]:
-    """The frontier for a wave is a single parquet file (driver-side small
-    path) or a directory of parquet parts (dataset path)."""
-    f = os.path.join(checkpoint_dir, f"frontier_{wave}.parquet")
-    if os.path.exists(f):
-        return f
-    d = os.path.join(checkpoint_dir, f"frontier_{wave}")
-    if os.path.isdir(d):
-        return d
-    return None
+    md = pq.ParquetFile(path).metadata
+    n_bytes = sum(md.row_group(i).total_byte_size for i in range(md.num_row_groups))
+    if n_bytes > blocks.LIGHT_TABLE_BYTES:
+        raise ValueError(
+            f"crawl frontier {path}: {md.num_rows} rows, {n_bytes} uncompressed "
+            f"bytes exceed the {blocks.LIGHT_TABLE_BYTES}-byte driver budget"
+        )
+    return md.num_rows
 
 
 def doc_id_of_url(url: str) -> Optional[int]:
@@ -383,85 +252,6 @@ def doc_id_of_url(url: str) -> Optional[int]:
 
 def default_seeds(n: int = 10) -> list[str]:
     return [page_url(i) for i in range(n)]
-
-
-# Within-wave dedup keeps the (depth, discovered_wave, url)-minimal row
-# per url_hash.  That tuple order is encoded as ONE fixed-width sortable
-# string so the shuffle can be a plain ``Min`` aggregate — no per-group
-# Python callable on a 10^10-row frontier of mostly size-1 groups.
-_PACK_WIDTH = 10  # zero-padded digits for depth / discovered_wave (< 10^10)
-
-
-def _pack_rows(depths, waves, urls) -> list[str]:
-    return [
-        f"{d:0{_PACK_WIDTH}d}|{w:0{_PACK_WIDTH}d}|{u}"
-        for d, w, u in zip(depths, waves, urls)
-    ]
-
-
-def _prededup_block(batch: pa.Table) -> pa.Table:
-    """Per-block dedup combiner: keep the packed-minimal row per url_hash
-    within this block, emitting light (url_hash, packed) rows — the
-    shuffle ships two columns, and the Min aggregate does the cross-block
-    merge with no per-group task."""
-    import numpy as np
-
-    # all-Arrow pack (lpad/cast/join kernels — this combiner sees every
-    # frontier row every wave); scalar _pack_rows keeps the same layout
-    # for the tests and the seed path
-    pad = lambda col: pa.compute.utf8_lpad(
-        pa.compute.cast(col, pa.string()), _PACK_WIDTH, "0"
-    )
-    packed = pa.compute.binary_join_element_wise(
-        pad(batch.column("depth")),
-        pad(batch.column("discovered_wave")),
-        pa.compute.cast(batch.column("url"), pa.string()),
-        "|",
-    )
-    t = pa.table({"url_hash": batch.column("url_hash"), "packed": packed})
-    order = pa.compute.sort_indices(
-        t, sort_keys=[("url_hash", "ascending"), ("packed", "ascending")]
-    )
-    t = t.take(order)
-    hashes = t.column("url_hash").to_numpy()
-    keep = np.empty(len(hashes), dtype=bool)
-    if len(hashes):
-        keep[0] = True
-        np.not_equal(hashes[1:], hashes[:-1], out=keep[1:])
-    return t.filter(pa.array(keep))
-
-
-def _unpack_frontier(batch: pa.Table) -> pa.Table:
-    """(url_hash, min(packed)) → full frontier schema (host recomputed
-    from the url — cheaper than shipping it through the shuffle).
-
-    All-Arrow unpack: the pack layout is fixed-width, so depth/wave are
-    scalar-offset codeunit slices + casts, and the host is the
-    vectorized canonical-authority kernel — this runs over the ENTIRE
-    deduped frontier every wave, so no Python per row."""
-    import pyarrow.compute as pc
-
-    packs = batch.column("min(packed)")
-    if isinstance(packs, pa.ChunkedArray):
-        packs = packs.combine_chunks()
-    depths = pc.cast(pc.utf8_slice_codeunits(packs, 0, _PACK_WIDTH), pa.int64())
-    waves = pc.cast(
-        pc.utf8_slice_codeunits(packs, _PACK_WIDTH + 1, 2 * _PACK_WIDTH + 1),
-        pa.int64(),
-    )
-    urls = pc.utf8_slice_codeunits(packs, 2 * _PACK_WIDTH + 2, 2**31 - 1)
-    return pa.table(
-        {
-            "url": urls,
-            "url_hash": batch.column("url_hash"),
-            "host": host_of_canonical_batch(urls),
-            "depth": depths,
-            "discovered_wave": waves,
-        }
-    )
-
-
-_POLITENESS_SALT = 16  # sub-groups per host in the politeness shuffle
 
 
 _DEFAULT_RANK_KEYS = ("depth", "url")
@@ -480,53 +270,6 @@ def _host_budget(budget: int, delay: float) -> int:
     return budget
 
 
-def _group_budget(g: pa.Table, budget: int) -> int:
-    """Effective budget for one host's group: the stamped host_budget
-    column when the robots stage attached one (constant per host)."""
-    if "host_budget" in g.column_names and g.num_rows:
-        return min(budget, g.column("host_budget")[0].as_py())
-    return budget
-
-
-def _politeness_precut(
-    group: pa.Table, budget: int, keys: tuple = _DEFAULT_RANK_KEYS
-) -> pa.Table:
-    """Phase 1 of the salted politeness shuffle: within one (host, salt)
-    sub-group, only the first ``budget`` rows by the rank keys (default
-    (depth, url); (prio, depth, url) when a priority_fn is set) can
-    possibly make the host's global top-``budget`` — flag them as
-    candidates and defer the rest immediately.  A host owning half the
-    frontier is split across ``_POLITENESS_SALT`` groups, so no single
-    map_groups task ever receives a mega-host's whole shard (SURVEY
-    §4.2 skew splitting)."""
-    budget = _group_budget(group, budget)
-    order = pa.compute.sort_indices(
-        group, sort_keys=[(k, "ascending") for k in keys]
-    )
-    g = group.take(order).drop_columns(["salt"])
-    n = g.num_rows
-    return g.append_column(
-        "candidate", pa.array([i < budget for i in range(n)], pa.bool_())
-    )
-
-
-def _politeness_rank(
-    group: pa.Table, budget: int, keys: tuple = _DEFAULT_RANK_KEYS
-) -> pa.Table:
-    budget = _group_budget(group, budget)
-    order = pa.compute.sort_indices(
-        group, sort_keys=[(k, "ascending") for k in keys]
-    )
-    g = group.take(order)
-    if "host_budget" in g.column_names:
-        g = g.drop_columns(["host_budget"])
-    n = g.num_rows
-    ranks = list(range(n))
-    defer = [r >= budget for r in ranks]
-    g = g.append_column("fetch_rank", pa.array(ranks, pa.int64()))
-    return g.append_column("deferred", pa.array(defer, pa.bool_()))
-
-
 def crawl(
     sf_dir: str,
     seeds: Optional[list[str]] = None,
@@ -535,8 +278,7 @@ def crawl(
     politeness_budget: int = 4,
     checkpoint_dir: Optional[str] = None,
     resume: bool = False,
-    fetch_concurrency=(1, 8),
-    small_wave_threshold: int = 100_000,
+    fetch_concurrency: int = 8,
     fetcher_kwargs: Optional[dict] = None,
     priority_fn=None,
     max_depth: Optional[int] = None,
@@ -547,11 +289,14 @@ def crawl(
     fetch rank, extracted date and discovered link count — (wave, host,
     fetch_rank) is the total crawl order.
 
+    ``fetch_concurrency`` is the size of the ``CrawlFetcher`` actor pool,
+    capped at one less than the cluster's CPUs.
+
     ``priority_fn: url -> int`` (optional) ranks each host's frontier
     by (priority, depth, url) instead of (depth, url) — the SURVEY §1.2
     per-host priority-heap knob.  It must be a pure function of the url
-    (priority is recomputed after shuffles, never shipped through the
-    dedup exchange); lower values fetch first.
+    (priority is computed from the url each wave, never checkpointed);
+    lower values fetch first.
 
     ``max_depth`` (optional) is the crawl-trap guard: links that would
     land deeper than it are never emitted into the next frontier (the
@@ -561,8 +306,6 @@ def crawl(
     """
     import ray
     import ray.data
-
-    from ..state.robots import RobotsCache
 
     if seeds is None:
         seeds = default_seeds()
@@ -574,16 +317,16 @@ def crawl(
         checkpoint_dir = tempfile.mkdtemp(prefix="crawl-ckpt-")
     os.makedirs(checkpoint_dir, exist_ok=True)
 
+    def frontier_path(wave: int) -> str:
+        return os.path.join(checkpoint_dir, f"frontier_{wave}.parquet")
+
     # Owned by this call: resume rebuilds it from the checkpoint files.
     seen = SeenSet()
     # Live-HTTP mode fetches robots.txt over the same endpoint the page
-    # fetcher uses (one request per host, cached in the actor); the
+    # fetcher uses (one request per host, cached for the crawl); the
     # sandbox default is the deterministic synthetic policy.
     _fk = fetcher_kwargs or {}
-    robots = RobotsCache.remote(
-        http_base=_fk.get("http_base"),
-        timeout=_fk.get("timeout", 10.0),
-    )
+    robots = RobotsCache(http_base=_fk.get("http_base"), timeout=_fk.get("timeout", 10.0))
 
     start_wave = 0
     manifest_path = os.path.join(checkpoint_dir, "manifest.json")
@@ -632,30 +375,20 @@ def crawl(
                 rules_map, delays_map = robots_ckpt["rules"], robots_ckpt["delays"]
             else:  # legacy layout: a bare host → rules dict, no delays
                 rules_map, delays_map = robots_ckpt, None
-            ray.get(
-                robots.load.remote(
-                    {h: [tuple(r) for r in rules] for h, rules in rules_map.items()},
-                    delays_map,
-                )
+            robots.load(
+                {h: [tuple(r) for r in rules] for h, rules in rules_map.items()},
+                delays_map,
             )
         for w in range(start_wave):
             rp = os.path.join(checkpoint_dir, f"robots_delta_{w}.json")
             if os.path.exists(rp):
                 delta = json.loads(open(rp).read())
-                ray.get(
-                    robots.load.remote(
-                        {
-                            h: [tuple(r) for r in rules]
-                            for h, rules in delta["rules"].items()
-                        },
-                        delta["delays"],
-                    )
+                robots.load(
+                    {h: [tuple(r) for r in rules] for h, rules in delta["rules"].items()},
+                    delta["delays"],
                 )
     else:
-        pq.write_table(
-            _frontier_table(seeds, 0, 0),
-            os.path.join(checkpoint_dir, "frontier_0.parquet"),
-        )
+        pq.write_table(_frontier_table(seeds, 0, 0), frontier_path(0))
 
     stats = {"waves": 0, "fetched": 0, "robots_denied": 0, "dedup_dropped": 0}
     lineage: list[dict] = []
@@ -688,22 +421,17 @@ def crawl(
 
     fetch_pool: list = []
 
-    def local_fetch(tbl: pa.Table) -> pa.Table:
-        """Small-wave fetch through a persistent actor pool (created once,
-        reused across waves — actor startup amortised)."""
+    def fetch(tbl: pa.Table) -> pa.Table:
+        """Fetch through a persistent actor pool (created once, reused
+        across waves — actor startup amortised)."""
         if tbl.num_rows == 0:
             return _EMPTY_VISITED
         if not fetch_pool:
             remote_cls = ray.remote(num_cpus=1)(CrawlFetcher)
-            want = (
-                fetch_concurrency[1]
-                if isinstance(fetch_concurrency, tuple)
-                else fetch_concurrency
-            )
             # Never request more 1-CPU actors than the cluster can start:
             # futures on unschedulable actors would block forever.
             avail = int(ray.cluster_resources().get("CPU", 2))
-            n_actors = max(1, min(want, avail - 1))
+            n_actors = max(1, min(fetch_concurrency, avail - 1))
             fetch_pool.extend(
                 remote_cls.remote(sf_dir, **(fetcher_kwargs or {}))
                 for _ in range(n_actors)
@@ -720,9 +448,9 @@ def crawl(
         ]
         return pa.concat_tables(ray.get(futs))
 
-    def run_wave_local(t: pa.Table) -> tuple[pa.Table, list[pa.Table]]:
-        """Driver-side wave ops for small frontiers: the same dedup → seen →
-        robots → politeness semantics, pure pyarrow, no cluster shuffles."""
+    def run_wave(t: pa.Table) -> tuple[pa.Table, pa.Table]:
+        """One wave over the frontier table ``t``: dedup → seen → robots →
+        politeness → fetch.  Returns (visited rows, deferred frontier rows)."""
         tp = time.perf_counter()
         idx = pa.compute.sort_indices(
             t,
@@ -747,7 +475,7 @@ def crawl(
         tp = _tick("seen", tp)
 
         hosts = t.column("host").to_pylist()
-        rules = ray.get(robots.get_rules.remote(sorted(set(hosts))))
+        rules = robots.get_rules(sorted(set(hosts)))
         keep_r = []
         for url, host in zip(t.column("url").to_pylist(), hosts):
             path = url.split(host, 1)[-1] if host else "/"
@@ -777,7 +505,7 @@ def crawl(
         if priority_fn is not None:
             t = t.drop_columns(["prio"])
         hosts = t.column("host").to_pylist()
-        delays = ray.get(robots.get_delays.remote(sorted(set(hosts))))
+        delays = robots.get_delays(sorted(set(hosts)))
         ranks, defer = [], []
         prev, r = None, 0
         for h in hosts:
@@ -788,264 +516,49 @@ def crawl(
         t = t.append_column("fetch_rank", pa.array(ranks, pa.int64()))
         defer_arr = pa.array(defer, pa.bool_())
         fetch_now = t.filter(pa.compute.invert(defer_arr))
-        deferred_tbl = t.filter(defer_arr).drop_columns(["fetch_rank"])
+        deferred = t.filter(defer_arr).select(FRONTIER_SCHEMA.names)
         # only rows actually fetched become "seen"
         seen.add(fetch_now.column("url_hash"))
         tp = _tick("politeness", tp)
-        out = local_fetch(fetch_now), [deferred_tbl.select(FRONTIER_SCHEMA.names)]
+        visited_tbl = fetch(fetch_now)
         _tick("fetch", tp)
-        return out
+        return visited_tbl, deferred
 
-    # Anonymous per-crawl actor, started by the first dataset-path wave
-    # (driver-side waves count in this process): stats are reset every
-    # wave, so there is no cross-call state to name — and a named
-    # get_if_exists handle races with the previous call's actor being torn
-    # down (refcount death).
-    wave_stats = None
-
-    def run_wave_dataset(frontier_path: str, wave: int) -> tuple[int, int]:
-        """Full Ray-Data wave — the large-frontier path.  The frontier
-        streams through dedup (url_hash shuffle) → seen-set semi-join →
-        robots actor-pool filter → politeness (host shuffle), and the
-        fetch/deferred/link outputs are written as partitioned parquet by
-        the workers themselves.  The driver sees row counts (parquet
-        metadata), the stats counter, and the wave's handled url_hashes,
-        which it merges into the seen set after the wave.
-
-        The semi-join tests membership against the seen set as it was at
-        wave start (one ``ray.put`` per wave).  That gives exactly the
-        flags of marking while the wave runs: after the within-wave dedup
-        the batches hold disjoint url_hash sets, so no batch can see a
-        hash another batch of the same wave handles."""
-        nonlocal wave_stats
-        if wave_stats is None:
-            wave_stats = ray.remote(num_cpus=0)(WaveStatsCounter).remote()
-        ray.get(wave_stats.reset.remote())
-        # Idempotent wave restart: Ray's write_parquet APPENDS part files,
-        # so outputs of a crashed, unmanifested attempt at this wave must
-        # be cleared before re-running (otherwise resume doubles them).
-        _clear_wave_outputs(checkpoint_dir, wave)
-        from ray.data.aggregate import Min
-
-        frontier = ray.data.read_parquet(frontier_path)
-        # Within-wave dedup: per-block combiner → Min aggregate on the
-        # packed sort key → unpack.  Groups are mostly size 1, so an
-        # aggregate (no per-group Python task) is the right shape.
-        deduped = (
-            frontier.map_batches(_prededup_block, batch_format="pyarrow")
-            .groupby("url_hash")
-            .aggregate(Min("packed"))
-            .map_batches(_unpack_frontier, batch_format="pyarrow")
-        )
-        keys_ref = ray.put(seen.keys)
-
-        def check_new(batch: pa.Table) -> pa.Table:
-            """READ-ONLY semi-join against the wave-start seen set.
-            Marking happens after the wave and only for rows actually
-            handled (fetched or robots-denied): a row politeness defers
-            must NOT be marked, or the next wave would drop it unfetched."""
-            fresh = ~member(ray.get(keys_ref), batch.column("url_hash"))
-            return batch.append_column("is_new", pa.array(fresh))
-
-        checked = deduped.map_batches(check_new, batch_format="pyarrow")
-        allowed_ds = checked.map_batches(
-            RobotsFilterStage,
-            fn_constructor_kwargs={
-                "robots_handle": robots,
-                "stats_handle": wave_stats,
-                "politeness_budget": politeness_budget,
-            },
-            batch_format="pyarrow",
-            concurrency=(1, 4),
-            num_cpus=0.5,
-            max_restarts=0,  # wave is idempotent + checkpointed: fail fast
-        )
-
-        def add_salt(b: pa.Table) -> pa.Table:
-            import numpy as np
-
-            salt = b.column("url_hash").to_numpy() % _POLITENESS_SALT
-            b = b.append_column("salt", pa.array(salt, pa.int64()))
-            if priority_fn is not None:
-                # priority is a pure function of the url, so it is
-                # stamped here (post-dedup) rather than shipped through
-                # the url_hash exchange
-                b = b.append_column(
-                    "prio",
-                    pa.array(
-                        [priority_fn(u) for u in b.column("url").to_pylist()],
-                        pa.int64(),
-                    ),
-                )
-            return b
-
-        rank_keys = (
-            ("prio",) + _DEFAULT_RANK_KEYS
-            if priority_fn is not None
-            else _DEFAULT_RANK_KEYS
-        )
-
-        # Politeness phase 1 — salted (host, salt) grouping bounds every
-        # group to ~1/S of a hot host's frontier shard; each sub-group
-        # keeps only its first `budget` rows as candidates.  Materialized
-        # because two branches consume it (the candidates and the
-        # overflow), so the upstream dedup, semi-join and robots stages
-        # run once per wave.
-        pre = (
-            allowed_ds.map_batches(add_salt, batch_format="pyarrow")
-            .groupby(["host", "salt"])
-            .map_groups(
-                lambda g: _politeness_precut(g, politeness_budget, rank_keys),
-                batch_format="pyarrow",
-            )
-            .materialize()
-        )
-
-        def cand_batch(b: pa.Table) -> pa.Table:
-            return b.filter(b.column("candidate")).drop_columns(["candidate"])
-
-        def overflow_batch(b: pa.Table) -> pa.Table:
-            return b.filter(pa.compute.invert(b.column("candidate"))).select(
-                FRONTIER_SCHEMA.names
-            )
-
-        # Phase 2 — rank the surviving ≤ S×budget rows per host.  Tiny
-        # second grouping; materialized because the fetch-now and
-        # deferred branches both consume it.
-        ranked = (
-            pre.map_batches(cand_batch, batch_format="pyarrow")
-            .groupby("host")
-            .map_groups(
-                lambda g: _politeness_rank(g, politeness_budget, rank_keys),
-                batch_format="pyarrow",
-            )
-            .materialize()
-        )
-
-        visited_dir = os.path.join(checkpoint_dir, f"visited_{wave}")
-        next_dir = os.path.join(checkpoint_dir, f"frontier_{wave + 1}")
-        os.makedirs(next_dir, exist_ok=True)
-
-        def now_batch(b: pa.Table) -> pa.Table:
-            return b.filter(pa.compute.invert(b.column("deferred"))).drop_columns(
-                ["deferred"]
-            )
-
-        def deferred_batch(b: pa.Table) -> pa.Table:
-            return b.filter(b.column("deferred")).select(FRONTIER_SCHEMA.names)
-
-        fetched = (
-            ranked.map_batches(now_batch, batch_format="pyarrow")
-            .map_batches(
-                CrawlFetcher,
-                fn_constructor_kwargs={"sf_dir": sf_dir, **(fetcher_kwargs or {})},
-                batch_format="pyarrow",
-                batch_size=64,
-                concurrency=fetch_concurrency,
-                num_cpus=1,
-                max_restarts=0,  # wave is idempotent + checkpointed: fail fast
-            )
-            .map_batches(
-                lambda b: b.append_column(
-                    "wave", pa.array([wave] * b.num_rows, pa.int64())
-                ),
-                batch_format="pyarrow",
-            )
-        )
-        fetched.write_parquet(visited_dir)
-        ranked.map_batches(deferred_batch, batch_format="pyarrow").write_parquet(
-            os.path.join(next_dir, "deferred")
-        )
-        # politeness phase-1 overflow (beyond budget within a sub-group):
-        # deferred without ever entering the host-ranking shuffle
-        pre.map_batches(overflow_batch, batch_format="pyarrow").write_parquet(
-            os.path.join(next_dir, "deferred_overflow")
-        )
-
-        n_fetched = _count_parquet(visited_dir)
-        if n_fetched:
-            # Link expansion: a batch flat-map over the just-written
-            # visited log (its parquet round-trip doubles as the lineage
-            # checkpoint) — no driver-side list concatenation.
-            def expand(b: pa.Table) -> pa.Table:
-                urls: list[str] = []
-                depths: list[int] = []
-                for d, chunk in zip(
-                    b.column("depth").to_pylist(), b.column("links").to_pylist()
-                ):
-                    if max_depth is not None and d + 1 > max_depth:
-                        continue  # crawl-trap guard: never emitted
-                    urls.extend(chunk)
-                    depths.extend([d + 1] * len(chunk))
-                return _frontier_table(urls, depths, wave + 1)
-
-            ray.data.read_parquet(visited_dir, columns=["depth", "links"]).map_batches(
-                expand, batch_format="pyarrow"
-            ).write_parquet(os.path.join(next_dir, "links"))
-
-        # The wave's handled rows become seen: fetched ones from the
-        # visited log, robots-denied ones from the stats reports.
-        if n_fetched:
-            seen.add(pq.read_table(visited_dir, columns=["url_hash"]).column("url_hash"))
-        seen.add(ray.get(wave_stats.denied_hashes.remote()))
-        s = ray.get(wave_stats.get.remote())
-        stats["robots_denied"] += s.get("robots_denied", 0)
-        stats["dedup_dropped"] += _count_parquet(frontier_path) - s.get(
-            "deduped_in", 0
-        )
-        return n_fetched, _count_parquet(next_dir)
-
+    # Every output of a wave is one file rewritten whole, so re-running a
+    # wave whose outputs a crashed attempt left behind (manifest not yet
+    # updated) overwrites them instead of adding to them.
+    next_wave = start_wave
     for wave in range(start_wave, max_waves):
-        frontier_path = _frontier_location(checkpoint_dir, wave)
-        n_frontier = _count_parquet(frontier_path) if frontier_path else 0
+        n_frontier = _frontier_rows(frontier_path(wave))
         if n_frontier == 0:
             break
-        if n_frontier <= small_wave_threshold:
-            # Driver-side fast path: identical semantics, pure pyarrow —
-            # appropriate when a wave fits trivially in one process.
-            # (Clear any stale dataset-path part dirs from a crashed
-            # attempt first — the final visited glob reads both layouts.)
-            _clear_wave_outputs(checkpoint_dir, wave)
-            visited_tbl, deferred_parts = run_wave_local(pq.read_table(frontier_path))
-            tw = time.perf_counter()
-            visited_tbl = visited_tbl.append_column(
-                "wave", pa.array([wave] * visited_tbl.num_rows, pa.int64())
-            )
-            pq.write_table(
-                visited_tbl.drop_columns(["links"]),
-                os.path.join(checkpoint_dir, f"visited_{wave}.parquet"),
-            )
+        visited_tbl, deferred = run_wave(pq.read_table(frontier_path(wave)))
+        tw = time.perf_counter()
+        visited_tbl = visited_tbl.append_column(
+            "wave", pa.array([wave] * visited_tbl.num_rows, pa.int64())
+        )
+        pq.write_table(
+            visited_tbl.drop_columns(["links"]),
+            os.path.join(checkpoint_dir, f"visited_{wave}.parquet"),
+        )
 
-            # Next frontier: deferred ∪ discovered links
-            links: list[str] = []
-            parent_depths: list[int] = []
-            for d, chunk in zip(
-                visited_tbl.column("depth").to_pylist(),
-                visited_tbl.column("links").to_pylist(),
-            ):
-                if max_depth is not None and d + 1 > max_depth:
-                    continue  # crawl-trap guard: never emitted
-                links.extend(chunk)
-                parent_depths.extend([d + 1] * len(chunk))
-            link_tbl = _frontier_table(links, parent_depths, wave + 1) if links else None
-            next_parts = [p for p in deferred_parts if p.num_rows] + (
-                [link_tbl] if link_tbl is not None else []
-            )
-            next_frontier = (
-                pa.concat_tables([p.select(FRONTIER_SCHEMA.names) for p in next_parts])
-                if next_parts
-                else pa.table({f.name: pa.array([], f.type) for f in FRONTIER_SCHEMA})
-            )
-            pq.write_table(
-                next_frontier,
-                os.path.join(checkpoint_dir, f"frontier_{wave + 1}.parquet"),
-            )
-            n_fetched = visited_tbl.num_rows
-            _tick("links_io", tw)
-        else:
-            tw = time.perf_counter()
-            n_fetched, _ = run_wave_dataset(frontier_path, wave)
-            _tick("dataset_wave", tw)
+        # Next frontier: deferred ∪ discovered links
+        links: list[str] = []
+        parent_depths: list[int] = []
+        for d, chunk in zip(
+            visited_tbl.column("depth").to_pylist(),
+            visited_tbl.column("links").to_pylist(),
+        ):
+            if max_depth is not None and d + 1 > max_depth:
+                continue  # crawl-trap guard: never emitted
+            links.extend(chunk)
+            parent_depths.extend([d + 1] * len(chunk))
+        next_frontier = pa.concat_tables(
+            [deferred, _frontier_table(links, parent_depths, wave + 1)]
+        )
+        pq.write_table(next_frontier, frontier_path(wave + 1))
+        n_fetched = visited_tbl.num_rows
+        _tick("links_io", tw)
 
         # Checkpoint: per-wave seen DELTA + robots + manifest (atomic
         # rename).  Only the keys this wave added are written — I/O per
@@ -1062,20 +575,19 @@ def crawl(
         # robots is a cache and unresolved hosts simply re-fetch.
         open(
             os.path.join(checkpoint_dir, f"robots_delta_{wave}.json"), "w"
-        ).write(json.dumps(ray.get(robots.drain_delta.remote())))
+        ).write(json.dumps(robots.drain_delta()))
         lineage.append(
             {
                 "wave": wave,
                 "frontier_rows": n_frontier,
                 "fetched": n_fetched,
-                "next_frontier_rows": _count_parquet(
-                    _frontier_location(checkpoint_dir, wave + 1) or ""
-                ),
+                "next_frontier_rows": next_frontier.num_rows,
             }
         )
         tmp = manifest_path + ".tmp"
         open(tmp, "w").write(json.dumps({"next_wave": wave + 1, "lineage": lineage}))
         os.replace(tmp, manifest_path)
+        next_wave = wave + 1
         _tick("checkpoint", tw)
 
         stats["waves"] += 1
@@ -1085,16 +597,13 @@ def crawl(
         ray.kill(actor)
     fetch_pool.clear()
 
-    import glob
-
-    # Visited log: single parquet files (small-wave path) and/or parquet
-    # part directories (dataset path); unify on the common column set.
-    visited_files = sorted(glob.glob(os.path.join(checkpoint_dir, "visited_*.parquet")))
-    for d in sorted(glob.glob(os.path.join(checkpoint_dir, "visited_*"))):
-        if os.path.isdir(d):
-            visited_files.extend(
-                sorted(glob.glob(os.path.join(d, "*.parquet")))
-            )
+    # Visited log: one file per completed wave (files a crashed attempt
+    # wrote for later waves are not part of this crawl).
+    visited_files = [
+        p
+        for w in range(next_wave)
+        if os.path.exists(p := os.path.join(checkpoint_dir, f"visited_{w}.parquet"))
+    ]
     if visited_files:
         visited = ray.data.read_parquet(
             visited_files,

@@ -159,8 +159,7 @@ def cap_per_group(
     corpus"), preferring the smallest ``id_col`` deterministically.
     Returns the kept rows with the input's columns.
 
-    Skew-safe two-phase shape (the salted pattern the crawl politeness
-    stage uses): phase 1 groups on the SALTED key
+    Skew-safe two-phase shape: phase 1 groups on the SALTED key
     ``md5(group) * salt_buckets + id % salt_buckets`` and keeps the
     ``cap`` smallest ids per (group, sub-bucket), so a mega-group's rows
     split across ``salt_buckets`` tasks and at most

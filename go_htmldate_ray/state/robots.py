@@ -1,9 +1,9 @@
 """robots.txt rules cache.
 
-A named cache actor maps host → parsed rule list; the crawl driver
-fetches rules once per newly-seen host and broadcasts the accumulated
-rule table (``ray.put``) into each wave's filter stage — a small-side
-lookup, never a shuffle join (SURVEY.md §2.6).
+:class:`RobotsCache` maps host → parsed rule list and Crawl-delay on the
+crawl driver, resolving each host once per crawl; each wave looks its
+hosts up in it, a small-side lookup, never a shuffle join (SURVEY.md
+§2.6).
 
 The parser implements the User-agent/Allow/Disallow prefix subset; in
 this sandbox the "fetch" of robots.txt is a deterministic synthetic
@@ -14,9 +14,6 @@ disallow /article/).
 from __future__ import annotations
 
 import re
-from typing import Optional
-
-import ray
 
 
 def parse_robots(text: str, agent: str | None = None) -> list[tuple[str, str]]:
@@ -153,7 +150,6 @@ def synthetic_robots_txt(host: str) -> str:
     return f"User-agent: *\nAllow: /\n{delay}{sitemap}"
 
 
-@ray.remote
 class RobotsCache:
     """host → (rules, crawl-delay), fetched once per host.
 
@@ -217,12 +213,6 @@ class RobotsCache:
         for host in hosts:
             self._fetch(host)
         return {h: self.delays[h] for h in hosts}
-
-    def all_rules(self) -> dict[str, list[tuple[str, str]]]:
-        return dict(self.rules)
-
-    def all_delays(self) -> dict[str, float]:
-        return dict(self.delays)
 
     def drain_delta(self) -> dict:
         """Rules/delays for hosts resolved since the previous drain.

@@ -4,8 +4,7 @@ One sorted, unique ``int64`` numpy array of url hashes owned by the crawl
 driver for the length of one ``crawl()`` call.  Membership is a binary
 search (:func:`member`), so it is exact; inserts merge new keys in and
 record them as the current wave's delta, which is what the per-wave
-checkpoint writes.  The dataset wave path tests membership in its workers
-against a ``ray.put`` snapshot of the same array.
+checkpoint writes.
 
 The array is bounded by :data:`~go_htmldate_ray.stages.blocks.LIGHT_TABLE_BYTES`
 (128 MiB, about 16.7M URLs): a merge that would take it past the budget

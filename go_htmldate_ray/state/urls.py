@@ -87,25 +87,6 @@ def host_of(canonical: str) -> str:
         return ""
 
 
-def host_of_canonical_batch(urls):
-    """Vectorized ``host_of`` for CANONICAL urls (host already
-    lowercased by :func:`canonicalize`, userinfo stripped, only an
-    optional non-default numeric ``:port`` may follow): one RE2
-    authority extract + one port strip, zero Python per row.
-    Matches ``host_of(u)`` for every ``canonicalize()`` output."""
-    import pyarrow as pa
-    import pyarrow.compute as pc
-
-    auth = pc.fill_null(
-        pc.struct_field(
-            pc.extract_regex(urls, r"^[a-z][a-z0-9+.\-]*://(?P<a>[^/?#]*)"),
-            "a",
-        ),
-        "",
-    )
-    return pc.replace_substring_regex(auth, r":\d+$", "")
-
-
 # --- registrable domain (public-suffix algorithm) ----------------------------
 #
 # Per-domain crawl state (politeness budgets, robots, host stats) should

@@ -47,26 +47,25 @@ def test_politeness_budget_respected():
 
 def test_priority_fn_orders_within_host():
     """With a priority_fn, each host's wave budget goes to the best-
-    priority URLs ((prio, depth, url) order), on both the driver path
-    and the dataset path; default behavior is unchanged."""
+    priority URLs ((prio, depth, url) order); default behavior is
+    unchanged."""
     from go_htmldate_ray.pipelines.crawl import doc_id_of_url
 
     def prio(u):
         d = doc_id_of_url(u)
         return -(d if d is not None else 0)  # highest doc_id first
 
-    for extra in ({}, {"small_wave_threshold": 0}):
-        rows, _ = _run(max_waves=6, priority_fn=prio, **extra)
-        by_group = {}
-        for r in rows:
-            by_group.setdefault((r["wave"], r["host"]), []).append(r)
-        multi = 0
-        for grp in by_group.values():
-            grp.sort(key=lambda r: r["fetch_rank"])
-            keys = [(prio(r["url"]), r["depth"], r["url"]) for r in grp]
-            assert keys == sorted(keys), grp
-            multi += len(grp) > 1
-        assert multi > 0  # the assertion actually exercised something
+    rows, _ = _run(max_waves=6, priority_fn=prio)
+    by_group = {}
+    for r in rows:
+        by_group.setdefault((r["wave"], r["host"]), []).append(r)
+    multi = 0
+    for grp in by_group.values():
+        grp.sort(key=lambda r: r["fetch_rank"])
+        keys = [(prio(r["url"]), r["depth"], r["url"]) for r in grp]
+        assert keys == sorted(keys), grp
+        multi += len(grp) > 1
+    assert multi > 0  # the assertion actually exercised something
 
     # identical run without priority_fn differs (doc ids ascend instead)
     base_rows, _ = _run(max_waves=6)
@@ -86,23 +85,22 @@ def test_robots_disallowed_never_fetched():
 def test_crawl_delay_caps_per_wave_fetches():
     """Hosts declaring Crawl-delay: 2 (index % 11 == 3) get at most
     budget // 2 fetches per wave — the wave-discretized token bucket —
-    on BOTH the driver and the dataset wave paths, and the crawl still
-    converges to the same visited set as an undelayed-budget run."""
+    and the crawl still converges to the same visited set as an
+    undelayed-budget run."""
     from collections import Counter
 
     budget = 4
-    for extra in ({}, {"small_wave_threshold": 0}):
-        rows, _ = _run(politeness_budget=budget, **extra)
-        per_wave_host = Counter((r["wave"], r["host"]) for r in rows)
-        saw_delay_host = False
-        for (wave, host), n in per_wave_host.items():
-            idx = int(host.split(".")[0].removeprefix("site"))
-            if idx % 11 == 3:
-                assert n <= budget // 2, (wave, host, n)
-                saw_delay_host = saw_delay_host or n == budget // 2
-            else:
-                assert n <= budget, (wave, host, n)
-        assert saw_delay_host  # the cap actually binds somewhere
+    rows, _ = _run(politeness_budget=budget)
+    per_wave_host = Counter((r["wave"], r["host"]) for r in rows)
+    saw_delay_host = False
+    for (wave, host), n in per_wave_host.items():
+        idx = int(host.split(".")[0].removeprefix("site"))
+        if idx % 11 == 3:
+            assert n <= budget // 2, (wave, host, n)
+            saw_delay_host = saw_delay_host or n == budget // 2
+        else:
+            assert n <= budget, (wave, host, n)
+    assert saw_delay_host  # the cap actually binds somewhere
 
     # delays defer, never drop: visited set == a no-delay-capped
     # high-budget run's set
@@ -247,75 +245,6 @@ def test_sitemap_seeds_crawl():
     shutil.rmtree(stats["checkpoint_dir"], ignore_errors=True)
 
 
-def test_prededup_pack_unpack_parity():
-    """The all-Arrow pack in _prededup_block must produce byte-identical
-    packed keys to the scalar _pack_rows layout (the Min aggregate
-    compares them lexicographically across blocks), and _unpack_frontier
-    must invert it exactly."""
-    import pyarrow as pa
-
-    from go_htmldate_ray.pipelines.crawl import (
-        _pack_rows,
-        _prededup_block,
-        _unpack_frontier,
-    )
-
-    urls = ["https://a.org/x", "https://b.org/y", "https://a.org/x"]
-    batch = pa.table(
-        {
-            "url": pa.array(urls, pa.string()),
-            "url_hash": pa.array([5, 9, 5], pa.int64()),
-            "host": pa.array(["a.org", "b.org", "a.org"], pa.string()),
-            "depth": pa.array([3, 0, 1], pa.int64()),
-            "discovered_wave": pa.array([1, 2, 0], pa.int64()),
-        }
-    )
-    out = _prededup_block(batch)
-    # per-hash packed minimum inside the block: (1,0) beats (3,1) for hash 5
-    assert sorted(out.column("packed").to_pylist()) == sorted(
-        _pack_rows([1, 0], [0, 2], [urls[0], urls[1]])
-    )
-    rt = _unpack_frontier(
-        pa.table(
-            {
-                "url_hash": out.column("url_hash"),
-                "min(packed)": out.column("packed"),
-            }
-        )
-    ).to_pylist()
-    assert {
-        (r["url"], r["host"], r["depth"], r["discovered_wave"]) for r in rt
-    } == {(urls[0], "a.org", 1, 0), (urls[1], "b.org", 0, 2)}
-
-
-def test_host_of_canonical_batch_matches_scalar():
-    """The vectorized host kernel used by the wave unpack must agree
-    with urlsplit-based host_of on every canonicalize() output."""
-    import pyarrow as pa
-
-    from go_htmldate_ray.state.urls import (
-        canonicalize,
-        host_of,
-        host_of_canonical_batch,
-    )
-
-    raw = [
-        "https://SiteX.Example.org/a/b",
-        "http://user:pw@host.com:8080/x",
-        "https://h.org:443/q?x=1#frag",
-        "http://h.org:80/",
-        "https://a.b.c:9999",
-        "not a url",
-        "",
-        "https://h.org/path:8080/x",
-        "https://h.org?q=1",
-        "https://site0.example.org/article/0.html",
-    ]
-    canon = [canonicalize(u) for u in raw]
-    vec = host_of_canonical_batch(pa.array(canon, pa.string())).to_pylist()
-    assert vec == [host_of(u) for u in canon]
-
-
 def test_parse_crawl_delay():
     from go_htmldate_ray.state.robots import (
         parse_crawl_delay,
@@ -438,84 +367,19 @@ def test_resume_across_actor_loss(tmp_path):
     assert sorted(r["url"] for r in rows) == sorted(r["url"] for r in full_rows)
 
 
-def test_token_bucket_deterministic():
-    from go_htmldate_ray.state.politeness import TokenBucket
-
-    b = TokenBucket(rate=1.0, capacity=4.0, now=0.0)
-    assert b.grant(10, 0.0) == 4          # burst capacity
-    assert b.grant(1, 0.5) == 0           # refill 0.5 tokens: not enough
-    assert b.grant(1, 1.5) == 1           # 1.5 tokens accumulated
-    assert b.grant(10, 100.0) == 4        # capped at capacity
-
-
-def test_politeness_shard_actor(ray_session):
-    import ray
-
-    from go_htmldate_ray.state.politeness import PolitenessShard
-
-    shard = PolitenessShard.remote(default_rate=2.0, default_capacity=2.0)
-    got = ray.get(shard.grant.remote([("a.com", 5), ("b.com", 1)], now=0.0))
-    assert got == [2, 1]
-    got = ray.get(shard.grant.remote([("a.com", 5)], now=1.0))
-    assert got == [2]  # 2 tokens/s refill, capped at capacity
-    ray.get(shard.set_crawl_delay.remote("a.com", 10.0))
-    got = ray.get(shard.grant.remote([("a.com", 5)], now=2.0))
-    assert got == [2]  # fresh bucket at burst capacity
-    got = ray.get(shard.grant.remote([("a.com", 5)], now=3.0))
-    assert got == [0]  # 0.1 tokens/s: none accumulated in 1s
-    ray.kill(shard)
-
-
-def test_dataset_wave_path_equivalent():
-    """Forcing every wave through the full Ray-Data shuffle path
-    (small_wave_threshold=0) must produce the same visited set and
-    ordering as the driver-side fast path."""
-    fast_rows, _ = _run(max_waves=6)
-    ds_rows, _ = _run(max_waves=6, small_wave_threshold=0)
-    key = lambda rows: [
-        (r["wave"], r["host"], r["fetch_rank"], r["url"]) for r in rows
-    ]
-    assert key(ds_rows) == key(fast_rows)
-
-
-def test_dataset_path_resume_equivalence(tmp_path):
-    """Resume works across the dataset path's directory-format
-    checkpoints (frontier_{w}/ and visited_{w}/ parquet parts), and a
-    mixed run (interrupted dataset-path, resumed dataset-path) matches
-    the uninterrupted driver-path crawl."""
-    from go_htmldate_ray.pipelines.crawl import crawl
-
-    full_rows, full_stats = _run()
-
-    ckpt = str(tmp_path / "dsckpt")
-    crawl(SF, max_waves=3, checkpoint_dir=ckpt,
-          small_wave_threshold=0)
-    visited, stats = crawl(
-        SF, max_waves=40, checkpoint_dir=ckpt, resume=True,
-        small_wave_threshold=0,
-    )
-    rows = visited.take_all()
-    rows.sort(key=lambda r: (r["wave"], r["host"], r["fetch_rank"]))
-    assert [
-        (r["wave"], r["host"], r["fetch_rank"], r["url"]) for r in rows
-    ] == [(r["wave"], r["host"], r["fetch_rank"], r["url"]) for r in full_rows]
-    assert stats["seen_total"] == full_stats["seen_total"]
-
-
 def test_wave_rerun_idempotent_after_partial_crash(tmp_path):
-    """Regression: Ray write_parquet APPENDS — re-running a wave whose
-    outputs were written but whose manifest update was lost (mid-wave
-    crash) must not duplicate visited/frontier rows."""
+    """Re-running a wave whose outputs were written but whose manifest
+    update was lost (mid-wave crash) must not duplicate visited/frontier
+    rows."""
     import json as _json
     import os
 
     from go_htmldate_ray.pipelines.crawl import crawl
 
-    full_rows, _ = _run(small_wave_threshold=0, max_waves=6)
+    full_rows, _ = _run(max_waves=6)
 
     ckpt = str(tmp_path / "crashckpt")
-    crawl(SF, max_waves=3, checkpoint_dir=ckpt,
-          small_wave_threshold=0)
+    crawl(SF, max_waves=3, checkpoint_dir=ckpt)
     # Simulate "crashed after writing wave 2's outputs, before the
     # manifest recorded it": roll the manifest back one wave.
     mpath = os.path.join(ckpt, "manifest.json")
@@ -524,75 +388,32 @@ def test_wave_rerun_idempotent_after_partial_crash(tmp_path):
     m["lineage"] = m["lineage"][:-1]
     open(mpath, "w").write(_json.dumps(m))
 
-    visited, _ = crawl(SF, max_waves=6, checkpoint_dir=ckpt,
-                       resume=True, small_wave_threshold=0)
+    visited, _ = crawl(SF, max_waves=6, checkpoint_dir=ckpt, resume=True)
     rows = visited.take_all()
     urls = [r["url"] for r in rows]
     assert len(urls) == len(set(urls)), "duplicated visited rows after rerun"
     assert sorted(urls) == sorted(r["url"] for r in full_rows)
 
 
-def test_salted_politeness_splits_hot_host():
-    """SURVEY §4.2 skew splitting: a host owning ~50% of the frontier must
-    be spread across the (host, salt) sub-groups, so no politeness
-    map_groups task receives the whole hot shard; and the salted two-phase
-    ranking must produce exactly the local path's fetch set and ranks."""
-    import pyarrow as pa
-    import ray.data
-
-    from go_htmldate_ray.pipelines.crawl import (
-        _POLITENESS_SALT,
-        _frontier_table,
-        crawl,
-    )
-
+def test_hot_host_ranks_within_budget():
+    """A host owning half the frontier gets dense per-wave fetch ranks
+    0..n-1 with n at most the budget, and its overflow is deferred."""
     n_hot, n_cold = 500, 500
     hot = [f"https://hot.example.org/post-{i}.html" for i in range(n_hot)]
     cold = [
         f"https://cold{i % 40}.example.org/post-{n_hot + i}.html"
         for i in range(n_cold)
     ]
-    seeds = hot + cold
-
-    # direct check of the salted grouping key: max (host, salt) group size
-    t = _frontier_table(seeds, 0, 0)
-    salted = pa.table(
-        {
-            "host": t.column("host"),
-            "salt": pa.array(
-                [h % _POLITENESS_SALT for h in t.column("url_hash").to_pylist()],
-                pa.int64(),
-            ),
-        }
-    )
-    sizes = (
-        ray.data.from_arrow(salted)
-        .groupby(["host", "salt"])
-        .map_groups(
-            lambda g: pa.table({"n": pa.array([g.num_rows], pa.int64())}),
-            batch_format="pyarrow",
-        )
-        .take_all()
-    )
-    max_group = max(r["n"] for r in sizes)
-    # hot host alone would be one 500-row group un-salted; salted groups
-    # must stay near 500/16 ≈ 31 (allow 3x slack for hash unevenness)
-    assert max_group <= 3 * n_hot // _POLITENESS_SALT, max_group
-
-    # end-to-end: dataset path (forced) == driver-local path on the skewed
-    # frontier, including per-host fetch_rank assignment
     budget = 3
-    common = dict(seeds=seeds, max_waves=2, politeness_budget=budget)
-    local_rows, _ = _run(**common)
-    ds_rows, _ = _run(small_wave_threshold=0, **common)
-    key = lambda rows: [(r["wave"], r["host"], r["fetch_rank"], r["url"]) for r in rows]
-    assert key(ds_rows) == key(local_rows)
+    rows, _ = _run(seeds=hot + cold, max_waves=2, politeness_budget=budget)
     per_host_wave = {}
-    for r in ds_rows:
+    for r in rows:
         per_host_wave.setdefault((r["wave"], r["host"]), []).append(r["fetch_rank"])
     for ranks in per_host_wave.values():
         assert sorted(ranks) == list(range(len(ranks)))
         assert len(ranks) <= budget
+    # the hot host is fetched at the budget in both waves, not all at once
+    assert [len(per_host_wave[(w, "hot.example.org")]) for w in (0, 1)] == [budget] * 2
 
 
 def test_legacy_checkpoint_double_resume(tmp_path):
@@ -635,18 +456,19 @@ def test_legacy_checkpoint_double_resume(tmp_path):
     assert sorted(urls) == sorted(r["url"] for r in full_rows)
 
 
-@pytest.mark.parametrize("extra", [{}, {"small_wave_threshold": 0}])
+@pytest.mark.parametrize("extra", [{}, {"politeness_budget": 1}])
 def test_resume_from_per_shard_seen_deltas(tmp_path, extra):
     """Older checkpoints hold each wave's seen delta as 8 per-shard key
     lists (``h % 8``, each sorted) instead of one list.  Resuming such a
     checkpoint must visit the same URLs as an uninterrupted crawl, with
-    no URL fetched twice, on both wave paths."""
+    no URL fetched twice, also when a tight budget leaves deferred rows
+    in the resumed frontier."""
     import json as _json
     import os
 
     from go_htmldate_ray.pipelines.crawl import crawl
 
-    full_rows, _ = _run(max_waves=6)
+    full_rows, _ = _run(max_waves=6, **extra)
 
     ckpt = str(tmp_path / "shardckpt")
     crawl(SF, max_waves=3, checkpoint_dir=ckpt, **extra)
@@ -663,43 +485,17 @@ def test_resume_from_per_shard_seen_deltas(tmp_path, extra):
     assert sorted(urls) == sorted(r["url"] for r in full_rows)
 
 
-def test_wave_stats_counter_retry_idempotent(ray_session):
-    """A Ray task retry re-reporting the same batch must overwrite its
-    previous counts, not accumulate them."""
-    import ray
-
-    from go_htmldate_ray.pipelines.crawl import WaveStatsCounter
-
-    c = ray.remote(num_cpus=0)(WaveStatsCounter).remote()
-    ray.get(c.add_keyed.remote("batch-a", deduped_in=10, not_new=2))
-    ray.get(c.add_keyed.remote("batch-b", deduped_in=5, not_new=1))
-    ray.get(c.add_keyed.remote("batch-a", deduped_in=10, not_new=2))  # retry
-    got = ray.get(c.get.remote())
-    assert got == {"deduped_in": 15, "not_new": 3}
-    # robots-denied hashes ride on the same keyed report
-    ray.get(c.add_keyed.remote("batch-c", denied=[7, -8], deduped_in=2))
-    ray.get(c.add_keyed.remote("batch-c", denied=[7, -8], deduped_in=2))  # retry
-    assert sorted(ray.get(c.denied_hashes.remote())) == [-8, 7]
-    ray.get(c.reset.remote())
-    assert ray.get(c.get.remote()) == {}
-    assert ray.get(c.denied_hashes.remote()) == []
-    ray.kill(c)
-
-
 def test_politeness_deferred_urls_eventually_fetched():
     """Regression: a tight politeness budget must only DELAY fetches,
     never drop them — deferred rows stay unmarked in the seen set and
     re-enter later waves, so the converged visited set is
-    budget-independent (both wave paths)."""
+    budget-independent."""
     wide_rows, _ = _run(politeness_budget=1000, max_waves=64)
     want = sorted(r["url"] for r in wide_rows)
 
     tight_rows, tight_stats = _run(politeness_budget=1, max_waves=64)
     assert sorted(r["url"] for r in tight_rows) == want
     assert tight_stats["waves"] > 6  # the budget actually throttled
-
-    ds_rows, _ = _run(politeness_budget=1, max_waves=64, small_wave_threshold=0)
-    assert sorted(r["url"] for r in ds_rows) == want
 
 
 def test_robots_wildcard_patterns():
@@ -736,13 +532,12 @@ def test_robots_wildcard_patterns():
 
 def test_max_depth_truncates_crawl():
     """max_depth caps the BFS: visited == full-crawl pages whose first
-    (min) discovery depth is <= the bound, on both wave paths."""
+    (min) discovery depth is <= the bound."""
     full, _ = _run(politeness_budget=1000)
     want = {r["url"] for r in full if r["depth"] <= 2}
-    for extra in ({}, {"small_wave_threshold": 0}):
-        rows, _ = _run(politeness_budget=1000, max_depth=2, **extra)
-        assert max(r["depth"] for r in rows) <= 2
-        assert {r["url"] for r in rows} == want
+    rows, _ = _run(politeness_budget=1000, max_depth=2)
+    assert max(r["depth"] for r in rows) <= 2
+    assert {r["url"] for r in rows} == want
 
 
 def test_canonicalize_percent_encoding():
@@ -838,13 +633,8 @@ def test_robots_empty_group_carveout_and_empty_token():
     assert allowed("/secret/x", rules)
 
 
-def test_robots_cache_uses_agent_groups(ray_session):
-    import ray
-
+def test_robots_cache_uses_agent_groups():
     from go_htmldate_ray.state.robots import RobotsCache, allowed
-
-    class _Srv:
-        pass
 
     # loopback-free check: synthetic mode has only * groups, so behavior
     # is unchanged; the agent plumb-through is observable via a custom
@@ -869,12 +659,99 @@ def test_robots_cache_uses_agent_groups(ray_session):
     httpd = HTTPServer(("127.0.0.1", 0), H)
     threading.Thread(target=httpd.serve_forever, daemon=True).start()
     try:
-        cache = RobotsCache.remote(
+        cache = RobotsCache(
             http_base=f"http://127.0.0.1:{httpd.server_port}", timeout=5
         )
-        rules = ray.get(cache.get_rules.remote(["h.org"]))["h.org"]
+        rules = cache.get_rules(["h.org"])["h.org"]
         # the crawler's specific group applies; * is ignored
         assert not allowed("/mine/x", rules)
         assert allowed("/all/x", rules)
     finally:
         httpd.shutdown()
+
+
+def test_oversized_frontier_raises_before_fetch(tmp_path, monkeypatch):
+    """Each wave reads its frontier onto the driver: a frontier file whose
+    uncompressed row groups exceed LIGHT_TABLE_BYTES raises ValueError
+    naming the budget before anything is fetched or checkpointed."""
+    import os
+
+    from go_htmldate_ray.pipelines.crawl import crawl
+    from go_htmldate_ray.stages import blocks
+
+    monkeypatch.setattr(blocks, "LIGHT_TABLE_BYTES", 64)
+    ckpt = str(tmp_path / "big")
+    with pytest.raises(ValueError, match=r"crawl frontier .* 64-byte driver budget"):
+        crawl(SF, checkpoint_dir=ckpt)
+    assert os.listdir(ckpt) == ["frontier_0.parquet"]
+
+
+_CANONICAL_PAGES = [
+    # two canonical links, the first with a blank href
+    (
+        '<html><head><link rel="canonical" href="  ">'
+        '<link rel="canonical" href=" https://e.org/2021/03/04/a.html ">'
+        '</head><body><a href="https://x.org/p-1.html">1</a><a href="/rel">r</a>'
+        '<p><a href="http://Y.org/%7Eq">q</a></p><a>none</a></body></html>',
+        "https://e.org/2021/03/04/a.html",
+    ),
+    # the canonical link comes after the body anchors
+    (
+        '<html><body><a href="https://z.org/a">a</a><div><a href="mailto:x@y">m'
+        '</a></div><link rel="canonical" href="https://e.org/2019/12/31/b.html">'
+        "</body></html>",
+        "https://e.org/2019/12/31/b.html",
+    ),
+    # no canonical link
+    (
+        '<html><head><link rel="stylesheet" href="s.css"></head><body>'
+        '<a href="https://k.org/">k</a><a href="https://k.org/x#f">x</a></body></html>',
+        "",
+    ),
+]
+
+
+def test_canonical_url_and_outlinks_equal_tree_walk():
+    """The tag-index lookups give the canonical URL and the outlink list
+    a walk over every element gives, on crafted pages and on the
+    synthetic crawl pages."""
+    import pyarrow.parquet as pq
+
+    from go_htmldate_ray import dom
+    from go_htmldate_ray.extract import _canonical_url
+    from go_htmldate_ray.pipelines.crawl import outlinks
+    from go_htmldate_ray.sources.pages import build_page_html
+    from go_htmldate_ray.state.urls import canonicalize
+
+    def walk_canonical(tree):
+        for el in tree.iter_elements():
+            if el.tag == "link" and el.attr("rel") == "canonical":
+                href = el.attr("href").strip()
+                if href:
+                    return href
+        return ""
+
+    def walk_links(tree):
+        return [
+            canonicalize(el.attr("href"))
+            for el in tree.iter_elements()
+            if el.tag == "a" and el.attr("href").startswith("http")
+        ]
+
+    docs = pq.read_table(f"{SF}/documents.parquet", columns=["text", "lang"]).slice(0, 20)
+    synthetic = [
+        build_page_html(i, text or "", lang or "en", 1000)
+        for i, (text, lang) in enumerate(
+            zip(docs.column("text").to_pylist(), docs.column("lang").to_pylist())
+        )
+    ]
+    for html, want in _CANONICAL_PAGES:
+        tree = dom.parse_html(html)
+        assert _canonical_url(tree) == walk_canonical(tree) == want
+        assert outlinks(tree) == walk_links(tree)
+        assert outlinks(tree)
+    for html in synthetic:
+        tree = dom.parse_html(html)
+        assert _canonical_url(tree) == walk_canonical(tree)
+        assert outlinks(tree) == walk_links(tree)
+        assert len(outlinks(tree)) == 2

@@ -140,22 +140,20 @@ def synthetic_web():
     httpd.shutdown()
 
 
-def test_robots_cache_http_mode(ray_session, synthetic_web):
-    import ray
-
+def test_robots_cache_http_mode(synthetic_web):
     from go_htmldate_ray.state.robots import RobotsCache, allowed
 
     # live fetch: the loopback server serves each host's synthetic policy
-    cache = RobotsCache.remote(http_base=synthetic_web, timeout=5)
-    rules = ray.get(cache.get_rules.remote(["site0.example.org", "site1.example.org"]))
+    cache = RobotsCache(http_base=synthetic_web, timeout=5)
+    rules = cache.get_rules(["site0.example.org", "site1.example.org"])
     assert not allowed("/article/1.html", rules["site0.example.org"])  # 0 % 13 == 0
     assert allowed("/article/1.html", rules["site1.example.org"])
-    delays = ray.get(cache.get_delays.remote(["site3.example.org"]))
+    delays = cache.get_delays(["site3.example.org"])
     assert delays["site3.example.org"] == 2.0  # 3 % 11 == 3 -> Crawl-delay: 2
 
     # unreachable endpoint: permissive empty rules, never an exception
-    dead = RobotsCache.remote(http_base="http://127.0.0.1:9", timeout=0.5)
-    rules = ray.get(dead.get_rules.remote(["site0.example.org"]))
+    dead = RobotsCache(http_base="http://127.0.0.1:9", timeout=0.5)
+    rules = dead.get_rules(["site0.example.org"])
     assert rules["site0.example.org"] == []
     assert allowed("/article/1.html", rules["site0.example.org"])
 
