@@ -621,13 +621,15 @@ def queries() -> dict[str, Callable[[str], Any]]:
             {"doc_id": "int64", "cluster_rep": "int64"},
         ),
         # The dedup ACTION: per-doc keep flag (0 for non-rep cluster
-        # members) via a light-row union + Max groupby — no drop-set
-        # broadcast.
+        # members): one map over the doc ids against the sorted drop-id
+        # array while the cluster table fits light_table, else a
+        # light-row union + Max groupby.
         "near_dup_keep": lambda sf: dedup.near_dup_keep(
             _docs(sf), hot_buckets="error"
         ),
-        # End-to-end curation funnel: quality + lang-ID in ONE text pass,
-        # near-dup keep flags joined on, per-language kept/total stats.
+        # End-to-end curation funnel: quality + lang-ID + near-dup keep
+        # flags in ONE text pass (joined on above the light budget),
+        # per-language kept/total stats.
         "curated_corpus_stats": _curated_corpus_stats,
         "simhash": lambda sf: _map(sf, dedup.simhash_batch, ["doc_id", "text"]),
         "token_jaccard_pairs": lambda sf: dedup.token_jaccard_pairs(

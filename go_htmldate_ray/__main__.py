@@ -187,6 +187,10 @@ def main(argv=None) -> int:
             max_depth=args.max_depth,
         )
         stats["visited"] = visited.count()
+        if args.checkpoint is None:  # the crawl's own temp checkpoint
+            import shutil
+
+            shutil.rmtree(stats.pop("checkpoint_dir"), ignore_errors=True)
         print(json.dumps(stats))
         return 0
 

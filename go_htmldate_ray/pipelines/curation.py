@@ -9,13 +9,16 @@ Scale shape (the whole point of the composition):
   (doc_id, text) read — the corpus text is scanned exactly once here and
   once inside the MinHash signature stage; everything downstream carries
   light int64/flag rows.
-- ``near_dup_keep`` contributes its (doc_id, keep) flags via the
-  MinHash → LSH band → verify → connected-components path (see
-  stages/dedup.py for that pipeline's own shuffle budget).
-- One bucketed ``hash_join`` on doc_id attaches keep to the signal rows
-  (unique key on both sides: no cartesian amplification), then per-batch
-  per-language partial sums feed a tiny ``Sum`` groupby — the final
-  shuffle moves ≤ n_languages × n_blocks rows.
+- The near-dup keep flag comes from the MinHash → LSH band → verify →
+  connected-components clusters (see stages/dedup.py for that
+  pipeline's own shuffle budget), computed once per call.  While the
+  cluster table fits ``light_table``'s budget, its sorted drop-id array
+  is ``ray.put`` once and the same signals map marks ``keep`` — no join.
+  Above it, ``keep_from_clusters`` builds the (doc_id, keep) rows and
+  one bucketed ``hash_join`` on doc_id attaches them to the signal rows
+  (unique key on both sides: no cartesian amplification).
+- Per-batch per-language partial sums then feed a tiny combine — the
+  final merge moves ≤ n_languages × n_blocks rows.
 """
 
 from __future__ import annotations
@@ -25,7 +28,12 @@ import pyarrow.compute as pc
 
 from ..sources.io import read_parquet_clean
 from ..stages import text_stage
-from ..stages.dedup import near_dup_keep
+from ..stages.dedup import (
+    keep_flags,
+    keep_from_clusters,
+    near_dup_clusters,
+    near_dup_drop_ids,
+)
 from ..stages.joins import hash_join
 
 
@@ -45,11 +53,14 @@ def curated_corpus_stats(
     default to the fixture-calibrated values the ``gopher_quality``
     query uses so both outcomes occur at every scale factor.
     """
-    from ray.data.aggregate import Sum
+    import ray
 
     docs = read_parquet_clean(
         f"{sf_dir}/documents.parquet", columns=["doc_id", "text"]
     )
+    clusters = near_dup_clusters(docs, hot_buckets=hot_buckets)
+    drops = near_dup_drop_ids(clusters)
+    drops_ref = None if drops is None else ray.put(drops)
 
     def signals(batch: pa.Table) -> pa.Table:
         q = text_stage.gopher_quality_batch(
@@ -59,7 +70,7 @@ def curated_corpus_stats(
             min_stopword_hits=min_stopword_hits,
         )
         lang = text_stage.lang_id_batch(batch)
-        return pa.table(
+        out = pa.table(
             {
                 "doc_id": batch.column("doc_id").cast(pa.int64()),
                 "pred_lang": lang.column("pred_lang"),
@@ -67,10 +78,15 @@ def curated_corpus_stats(
                 "passes": q.column("passes").cast(pa.int64()),
             }
         )
+        if drops_ref is None:
+            return out
+        return out.append_column(
+            "keep", keep_flags(batch.column("doc_id"), ray.get(drops_ref))
+        )
 
-    sig = docs.map_batches(signals, batch_format="pyarrow")
-    keep = near_dup_keep(docs, hot_buckets=hot_buckets)
-    joined = hash_join(sig, keep, on="doc_id")
+    joined = docs.map_batches(signals, batch_format="pyarrow")
+    if drops_ref is None:
+        joined = hash_join(joined, keep_from_clusters(docs, clusters), on="doc_id")
 
     def partial(batch: pa.Table) -> pa.Table:
         kept = pc.and_(

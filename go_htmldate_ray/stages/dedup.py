@@ -6,13 +6,15 @@ Every operator is expressed Ray-Data-first:
   a single hash-keyed ``groupby`` — the only shuffle, keyed the same way a
   100 TB run would hash-partition.
 - **MinHash+LSH**: signature computation is a stateful actor-pool batch
-  stage (permutation parameters built once per actor), banding emits only
-  light ``(band_key, doc_id)`` rows through the bucket shuffle (the
-  128-element signatures do NOT ride the band expansion), candidate pairs
-  come from one band-key groupby (hot buckets star-sampled + logged, never
-  silently dropped), and verification joins the candidate pairs back to
-  the signature table — two hash joins sized by the candidate count, not
-  the corpus.
+  stage (permutation parameters built once per actor).  While the
+  signature table fits :func:`~.blocks.light_table`'s budget, banding,
+  candidate pairs, pair dedupe and verification are one numpy pass on the
+  driver; above it banding emits only light ``(band_key, doc_id)`` rows
+  through the bucket shuffle (the 128-element signatures do NOT ride the
+  band expansion), candidate pairs come from one band-key groupby (hot
+  buckets star-sampled + logged, never silently dropped on either path),
+  and verification joins the candidate pairs back to the signature table
+  — two hash joins sized by the candidate count, not the corpus.
 - **SimHash**: vectorized 64-bit signatures per batch with a per-process
   token-hash cache, no shuffle.
 - **token-set Jaccard (sample)**: exact small-sample pair scoring against
@@ -215,29 +217,48 @@ class MinHasher:
         )
 
 
+# Odd 64-bit multipliers of the band-key mix (golden ratio; murmur3 fmix64)
+_BAND_SEED = np.uint64(0x9E3779B97F4A7C15)
+_BAND_MUL = np.uint64(0xFF51AFD7ED558CCD)
+
+
+def _band_keys(mat: np.ndarray, num_bands: int, rows_per_band: int) -> np.ndarray:
+    """(n, num_bands) non-negative int64 LSH band keys of an (n, num_perm)
+    signature matrix: a wrapping uint64 xor-multiply-xorshift mix of the
+    band index and the band's ``rows_per_band`` words, shifted right one
+    bit (as :func:`~.joins._bucket_of` mixes ids).  Equal ``(band,
+    chunk)`` always give equal keys; distinct ones collide with
+    probability ~2^-63, and a collision only adds a candidate pair that
+    verification then scores."""
+    n = mat.shape[0]
+    chunks = (
+        np.ascontiguousarray(mat[:, : num_bands * rows_per_band], dtype=np.int64)
+        .view(np.uint64)
+        .reshape(n, num_bands, rows_per_band)
+    )
+    h = np.tile((np.arange(num_bands, dtype=np.uint64) + np.uint64(1)) * _BAND_SEED, (n, 1))
+    for j in range(rows_per_band):
+        h ^= chunks[:, :, j]
+        h *= _BAND_MUL
+        h ^= h >> np.uint64(29)
+    h ^= h >> np.uint64(33)
+    h *= _BAND_MUL
+    h ^= h >> np.uint64(33)
+    return (h >> np.uint64(1)).view(np.int64)
+
+
 def _band_batch(batch: pa.Table, num_bands: int, rows_per_band: int) -> pa.Table:
     """Expand each byte-packed signature into light (band_key, doc_id)
     rows — the signature itself stays out of the bucket shuffle (16×
     smaller exchange than shipping the 128-element signature per band
-    row).  band_key is the 63-bit md5 prefix of (band, chunk): two rows
-    share a key iff their band chunks agree (up to a 2^-63 hash
-    collision, same exposure the previous 64-bit hex key had)."""
-    doc_ids = batch.column("key").to_pylist()
-    payloads = batch.column("payload").to_pylist()
-    out_keys, out_docs = [], []
-    for doc_id, payload in zip(doc_ids, payloads):
-        sig = np.frombuffer(payload, dtype=np.int64).tolist()
-        for band in range(num_bands):
-            chunk = tuple(sig[band * rows_per_band : (band + 1) * rows_per_band])
-            h = int.from_bytes(
-                hashlib.md5(repr((band, chunk)).encode()).digest()[:8], "big"
-            ) >> 1
-            out_keys.append(h)
-            out_docs.append(doc_id)
+    row).  band_key comes from :func:`_band_keys`, so the scale path, the
+    light branch and :func:`near_dup_vs_snapshot` key bands alike."""
+    ids, mat = _payload_matrix(batch, np.int64)
+    keys = _band_keys(mat, num_bands, rows_per_band)
     return pa.table(
         {
-            "band_key": pa.array(out_keys, pa.int64()),
-            "doc_id": pa.array(out_docs, pa.int64()),
+            "band_key": pa.array(keys.ravel(), pa.int64()),
+            "doc_id": pa.array(np.repeat(ids, num_bands), pa.int64()),
         }
     )
 
@@ -307,12 +328,10 @@ def _dedupe_pairs_agg(ds, a_col: str, b_col: str, val_col: str):
     )
 
 
-def _broadcast_table(tbl: pa.Table, dtype) -> tuple[np.ndarray, np.ndarray]:
+def _payload_matrix(tbl: pa.Table, dtype) -> tuple[np.ndarray, np.ndarray]:
     """(sorted ids, row-aligned matrix) from a ``_PAYLOAD_SCHEMA`` table
-    whose payloads all have one width.  Numpy arrays are served zero-copy
-    by the object store — a worker's ``ray.get`` maps them read-only
-    instead of unpickling a dict per group invocation (the dict shape
-    cost O(groups x table) CPU)."""
+    whose payloads all have one width — one buffer join, no per-row
+    decode."""
     ids = tbl.column("key").to_numpy()
     if len(ids) == 0:
         return ids, np.zeros((0, 0), dtype=dtype)
@@ -321,9 +340,61 @@ def _broadcast_table(tbl: pa.Table, dtype) -> tuple[np.ndarray, np.ndarray]:
     return ids[order], flat.reshape(len(ids), -1)[order]
 
 
-def _lookup_rows(ids: np.ndarray, mat: np.ndarray, keys) -> np.ndarray:
-    idx = np.searchsorted(ids, np.asarray(keys, dtype=np.int64))
-    return mat[idx]
+# candidate pairs scored per verification slice (bounds the gathered
+# row matrices at 2 x 64k rows)
+_VERIFY_SLICE = 1 << 16
+
+
+def light_lsh_pairs(
+    ids: np.ndarray,
+    keys: np.ndarray,
+    score,
+    threshold: float,
+    names: tuple[str, str, str],
+    what: str,
+    strict: bool,
+) -> pa.Table:
+    """The light branch of the banded-LSH pair operators, as one pass on
+    the driver over a gathered table.
+
+    ``keys`` holds the (n, n_bands) band keys of the rows of the sorted
+    unique ``ids``.  One :func:`~.joins.collision_pairs` over every band
+    row gives the candidates, under the same per-band-key PAIR_CAP
+    star-sampling and strict raise as the bucketed scale path; a pair
+    that collides in several bands is kept once (``np.unique``);
+    ``score(ia, ib)`` rates pairs by row position, and pairs scoring
+    ``>= threshold`` are returned as ``names`` = (a, b, score) columns.
+    """
+    from .joins import collision_pairs
+
+    a_col, b_col, val_col = names
+    n_bands = keys.shape[1]
+    band_rows = pa.table(
+        {
+            "band_key": pa.array(keys.ravel(), pa.int64()),
+            "id": pa.array(np.repeat(ids, n_bands), pa.int64()),
+        }
+    )
+    cand = collision_pairs(band_rows, "band_key", "id", "a", "b", logger, what, strict=strict)
+    ab = np.unique(
+        np.stack([cand.column("a").to_numpy(), cand.column("b").to_numpy()], axis=1),
+        axis=0,
+    )
+    ia = np.searchsorted(ids, ab[:, 0])
+    ib = np.searchsorted(ids, ab[:, 1])
+    val = np.zeros(len(ab))
+    for i in range(0, len(ab), _VERIFY_SLICE):
+        val[i : i + _VERIFY_SLICE] = score(
+            ia[i : i + _VERIFY_SLICE], ib[i : i + _VERIFY_SLICE]
+        )
+    keep = val >= threshold
+    return pa.table(
+        {
+            a_col: pa.array(ab[keep, 0], pa.int64()),
+            b_col: pa.array(ab[keep, 1], pa.int64()),
+            val_col: pa.array(val[keep], pa.float64()),
+        }
+    )
 
 
 def minhash_lsh_pairs(
@@ -341,12 +412,13 @@ def minhash_lsh_pairs(
     est_jaccard is the fraction of agreeing signature components — the
     standard unbiased MinHash estimate of shingle-set Jaccard.
 
-    Verification is hybrid: while the byte-packed signature table fits
-    :func:`~go_htmldate_ray.stages.blocks.light_table`'s budget it is
-    ``ray.put`` once and verified inside the bucket stage (one light
-    shuffle + one tiny pair-dedupe shuffle); above it two
-    hash-partitioned lookup-joins take over, the 100 TB path where no
-    single-node broadcast fits.
+    Hybrid: while the byte-packed signature table fits
+    :func:`~go_htmldate_ray.stages.blocks.light_table`'s budget, banding,
+    candidate pairs, pair dedupe and verification run as one numpy pass
+    on the driver (:func:`light_lsh_pairs`) — no exchange at all.  Above
+    it the light band rows go through one bucket shuffle and two
+    hash-partitioned lookup-joins verify the candidates, the 100 TB path
+    where no single node holds the signatures.
 
     ``hot_buckets``: "sample" (default) star-samples buckets above
     ``joins.PAIR_CAP`` with a warning; "error" raises instead — the mode
@@ -358,15 +430,32 @@ def minhash_lsh_pairs(
     strict = hot_buckets == "error"
 
     rows_per_band = num_perm // num_bands
-    # Signatures are consumed three times (banding + both verification
-    # joins): materialize the compact byte-packed form ONCE into the
-    # object store (distributed blocks, spillable — never on the driver)
-    # instead of re-running MinHash per consumer.
+    # Signatures are consumed three times on the scale path (banding +
+    # both verification joins): materialize the compact byte-packed form
+    # ONCE into the object store (distributed blocks, spillable) instead
+    # of re-running MinHash per consumer.
     from .joins import DEFAULT_JOIN_BUCKETS, _bucket_of
 
     sigs_bin = ds.map_batches(
         lambda b: _signature_rows(b, num_perm), batch_format="pyarrow"
     ).materialize()
+
+    sigs = light_table(sigs_bin, _PAYLOAD_SCHEMA)
+    if sigs is not None:
+        import ray.data
+
+        ids, mat = _payload_matrix(sigs, np.int64)
+        return ray.data.from_arrow(
+            light_lsh_pairs(
+                ids,
+                _band_keys(mat, num_bands, rows_per_band),
+                lambda ia, ib: (mat[ia] == mat[ib]).mean(axis=1),
+                threshold,
+                ("doc_a", "doc_b", "est_jaccard"),
+                "MinHash",
+                strict,
+            )
+        )
 
     def band_and_bucket(b: pa.Table) -> pa.Table:
         t = _band_batch(b, num_bands, rows_per_band)
@@ -375,48 +464,6 @@ def minhash_lsh_pairs(
         )
 
     banded = sigs_bin.map_batches(band_and_bucket, batch_format="pyarrow")
-
-    sigs = light_table(sigs_bin, _PAYLOAD_SCHEMA)
-    if sigs is not None:
-        # Small-side path: one ray.put of (sorted ids, signature matrix) —
-        # numpy arrays the object store serves zero-copy, so each bucket
-        # group's ray.get maps the table instead of unpickling it —
-        # verification inline in the bucket stage (shuffle count: 1 light
-        # band shuffle + 1 tiny dedupe over surviving pairs).
-        import ray
-
-        sigs_ref = ray.put(_broadcast_table(sigs, np.int64))
-
-        def bucket_verify(group: pa.Table) -> pa.Table:
-            cand = _bucket_candidates(group, strict=strict)
-            if cand.num_rows == 0:
-                return pa.table(
-                    {
-                        "doc_a": pa.array([], pa.int64()),
-                        "doc_b": pa.array([], pa.int64()),
-                        "est_jaccard": pa.array([], pa.float64()),
-                    }
-                )
-            ids, mat = ray.get(sigs_ref)
-            sa = _lookup_rows(ids, mat, cand.column("doc_a").to_pylist())
-            sb = _lookup_rows(ids, mat, cand.column("doc_b").to_pylist())
-            est = (sa == sb).mean(axis=1)
-            keep = est >= threshold
-            return pa.table(
-                {
-                    "doc_a": cand.column("doc_a").filter(pa.array(keep)),
-                    "doc_b": cand.column("doc_b").filter(pa.array(keep)),
-                    "est_jaccard": pa.array(est[keep], pa.float64()),
-                }
-            )
-
-        verified = banded.groupby("shuffle_bucket").map_groups(
-            bucket_verify, batch_format="pyarrow"
-        )
-        # a pair can surface from several bands (same est either way) →
-        # one tiny dedupe shuffle as a Min AGGREGATE, no per-pair callable
-        return _dedupe_pairs_agg(verified, "doc_a", "doc_b", "est_jaccard")
-
     candidates = banded.groupby("shuffle_bucket").map_groups(
         lambda g: _bucket_candidates(g, strict=strict), batch_format="pyarrow"
     )
@@ -665,6 +712,38 @@ def connected_components(
     )
 
 
+_CLUSTER_SCHEMA = pa.schema([("doc_id", pa.int64()), ("cluster_rep", pa.int64())])
+
+
+def near_dup_drop_ids(clusters) -> np.ndarray | None:
+    """Sorted int64 ids of the near-dup cluster members that are not their
+    cluster's representative (``doc_id != cluster_rep``), gathered on the
+    driver while the :func:`near_dup_clusters` table fits
+    :func:`~go_htmldate_ray.stages.blocks.light_table`'s budget; ``None``
+    above it, where callers keep their distributed path over the same
+    ``clusters``."""
+    import pandas as pd
+
+    from .blocks import light_table
+
+    if isinstance(clusters, pd.DataFrame):  # typed-empty: no pairs at all
+        return np.zeros(0, dtype=np.int64)
+    tbl = light_table(clusters, _CLUSTER_SCHEMA)
+    if tbl is None:
+        return None
+    doc = tbl.column("doc_id").to_numpy()
+    return np.unique(doc[doc != tbl.column("cluster_rep").to_numpy()])
+
+
+def keep_flags(doc_ids, drops: np.ndarray) -> pa.Array:
+    """int64 keep flag per id: 0 where the id is in the sorted ``drops``
+    array (:func:`near_dup_drop_ids`), else 1."""
+    ids = np.asarray(pc.cast(doc_ids, pa.int64()), dtype=np.int64)
+    pos = np.minimum(np.searchsorted(drops, ids), max(len(drops) - 1, 0))
+    hit = drops[pos] == ids if len(drops) else np.zeros(len(ids), dtype=bool)
+    return pa.array((~hit).astype(np.int64), pa.int64())
+
+
 def near_dup_keep(
     ds,
     *,
@@ -679,14 +758,14 @@ def near_dup_keep(
     min-id representative; every other document (singletons included)
     keeps 1.
 
-    Scale shape: the corpus side contributes only (doc_id, 0) light
-    rows, the cluster side (doc_id, 1) drop rows; ONE Max-aggregate
-    groupby over int64 rows resolves the flag — no broadcast of the
-    drop set (which can be a large fraction of the corpus at high dup
-    rates) and no join."""
-    import pandas as pd
-    from ray.data.aggregate import Max
-
+    Hybrid on the cluster table: while it fits
+    :func:`~go_htmldate_ray.stages.blocks.light_table`'s budget, the
+    sorted drop-id array (:func:`near_dup_drop_ids`) is ``ray.put`` once
+    and one ``map_batches`` over the doc ids marks the flags.  Above it
+    the corpus side contributes (doc_id, 0) light rows, the cluster side
+    (doc_id, 1) drop rows, and ONE Max-aggregate groupby over int64 rows
+    resolves the flag — no broadcast of a drop set that can be a large
+    fraction of the corpus at high dup rates, and no join."""
     clusters = near_dup_clusters(
         ds,
         num_perm=num_perm,
@@ -695,6 +774,30 @@ def near_dup_keep(
         hot_buckets=hot_buckets,
         max_iters=max_iters,
     )
+    drops = near_dup_drop_ids(clusters)
+    if drops is None:
+        return keep_from_clusters(ds, clusters)
+
+    import ray
+
+    drops_ref = ray.put(drops)
+    return ds.select_columns(["doc_id"]).map_batches(
+        lambda b: pa.table(
+            {
+                "doc_id": b.column("doc_id").cast(pa.int64()),
+                "keep": keep_flags(b.column("doc_id"), ray.get(drops_ref)),
+            }
+        ),
+        batch_format="pyarrow",
+    )
+
+
+def keep_from_clusters(ds, clusters):
+    """Scale path of :func:`near_dup_keep`: (doc_id, keep) from the
+    documents and their cluster table by a light-row union + Max
+    groupby."""
+    import pandas as pd
+    from ray.data.aggregate import Max
 
     base = ds.select_columns(["doc_id"]).map_batches(
         lambda b: pa.table(

@@ -16,7 +16,8 @@
 - ``embedding_dup_pairs_lsh``: banded hyperplane-LSH near-dup pairs —
   light (bucket, vec_id) rows through the only shuffle, candidate pairs
   from bucket groups (hot buckets star-sampled, never silently dropped),
-  exact cosine verification via two hash joins back to the embeddings.
+  exact cosine verification via two hash joins back to the embeddings;
+  below ``light_table``'s budget, one numpy pass on the driver instead.
 """
 
 from __future__ import annotations
@@ -308,10 +309,11 @@ class BandedHasher:
         self.seed = seed
         self.planes: np.ndarray | None = None
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
+    def buckets(self, mat: np.ndarray) -> np.ndarray:
+        """(n, n_bands) int64 bucket keys of an (n, dim) matrix, unique
+        per band."""
         # No renormalization: hyperplane sign hashing is scale-invariant,
         # and this stage only ever consumes already-unit-norm vectors.
-        mat = _list_matrix(batch.column("embedding"))
         if self.planes is None or self.planes.shape[1] != mat.shape[1]:
             rng = np.random.RandomState(self.seed)
             self.planes = rng.standard_normal((self.n_bands * self.r, mat.shape[1]))
@@ -321,7 +323,10 @@ class BandedHasher:
         weights = 1 << np.arange(self.r)
         codes = (bits * weights).sum(axis=2).astype(np.int64)  # (n, n_bands)
         band_idx = np.arange(self.n_bands, dtype=np.int64)
-        bucket = (band_idx[None, :] << self.r) | codes  # unique per band
+        return (band_idx[None, :] << self.r) | codes
+
+    def __call__(self, batch: pa.Table) -> pa.Table:
+        bucket = self.buckets(_list_matrix(batch.column("embedding")))
         vec_ids = np.asarray(batch.column("vec_id").to_pylist(), dtype=np.int64)
         return pa.table(
             {
@@ -374,9 +379,10 @@ def embedding_dup_pairs_lsh(
     pair dedup → two lookup-joins back to the unit-norm embeddings →
     exact cosine filter.  Only candidate pairs (≪ N²) are ever scored.
     While the packed unit-norm table fits
-    :func:`~go_htmldate_ray.stages.blocks.light_table`'s budget it is
-    broadcast once and verified inside the bucket stage instead of the
-    two lookup-joins.
+    :func:`~go_htmldate_ray.stages.blocks.light_table`'s budget, banding,
+    candidate pairs, pair dedupe and verification run as one numpy pass
+    on the driver (:func:`~go_htmldate_ray.stages.dedup.light_lsh_pairs`)
+    instead of the shuffle and the two lookup-joins.
 
     Recall for a pair at cosine c is 1-(1-p^r)^b with p = 1-arccos(c)/π:
     the defaults (r=8, b=16) give ≈0.996 at c=0.9 — pick the banding for
@@ -413,8 +419,8 @@ def embedding_dup_pairs_lsh(
             }
         )
 
-    # consumed by the broadcast or twice by the join path (both attach
-    # sides): pin the packed bytes once
+    # gathered by the light branch, or consumed twice by the join path
+    # (both attach sides): pin the packed bytes once
     norm_bin = norm.map_batches(pack, batch_format="pyarrow").materialize()
 
     def band(batch: pa.Table) -> pa.Table:
@@ -429,55 +435,35 @@ def embedding_dup_pairs_lsh(
             "shuffle_bucket", _bucket_of(t.column("bucket"), DEFAULT_JOIN_BUCKETS)
         )
 
-    banded = norm.map_batches(band, batch_format="pyarrow")
-
     packed = light_table(norm_bin, _PAYLOAD_SCHEMA)
     if packed is not None:
-        # Small-side path: ray.put (sorted ids, unit-norm matrix) once —
-        # numpy arrays are zero-copy out of the object store, so each
-        # bucket group maps the table instead of unpickling a dict —
-        # and verify inline in the bucket stage: 1 light shuffle + 1
-        # tiny pair dedupe instead of two lookup-join exchanges.
-        import ray
+        import ray.data
 
-        from .dedup import _broadcast_table, _lookup_rows
+        from .dedup import _payload_matrix, light_lsh_pairs
 
-        emb_ref = ray.put(_broadcast_table(packed, np.float64))
-
-        def bucket_verify(group: pa.Table) -> pa.Table:
-            cand = _bucket_candidates(group, strict=strict)
-            if cand.num_rows == 0:
-                return pa.table(
-                    {
-                        "vec_a": pa.array([], pa.int64()),
-                        "vec_b": pa.array([], pa.int64()),
-                        "cosine": pa.array([], pa.float64()),
-                    }
-                )
-            ids, mat = ray.get(emb_ref)
-            ea = _lookup_rows(ids, mat, cand.column("vec_a").to_pylist())
-            eb = _lookup_rows(ids, mat, cand.column("vec_b").to_pylist())
-            cos = (ea * eb).sum(axis=1)
-            keep = cos >= threshold
-            return pa.table(
-                {
-                    "vec_a": cand.column("vec_a").filter(pa.array(keep)),
-                    "vec_b": cand.column("vec_b").filter(pa.array(keep)),
-                    "cosine": pa.array(
-                        [round(float(c), 6) for c in cos[keep]], pa.float64()
-                    ),
-                }
-            )
-
-        verified = banded.groupby("shuffle_bucket").map_groups(
-            bucket_verify, batch_format="pyarrow"
+        ids, emb = _payload_matrix(packed, np.float64)
+        hasher = _cached_banded_hasher(n_bands, planes_per_band, emb.shape[1])
+        pairs = light_lsh_pairs(
+            ids,
+            hasher.buckets(emb),
+            lambda ia, ib: (emb[ia] * emb[ib]).sum(axis=1),
+            threshold,
+            ("vec_a", "vec_b", "cosine"),
+            "embedding",
+            strict,
         )
-        # cross-band duplicate pairs carry the same cosine → dedupe is a
-        # Min aggregate, not a per-pair callable
-        from .dedup import _dedupe_pairs_agg
+        return ray.data.from_arrow(
+            pairs.set_column(
+                2,
+                "cosine",
+                pa.array(
+                    [round(c, 6) for c in pairs.column("cosine").to_pylist()],
+                    pa.float64(),
+                ),
+            )
+        )
 
-        return _dedupe_pairs_agg(verified, "vec_a", "vec_b", "cosine")
-
+    banded = norm.map_batches(band, batch_format="pyarrow")
     candidates = banded.groupby("shuffle_bucket").map_groups(
         lambda g: _bucket_candidates(g, strict=strict), batch_format="pyarrow"
     )

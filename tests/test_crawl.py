@@ -12,11 +12,15 @@ def _ray(ray_session):
 
 
 def _run(tmp_path=None, **kw):
+    import shutil
+
     from go_htmldate_ray.pipelines.crawl import crawl
 
     kw.setdefault("max_waves", 40)
     visited, stats = crawl(SF, **kw)
     rows = visited.take_all()
+    if "checkpoint_dir" not in kw:  # the crawl's own temp checkpoint
+        shutil.rmtree(stats["checkpoint_dir"], ignore_errors=True)
     rows.sort(key=lambda r: (r["wave"], r["host"], r["fetch_rank"]))
     return rows, stats
 

@@ -1,6 +1,7 @@
 """HttpFetcher against a loopback HTTP server: content-type gating,
 404 handling, robots fetch, and end-to-end extraction of a fetched page."""
 
+import shutil
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
@@ -164,19 +165,22 @@ def test_crawl_over_live_http(ray_session, synthetic_web):
     dates as the in-process synthetic store."""
     from go_htmldate_ray.pipelines.crawl import crawl
 
-    http_visited, _ = crawl(
+    http_visited, http_stats = crawl(
         "/root/testdata/sf0.001",
         max_waves=4,
         fetcher_kwargs={"http_base": synthetic_web, "timeout": 10},
     )
-    plain_visited, _ = crawl(
+    plain_visited, plain_stats = crawl(
         "/root/testdata/sf0.001",
         max_waves=4,
     )
     key = lambda rows: sorted(
         (r["wave"], r["host"], r["fetch_rank"], r["url"], r["date_str"]) for r in rows
     )
-    assert key(http_visited.take_all()) == key(plain_visited.take_all())
+    http_rows, plain_rows = key(http_visited.take_all()), key(plain_visited.take_all())
+    for stats in (http_stats, plain_stats):
+        shutil.rmtree(stats["checkpoint_dir"], ignore_errors=True)
+    assert http_rows == plain_rows
 
 
 # --- conditional revalidation ------------------------------------------------

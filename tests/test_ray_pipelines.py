@@ -2,6 +2,8 @@
 
 import pyarrow as pa
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 SF = "/root/testdata/sf0.001"
 
@@ -269,6 +271,72 @@ def test_minhash_skewed_bucket_star_sampled():
     assert {p["doc_b"] for p in pairs} == set(range(1, 1000))
 
 
+def _skewed_docs():
+    return [{"doc_id": i, "text": "alpha beta gamma delta epsilon " * 20} for i in range(1000)]
+
+
+def test_minhash_skewed_bucket_light_branch_modes(monkeypatch):
+    """The driver-side light branch keeps the per-band-key PAIR_CAP
+    contract in both modes: "sample" star-samples the hot key (999
+    spanning pairs, est 1.0), "error" raises naming PAIR_CAP."""
+    import ray.data
+    from go_htmldate_ray.stages import dedup
+
+    calls = []
+    real = dedup.light_lsh_pairs
+    monkeypatch.setattr(
+        dedup, "light_lsh_pairs", lambda *a, **k: calls.append(1) or real(*a, **k)
+    )
+    pairs = dedup.minhash_lsh_pairs(
+        ray.data.from_items(_skewed_docs()), hot_buckets="sample"
+    ).take_all()
+    assert len(calls) == 1  # the light branch ran
+    assert sorted((p["doc_a"], p["doc_b"]) for p in pairs) == [(0, i) for i in range(1, 1000)]
+    assert all(p["est_jaccard"] == 1.0 for p in pairs)
+    with pytest.raises(ValueError, match="PAIR_CAP"):
+        dedup.minhash_lsh_pairs(
+            ray.data.from_items(_skewed_docs()), hot_buckets="error"
+        ).take_all()
+    assert len(calls) == 2
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_dup=st.integers(0, 2000),
+    same_word=st.booleans(),
+)
+def test_band_keys_follow_band_chunks(seed, n_dup, same_word):
+    """Band keys are a function of (band, chunk): equal chunks get equal
+    keys, the distinct chunks of a 5,000-signature sample get distinct
+    keys, and every key is non-negative."""
+    import numpy as np
+    from go_htmldate_ray.stages.dedup import _MERSENNE, _band_keys
+
+    rng = np.random.default_rng(seed)
+    n, bands, rows = 5000, 16, 8
+    mat = rng.integers(0, _MERSENNE, size=(n, bands * rows), dtype=np.int64)
+    # plant shared chunks: copy random bands of random rows onto others
+    src = rng.integers(0, n, n_dup)
+    dst = rng.integers(0, n, n_dup)
+    band = rng.integers(0, bands, n_dup)
+    for s_, d_, b_ in zip(src, dst, band):
+        mat[d_, b_ * rows : (b_ + 1) * rows] = mat[s_, b_ * rows : (b_ + 1) * rows]
+    mat[2, rows : 2 * rows] = mat[2, :rows]  # one chunk in two bands
+    if same_word:  # chunks differing in one word only
+        mat[1] = mat[0]
+        mat[1, 3] ^= 1
+    keys = _band_keys(mat, bands, rows)
+    assert keys.shape == (n, bands) and keys.dtype == np.int64
+    assert (keys >= 0).all()
+    chunks = np.column_stack([np.tile(np.arange(bands), n), mat.reshape(n * bands, rows)])
+    _, chunk_class = np.unique(chunks, axis=0, return_inverse=True)
+    _, key_class = np.unique(keys.ravel(), return_inverse=True)
+    # the two partitions of the n*bands band rows coincide
+    pair = np.unique(np.stack([chunk_class.ravel(), key_class.ravel()], 1), axis=0)
+    assert len(pair) == chunk_class.max() + 1 == key_class.max() + 1
+
+
 def test_minhash_band_rows_are_light():
     """The bucket shuffle carries only (band_key, doc_id) — signatures must
     not ride the band expansion (16× volume otherwise)."""
@@ -342,7 +410,7 @@ def test_multimodal_resize_and_audio_stages():
 
 
 def test_lsh_verify_modes_equivalent(scale_path):
-    """Broadcast (small-side) and lookup-join (scale) verification paths
+    """Driver-side (light) and lookup-join (scale) verification paths
     must produce identical pair sets."""
     import numpy as np
     import ray.data
@@ -371,6 +439,44 @@ def test_lsh_verify_modes_equivalent(scale_path):
     with scale_path():
         vb = vkey(embedding_dup_pairs_lsh(ray.data.from_items(vecs), threshold=0.9).take_all())
     assert va == vb and len(va) == 6
+
+
+def test_near_dup_keep_and_curation_modes_equivalent(scale_path, monkeypatch):
+    """Drop-id (light) and union+groupby / hash_join (scale) paths of
+    near_dup_keep and curated_corpus_stats give equal row sets on
+    sf0.001, and curated_corpus_stats builds the clusters once per call
+    on both."""
+    from go_htmldate_ray.pipelines import curation
+    from go_htmldate_ray.sources.io import read_parquet_clean
+    from go_htmldate_ray.stages.dedup import near_dup_keep
+
+    calls = []
+    real = curation.near_dup_clusters
+    monkeypatch.setattr(
+        curation, "near_dup_clusters", lambda *a, **k: calls.append(1) or real(*a, **k)
+    )
+
+    def run():
+        docs = read_parquet_clean(f"{SF}/documents.parquet", columns=["doc_id", "text"])
+        keep = sorted(
+            (r["doc_id"], r["keep"])
+            for r in near_dup_keep(docs, hot_buckets="error").take_all()
+        )
+        n_calls = len(calls)
+        stats = sorted(
+            (r["pred_lang"], r["n_docs"], r["n_kept"], r["kept_tokens"])
+            for r in curation.curated_corpus_stats(SF, hot_buckets="error").take_all()
+        )
+        assert len(calls) == n_calls + 1
+        return keep, stats
+
+    light = run()
+    with scale_path():
+        scaled = run()
+    assert light == scaled
+    keep, stats = light
+    assert len(keep) == 500 and 0 < sum(k for _, k in keep) < 500
+    assert sum(r[1] for r in stats) == 500
 
 
 def test_hash_join_semantics():
