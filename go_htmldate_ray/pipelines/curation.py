@@ -4,21 +4,25 @@ composed over one corpus read, reported per predicted language.
 
 Scale shape (the whole point of the composition):
 
-- The Gopher quality rules and the stopword language ID are *stateless*
-  kernels, so both run in ONE ``map_batches`` pass over the pruned
-  (doc_id, text) read — the corpus text is scanned exactly once here and
-  once inside the MinHash signature stage; everything downstream carries
-  light int64/flag rows.
-- The near-dup keep flag comes from the MinHash → LSH band → verify →
-  connected-components clusters (see stages/dedup.py for that
-  pipeline's own shuffle budget), computed once per call.  While the
-  cluster table fits ``light_table``'s budget, its sorted drop-id array
-  is ``ray.put`` once and the same signals map marks ``keep`` — no join.
-  Above it, ``keep_from_clusters`` builds the (doc_id, keep) rows and
-  one bucketed ``hash_join`` on doc_id attaches them to the signal rows
-  (unique key on both sides: no cartesian amplification).
-- Per-batch per-language partial sums then feed a tiny combine — the
-  final merge moves ≤ n_languages × n_blocks rows.
+- The Gopher quality rules, the stopword language ID and the MinHash
+  signature are *stateless* per-document kernels, so all three run in
+  ONE ``map_batches`` pass over the pruned (doc_id, text) read, whose
+  light rows (ids, flags, counts and one byte-packed signature) are
+  materialized once — the corpus text is scanned exactly once.
+- While that scan fits ``light_table``'s budget, the rest is a numpy
+  and pyarrow fold on the driver: LSH pairs → components → drop ids →
+  keep flags → one per-language ``group_by`` sum, returned with
+  ``from_arrow``.
+- Above it the scan's signature view feeds the distributed near-dup
+  chain (bucketed LSH, then connected components; see stages/dedup.py
+  for its shuffle budget) and its signal view gets the keep flag from
+  the sorted drop-id array (``ray.put`` once) while the cluster table
+  fits the budget, else from ``keep_from_clusters`` and one bucketed
+  ``hash_join`` on doc_id (unique key on both sides: no cartesian
+  amplification).  Per-batch per-language partial sums then feed a
+  tiny combine — the final merge moves ≤ n_languages × n_blocks rows.
+- Either way the near-dup chain is built by one
+  :func:`~go_htmldate_ray.stages.dedup.signature_clusters` call.
 """
 
 from __future__ import annotations
@@ -28,13 +32,54 @@ import pyarrow.compute as pc
 
 from ..sources.io import read_parquet_clean
 from ..stages import text_stage
+from ..stages.blocks import light_table
+from ..stages.combine import combine_sum_by
 from ..stages.dedup import (
     keep_flags,
     keep_from_clusters,
-    near_dup_clusters,
     near_dup_drop_ids,
+    signature_clusters,
+    signature_payloads,
+    signature_view,
 )
 from ..stages.joins import hash_join
+
+_SCAN_SCHEMA = pa.schema(
+    [
+        ("doc_id", pa.int64()),
+        ("pred_lang", pa.string()),
+        ("n_words", pa.int64()),
+        ("passes", pa.int64()),
+        ("payload", pa.binary()),
+    ]
+)
+_SIGNAL_COLS = ["doc_id", "pred_lang", "n_words", "passes"]
+
+
+def _language_totals(batch: pa.Table) -> pa.Table:
+    """(pred_lang, n_docs, n_kept, kept_tokens) sums of signal rows that
+    carry a ``keep`` flag: a document is kept when it passes the
+    quality rules and keeps its near-dup flag."""
+    kept = pc.cast(
+        pc.and_(pc.equal(batch.column("passes"), 1), pc.equal(batch.column("keep"), 1)),
+        pa.int64(),
+    )
+    g = pa.table(
+        {
+            "pred_lang": batch.column("pred_lang"),
+            "one": pa.array([1] * batch.num_rows, pa.int64()),
+            "kept": kept,
+            "kept_tok": pc.multiply(batch.column("n_words"), kept),
+        }
+    ).group_by("pred_lang").aggregate([("one", "sum"), ("kept", "sum"), ("kept_tok", "sum")])
+    return pa.table(
+        {
+            "pred_lang": g.column("pred_lang"),
+            "n_docs": g.column("one_sum").cast(pa.int64()),
+            "n_kept": g.column("kept_sum").cast(pa.int64()),
+            "kept_tokens": g.column("kept_tok_sum").cast(pa.int64()),
+        }
+    )
 
 
 def curated_corpus_stats(
@@ -52,85 +97,67 @@ def curated_corpus_stats(
     sums the whitespace word counts of kept docs.  Quality thresholds
     default to the fixture-calibrated values the ``gopher_quality``
     query uses so both outcomes occur at every scale factor.
+
+    One text scan emits ``(doc_id, pred_lang, n_words, passes,
+    payload)`` rows (``payload`` is the packed MinHash signature, null
+    for blank texts, which join no near-dup pair), materialized once.
+    While they fit :func:`~go_htmldate_ray.stages.blocks.light_table`'s
+    budget the near-dup chain and the per-language fold run on the
+    driver; above it the same rows feed the distributed chain and the
+    partial-sum combine (see the module docstring).
     """
     import ray
+    import ray.data
 
-    docs = read_parquet_clean(
-        f"{sf_dir}/documents.parquet", columns=["doc_id", "text"]
-    )
-    clusters = near_dup_clusters(docs, hot_buckets=hot_buckets)
-    drops = near_dup_drop_ids(clusters)
-    drops_ref = None if drops is None else ray.put(drops)
-
-    def signals(batch: pa.Table) -> pa.Table:
+    def scan(batch: pa.Table) -> pa.Table:
         q = text_stage.gopher_quality_batch(
             batch,
             min_words=min_words,
             max_words=max_words,
             min_stopword_hits=min_stopword_hits,
         )
-        lang = text_stage.lang_id_batch(batch)
-        out = pa.table(
-            {
-                "doc_id": batch.column("doc_id").cast(pa.int64()),
-                "pred_lang": lang.column("pred_lang"),
-                "n_words": q.column("n_words").cast(pa.int64()),
-                "passes": q.column("passes").cast(pa.int64()),
-            }
-        )
-        if drops_ref is None:
-            return out
-        return out.append_column(
-            "keep", keep_flags(batch.column("doc_id"), ray.get(drops_ref))
-        )
-
-    joined = docs.map_batches(signals, batch_format="pyarrow")
-    if drops_ref is None:
-        joined = hash_join(joined, keep_from_clusters(docs, clusters), on="doc_id")
-
-    def partial(batch: pa.Table) -> pa.Table:
-        kept = pc.and_(
-            pc.equal(batch.column("passes"), 1), pc.equal(batch.column("keep"), 1)
-        )
-        kept_i = pc.cast(kept, pa.int64())
-        t = pa.table(
-            {
-                "pred_lang": batch.column("pred_lang"),
-                "one": pa.array([1] * batch.num_rows, pa.int64()),
-                "kept": kept_i,
-                "kept_tok": pc.multiply(batch.column("n_words"), kept_i),
-            }
-        )
-        g = t.group_by("pred_lang").aggregate(
-            [("one", "sum"), ("kept", "sum"), ("kept_tok", "sum")]
-        )
         return pa.table(
             {
-                "pred_lang": g.column("pred_lang"),
-                "n": g.column("one_sum").cast(pa.int64()),
-                "k": g.column("kept_sum").cast(pa.int64()),
-                "kt": g.column("kept_tok_sum").cast(pa.int64()),
+                "doc_id": batch.column("doc_id").cast(pa.int64()),
+                "pred_lang": text_stage.lang_id_batch(batch).column("pred_lang"),
+                "n_words": q.column("n_words").cast(pa.int64()),
+                "passes": q.column("passes").cast(pa.int64()),
+                "payload": signature_payloads(batch),
             }
         )
 
-    from ..stages.combine import combine_sum_by
+    docs = read_parquet_clean(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
+    scanned = docs.map_batches(scan, batch_format="pyarrow").materialize()
+    rows = light_table(scanned, _SCAN_SCHEMA)
+    if rows is not None:
+        sigs = ray.data.from_arrow(signature_view(rows))
+    else:
+        sigs = scanned.map_batches(signature_view, batch_format="pyarrow")
+    clusters = signature_clusters(sigs, hot_buckets=hot_buckets)
+    drops = near_dup_drop_ids(clusters)
+    if rows is not None and drops is not None:
+        keep = keep_flags(rows.column("doc_id"), drops)
+        # pinned: reading a materialized result starts no Ray Data execution
+        return ray.data.from_arrow(
+            _language_totals(rows.append_column("keep", keep))
+        ).materialize()
 
+    signals = scanned.select_columns(_SIGNAL_COLS)
+    if drops is None:
+        joined = hash_join(signals, keep_from_clusters(signals, clusters), on="doc_id")
+    else:
+        drops_ref = ray.put(drops)
+        joined = signals.map_batches(
+            lambda b: b.append_column(
+                "keep", keep_flags(b.column("doc_id"), ray.get(drops_ref))
+            ),
+            batch_format="pyarrow",
+        )
     # ≤ a few dozen languages: one merge task beats the sort exchange
     return combine_sum_by(
-        joined.map_batches(partial, batch_format="pyarrow"),
+        joined.map_batches(_language_totals, batch_format="pyarrow"),
         ["pred_lang"],
-        ["n", "k", "kt"],
-    ).map_batches(
-        lambda b: pa.table(
-            {
-                "pred_lang": b.column("pred_lang"),
-                "n_docs": b.column("n").cast(pa.int64()),
-                "n_kept": b.column("k").cast(pa.int64()),
-                "kept_tokens": b.column("kt").cast(pa.int64()),
-            }
-        ),
-        batch_format="pyarrow",
-        batch_size=None,
+        ["n_docs", "n_kept", "kept_tokens"],
     )
 
 

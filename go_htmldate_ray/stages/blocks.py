@@ -40,13 +40,13 @@ def light_table(ds, schema: pa.Schema) -> pa.Table | None:
     shuffle with more output blocks than rows emits schema-less empty
     blocks, and their column set need not match the declared schema.
     ``ds`` should already be materialized; a lazy dataset is materialized
-    here, which executes its lineage once.
+    here, which executes its lineage once.  ``materialize()`` is free on a
+    materialized dataset and also pins a ``from_arrow`` one, whose
+    ``to_arrow_refs`` would otherwise start a Ray Data execution.
     """
     import ray
-    from ray.data.dataset import MaterializedDataset
 
-    if not isinstance(ds, MaterializedDataset):
-        ds = ds.materialize()
+    ds = ds.materialize()
     if ds.size_bytes() > LIGHT_TABLE_BYTES:
         return None
     parts = [

@@ -5,16 +5,18 @@ Every operator is expressed Ray-Data-first:
 - **exact**: per-batch content hashing (the cheap partial step) followed by
   a single hash-keyed ``groupby`` — the only shuffle, keyed the same way a
   100 TB run would hash-partition.
-- **MinHash+LSH**: signature computation is a stateful actor-pool batch
-  stage (permutation parameters built once per actor).  While the
-  signature table fits :func:`~.blocks.light_table`'s budget, banding,
-  candidate pairs, pair dedupe and verification are one numpy pass on the
-  driver; above it banding emits only light ``(band_key, doc_id)`` rows
-  through the bucket shuffle (the 128-element signatures do NOT ride the
-  band expansion), candidate pairs come from one band-key groupby (hot
-  buckets star-sampled + logged, never silently dropped on either path),
-  and verification joins the candidate pairs back to the signature table
-  — two hash joins sized by the candidate count, not the corpus.
+- **MinHash+LSH**: each batch is signed into one flat (n, num_perm)
+  int64 matrix (permutation parameters cached once per process) and
+  packed to one byte payload per document straight from the matrix
+  buffer.  While the signature table fits :func:`~.blocks.light_table`'s
+  budget, banding, candidate pairs, pair dedupe and verification are one
+  numpy pass on the driver; above it banding emits only light
+  ``(band_key, doc_id)`` rows through the bucket shuffle (the
+  128-element signatures do NOT ride the band expansion), candidate
+  pairs come from one band-key groupby (hot buckets star-sampled +
+  logged, never silently dropped on either path), and verification
+  joins the candidate pairs back to the signature table — two hash
+  joins sized by the candidate count, not the corpus.
 - **SimHash**: vectorized 64-bit signatures per batch with a per-process
   token-hash cache, no shuffle.
 - **token-set Jaccard (sample)**: exact small-sample pair scoring against
@@ -206,13 +208,21 @@ class MinHasher:
         prod = (self.a[:, None] * sh[None, :] + self.b[:, None]) % _MERSENNE
         return prod.min(axis=1)
 
+    def signatures(self, texts: list) -> np.ndarray:
+        """(len(texts), num_perm) int64 matrix of :meth:`signature` rows
+        (a ``None`` text signs as the empty text)."""
+        mat = np.empty((len(texts), self.num_perm), dtype=np.int64)
+        for i, t in enumerate(texts):
+            mat[i] = self.signature(t or "")
+        return mat
+
     def __call__(self, batch: pa.Table) -> pa.Table:
-        texts = batch.column("text").to_pylist()
-        sigs = [self.signature(t or "") for t in texts]
+        mat = self.signatures(batch.column("text").to_pylist())
+        offsets = np.arange(0, mat.size + 1, self.num_perm, dtype=np.int32)
         return pa.table(
             {
                 "doc_id": batch.column("doc_id"),
-                "signature": pa.array([s.tolist() for s in sigs], pa.list_(pa.int64())),
+                "signature": pa.ListArray.from_arrays(offsets, mat.ravel()),
             }
         )
 
@@ -279,34 +289,51 @@ def _bucket_candidates(group: pa.Table, strict: bool = False) -> pa.Table:
 _PAYLOAD_SCHEMA = pa.schema([("key", pa.int64()), ("payload", pa.binary())])
 
 
-def _signature_rows(batch: pa.Table, num_perm: int) -> pa.Table:
-    """(key, payload) byte-packed minhash signature rows — the shared
-    sign+pack step of every minhash consumer (pairs, clusters, the
-    snapshot probe).  Task-pool friendly: hasher state (256 ints) comes
-    from a per-process cache, beating actor-pool spin-up.  Documents
-    with no shingles (empty/whitespace text) are dropped here: their
-    all-zero signatures would pair every empty doc with est 1.0, and
-    the SQL oracles exclude them the same way (WHERE trim(text) != '')."""
-    import pyarrow.compute as pc
+def _pack_rows(mat: np.ndarray, valid: np.ndarray | None = None) -> pa.Array:
+    """``binary`` array holding each row of the 2-d ``mat`` as its raw
+    bytes, built from the matrix buffer as one fixed-width array (no
+    per-row objects); rows where the boolean ``valid`` is False are
+    null."""
+    mat = np.ascontiguousarray(mat)
+    bitmap = None if valid is None else pa.py_buffer(np.packbits(valid, bitorder="little"))
+    return pa.FixedSizeBinaryArray.from_buffers(
+        pa.binary(mat.shape[1] * mat.itemsize), len(mat), [bitmap, pa.py_buffer(mat)]
+    ).cast(pa.binary())
 
-    nonempty = batch.filter(
-        pc.not_equal(
-            pc.utf8_trim_whitespace(batch.column("text").cast(pa.string())), ""
+
+def signature_payloads(batch: pa.Table, num_perm: int = 128) -> pa.Array:
+    """One nullable byte-packed MinHash signature per ``text`` row of
+    ``batch``: the shared sign+pack step of every minhash consumer
+    (pairs, clusters, the snapshot probe, the curation scan).
+    Task-pool friendly: hasher state (256 ints) comes from a per-process
+    cache, beating actor-pool spin-up.  Texts with no shingles
+    (empty/whitespace text) get null: their all-zero signatures would
+    pair every empty doc with est 1.0, and the SQL oracles exclude them
+    the same way (WHERE trim(text) != '')."""
+    text = batch.column("text").cast(pa.string())
+    nonblank = pc.fill_null(pc.not_equal(pc.utf8_trim_whitespace(text), ""), False)
+    valid = np.asarray(nonblank, dtype=bool)
+    mat = np.zeros((batch.num_rows, num_perm), dtype=np.int64)
+    mat[valid] = _cached_minhasher(num_perm).signatures(text.filter(nonblank).to_pylist())
+    return _pack_rows(mat, valid)
+
+
+def _signature_rows(batch: pa.Table, num_perm: int) -> pa.Table:
+    """(key, payload) signature rows of the non-blank texts of a
+    (doc_id, text) batch (:func:`signature_payloads`, nulls dropped)."""
+    return signature_view(
+        pa.table(
+            {"doc_id": batch.column("doc_id"), "payload": signature_payloads(batch, num_perm)}
         )
     )
-    sigs = _cached_minhasher(num_perm)(nonempty)
-    return pa.table(
-        {
-            "key": sigs.column("doc_id"),
-            "payload": pa.array(
-                [
-                    np.asarray(s, dtype=np.int64).tobytes()
-                    for s in sigs.column("signature").to_pylist()
-                ],
-                pa.binary(),
-            ),
-        }
-    )
+
+
+def signature_view(batch: pa.Table) -> pa.Table:
+    """(key, payload) rows of a (doc_id, payload) table whose payload is
+    :func:`signature_payloads`' nullable column: the input of
+    :func:`signature_lsh_pairs` and :func:`signature_clusters`."""
+    rows = pa.table({"key": batch.column("doc_id"), "payload": batch.column("payload")})
+    return rows.filter(pc.is_valid(rows.column("payload")))
 
 
 def _dedupe_pairs_agg(ds, a_col: str, b_col: str, val_col: str):
@@ -361,11 +388,12 @@ def light_lsh_pairs(
     unique ``ids``.  One :func:`~.joins.collision_pairs` over every band
     row gives the candidates, under the same per-band-key PAIR_CAP
     star-sampling and strict raise as the bucketed scale path; a pair
-    that collides in several bands is kept once (``np.unique``);
+    that collides in several bands is kept once
+    (:func:`~.joins.sorted_unique_pairs`);
     ``score(ia, ib)`` rates pairs by row position, and pairs scoring
     ``>= threshold`` are returned as ``names`` = (a, b, score) columns.
     """
-    from .joins import collision_pairs
+    from .joins import collision_pairs, sorted_unique_pairs
 
     a_col, b_col, val_col = names
     n_bands = keys.shape[1]
@@ -376,22 +404,19 @@ def light_lsh_pairs(
         }
     )
     cand = collision_pairs(band_rows, "band_key", "id", "a", "b", logger, what, strict=strict)
-    ab = np.unique(
-        np.stack([cand.column("a").to_numpy(), cand.column("b").to_numpy()], axis=1),
-        axis=0,
-    )
-    ia = np.searchsorted(ids, ab[:, 0])
-    ib = np.searchsorted(ids, ab[:, 1])
-    val = np.zeros(len(ab))
-    for i in range(0, len(ab), _VERIFY_SLICE):
+    a, b = sorted_unique_pairs(cand.column("a").to_numpy(), cand.column("b").to_numpy())
+    ia = np.searchsorted(ids, a)
+    ib = np.searchsorted(ids, b)
+    val = np.zeros(len(a))
+    for i in range(0, len(a), _VERIFY_SLICE):
         val[i : i + _VERIFY_SLICE] = score(
             ia[i : i + _VERIFY_SLICE], ib[i : i + _VERIFY_SLICE]
         )
     keep = val >= threshold
     return pa.table(
         {
-            a_col: pa.array(ab[keep, 0], pa.int64()),
-            b_col: pa.array(ab[keep, 1], pa.int64()),
+            a_col: pa.array(a[keep], pa.int64()),
+            b_col: pa.array(b[keep], pa.int64()),
             val_col: pa.array(val[keep], pa.float64()),
         }
     )
@@ -412,33 +437,58 @@ def minhash_lsh_pairs(
     est_jaccard is the fraction of agreeing signature components — the
     standard unbiased MinHash estimate of shingle-set Jaccard.
 
+    The documents are signed once (:func:`_signature_rows`) and the
+    pinned signature rows go to :func:`signature_lsh_pairs`, which holds
+    the light/scale hybrid.
+
+    ``hot_buckets``: "sample" (default) star-samples buckets above
+    ``joins.PAIR_CAP`` with a warning; "error" raises instead — the mode
+    oracle runs use, since the SQL oracle enumerates every collision
+    pair."""
+    return signature_lsh_pairs(
+        _signed(ds, num_perm),
+        num_perm=num_perm,
+        num_bands=num_bands,
+        threshold=threshold,
+        hot_buckets=hot_buckets,
+    )
+
+
+def _signed(ds, num_perm: int):
+    """documents → materialized (key, payload) signature rows."""
+    return ds.map_batches(
+        lambda b: _signature_rows(b, num_perm), batch_format="pyarrow"
+    ).materialize()
+
+
+def signature_lsh_pairs(
+    sigs,
+    *,
+    num_perm: int = 128,
+    num_bands: int = 16,
+    threshold: float = 0.8,
+    hot_buckets: str = "sample",
+):
+    """(key, payload) signature rows (:func:`signature_view`) →
+    near-duplicate pairs (doc_a, doc_b, est_jaccard), as
+    :func:`minhash_lsh_pairs` but starting after the signing scan.
+
     Hybrid: while the byte-packed signature table fits
     :func:`~go_htmldate_ray.stages.blocks.light_table`'s budget, banding,
     candidate pairs, pair dedupe and verification run as one numpy pass
     on the driver (:func:`light_lsh_pairs`) — no exchange at all.  Above
     it the light band rows go through one bucket shuffle and two
     hash-partitioned lookup-joins verify the candidates, the 100 TB path
-    where no single node holds the signatures.
-
-    ``hot_buckets``: "sample" (default) star-samples buckets above
-    ``joins.PAIR_CAP`` with a warning; "error" raises instead — the mode
-    oracle runs use, since the SQL oracle enumerates every collision
-    pair."""
+    where no single node holds the signatures."""
     from .blocks import light_table
-    from .joins import attach_payload
+    from .joins import DEFAULT_JOIN_BUCKETS, _bucket_of, attach_payload
 
     strict = hot_buckets == "error"
-
     rows_per_band = num_perm // num_bands
     # Signatures are consumed three times on the scale path (banding +
-    # both verification joins): materialize the compact byte-packed form
-    # ONCE into the object store (distributed blocks, spillable) instead
-    # of re-running MinHash per consumer.
-    from .joins import DEFAULT_JOIN_BUCKETS, _bucket_of
-
-    sigs_bin = ds.map_batches(
-        lambda b: _signature_rows(b, num_perm), batch_format="pyarrow"
-    ).materialize()
+    # both verification joins): pin them once in the object store
+    # (distributed blocks, spillable) instead of recomputing per consumer.
+    sigs_bin = sigs.materialize()
 
     sigs = light_table(sigs_bin, _PAYLOAD_SCHEMA)
     if sigs is not None:
@@ -528,32 +578,49 @@ def near_dup_clusters(
     training pipeline actually applies (keep ``cluster_rep``, drop the
     rest).  Docs in no pair are singletons and not emitted.
 
-    Components via distributed min-label propagation: every node starts
-    labelled with itself; each round joins labels onto the symmetric
-    edge list (hash-bucketed equi-join) and takes the per-node Min of
-    (own label, neighbour labels).  Labels only decrease, so the global
-    label sum is a monotone convergence witness — the driver compares
-    one scalar aggregate per round, never the label table.  Rounds
-    needed = graph diameter (star-sampled hot buckets keep real-world
-    clusters at diameter ≤ 2, so 2-3 rounds); each round is one join
-    shuffle + one groupby over the pair-node set (≪ corpus).
+    The documents are signed once and the signature rows go to
+    :func:`signature_clusters`: LSH pairs (:func:`signature_lsh_pairs`),
+    then :func:`connected_components`, each with its own light/scale
+    hybrid.
     """
-    pairs = minhash_lsh_pairs(
-        ds,
+    return signature_clusters(
+        _signed(ds, num_perm),
         num_perm=num_perm,
         num_bands=num_bands,
         threshold=threshold,
         hot_buckets=hot_buckets,
-    ).materialize()
+        max_iters=max_iters,
+    )
+
+
+def signature_clusters(
+    sigs,
+    *,
+    num_perm: int = 128,
+    num_bands: int = 16,
+    threshold: float = 0.8,
+    hot_buckets: str = "sample",
+    max_iters: int = 25,
+):
+    """(key, payload) signature rows → (doc_id, cluster_rep), as
+    :func:`near_dup_clusters` but starting after the signing scan, so a
+    caller that signs inside its own text scan (``curated_corpus_stats``)
+    builds the near-dup chain with one call.  A typed-empty DataFrame
+    when no pair survives verification."""
+    pairs = signature_lsh_pairs(
+        sigs,
+        num_perm=num_perm,
+        num_bands=num_bands,
+        threshold=threshold,
+        hot_buckets=hot_buckets,
+    )
     return connected_components(pairs, max_iters=max_iters)
 
 
-def _cc_labels(edges: pa.Table) -> pa.Table:
-    """In-memory min-label propagation with pointer jumping — identical
-    fixed point (label = min node id in component) to the distributed
-    rounds, all numpy."""
-    u = edges.column("u").to_numpy()
-    v = edges.column("v").to_numpy()
+def _cc_labels(u: np.ndarray, v: np.ndarray) -> pa.Table:
+    """In-memory min-label propagation with pointer jumping over the
+    symmetric edge list ``(u, v)`` — identical fixed point (label = min
+    node id in component) to the distributed rounds, all numpy."""
     uniq, u_idx = np.unique(u, return_inverse=True)
     v_idx = np.searchsorted(uniq, v)  # v ⊆ u by symmetry
     lab = uniq.copy()
@@ -575,54 +642,56 @@ def _cc_labels(edges: pa.Table) -> pa.Table:
 def connected_components(
     pairs, a_col: str = "doc_a", b_col: str = "doc_b", *, max_iters: int = 25
 ):
-    """(a, b) pair Dataset → (doc_id, cluster_rep) component labels via
-    distributed min-label propagation (see :func:`near_dup_clusters`).
+    """(a, b) pair Dataset → (doc_id, cluster_rep) component labels, or
+    a typed-empty DataFrame when there are no pairs.
 
-    Hybrid: an edge list within
-    :func:`~go_htmldate_ray.stages.blocks.light_table`'s budget solves in
-    numpy on the driver (same min-label fixed point) instead of paying
-    2 joins + groupby + materialize of fixed latency per distributed
-    round — a 97-node host graph must not cost 15 s of scheduling.
-    Larger graphs run the per-round join + Min-groupby +
-    pointer-doubling exchanges.
+    Hybrid: a pair table within
+    :func:`~go_htmldate_ray.stages.blocks.light_table`'s budget is
+    gathered as is and solved in numpy on the driver (symmetric edges,
+    then :func:`_cc_labels`, same min-label fixed point) — no Ray Data
+    execution beyond materializing ``pairs``, where each distributed
+    round would pay 2 joins + groupby + materialize of fixed latency (a
+    97-node host graph must not cost 15 s of scheduling).
+
+    Larger graphs run distributed min-label propagation: every node
+    starts labelled with itself; each round joins labels onto the
+    symmetric edge list (hash-bucketed equi-join) and takes the per-node
+    Min of (own label, neighbour labels), then pointer doubling.  Labels
+    only decrease, so the global label sum is a monotone convergence
+    witness — the driver compares one scalar aggregate per round, never
+    the label table.
     """
+    import pandas as pd
     import ray.data
     from ray.data.aggregate import Min, Sum
 
     from .blocks import light_table, rebase
     from .joins import hash_join
 
-    def to_edges(b: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc_
-
-        a = b.column(a_col)
-        bb = b.column(b_col)
-        return pa.table(
-            {
-                "u": pa.concat_arrays(
-                    [pc_.cast(a, pa.int64()).combine_chunks(), pc_.cast(bb, pa.int64()).combine_chunks()]
-                ),
-                "v": pa.concat_arrays(
-                    [pc_.cast(bb, pa.int64()).combine_chunks(), pc_.cast(a, pa.int64()).combine_chunks()]
-                ),
-            }
-        )
-
-    edges = pairs.map_batches(to_edges, batch_format="pyarrow").materialize()
-    if edges.count() == 0:
-        import pandas as pd
-
+    pairs = pairs.materialize()
+    if pairs.count() == 0:
         return pd.DataFrame(
             {
                 "doc_id": pd.Series([], dtype="int64"),
                 "cluster_rep": pd.Series([], dtype="int64"),
             }
         )
-    small = light_table(
-        edges, pa.schema([("u", pa.int64()), ("v", pa.int64())])
-    )
+    small = light_table(pairs, pa.schema([(a_col, pa.int64()), (b_col, pa.int64())]))
     if small is not None:
-        return ray.data.from_arrow(_cc_labels(small))
+        a = small.column(a_col).to_numpy()
+        b = small.column(b_col).to_numpy()
+        return ray.data.from_arrow(
+            _cc_labels(np.concatenate([a, b]), np.concatenate([b, a]))
+        )
+
+    def to_edges(b: pa.Table) -> pa.Table:
+        a = pc.cast(b.column(a_col), pa.int64()).combine_chunks()
+        bb = pc.cast(b.column(b_col), pa.int64()).combine_chunks()
+        return pa.table(
+            {"u": pa.concat_arrays([a, bb]), "v": pa.concat_arrays([bb, a])}
+        )
+
+    edges = pairs.map_batches(to_edges, batch_format="pyarrow").materialize()
 
     def self_label(b: pa.Table) -> pa.Table:
         return pa.table({"node": b.column("u"), "label": b.column("u")})

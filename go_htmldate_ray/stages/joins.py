@@ -382,8 +382,8 @@ def _expand_ids(
     ids: np.ndarray, logger, what: str, strict: bool
 ) -> tuple[np.ndarray, np.ndarray] | None:
     """All-pairs (or star-sampled) expansion of one collision cluster's
-    distinct ids — the numpy core shared by the per-group and bucketed
-    candidate generators."""
+    sorted distinct ids: the per-run contract of :func:`collision_pairs`,
+    which calls it for the runs above ``PAIR_CAP``."""
     g = len(ids)
     if g < 2:
         return None
@@ -405,6 +405,18 @@ def _expand_ids(
     return np.full(g - 1, ids[0]), ids[1:]
 
 
+def sorted_unique_pairs(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct ``(x, y)`` pairs sorted by x, then y: what
+    ``np.unique(np.stack([x, y], axis=1), axis=0)`` returns, from one
+    lexsort and an adjacent-row compare instead of a sort of row
+    views."""
+    order = np.lexsort((y, x))
+    x, y = x[order], y[order]
+    fresh = np.ones(len(x), dtype=bool)
+    fresh[1:] = (x[1:] != x[:-1]) | (y[1:] != y[:-1])
+    return x[fresh], y[fresh]
+
+
 def collision_pairs(
     group: pa.Table,
     key_col: str,
@@ -415,39 +427,48 @@ def collision_pairs(
     what: str,
     strict: bool = False,
 ) -> pa.Table:
-    """Candidate pairs from a HASH BUCKET of LSH band rows.
+    """Candidate pairs ``a < b`` from a HASH BUCKET of LSH band rows.
 
     The group holds many distinct band keys (the grouping key is
     ``hash(band_key) % n_buckets``, not the band key itself — per-key
     groups would mean one Python callback per mostly-singleton key at
-    corpus scale).  Collision runs are found with one lexsort +
-    np.unique; only runs with ≥2 members — actual collisions, rare by
-    construction — are expanded, under the PAIR_CAP star-sampling /
-    strict-mode contract documented on :func:`_expand_ids`."""
-    keys = np.asarray(group.column(key_col), dtype=np.int64)
-    ids = np.asarray(group.column(id_col), dtype=np.int64)
-    order = np.lexsort((ids, keys))
-    ks, vs = keys[order], ids[order]
-    _uk, start, cnt = np.unique(ks, return_index=True, return_counts=True)
+    corpus scale).  One lexsort on (key, id) plus an adjacent-duplicate
+    drop turns every band key into a run of sorted distinct ids.  Runs
+    of at most ``PAIR_CAP`` ids expand all-pairs without a per-run
+    loop: step ``d`` pairs each row ``i`` with row ``i + d`` wherever
+    both are in one run, for ``d`` up to the longest such run.  Longer
+    runs go through :func:`_expand_ids`, which star-samples or, in
+    strict mode, raises.  Row order of the output is unspecified."""
+    ks, vs = sorted_unique_pairs(
+        np.asarray(group.column(key_col), dtype=np.int64),
+        np.asarray(group.column(id_col), dtype=np.int64),
+    )
+    start = np.flatnonzero(np.r_[True, ks[1:] != ks[:-1]]) if len(ks) else ks
+    cnt = np.diff(np.r_[start, len(ks)])
     oa: list[np.ndarray] = []
     ob: list[np.ndarray] = []
-    for s, c in zip(start[cnt >= 2], cnt[cnt >= 2]):
-        expanded = _expand_ids(np.unique(vs[s : s + c]), logger, what, strict)
-        if expanded is not None:
-            oa.append(expanded[0])
-            ob.append(expanded[1])
-    if not oa:
-        return pa.table(
-            {a_col: pa.array([], pa.int64()), b_col: pa.array([], pa.int64())}
-        )
+    for s, c in zip(start[cnt > PAIR_CAP], cnt[cnt > PAIR_CAP]):
+        expanded = _expand_ids(vs[s : s + c], logger, what, strict)
+        oa.append(expanded[0])
+        ob.append(expanded[1])
+    small = (cnt >= 2) & (cnt <= PAIR_CAP)
+    rows = np.flatnonzero(np.repeat(small, cnt))
+    ends = np.repeat((start + cnt)[small], cnt[small])
+    d = 1
+    while True:
+        live = rows + d < ends
+        rows, ends = rows[live], ends[live]
+        if not len(rows):
+            break
+        oa.append(vs[rows])
+        ob.append(vs[rows + d])
+        d += 1
     return pa.table(
         {
-            a_col: pa.array(np.concatenate(oa), pa.int64()),
-            b_col: pa.array(np.concatenate(ob), pa.int64()),
+            a_col: pa.array(np.concatenate(oa) if oa else [], pa.int64()),
+            b_col: pa.array(np.concatenate(ob) if ob else [], pa.int64()),
         }
     )
-
-
 
 
 _CELL = "__range_cell"

@@ -420,11 +420,6 @@ def encode_png(img: np.ndarray, *, row_filters: list[int] | None = None) -> byte
     )
 
 
-def png_image_features(payload: bytes) -> np.ndarray:
-    """The shared :func:`_image_features` kernel over PNG input."""
-    return _image_features(decode_png(payload))
-
-
 def decode_image(payload: bytes) -> np.ndarray:
     """Sniffing decoder over the codec-library-free formats: BMP, PNG,
     baseline JPEG, or netpbm.  Formats that genuinely need an external
@@ -573,27 +568,6 @@ class AudioWindowStage:
                 "rms": pa.array(out_rms, pa.float64()),
             }
         )
-
-
-def frame_sample_stage(batch: pa.Table, every_nth: int = 10) -> pa.Table:
-    """Video frame-sampling plumbing: emits (media_id, frame_index) rows
-    for every Nth frame.  Frame decoding is stubbed — frame count is
-    derived deterministically from payload length (a real implementation
-    would probe the container format)."""
-    media_ids = batch.column("media_id").to_pylist()
-    payloads = batch.column("payload").to_pylist()
-    out_ids, out_frames = [], []
-    for mid, payload in zip(media_ids, payloads):
-        n_frames = max(1, len(payload or b"") // 16)
-        for f in range(0, n_frames, every_nth):
-            out_ids.append(mid)
-            out_frames.append(f)
-    return pa.table(
-        {
-            "media_id": pa.array(out_ids, pa.int64()),
-            "frame_index": pa.array(out_frames, pa.int64()),
-        }
-    )
 
 
 def media_features(sf_dir: str):

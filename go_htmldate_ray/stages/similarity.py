@@ -395,7 +395,7 @@ def embedding_dup_pairs_lsh(
     loudly rather than as a hash mismatch.
     """
     from .blocks import light_table
-    from .dedup import _PAYLOAD_SCHEMA
+    from .dedup import _PAYLOAD_SCHEMA, _pack_rows
     from .joins import attach_payload
 
     strict = hot_buckets == "error"
@@ -412,12 +412,7 @@ def embedding_dup_pairs_lsh(
     # float64 bytes (decoded with np.frombuffer in the verifier).
     def pack(batch: pa.Table) -> pa.Table:
         mat = _list_matrix(batch.column("embedding"))
-        return pa.table(
-            {
-                "key": batch.column("vec_id"),
-                "payload": pa.array([row.tobytes() for row in mat], pa.binary()),
-            }
-        )
+        return pa.table({"key": batch.column("vec_id"), "payload": _pack_rows(mat)})
 
     # gathered by the light branch, or consumed twice by the join path
     # (both attach sides): pin the packed bytes once

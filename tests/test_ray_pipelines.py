@@ -445,15 +445,16 @@ def test_near_dup_keep_and_curation_modes_equivalent(scale_path, monkeypatch):
     """Drop-id (light) and union+groupby / hash_join (scale) paths of
     near_dup_keep and curated_corpus_stats give equal row sets on
     sf0.001, and curated_corpus_stats builds the clusters once per call
-    on both."""
+    on both (one ``signature_clusters`` call over its scan's
+    signatures)."""
     from go_htmldate_ray.pipelines import curation
     from go_htmldate_ray.sources.io import read_parquet_clean
     from go_htmldate_ray.stages.dedup import near_dup_keep
 
     calls = []
-    real = curation.near_dup_clusters
+    real = curation.signature_clusters
     monkeypatch.setattr(
-        curation, "near_dup_clusters", lambda *a, **k: calls.append(1) or real(*a, **k)
+        curation, "signature_clusters", lambda *a, **k: calls.append(1) or real(*a, **k)
     )
 
     def run():
@@ -477,6 +478,23 @@ def test_near_dup_keep_and_curation_modes_equivalent(scale_path, monkeypatch):
     keep, stats = light
     assert len(keep) == 500 and 0 < sum(k for _, k in keep) < 500
     assert sum(r[1] for r in stats) == 500
+
+
+def test_curation_scan_above_budget_with_light_clusters(monkeypatch):
+    """A scan above the budget whose cluster table still fits takes the
+    distributed fold with the driver's drop-id array as the keep flag,
+    and gives the all-light result."""
+    from go_htmldate_ray.pipelines import curation
+
+    def stats():
+        return sorted(
+            (r["pred_lang"], r["n_docs"], r["n_kept"], r["kept_tokens"])
+            for r in curation.curated_corpus_stats(SF, hot_buckets="error").take_all()
+        )
+
+    light = stats()
+    monkeypatch.setattr(curation, "light_table", lambda ds, schema: None)
+    assert stats() == light
 
 
 def test_hash_join_semantics():
