@@ -475,9 +475,8 @@ def queries() -> dict[str, Callable[[str], Any]]:
         # Asymmetric n-gram containment (Broder) over the bounded
         # sample: quote/subset detection the symmetric Jaccard misses.
         "containment_pairs": lambda sf: dedup.containment_pairs(_docs(sf)),
-        # Incremental NEAR-dup: new docs' minhash bands probe the
-        # snapshot side's band index in one equi-join (no old×old
-        # candidates); signature lookup-join verify; 29 natural
+        # Incremental NEAR-dup: the minhash LSH pairs that cross the
+        # id-100 boundary, as (new_doc, old_doc); 29 natural
         # cross-boundary pairs at threshold 0.7 on this fixture.
         "near_dup_vs_snapshot": lambda sf: dedup.near_dup_vs_snapshot(
             _docs(sf), snapshot_max_id=100, threshold=0.7
@@ -4341,7 +4340,8 @@ SELECT u AS doc_id, min(v) AS cluster_rep FROM reach GROUP BY u"""
 
 def _ann_lsh_sql(n_planes: int = 12, k: int = 5) -> str:
     # The LSH restriction is deterministic: hyperplanes from
-    # RandomState(42) (same as stages/similarity.HyperplaneHasher),
+    # RandomState(42) (the one band of the BandedHasher that
+    # stages/similarity.lsh_topk uses),
     # candidate set = rows whose bucket is within Hamming distance 1 of a
     # query bucket, exact cosine ranking within candidates.  Bucket signs
     # are scale-invariant, so raw (unnormalized) embeddings are hashed.

@@ -339,47 +339,17 @@ def crawl(
         # crawl size, and make wave replay idempotent: a crash between a
         # wave's delta write and its manifest update leaves that wave's
         # delta unreferenced, so the replayed wave starts from pre-wave
-        # state instead of seeing its own URLs as duplicates.
-        # Legacy checkpoint layout (one full seen.json dump, no deltas for
-        # its waves): load the full dump FIRST, then replay whichever
-        # per-wave deltas exist — a legacy checkpoint resumed under the
-        # delta code writes deltas for its new waves without rewriting
-        # seen.json, so a second resume must apply BOTH or already-visited
-        # URLs pass the seen check again (duplicate fetches).
-        delta0 = os.path.join(checkpoint_dir, "seen_delta_0.json")
-        legacy = os.path.join(checkpoint_dir, "seen.json")
-        legacy_loaded = False
-        if not os.path.exists(delta0) and os.path.exists(legacy):
-            seen.load(json.loads(open(legacy).read()))
-            legacy_loaded = True
+        # state instead of seeing its own URLs as duplicates.  Robots
+        # state replays the same way, but robots is a cache (hosts
+        # missing after replay are simply re-resolved), so unlike the
+        # seen set a missing robots delta needs no loud failure.
         for w in range(start_wave):
             dp = os.path.join(checkpoint_dir, f"seen_delta_{w}.json")
-            if os.path.exists(dp):
-                seen.load_deltas(json.loads(open(dp).read()))
-            elif not legacy_loaded:
-                # no LOADED legacy dump covering this wave (a stale
-                # seen.json merely lying next to a delta-0 checkpoint
-                # does not count) → the checkpoint is incomplete; fail
-                # loudly rather than re-fetch silently
-                raise FileNotFoundError(
-                    f"crawl checkpoint missing {dp} (and no legacy seen.json loaded)"
-                )
-        # Robots state: legacy full dump (if present) first, then the
-        # per-wave deltas of manifested waves.  Robots is a cache —
-        # hosts missing after replay are simply re-resolved — so unlike
-        # the seen set a gap here never needs a loud failure.
-        robots_full = os.path.join(checkpoint_dir, "robots.json")
-        if os.path.exists(robots_full):
-            robots_ckpt = json.loads(open(robots_full).read())
-            if "rules" in robots_ckpt and "delays" in robots_ckpt:
-                rules_map, delays_map = robots_ckpt["rules"], robots_ckpt["delays"]
-            else:  # legacy layout: a bare host → rules dict, no delays
-                rules_map, delays_map = robots_ckpt, None
-            robots.load(
-                {h: [tuple(r) for r in rules] for h, rules in rules_map.items()},
-                delays_map,
-            )
-        for w in range(start_wave):
+            if not os.path.exists(dp):
+                # the checkpoint is incomplete: fail loudly rather than
+                # re-fetch silently
+                raise FileNotFoundError(f"crawl checkpoint missing {dp}")
+            seen.load_deltas(json.loads(open(dp).read()))
             rp = os.path.join(checkpoint_dir, f"robots_delta_{w}.json")
             if os.path.exists(rp):
                 delta = json.loads(open(rp).read())
@@ -570,9 +540,9 @@ def crawl(
         # robots checkpoint is a per-wave DELTA too (hosts first resolved
         # this wave): re-serializing the FULL rules table every wave is
         # O(total hosts) I/O at a fixed point in every wave — wrong shape
-        # for a 10^10-URL frontier.  Resume replays deltas (plus a legacy
-        # full robots.json if present); a missing robots delta is safe,
-        # robots is a cache and unresolved hosts simply re-fetch.
+        # for a 10^10-URL frontier.  Resume replays the deltas; a missing
+        # robots delta is safe, robots is a cache and unresolved hosts
+        # simply re-fetch.
         open(
             os.path.join(checkpoint_dir, f"robots_delta_{wave}.json"), "w"
         ).write(json.dumps(robots.drain_delta()))

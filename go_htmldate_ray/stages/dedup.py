@@ -8,15 +8,17 @@ Every operator is expressed Ray-Data-first:
 - **MinHash+LSH**: each batch is signed into one flat (n, num_perm)
   int64 matrix (permutation parameters cached once per process) and
   packed to one byte payload per document straight from the matrix
-  buffer.  While the signature table fits :func:`~.blocks.light_table`'s
-  budget, banding, candidate pairs, pair dedupe and verification are one
-  numpy pass on the driver; above it banding emits only light
-  ``(band_key, doc_id)`` rows through the bucket shuffle (the
-  128-element signatures do NOT ride the band expansion), candidate
-  pairs come from one band-key groupby (hot buckets star-sampled +
+  buffer.  Pairs come from :func:`banded_lsh_pairs`, the one banded-LSH
+  pair operator (also behind ``similarity.embedding_dup_pairs_lsh`` and
+  :func:`near_dup_vs_snapshot`): while the packed table fits
+  :func:`~.blocks.light_table`'s budget, banding, candidate pairs, pair
+  dedupe and verification are one numpy pass on the driver; above it
+  banding emits only light ``(band_key, id)`` rows through the bucket
+  shuffle (the payloads do NOT ride the band expansion), candidate
+  pairs come from one bucket groupby (hot buckets star-sampled +
   logged, never silently dropped on either path), and verification
-  joins the candidate pairs back to the signature table — two hash
-  joins sized by the candidate count, not the corpus.
+  joins the candidate pairs back to the payloads — two lookup-joins
+  sized by the candidate count, not the corpus.
 - **SimHash**: vectorized 64-bit signatures per batch with a per-process
   token-hash cache, no shuffle.
 - **token-set Jaccard (sample)**: exact small-sample pair scoring against
@@ -257,34 +259,6 @@ def _band_keys(mat: np.ndarray, num_bands: int, rows_per_band: int) -> np.ndarra
     return (h >> np.uint64(1)).view(np.int64)
 
 
-def _band_batch(batch: pa.Table, num_bands: int, rows_per_band: int) -> pa.Table:
-    """Expand each byte-packed signature into light (band_key, doc_id)
-    rows — the signature itself stays out of the bucket shuffle (16×
-    smaller exchange than shipping the 128-element signature per band
-    row).  band_key comes from :func:`_band_keys`, so the scale path, the
-    light branch and :func:`near_dup_vs_snapshot` key bands alike."""
-    ids, mat = _payload_matrix(batch, np.int64)
-    keys = _band_keys(mat, num_bands, rows_per_band)
-    return pa.table(
-        {
-            "band_key": pa.array(keys.ravel(), pa.int64()),
-            "doc_id": pa.array(np.repeat(ids, num_bands), pa.int64()),
-        }
-    )
-
-
-def _bucket_candidates(group: pa.Table, strict: bool = False) -> pa.Table:
-    """Candidate pairs from one HASH BUCKET of band rows (many band keys
-    per group — per-band-key groups would be mostly singletons at corpus
-    scale, one Python call each; see joins.collision_pairs)."""
-    from .joins import collision_pairs
-
-    return collision_pairs(
-        group, "band_key", "doc_id", "doc_a", "doc_b", logger, "MinHash",
-        strict=strict,
-    )
-
-
 # (key, payload) rows: an int64 id and its vector packed as raw numpy bytes
 _PAYLOAD_SCHEMA = pa.schema([("key", pa.int64()), ("payload", pa.binary())])
 
@@ -336,35 +310,56 @@ def signature_view(batch: pa.Table) -> pa.Table:
     return rows.filter(pc.is_valid(rows.column("payload")))
 
 
-def _dedupe_pairs_agg(ds, a_col: str, b_col: str, val_col: str):
-    """Drop duplicate (a, b) pairs via a Min AGGREGATE on the value column
-    (identical across a pair's duplicates — they came from the same
-    signatures), avoiding a per-pair map_groups callable."""
-    from ray.data.aggregate import Min
-
-    agg = ds.groupby([a_col, b_col]).aggregate(Min(val_col))
-    return agg.map_batches(
-        lambda b: pa.table(
-            {
-                a_col: b.column(a_col),
-                b_col: b.column(b_col),
-                val_col: b.column(f"min({val_col})"),
-            }
-        ),
-        batch_format="pyarrow",
-    )
+def _rows_matrix(col, dtype) -> np.ndarray:
+    """(n, width) matrix of a binary column whose values all have one
+    width — one buffer join, no per-row decode."""
+    if len(col) == 0:
+        return np.zeros((0, 0), dtype=dtype)
+    return np.frombuffer(b"".join(col.to_pylist()), dtype=dtype).reshape(len(col), -1)
 
 
 def _payload_matrix(tbl: pa.Table, dtype) -> tuple[np.ndarray, np.ndarray]:
     """(sorted ids, row-aligned matrix) from a ``_PAYLOAD_SCHEMA`` table
-    whose payloads all have one width — one buffer join, no per-row
-    decode."""
+    whose payloads all have one width."""
     ids = tbl.column("key").to_numpy()
-    if len(ids) == 0:
-        return ids, np.zeros((0, 0), dtype=dtype)
     order = np.argsort(ids)
-    flat = np.frombuffer(b"".join(tbl.column("payload").to_pylist()), dtype=dtype)
-    return ids[order], flat.reshape(len(ids), -1)[order]
+    return ids[order], _rows_matrix(tbl.column("payload"), dtype)[order]
+
+
+def _band_rows(batch: pa.Table, dtype, band_keys) -> pa.Table:
+    """Light (band_key, id, shuffle_bucket) rows of a (key, payload)
+    batch, one per row and band: the payload itself stays out of the
+    bucket shuffle (a 128-word signature per band row would be 16× the
+    exchange)."""
+    from .joins import DEFAULT_JOIN_BUCKETS, _bucket_of
+
+    keys = band_keys(_rows_matrix(batch.column("payload"), dtype))
+    band_key = pa.array(keys.ravel(), pa.int64())
+    return pa.table(
+        {
+            "band_key": band_key,
+            "id": pa.array(np.repeat(batch.column("key").to_numpy(), keys.shape[1]), pa.int64()),
+            "shuffle_bucket": _bucket_of(band_key, DEFAULT_JOIN_BUCKETS),
+        }
+    )
+
+
+def _kept_pairs(
+    a: np.ndarray, b: np.ndarray, val: np.ndarray, threshold: float, names, digits
+) -> pa.Table:
+    """The ``names`` = (a, b, score) rows of the scored candidate pairs
+    with ``val >= threshold``; with ``digits``, each kept score is then
+    rounded to that many places by Python ``round``."""
+    keep = val >= threshold
+    kept = val[keep] if digits is None else [round(v, digits) for v in val[keep].tolist()]
+    a_col, b_col, val_col = names
+    return pa.table(
+        {
+            a_col: pa.array(a[keep], pa.int64()),
+            b_col: pa.array(b[keep], pa.int64()),
+            val_col: pa.array(kept, pa.float64()),
+        }
+    )
 
 
 # candidate pairs scored per verification slice (bounds the gathered
@@ -372,35 +367,24 @@ def _payload_matrix(tbl: pa.Table, dtype) -> tuple[np.ndarray, np.ndarray]:
 _VERIFY_SLICE = 1 << 16
 
 
-def light_lsh_pairs(
-    ids: np.ndarray,
-    keys: np.ndarray,
-    score,
-    threshold: float,
-    names: tuple[str, str, str],
-    what: str,
-    strict: bool,
-) -> pa.Table:
-    """The light branch of the banded-LSH pair operators, as one pass on
-    the driver over a gathered table.
+def light_lsh_pairs(ids: np.ndarray, keys: np.ndarray, score, what: str, strict: bool):
+    """The light branch of :func:`banded_lsh_pairs`, as one pass on the
+    driver over a gathered table → scored candidate arrays (a, b, val).
 
     ``keys`` holds the (n, n_bands) band keys of the rows of the sorted
     unique ``ids``.  One :func:`~.joins.collision_pairs` over every band
     row gives the candidates, under the same per-band-key PAIR_CAP
     star-sampling and strict raise as the bucketed scale path; a pair
     that collides in several bands is kept once
-    (:func:`~.joins.sorted_unique_pairs`);
-    ``score(ia, ib)`` rates pairs by row position, and pairs scoring
-    ``>= threshold`` are returned as ``names`` = (a, b, score) columns.
+    (:func:`~.joins.sorted_unique_pairs`); ``score(ia, ib)`` rates pairs
+    by row position.
     """
     from .joins import collision_pairs, sorted_unique_pairs
 
-    a_col, b_col, val_col = names
-    n_bands = keys.shape[1]
     band_rows = pa.table(
         {
             "band_key": pa.array(keys.ravel(), pa.int64()),
-            "id": pa.array(np.repeat(ids, n_bands), pa.int64()),
+            "id": pa.array(np.repeat(ids, keys.shape[1]), pa.int64()),
         }
     )
     cand = collision_pairs(band_rows, "band_key", "id", "a", "b", logger, what, strict=strict)
@@ -412,14 +396,102 @@ def light_lsh_pairs(
         val[i : i + _VERIFY_SLICE] = score(
             ia[i : i + _VERIFY_SLICE], ib[i : i + _VERIFY_SLICE]
         )
-    keep = val >= threshold
-    return pa.table(
-        {
-            a_col: pa.array(a[keep], pa.int64()),
-            b_col: pa.array(b[keep], pa.int64()),
-            val_col: pa.array(val[keep], pa.float64()),
-        }
+    return a, b, val
+
+
+def banded_lsh_pairs(
+    rows,
+    dtype,
+    band_keys,
+    score,
+    threshold: float,
+    names: tuple[str, str, str],
+    what: str,
+    strict: bool,
+    digits: int | None = None,
+):
+    """The banded-LSH pair operator behind every near-dup pair query:
+    (key, payload) rows → (a, b, score) pairs ``a < b`` whose candidates
+    share a band key and whose ``score >= threshold``.
+
+    ``rows`` hold an int64 ``key`` and its vector packed as raw ``dtype``
+    bytes (one width).  ``band_keys`` maps an (n, d) matrix to its
+    (n, n_bands) int64 band keys; ``score(ma, mb)`` rates row-aligned
+    pairs of vectors.  ``names`` are the output columns, ``what`` labels
+    the hot-bucket warning, ``strict`` raises on a band key above
+    ``joins.PAIR_CAP`` instead of star-sampling it, and ``digits`` rounds
+    the kept scores (:func:`_kept_pairs`).
+
+    Hybrid: while the packed table fits
+    :func:`~go_htmldate_ray.stages.blocks.light_table`'s budget, banding,
+    candidate pairs, pair dedupe and scoring are one numpy pass on the
+    driver (:func:`light_lsh_pairs`), returned materialized, so reading
+    it starts no Ray Data execution.  Above it each row emits light band
+    rows (:func:`_band_rows`) through one bucket shuffle into
+    :func:`~.joins.collision_pairs`, two hash-partitioned
+    :func:`~.joins.attach_payload` lookup-joins bring both vectors to
+    each candidate, and one map scores them: the 100 TB path, where no
+    single node holds the vectors.
+    """
+    import ray.data
+
+    from .blocks import light_table
+    from .joins import attach_payload, collision_pairs
+
+    # consumed three times on the scale path (banding + both lookup-joins):
+    # pin the rows once instead of recomputing them per consumer
+    rows = rows.materialize()
+    tbl = light_table(rows, _PAYLOAD_SCHEMA)
+    if tbl is not None:
+        ids, mat = _payload_matrix(tbl, dtype)
+        a, b, val = light_lsh_pairs(
+            ids, band_keys(mat), lambda ia, ib: score(mat[ia], mat[ib]), what, strict
+        )
+        return ray.data.from_arrow(
+            _kept_pairs(a, b, val, threshold, names, digits)
+        ).materialize()
+
+    a_col, b_col, _ = names
+    candidates = (
+        rows.map_batches(lambda t: _band_rows(t, dtype, band_keys), batch_format="pyarrow")
+        .groupby("shuffle_bucket")
+        .map_groups(
+            lambda g: collision_pairs(
+                g, "band_key", "id", a_col, b_col, logger, what, strict=strict
+            ),
+            batch_format="pyarrow",
+        )
     )
+    # A pair can surface from several bands: duplicates share a, so they
+    # co-locate on the first lookup-join's key and dedupe there — no
+    # separate dedupe shuffle.
+    pair_cols = {a_col: pa.int64(), b_col: pa.int64()}
+    with_a = attach_payload(
+        candidates, rows, key_col=a_col, out_col="payload_a", carry_cols=pair_cols, dedupe=True
+    )
+    with_b = attach_payload(
+        with_a,
+        rows,
+        key_col=b_col,
+        out_col="payload_b",
+        carry_cols={**pair_cols, "payload_a": pa.binary()},
+    )
+
+    def verify(batch: pa.Table) -> pa.Table:
+        val = (
+            score(
+                _rows_matrix(batch.column("payload_a"), dtype),
+                _rows_matrix(batch.column("payload_b"), dtype),
+            )
+            if batch.num_rows
+            else np.zeros(0)
+        )
+        return _kept_pairs(
+            batch.column(a_col).to_numpy(), batch.column(b_col).to_numpy(),
+            val, threshold, names, digits,
+        )
+
+    return with_b.map_batches(verify, batch_format="pyarrow")
 
 
 def minhash_lsh_pairs(
@@ -438,8 +510,7 @@ def minhash_lsh_pairs(
     standard unbiased MinHash estimate of shingle-set Jaccard.
 
     The documents are signed once (:func:`_signature_rows`) and the
-    pinned signature rows go to :func:`signature_lsh_pairs`, which holds
-    the light/scale hybrid.
+    pinned signature rows go to :func:`signature_lsh_pairs`.
 
     ``hot_buckets``: "sample" (default) star-samples buckets above
     ``joins.PAIR_CAP`` with a warning; "error" raises instead — the mode
@@ -471,97 +542,20 @@ def signature_lsh_pairs(
 ):
     """(key, payload) signature rows (:func:`signature_view`) →
     near-duplicate pairs (doc_a, doc_b, est_jaccard), as
-    :func:`minhash_lsh_pairs` but starting after the signing scan.
-
-    Hybrid: while the byte-packed signature table fits
-    :func:`~go_htmldate_ray.stages.blocks.light_table`'s budget, banding,
-    candidate pairs, pair dedupe and verification run as one numpy pass
-    on the driver (:func:`light_lsh_pairs`) — no exchange at all.  Above
-    it the light band rows go through one bucket shuffle and two
-    hash-partitioned lookup-joins verify the candidates, the 100 TB path
-    where no single node holds the signatures."""
-    from .blocks import light_table
-    from .joins import DEFAULT_JOIN_BUCKETS, _bucket_of, attach_payload
-
-    strict = hot_buckets == "error"
+    :func:`minhash_lsh_pairs` but starting after the signing scan:
+    :func:`banded_lsh_pairs` over :func:`_band_keys` bands, scored by
+    the fraction of agreeing signature words."""
     rows_per_band = num_perm // num_bands
-    # Signatures are consumed three times on the scale path (banding +
-    # both verification joins): pin them once in the object store
-    # (distributed blocks, spillable) instead of recomputing per consumer.
-    sigs_bin = sigs.materialize()
-
-    sigs = light_table(sigs_bin, _PAYLOAD_SCHEMA)
-    if sigs is not None:
-        import ray.data
-
-        ids, mat = _payload_matrix(sigs, np.int64)
-        return ray.data.from_arrow(
-            light_lsh_pairs(
-                ids,
-                _band_keys(mat, num_bands, rows_per_band),
-                lambda ia, ib: (mat[ia] == mat[ib]).mean(axis=1),
-                threshold,
-                ("doc_a", "doc_b", "est_jaccard"),
-                "MinHash",
-                strict,
-            )
-        )
-
-    def band_and_bucket(b: pa.Table) -> pa.Table:
-        t = _band_batch(b, num_bands, rows_per_band)
-        return t.append_column(
-            "shuffle_bucket", _bucket_of(t.column("band_key"), DEFAULT_JOIN_BUCKETS)
-        )
-
-    banded = sigs_bin.map_batches(band_and_bucket, batch_format="pyarrow")
-    candidates = banded.groupby("shuffle_bucket").map_groups(
-        lambda g: _bucket_candidates(g, strict=strict), batch_format="pyarrow"
+    return banded_lsh_pairs(
+        sigs,
+        np.int64,
+        lambda mat: _band_keys(mat, num_bands, rows_per_band),
+        lambda ma, mb: (ma == mb).mean(axis=1),
+        threshold,
+        ("doc_a", "doc_b", "est_jaccard"),
+        "MinHash",
+        hot_buckets == "error",
     )
-    # A pair can surface from several bands: duplicates share doc_a, so
-    # they co-locate on the first lookup-join's key and dedupe there —
-    # no separate dedupe shuffle.
-    with_a = attach_payload(
-        candidates,
-        sigs_bin,
-        key_col="doc_a",
-        out_col="sig_a",
-        carry_cols={"doc_a": pa.int64(), "doc_b": pa.int64()},
-        dedupe=True,
-    )
-    with_b = attach_payload(
-        with_a,
-        sigs_bin,
-        key_col="doc_b",
-        out_col="sig_b",
-        carry_cols={"doc_a": pa.int64(), "doc_b": pa.int64(), "sig_a": pa.binary()},
-    )
-
-    def verify(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            return pa.table(
-                {
-                    "doc_a": pa.array([], pa.int64()),
-                    "doc_b": pa.array([], pa.int64()),
-                    "est_jaccard": pa.array([], pa.float64()),
-                }
-            )
-        sa = np.vstack(
-            [np.frombuffer(b, dtype=np.int64) for b in batch.column("sig_a").to_pylist()]
-        )
-        sb = np.vstack(
-            [np.frombuffer(b, dtype=np.int64) for b in batch.column("sig_b").to_pylist()]
-        )
-        est = (sa == sb).mean(axis=1)
-        keep = est >= threshold
-        return pa.table(
-            {
-                "doc_a": batch.column("doc_a").filter(pa.array(keep)),
-                "doc_b": batch.column("doc_b").filter(pa.array(keep)),
-                "est_jaccard": pa.array(est[keep], pa.float64()),
-            }
-        )
-
-    return with_b.map_batches(verify, batch_format="pyarrow")
 
 
 def near_dup_clusters(
@@ -648,8 +642,9 @@ def connected_components(
     Hybrid: a pair table within
     :func:`~go_htmldate_ray.stages.blocks.light_table`'s budget is
     gathered as is and solved in numpy on the driver (symmetric edges,
-    then :func:`_cc_labels`, same min-label fixed point) — no Ray Data
-    execution beyond materializing ``pairs``, where each distributed
+    then :func:`_cc_labels`, same min-label fixed point) and returned
+    materialized — no Ray Data execution beyond materializing ``pairs``,
+    not even to read the labels, where each distributed
     round would pay 2 joins + groupby + materialize of fixed latency (a
     97-node host graph must not cost 15 s of scheduling).
 
@@ -682,7 +677,7 @@ def connected_components(
         b = small.column(b_col).to_numpy()
         return ray.data.from_arrow(
             _cc_labels(np.concatenate([a, b]), np.concatenate([b, a]))
-        )
+        ).materialize()
 
     def to_edges(b: pa.Table) -> pa.Table:
         a = pc.cast(b.column(a_col), pa.int64()).combine_chunks()
@@ -1404,98 +1399,34 @@ def near_dup_vs_snapshot(
     (``doc_id < snapshot_max_id``) — :func:`new_docs_vs_snapshot` lifted
     from exact-hash to near-duplicate sensitivity.
 
-    The crawl-incremental shape: the two sides' light band rows meet in
-    ONE equi-join (:func:`~.joins.hash_join` on ``band_key``), so
-    snapshot×snapshot candidates are never generated — at 100 TB the
-    snapshot side is a precomputed stored band index and only the new
-    crawl's bands probe it.  Verification is the same two
-    hash-partitioned signature lookup-joins as the
-    :func:`minhash_lsh_pairs` scale path.
-
-    → (new_doc, old_doc, est_jaccard) with estimate ≥ threshold.
-
-    Hot band keys amplify like any equi-join (the bounded-bucket
-    :func:`minhash_lsh_pairs` path star-samples instead); empty-text
-    docs are dropped on both sides exactly as there.
+    → (new_doc, old_doc, est_jaccard) with estimate ≥ threshold: the
+    :func:`signature_lsh_pairs` pairs of the signed documents that cross
+    the boundary (``doc_a < snapshot_max_id <= doc_b``), renamed to
+    ``new_doc = doc_b``, ``old_doc = doc_a``.  Hot band keys are
+    star-sampled above ``joins.PAIR_CAP`` with its warning, as in
+    :func:`minhash_lsh_pairs`' default mode; empty-text docs are dropped
+    on both sides exactly as there.
     """
-    import pyarrow.compute as pc
+    pairs = signature_lsh_pairs(
+        _signed(ds, num_perm), num_perm=num_perm, num_bands=num_bands, threshold=threshold
+    )
 
-    from .joins import attach_payload, hash_join
-
-    rows_per_band = num_perm // num_bands
-
-    sigs_bin = ds.map_batches(
-        lambda b: _signature_rows(b, num_perm), batch_format="pyarrow"
-    ).materialize()
-
-    def side_bands(pred, out_name):
-        def f(b: pa.Table) -> pa.Table:
-            t = _band_batch(b.filter(pred(b.column("key"))), num_bands, rows_per_band)
-            return pa.table(
-                {"band_key": t.column("band_key"), out_name: t.column("doc_id")}
+    def cross(batch: pa.Table) -> pa.Table:
+        t = batch.filter(
+            pc.and_(
+                pc.less(batch.column("doc_a"), snapshot_max_id),
+                pc.greater_equal(batch.column("doc_b"), snapshot_max_id),
             )
-
-        return f
-
-    new_bands = sigs_bin.map_batches(
-        side_bands(lambda k: pc.greater_equal(k, snapshot_max_id), "new_doc"),
-        batch_format="pyarrow",
-    )
-    old_bands = sigs_bin.map_batches(
-        side_bands(lambda k: pc.less(k, snapshot_max_id), "old_doc"),
-        batch_format="pyarrow",
-    )
-    cand = hash_join(new_bands, old_bands, on="band_key")
-    # a pair can collide in several bands → dedupe via the Min aggregate
-    # (band_key values differ per band; any representative works)
-    pairs = _dedupe_pairs_agg(cand, "new_doc", "old_doc", "band_key")
-
-    with_a = attach_payload(
-        pairs,
-        sigs_bin,
-        key_col="new_doc",
-        out_col="sig_a",
-        carry_cols={"new_doc": pa.int64(), "old_doc": pa.int64()},
-        dedupe=True,
-    )
-    with_b = attach_payload(
-        with_a,
-        sigs_bin,
-        key_col="old_doc",
-        out_col="sig_b",
-        carry_cols={
-            "new_doc": pa.int64(),
-            "old_doc": pa.int64(),
-            "sig_a": pa.binary(),
-        },
-    )
-
-    def verify(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            return pa.table(
-                {
-                    "new_doc": pa.array([], pa.int64()),
-                    "old_doc": pa.array([], pa.int64()),
-                    "est_jaccard": pa.array([], pa.float64()),
-                }
-            )
-        sa = np.vstack(
-            [np.frombuffer(b, dtype=np.int64) for b in batch.column("sig_a").to_pylist()]
         )
-        sb = np.vstack(
-            [np.frombuffer(b, dtype=np.int64) for b in batch.column("sig_b").to_pylist()]
-        )
-        est = (sa == sb).mean(axis=1)
-        keep = est >= threshold
         return pa.table(
             {
-                "new_doc": batch.column("new_doc").filter(pa.array(keep)),
-                "old_doc": batch.column("old_doc").filter(pa.array(keep)),
-                "est_jaccard": pa.array(est[keep], pa.float64()),
+                "new_doc": t.column("doc_b"),
+                "old_doc": t.column("doc_a"),
+                "est_jaccard": t.column("est_jaccard"),
             }
         )
 
-    return with_b.map_batches(verify, batch_format="pyarrow")
+    return pairs.map_batches(cross, batch_format="pyarrow")
 
 
 def containment_pairs(

@@ -14,10 +14,12 @@
   inherently O(N²) compute, so this is the *oracle baseline*; the 100 TB
   path is :func:`embedding_dup_pairs_lsh`.
 - ``embedding_dup_pairs_lsh``: banded hyperplane-LSH near-dup pairs —
-  light (bucket, vec_id) rows through the only shuffle, candidate pairs
-  from bucket groups (hot buckets star-sampled, never silently dropped),
-  exact cosine verification via two hash joins back to the embeddings;
-  below ``light_table``'s budget, one numpy pass on the driver instead.
+  the unit-norm vectors go to ``dedup.banded_lsh_pairs``, the pair
+  operator the MinHash queries share: light (band key, vec_id) rows
+  through the only shuffle, candidate pairs from bucket groups (hot
+  buckets star-sampled, never silently dropped), exact cosine
+  verification via two lookup-joins back to the vectors; below
+  ``light_table``'s budget, one numpy pass on the driver instead.
 """
 
 from __future__ import annotations
@@ -43,19 +45,20 @@ def _list_matrix(col: pa.ChunkedArray | pa.Array, dtype=np.float64) -> np.ndarra
     return vals.reshape(n, -1)
 
 
+def _unit_rows(mat: np.ndarray) -> np.ndarray:
+    """``mat`` with each row scaled to unit L2 norm (zero rows stay zero)."""
+    norms = np.linalg.norm(mat, axis=1, keepdims=True)
+    norms[norms == 0] = 1.0
+    return mat / norms
+
+
 def _normalize_batch(batch: pa.Table) -> pa.Table:
     """(vec_id, embedding) → (vec_id, embedding) with unit-norm float64
     list embeddings.  Variable list (not fixed-size) so empty blocks
     carry the SAME type as populated ones — a fixed_size_list would need
     a width an empty batch can't know, splitting the dataset schema."""
-    n = batch.num_rows
-    mat = _list_matrix(batch.column("embedding"))
-    norms = np.linalg.norm(mat, axis=1, keepdims=True) if n else None
-    if n:
-        norms[norms == 0] = 1.0
-        mat = mat / norms
-    dim = mat.shape[1] if mat.size else 0
-    offsets = pa.array(np.arange(n + 1, dtype=np.int32) * dim)
+    mat = _unit_rows(_list_matrix(batch.column("embedding")))
+    offsets = pa.array(np.arange(batch.num_rows + 1, dtype=np.int32) * mat.shape[1])
     emb = pa.ListArray.from_arrays(
         offsets, pa.array(mat.ravel(), pa.float64())
     )
@@ -84,10 +87,7 @@ def _partial_topk_batch(batch: pa.Table, qids, qmat_ref, k: int) -> pa.Table:
 
     qmat = ray.get(qmat_ref) if not isinstance(qmat_ref, np.ndarray) else qmat_ref
     vec_ids = np.asarray(batch.column("vec_id").to_pylist(), dtype=np.int64)
-    emb = _list_matrix(batch.column("embedding"))
-    norms = np.linalg.norm(emb, axis=1, keepdims=True)
-    norms[norms == 0] = 1.0
-    emb = emb / norms
+    emb = _unit_rows(_list_matrix(batch.column("embedding")))
 
     cos = qmat @ emb.T  # (n_queries, batch)
     out_q, out_n, out_c = [], [], []
@@ -143,45 +143,16 @@ def brute_force_topk(ds, query_ids: list[int], k: int = 5):
 
 # --- LSH top-k ---------------------------------------------------------------
 
-class HyperplaneHasher:
-    """Random-hyperplane signer: planes drawn once per actor from a fixed
-    seed, so bucket assignment is deterministic across the cluster."""
-
-    def __init__(self, dim: int, n_planes: int = 12, seed: int = 42):
-        rng = np.random.RandomState(seed)
-        self.planes = rng.standard_normal((n_planes, dim))
-
-    def bucket_of(self, vecs: np.ndarray) -> np.ndarray:
-        signs = (vecs @ self.planes.T) > 0
-        return (signs * (1 << np.arange(signs.shape[1]))).sum(axis=1).astype(np.int64)
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        emb = _list_matrix(batch.column("embedding"))
-        return batch.append_column(
-            "bucket", pa.array(self.bucket_of(emb), pa.int64())
-        )
-
-
-_HYPERPLANE_CACHE: dict[tuple, "HyperplaneHasher"] = {}
-
-
-def _cached_hyperplane_hasher(dim: int, n_planes: int) -> "HyperplaneHasher":
-    key = (dim, n_planes)
-    h = _HYPERPLANE_CACHE.get(key)
-    if h is None:
-        h = _HYPERPLANE_CACHE[key] = HyperplaneHasher(dim, n_planes)
-    return h
-
-
 def lsh_topk(ds, query_ids: list[int], k: int = 5, n_planes: int = 12):
     """Approximate cosine top-k: score only rows whose LSH bucket is within
-    Hamming distance 1 of the query's bucket (multi-probe)."""
+    Hamming distance 1 of the query's bucket (multi-probe).  The bucket
+    is the one band of a ``BandedHasher(n_bands=1,
+    planes_per_band=n_planes)``."""
     import ray
 
     qids, qmat = _query_matrix(ds, query_ids)
     dim = qmat.shape[1]
-    hasher = HyperplaneHasher(dim, n_planes)
-    q_buckets = hasher.bucket_of(qmat)
+    q_buckets = _cached_banded_hasher(1, n_planes, dim).buckets(qmat)[:, 0]
     probe_sets = []
     for b in q_buckets:
         probes = {int(b)}
@@ -192,8 +163,9 @@ def lsh_topk(ds, query_ids: list[int], k: int = 5, n_planes: int = 12):
     def bucket_and_filter(b: pa.Table) -> pa.Table:
         # Task-pool stage: plane state is seed-deterministic and cheap,
         # rebuilt once per worker process via the module cache.
-        hb = _cached_hyperplane_hasher(dim, n_planes)(b)
-        return hb.filter(pc.is_in(hb.column("bucket"), value_set=wanted))
+        emb = _list_matrix(b.column("embedding"))
+        bucket = _cached_banded_hasher(1, n_planes, dim).buckets(emb)[:, 0]
+        return b.filter(pc.is_in(pa.array(bucket, pa.int64()), value_set=wanted))
 
     bucketed = ds.map_batches(bucket_and_filter, batch_format="pyarrow")
 
@@ -298,10 +270,10 @@ def embedding_dup_pairs(ds, *, threshold: float = 0.4, chunk_rows: int = 4096):
 # --- banded-LSH near-dup pairs (the 100 TB path) -----------------------------
 
 class BandedHasher:
-    """Banded random-hyperplane bucketing: each vector emits one light
-    (bucket, vec_id) row per band — ``n_bands × planes_per_band`` planes,
-    drawn once per actor from a fixed seed (dim inferred from the first
-    batch, so the driver never peeks at the data)."""
+    """Banded random-hyperplane bucketing: one bucket key per vector and
+    band from ``n_bands × planes_per_band`` planes, drawn from a fixed
+    seed on first use (dim taken from the first matrix, so the driver
+    never peeks at the data)."""
 
     def __init__(self, n_bands: int = 16, planes_per_band: int = 8, seed: int = 42):
         self.n_bands = n_bands
@@ -312,8 +284,7 @@ class BandedHasher:
     def buckets(self, mat: np.ndarray) -> np.ndarray:
         """(n, n_bands) int64 bucket keys of an (n, dim) matrix, unique
         per band."""
-        # No renormalization: hyperplane sign hashing is scale-invariant,
-        # and this stage only ever consumes already-unit-norm vectors.
+        # No renormalization: hyperplane sign hashing is scale-invariant.
         if self.planes is None or self.planes.shape[1] != mat.shape[1]:
             rng = np.random.RandomState(self.seed)
             self.planes = rng.standard_normal((self.n_bands * self.r, mat.shape[1]))
@@ -324,16 +295,6 @@ class BandedHasher:
         codes = (bits * weights).sum(axis=2).astype(np.int64)  # (n, n_bands)
         band_idx = np.arange(self.n_bands, dtype=np.int64)
         return (band_idx[None, :] << self.r) | codes
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        bucket = self.buckets(_list_matrix(batch.column("embedding")))
-        vec_ids = np.asarray(batch.column("vec_id").to_pylist(), dtype=np.int64)
-        return pa.table(
-            {
-                "bucket": pa.array(bucket.ravel(), pa.int64()),
-                "vec_id": pa.array(np.repeat(vec_ids, self.n_bands), pa.int64()),
-            }
-        )
 
 
 _BANDED_CACHE: dict[tuple, "BandedHasher"] = {}
@@ -351,18 +312,6 @@ def _cached_banded_hasher(n_bands: int, planes_per_band: int, dim: int) -> "Band
     return h
 
 
-def _bucket_candidates(group: pa.Table, strict: bool = False) -> pa.Table:
-    """Candidate pairs from one HASH BUCKET of band rows (many LSH bucket
-    keys per group — see joins.collision_pairs for why grouping on the
-    raw bucket key is the wrong shape at corpus scale)."""
-    from .joins import collision_pairs
-
-    return collision_pairs(
-        group, "bucket", "vec_id", "vec_a", "vec_b", logger, "embedding",
-        strict=strict,
-    )
-
-
 def embedding_dup_pairs_lsh(
     ds,
     *,
@@ -374,15 +323,16 @@ def embedding_dup_pairs_lsh(
     """Banded hyperplane-LSH near-duplicate pairs with exact verification —
     the sub-quadratic scale path for high-similarity thresholds.
 
-    Shape: light (bucket, vec_id) rows → one bucket-key shuffle →
+    Shape: one map normalizes and packs the vectors, then
+    :func:`~go_htmldate_ray.stages.dedup.banded_lsh_pairs` bands them
+    with :class:`BandedHasher` and scores candidates by their dot
+    product: light (bucket, vec_id) rows → one bucket-key shuffle →
     candidate pairs per bucket (hot buckets star-sampled + logged) →
-    pair dedup → two lookup-joins back to the unit-norm embeddings →
-    exact cosine filter.  Only candidate pairs (≪ N²) are ever scored.
-    While the packed unit-norm table fits
-    :func:`~go_htmldate_ray.stages.blocks.light_table`'s budget, banding,
-    candidate pairs, pair dedupe and verification run as one numpy pass
-    on the driver (:func:`~go_htmldate_ray.stages.dedup.light_lsh_pairs`)
-    instead of the shuffle and the two lookup-joins.
+    pair dedup → two lookup-joins back to the unit-norm vectors → exact
+    cosine filter, or one numpy pass on the driver while the packed
+    table fits :func:`~go_htmldate_ray.stages.blocks.light_table`'s
+    budget.  Only candidate pairs (≪ N²) are ever scored.  The kept
+    cosines are rounded to 6 places after the threshold test.
 
     Recall for a pair at cosine c is 1-(1-p^r)^b with p = 1-arccos(c)/π:
     the defaults (r=8, b=16) give ≈0.996 at c=0.9 — pick the banding for
@@ -394,120 +344,32 @@ def embedding_dup_pairs_lsh(
     oracle runs so a divergence from the exact-enumeration SQL surfaces
     loudly rather than as a hash mismatch.
     """
-    from .blocks import light_table
-    from .dedup import _PAYLOAD_SCHEMA, _pack_rows
-    from .joins import attach_payload
+    from .dedup import _pack_rows, banded_lsh_pairs
 
-    strict = hot_buckets == "error"
-
-    # Normalization feeds banding plus both verification joins:
-    # materialize it once (distributed blocks, spillable) rather than
-    # renormalizing per consumer.
-    norm = (
-        ds.select_columns(["vec_id", "embedding"])
-        .map_batches(_normalize_batch, batch_format="pyarrow")
-        .materialize()
-    )
-    # The verification lookup-joins carry the unit-norm vectors as raw
-    # float64 bytes (decoded with np.frombuffer in the verifier).
-    def pack(batch: pa.Table) -> pa.Table:
-        mat = _list_matrix(batch.column("embedding"))
-        return pa.table({"key": batch.column("vec_id"), "payload": _pack_rows(mat)})
-
-    # gathered by the light branch, or consumed twice by the join path
-    # (both attach sides): pin the packed bytes once
-    norm_bin = norm.map_batches(pack, batch_format="pyarrow").materialize()
-
-    def band(batch: pa.Table) -> pa.Table:
-        # Task-pool stage with a per-process cached hasher: plane state
-        # is seed-deterministic and cheap to rebuild, so skipping the
-        # actor pool avoids its spin-up latency.
-        from .joins import DEFAULT_JOIN_BUCKETS, _bucket_of
-
-        dim = len(batch.column("embedding")[0]) if batch.num_rows else 0
-        t = _cached_banded_hasher(n_bands, planes_per_band, dim)(batch)
-        return t.append_column(
-            "shuffle_bucket", _bucket_of(t.column("bucket"), DEFAULT_JOIN_BUCKETS)
-        )
-
-    packed = light_table(norm_bin, _PAYLOAD_SCHEMA)
-    if packed is not None:
-        import ray.data
-
-        from .dedup import _payload_matrix, light_lsh_pairs
-
-        ids, emb = _payload_matrix(packed, np.float64)
-        hasher = _cached_banded_hasher(n_bands, planes_per_band, emb.shape[1])
-        pairs = light_lsh_pairs(
-            ids,
-            hasher.buckets(emb),
-            lambda ia, ib: (emb[ia] * emb[ib]).sum(axis=1),
-            threshold,
-            ("vec_a", "vec_b", "cosine"),
-            "embedding",
-            strict,
-        )
-        return ray.data.from_arrow(
-            pairs.set_column(
-                2,
-                "cosine",
-                pa.array(
-                    [round(c, 6) for c in pairs.column("cosine").to_pylist()],
-                    pa.float64(),
-                ),
-            )
-        )
-
-    banded = norm.map_batches(band, batch_format="pyarrow")
-    candidates = banded.groupby("shuffle_bucket").map_groups(
-        lambda g: _bucket_candidates(g, strict=strict), batch_format="pyarrow"
-    )
-    # Cross-band duplicate pairs share vec_a → they co-locate on the
-    # first lookup-join's key and dedupe there (no extra shuffle).
-    with_a = attach_payload(
-        candidates,
-        norm_bin,
-        key_col="vec_a",
-        out_col="emb_a",
-        carry_cols={"vec_a": pa.int64(), "vec_b": pa.int64()},
-        dedupe=True,
-    )
-    with_b = attach_payload(
-        with_a,
-        norm_bin,
-        key_col="vec_b",
-        out_col="emb_b",
-        carry_cols={"vec_a": pa.int64(), "vec_b": pa.int64(), "emb_a": pa.binary()},
-    )
-
-    def verify(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            return pa.table(
-                {
-                    "vec_a": pa.array([], pa.int64()),
-                    "vec_b": pa.array([], pa.int64()),
-                    "cosine": pa.array([], pa.float64()),
-                }
-            )
-        ea = np.vstack(
-            [np.frombuffer(b, dtype=np.float64) for b in batch.column("emb_a").to_pylist()]
-        )
-        eb = np.vstack(
-            [np.frombuffer(b, dtype=np.float64) for b in batch.column("emb_b").to_pylist()]
-        )
-        cos = (ea * eb).sum(axis=1)
-        keep = cos >= threshold
+    def unit_rows(batch: pa.Table) -> pa.Table:
         return pa.table(
             {
-                "vec_a": batch.column("vec_a").filter(pa.array(keep)),
-                "vec_b": batch.column("vec_b").filter(pa.array(keep)),
-                "cosine": pa.array(
-                    [round(float(c), 6) for c in cos[keep]], pa.float64()
-                ),
+                "key": batch.column("vec_id"),
+                "payload": _pack_rows(_unit_rows(_list_matrix(batch.column("embedding")))),
             }
         )
 
-    return with_b.map_batches(verify, batch_format="pyarrow")
+    # the unit-norm vectors as raw float64 bytes: banded, gathered or
+    # looked up by the pair operator
+    rows = ds.select_columns(["vec_id", "embedding"]).map_batches(
+        unit_rows, batch_format="pyarrow"
+    )
+    return banded_lsh_pairs(
+        rows,
+        np.float64,
+        lambda mat: _cached_banded_hasher(n_bands, planes_per_band, mat.shape[1]).buckets(mat),
+        lambda ma, mb: (ma * mb).sum(axis=1),
+        threshold,
+        ("vec_a", "vec_b", "cosine"),
+        "embedding",
+        hot_buckets == "error",
+        digits=6,
+    )
 
 
 # --- k-NN graph construction --------------------------------------------------

@@ -226,15 +226,9 @@ class RobotsCache:
         }
 
     def load(
-        self,
-        rules: dict[str, list[tuple[str, str]]],
-        delays: dict[str, float] | None = None,
+        self, rules: dict[str, list[tuple[str, str]]], delays: dict[str, float]
     ) -> None:
+        """Merge a checkpointed :meth:`drain_delta` (not recorded as a
+        delta)."""
         self.rules.update(rules)
-        if delays is None:
-            # legacy checkpoint (rules only): delays are re-derivable
-            # from the deterministic robots source
-            delays = {
-                h: parse_crawl_delay(synthetic_robots_txt(h)) for h in rules
-            }
         self.delays.update(delays)

@@ -81,11 +81,5 @@ class SeenSet:
         flat = np.unique(np.fromiter((h for keys in key_lists for h in keys), np.int64))
         self._merge(flat[~member(self.keys, flat)], record=False)
 
-    def load(self, dumps: list[list[int]]) -> None:
-        """Restore exactly the membership of a full checkpoint dump."""
-        self.keys = self.keys[:0]
-        self._delta = []
-        self.load_deltas(dumps)
-
     def total(self) -> int:
         return len(self.keys)

@@ -307,63 +307,21 @@ def test_checkpoint_resume_equivalence(tmp_path):
     assert stats["seen_total"] == full_stats["seen_total"]
 
 
-def test_resume_from_legacy_robots_checkpoint(tmp_path):
-    """Checkpoints written before the per-wave robots deltas carried ONE
-    full robots.json — resume must still load it (and a checkpoint with
-    NO robots state at all must also resume: robots is a cache, missing
-    hosts re-resolve deterministically)."""
-    import glob
-    import json as _json
+def test_resume_across_actor_loss(tmp_path):
+    """Resume must rebuild seen/robots state from the checkpoint files
+    alone: a new crawl() call is a simulated restart, since no seen or
+    robots state outlives the call that built it.  Robots is a cache, so
+    missing robots deltas are safe: their hosts re-resolve."""
     import os
 
     from go_htmldate_ray.pipelines.crawl import crawl
 
     full_rows, _ = _run()
 
-    ckpt = str(tmp_path / "ckpt-legacy")
-    crawl(SF, max_waves=3, checkpoint_dir=ckpt)
-    # fold the per-wave deltas into the legacy full-dump layout
-    rules: dict = {}
-    delays: dict = {}
-    for p in sorted(glob.glob(os.path.join(ckpt, "robots_delta_*.json"))):
-        d = _json.loads(open(p).read())
-        rules.update(d["rules"])
-        delays.update(d["delays"])
-        os.remove(p)
-    assert rules  # the crawl resolved hosts
-    open(os.path.join(ckpt, "robots.json"), "w").write(
-        _json.dumps({"rules": rules, "delays": delays})
-    )
-    visited, _ = crawl(
-        SF, max_waves=40, checkpoint_dir=ckpt, resume=True
-    )
-    assert sorted(r["url"] for r in visited.take_all()) == sorted(
-        r["url"] for r in full_rows
-    )
-
-    # no robots state at all: still resumes (cache re-fills)
-    ckpt2 = str(tmp_path / "ckpt-none")
-    crawl(SF, max_waves=3, checkpoint_dir=ckpt2)
-    for p in glob.glob(os.path.join(ckpt2, "robots_delta_*.json")):
-        os.remove(p)
-    visited2, _ = crawl(
-        SF, max_waves=40, checkpoint_dir=ckpt2, resume=True
-    )
-    assert sorted(r["url"] for r in visited2.take_all()) == sorted(
-        r["url"] for r in full_rows
-    )
-
-
-def test_resume_across_actor_loss(tmp_path):
-    """Resume must rebuild seen/robots state from the checkpoint files
-    alone: a new crawl() call is a simulated restart, since no seen or
-    robots state outlives the call that built it."""
-    from go_htmldate_ray.pipelines.crawl import crawl
-
-    full_rows, _ = _run()
-
     ckpt = str(tmp_path / "ckpt2")
     crawl(SF, max_waves=3, checkpoint_dir=ckpt)
+    for w in (1, 2):
+        os.remove(os.path.join(ckpt, f"robots_delta_{w}.json"))
     visited, _ = crawl(
         SF, max_waves=40, checkpoint_dir=ckpt, resume=True
     )
@@ -418,46 +376,6 @@ def test_hot_host_ranks_within_budget():
         assert len(ranks) <= budget
     # the hot host is fetched at the budget in both waves, not all at once
     assert [len(per_host_wave[(w, "hot.example.org")]) for w in (0, 1)] == [budget] * 2
-
-
-def test_legacy_checkpoint_double_resume(tmp_path):
-    """A legacy checkpoint (full seen.json, no per-wave deltas) resumed
-    twice must not re-fetch URLs: the second resume sees a stale full dump
-    PLUS the deltas the first resume wrote, and must replay both."""
-    import json as _json
-    import os
-
-    from go_htmldate_ray.pipelines.crawl import crawl
-
-    full_rows, _ = _run()
-
-    ckpt = str(tmp_path / "legacyckpt")
-    crawl(SF, max_waves=3, checkpoint_dir=ckpt)
-    # convert to the legacy layout: one full seen.json, no deltas
-    shards = []
-    for w in range(3):
-        dp = os.path.join(ckpt, f"seen_delta_{w}.json")
-        deltas = _json.loads(open(dp).read())
-        if not shards:
-            shards = [set() for _ in deltas]
-        for s, keys in zip(shards, deltas):
-            s.update(keys)
-        os.remove(dp)
-    open(os.path.join(ckpt, "seen.json"), "w").write(
-        _json.dumps([sorted(s) for s in shards])
-    )
-
-    # first resume under the delta code: runs waves 3..4, writes deltas
-    # for them but leaves seen.json stale
-    crawl(SF, max_waves=5, checkpoint_dir=ckpt, resume=True)
-    # second resume: must replay legacy dump AND the new deltas
-    visited, _ = crawl(
-        SF, max_waves=40, checkpoint_dir=ckpt, resume=True
-    )
-    rows = visited.take_all()
-    urls = [r["url"] for r in rows]
-    assert len(urls) == len(set(urls)), "duplicate fetches after double resume"
-    assert sorted(urls) == sorted(r["url"] for r in full_rows)
 
 
 @pytest.mark.parametrize("extra", [{}, {"politeness_budget": 1}])

@@ -138,23 +138,47 @@ def test_minhasher_signature_column():
 def test_light_components_start_no_execution(ray_session, monkeypatch):
     """A driver-side pair table is gathered and labelled in numpy: neither
     the components nor reading their drop ids starts a Ray Data
-    execution; zero pairs give the typed-empty frame."""
+    execution; zero pairs give the typed-empty frame.  The light pair
+    tables of both banded-LSH pair queries and the light cluster table
+    are read without starting one either."""
     import ray.data
     from ray.data._internal.execution.streaming_executor import StreamingExecutor
 
-    from go_htmldate_ray.stages.dedup import connected_components, near_dup_drop_ids
+    from go_htmldate_ray.stages.dedup import (
+        connected_components,
+        minhash_lsh_pairs,
+        near_dup_drop_ids,
+    )
+    from go_htmldate_ray.stages.similarity import embedding_dup_pairs_lsh
 
     pairs = ray.data.from_arrow(
         pa.table({"doc_a": pa.array([5, 1, 7], pa.int64()), "doc_b": pa.array([9, 5, 8], pa.int64())})
     )
+    base = " ".join(f"w{i}" for i in range(60))
+    docs = ray.data.from_items([{"doc_id": i, "text": base + f" t{i}"} for i in range(3)])
+    vec = np.random.RandomState(5).standard_normal(16)
+    vecs = ray.data.from_items(
+        [{"vec_id": i, "embedding": (vec * (i + 1)).tolist()} for i in range(3)]
+    )
+    doc_pairs = minhash_lsh_pairs(docs, threshold=0.5)
+    vec_pairs = embedding_dup_pairs_lsh(vecs)
     starts = []
     real = StreamingExecutor.execute
     monkeypatch.setattr(
         StreamingExecutor, "execute", lambda self, *a, **k: starts.append(1) or real(self, *a, **k)
     )
-    drops = near_dup_drop_ids(connected_components(pairs))
+    clusters = connected_components(pairs)
+    drops = near_dup_drop_ids(clusters)
+    assert sorted((r["doc_id"], r["cluster_rep"]) for r in clusters.take_all()) == [
+        (1, 1), (5, 1), (7, 7), (8, 7), (9, 1)
+    ]
     assert not starts
     assert drops.tolist() == [5, 8, 9]
+    assert sorted((r["doc_a"], r["doc_b"]) for r in doc_pairs.take_all()) == [(0, 1), (0, 2), (1, 2)]
+    assert sorted((r["vec_a"], r["vec_b"], r["cosine"]) for r in vec_pairs.take_all()) == [
+        (0, 1, 1.0), (0, 2, 1.0), (1, 2, 1.0)
+    ]
+    assert not starts
 
     empty = connected_components(
         ray.data.from_arrow(

@@ -338,23 +338,27 @@ def test_band_keys_follow_band_chunks(seed, n_dup, same_word):
 
 
 def test_minhash_band_rows_are_light():
-    """The bucket shuffle carries only (band_key, doc_id) — signatures must
+    """The pair operator's bucket shuffle carries only (band_key, id) and
+    the bucket: the payload (a MinHash signature or a unit vector) must
     not ride the band expansion (16× volume otherwise)."""
     import pyarrow as pa
     import numpy as np
-    from go_htmldate_ray.stages.dedup import MinHasher, _band_batch
+    from go_htmldate_ray.stages.dedup import MinHasher, _band_keys, _band_rows, _pack_rows
+    from go_htmldate_ray.stages.similarity import BandedHasher
 
-    mh = MinHasher()
-    sig = mh.signature("some text with enough tokens to shingle properly here")
-    batch = pa.table(
-        {
-            "key": pa.array([1], pa.int64()),
-            "payload": pa.array([np.asarray(sig, dtype=np.int64).tobytes()], pa.binary()),
-        }
-    )
-    banded = _band_batch(batch, 16, 8)
-    assert banded.column_names == ["band_key", "doc_id"]
-    assert banded.num_rows == 16
+    sig = MinHasher().signature("some text with enough tokens to shingle properly here")
+    vecs = np.random.RandomState(3).standard_normal((2, 32))
+    for mat, dtype, band_keys in [
+        (sig[None, :], np.int64, lambda m: _band_keys(m, 16, 8)),
+        (vecs, np.float64, BandedHasher(16, 8).buckets),
+    ]:
+        batch = pa.table(
+            {"key": pa.array(range(1, len(mat) + 1), pa.int64()), "payload": _pack_rows(mat)}
+        )
+        banded = _band_rows(batch, dtype, band_keys)
+        assert banded.column_names == ["band_key", "id", "shuffle_bucket"]
+        assert banded.column("band_key").to_pylist() == band_keys(mat).ravel().tolist()
+        assert banded.column("id").to_pylist() == np.repeat(np.arange(1, len(mat) + 1), 16).tolist()
 
 
 def test_multimodal_resize_and_audio_stages():
@@ -411,11 +415,12 @@ def test_multimodal_resize_and_audio_stages():
 
 def test_lsh_verify_modes_equivalent(scale_path):
     """Driver-side (light) and lookup-join (scale) verification paths
-    must produce identical pair sets."""
+    must produce identical pair sets, for every caller of the pair
+    operator, and the scale branch keeps the strict hot-bucket raise."""
     import numpy as np
     import ray.data
-    from go_htmldate_ray.stages.dedup import minhash_lsh_pairs
-    from go_htmldate_ray.stages.similarity import embedding_dup_pairs_lsh
+    from go_htmldate_ray.stages.dedup import minhash_lsh_pairs, near_dup_vs_snapshot
+    from go_htmldate_ray.stages.similarity import embedding_dup_pairs_lsh, knn_graph
 
     base = " ".join(f"w{i}" for i in range(100))
     docs = [
@@ -439,6 +444,29 @@ def test_lsh_verify_modes_equivalent(scale_path):
     with scale_path():
         vb = vkey(embedding_dup_pairs_lsh(ray.data.from_items(vecs), threshold=0.9).take_all())
     assert va == vb and len(va) == 6
+
+    docs += [{"doc_id": 101, "text": base + " more"}, {"doc_id": 102, "text": "y " * 90}]
+    skey = lambda rows: sorted((r["new_doc"], r["old_doc"], r["est_jaccard"]) for r in rows)
+    sa = skey(near_dup_vs_snapshot(ray.data.from_items(docs), threshold=0.5).take_all())
+    with scale_path():
+        sb = skey(near_dup_vs_snapshot(ray.data.from_items(docs), threshold=0.5).take_all())
+    assert sa == sb and [(n, o) for n, o, _ in sa] == [(101, 1), (101, 2)]
+
+    gkey = lambda rows: sorted((r["vec_id"], r["neighbor_id"], r["rank"]) for r in rows)
+    ga = gkey(knn_graph(ray.data.from_items(vecs), k=3).take_all())
+    with scale_path():
+        gb = gkey(knn_graph(ray.data.from_items(vecs), k=3).take_all())
+    assert ga == gb and {(v, n) for v, n, _ in ga if v < 4} == {
+        (v, n) for v in range(4) for n in range(4) if v != n
+    }
+
+    hot_docs = [{"doc_id": i, "text": "alpha beta gamma delta " * 10} for i in range(250)]
+    hot_vecs = [{"vec_id": i, "embedding": base_v.tolist()} for i in range(250)]
+    with scale_path():
+        with pytest.raises(Exception, match="PAIR_CAP"):
+            minhash_lsh_pairs(ray.data.from_items(hot_docs), hot_buckets="error").take_all()
+        with pytest.raises(Exception, match="PAIR_CAP"):
+            embedding_dup_pairs_lsh(ray.data.from_items(hot_vecs), hot_buckets="error").take_all()
 
 
 def test_near_dup_keep_and_curation_modes_equivalent(scale_path, monkeypatch):
