@@ -615,7 +615,7 @@ def redirect_resolution(sf_dir: str):
     from ..sources.pages import page_url
     from ..stages.blocks import light_table
     from ..stages.graph import resolve_pointers
-    from ..stages.joins import hash_join
+    from ..stages.joins import hash_join, sorted_lookup
 
     docs = read_parquet_clean(f"{sf_dir}/documents.parquet", columns=["doc_id"])
 
@@ -660,17 +660,8 @@ def redirect_resolution(sf_dir: str):
 
         def attach(batch: pa.Table) -> pa.Table:
             ids_s, urls_s = ray.get(map_ref)
-
-            def lookup(vals: np.ndarray):
-                idx = np.minimum(
-                    np.searchsorted(ids_s, vals), len(ids_s) - 1
-                )
-                return idx, ids_s[idx] == vals
-
-            src = np.asarray(batch.column("src"), dtype=np.int64)
-            fin = np.asarray(batch.column("final"), dtype=np.int64)
-            si, sok = lookup(src)
-            fi, fok = lookup(fin)
+            si, sok = sorted_lookup(ids_s, np.asarray(batch.column("src"), dtype=np.int64))
+            fi, fok = sorted_lookup(ids_s, np.asarray(batch.column("final"), dtype=np.int64))
             # ids absent from the map drop, matching the inner-join
             # scale path (instead of silently attaching a neighbor URL)
             ok = sok & fok

@@ -9,8 +9,9 @@ operator ladder (map_batches + groupby().map_groups + sort):
 - **As-of join**: the small side's (key·2^21 + day, orderkey)-sorted
   arrays are broadcast once via ``ray.put``; each event batch answers
   every row with ONE vectorized ``searchsorted``.  At scale the same
-  resolve runs per HASH BUCKET of the key after one co-locating groupby
-  shuffle — never per key (millions of per-key Python callbacks is the
+  resolve runs per HASH BUCKET of the key after one
+  :func:`~go_htmldate_ray.stages.joins.co_partition` exchange — never
+  per key (millions of per-key Python callbacks is the
   max-scheduling-overhead shape) and never per row.
 - **Sessionization**: groupby(key hash bucket) → per-bucket vectorized
   lexsort + run-boundary gap scan (the ``tfidf_top_terms`` /
@@ -132,8 +133,8 @@ def asof_join_latest_order(sf_dir: str):
     :func:`~go_htmldate_ray.stages.blocks.light_table`'s budget, the
     per-customer order history ships once via ``ray.put``; above it the
     co-partitioned scale path runs — both sides hash-co-located on the
-    customer key by one union + groupby shuffle, the as-of walk running
-    per key group with no driver-side or broadcast state."""
+    customer key by one ``co_partition`` exchange, the as-of walk running
+    per bucket with no driver-side or broadcast state."""
     import pyarrow.parquet as pq
     import ray
     import ray.data
@@ -181,88 +182,66 @@ def asof_join_latest_order(sf_dir: str):
 
 
 def _asof_latest_order_copartition(sf_dir: str, n_buckets: int = 64):
-    """Co-partitioned as-of join: events and orders are tagged with a
-    packed ``(key·2^21 + day)`` int64, unioned, and hash-co-located by
-    ONE groupby shuffle on a HASH BUCKET of the key — not the raw key
-    (millions of per-key Python callbacks is the max-scheduling-overhead
-    shape).  Each bucket resolves ALL of its keys with one vectorized
-    lexsort + ``searchsorted`` (:func:`_asof_resolve`); the key is the
-    packed value's high bits, so key identity rides inside the same
-    binary search.  Nothing is broadcast and the driver holds no state —
-    the shape that survives an orders table too large for ``ray.put``."""
-    import ray.data
+    """Co-partitioned as-of join: each side ships its packed
+    ``(key·2^21 + day)`` int64, and one
+    :func:`~go_htmldate_ray.stages.joins.co_partition` exchange on the
+    customer key co-locates events with their customer's orders.  Each
+    bucket resolves ALL of its keys with one vectorized lexsort +
+    ``searchsorted`` (:func:`_asof_resolve`); the key is the packed
+    value's high bits, so key identity rides inside the same binary
+    search.  Nothing is broadcast and the driver holds no state — the
+    shape that survives an orders table too large for ``ray.put``."""
+    from ..stages.joins import co_partition
+
+    def packed(key_col: str, id_col: str, days):
+        def pre(batch: pa.Table) -> pa.Table:
+            key = np.asarray(batch.column(key_col), dtype=np.int64)
+            return pa.table(
+                {
+                    key_col: pa.array(key, pa.int64()),
+                    id_col: batch.column(id_col).cast(pa.int64()),
+                    "pack": pa.array(
+                        _pack_key_day(key, days(batch), "asof copartition"), pa.int64()
+                    ),
+                }
+            )
+
+        return pre
 
     events = read_parquet_clean(
         f"{sf_dir}/events.parquet", columns=["event_id", "user_id", "ts"]
+    ).map_batches(
+        packed("user_id", "event_id", lambda b: _day_ordinal_from_ts(b.column("ts"))),
+        batch_format="pyarrow",
     )
     orders = read_parquet_clean(
         f"{sf_dir}/orders.parquet", columns=["o_custkey", "o_orderdate", "o_orderkey"]
+    ).map_batches(
+        packed(
+            "o_custkey", "o_orderkey", lambda b: _day_ordinal_from_date(b.column("o_orderdate"))
+        ),
+        batch_format="pyarrow",
     )
 
-    def tag_events(batch: pa.Table) -> pa.Table:
-        uid = np.asarray(batch.column("user_id"), dtype=np.int64)
-        pack = _pack_key_day(
-            uid, _day_ordinal_from_ts(batch.column("ts")), "asof copartition"
-        )
-        key = batch.column("user_id").cast(pa.int64())
-        return pa.table(
-            {
-                "bucket": _bucket_of(key, n_buckets),
-                "pack": pa.array(pack, pa.int64()),
-                "event_id": batch.column("event_id").cast(pa.int64()),
-                "o_orderkey": pa.nulls(batch.num_rows, pa.int64()),
-            }
-        )
-
-    def tag_orders(batch: pa.Table) -> pa.Table:
-        ck = np.asarray(batch.column("o_custkey"), dtype=np.int64)
-        pack = _pack_key_day(
-            ck, _day_ordinal_from_date(batch.column("o_orderdate")), "asof copartition"
-        )
-        key = batch.column("o_custkey").cast(pa.int64())
-        return pa.table(
-            {
-                "bucket": _bucket_of(key, n_buckets),
-                "pack": pa.array(pack, pa.int64()),
-                "event_id": pa.nulls(batch.num_rows, pa.int64()),
-                "o_orderkey": batch.column("o_orderkey").cast(pa.int64()),
-            }
-        )
-
-    unioned = events.map_batches(tag_events, batch_format="pyarrow").union(
-        orders.map_batches(tag_orders, batch_format="pyarrow")
-    )
-
-    empty = pa.table(
-        {"event_id": pa.array([], pa.int64()), "o_orderkey": pa.array([], pa.int64())}
-    )
-
-    def asof_bucket(group: pa.Table) -> pa.Table:
-        is_order = np.asarray(
-            pc.is_valid(group.column("o_orderkey")), dtype=bool
-        )
-        pack = np.asarray(group.column("pack"), dtype=np.int64)
-        t_pack = pack[~is_order]
-        if len(t_pack) == 0:
-            return empty
-        o_pack = pack[is_order]
-        o_key = np.asarray(
-            pc.fill_null(group.column("o_orderkey"), -1), dtype=np.int64
-        )[is_order]
+    def asof_bucket(ev: pa.Table, od: pa.Table) -> pa.Table:
+        if not ev.num_rows:  # an empty side may hold only its key column
+            return pa.schema([("event_id", pa.int64()), ("o_orderkey", pa.int64())]).empty_table()
+        o_pack = np.asarray(od.column("pack"), dtype=np.int64)
+        o_key = np.asarray(od.column("o_orderkey"), dtype=np.int64)
         order = np.lexsort((o_key, o_pack))
-        eid = np.asarray(
-            pc.fill_null(group.column("event_id"), -1), dtype=np.int64
-        )[~is_order]
+        t_pack = np.asarray(ev.column("pack"), dtype=np.int64)
         return pa.table(
             {
-                "event_id": pa.array(eid, pa.int64()),
+                "event_id": ev.column("event_id"),
                 "o_orderkey": pa.array(
                     _asof_resolve(t_pack, o_pack[order], o_key[order]), pa.int64()
                 ),
             }
         )
 
-    return unioned.groupby("bucket").map_groups(asof_bucket, batch_format="pyarrow")
+    return co_partition(
+        events, orders, "user_id", "o_custkey", asof_bucket, n_buckets=n_buckets
+    )
 
 
 def sessionize_events(sf_dir: str, n_buckets: int = 64):

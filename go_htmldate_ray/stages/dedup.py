@@ -802,9 +802,9 @@ def near_dup_drop_ids(clusters) -> np.ndarray | None:
 def keep_flags(doc_ids, drops: np.ndarray) -> pa.Array:
     """int64 keep flag per id: 0 where the id is in the sorted ``drops``
     array (:func:`near_dup_drop_ids`), else 1."""
-    ids = np.asarray(pc.cast(doc_ids, pa.int64()), dtype=np.int64)
-    pos = np.minimum(np.searchsorted(drops, ids), max(len(drops) - 1, 0))
-    hit = drops[pos] == ids if len(drops) else np.zeros(len(ids), dtype=bool)
+    from .joins import sorted_lookup
+
+    _, hit = sorted_lookup(drops, np.asarray(pc.cast(doc_ids, pa.int64()), dtype=np.int64))
     return pa.array((~hit).astype(np.int64), pa.int64())
 
 
@@ -1199,7 +1199,7 @@ def remove_dup_spans(
 
     from .blocks import light_table
     from .cleaning import _hash63_cached
-    from .joins import hash_join
+    from .joins import hash_join, sorted_lookup
 
     # materialize once so the size decision and the chosen path reuse
     # the same blocks instead of recomputing detection twice
@@ -1250,13 +1250,7 @@ def remove_dup_spans(
             rows = []
             for t in batch.column("text").to_pylist():
                 toks = (t or "").split()
-                gh = gram_hash_array(toks)
-                if gh.size and dups.size:
-                    idx = np.searchsorted(dups, gh)
-                    idx[idx == dups.size] = 0
-                    starts = np.nonzero(dups[idx] == gh)[0]
-                else:
-                    starts = np.empty(0, dtype=np.int64)
+                starts = np.flatnonzero(sorted_lookup(dups, gram_hash_array(toks))[1])
                 rows.append(rebuild(toks, starts))
             return out_table(ids, rows)
 

@@ -68,7 +68,7 @@ def pagerank(
     from ray.data.aggregate import Sum
 
     from .blocks import light_table, rebase
-    from .joins import hash_join
+    from .joins import hash_join, sorted_lookup
 
     # Pin the (light, int64) node/edge relations once: count(), the
     # outdegree pass, the fast-path collect and every join round would
@@ -135,13 +135,8 @@ def pagerank(
         src = et.column("src").to_numpy()
         dst = et.column("dst").to_numpy()
 
-        def locate(vals: np.ndarray):
-            idx = np.searchsorted(ids_sorted, vals)
-            safe = np.minimum(idx, nn - 1)
-            return safe, ids_sorted[safe] == vals
-
-        si, si_ok = locate(src)
-        di, di_ok = locate(dst)
+        si, si_ok = sorted_lookup(ids_sorted, src)
+        di, di_ok = sorted_lookup(ids_sorted, dst)
         # edges from phantom srcs never join a rank row; edges to
         # phantom dsts contribute mass the real-node filter drops
         e_si = si[si_ok]
@@ -514,7 +509,7 @@ def hits(nodes, edges, *, iters: int = 2, scale_shift: int = 1, base_shift: int 
     from ray.data.aggregate import Sum
 
     from .blocks import light_table, rebase
-    from .joins import adaptive_buckets, hash_join
+    from .joins import adaptive_buckets, hash_join, sorted_lookup
 
     if iters < 1:
         raise ValueError(f"iters must be >= 1, got {iters}")
@@ -548,13 +543,8 @@ def hits(nodes, edges, *, iters: int = 2, scale_shift: int = 1, base_shift: int 
         src = et.column("src").to_numpy()
         dst = et.column("dst").to_numpy()
 
-        def locate(vals: np.ndarray):
-            idx = np.searchsorted(ids_sorted, vals)
-            safe = np.minimum(idx, nn - 1)
-            return safe, ids_sorted[safe] == vals
-
-        si, si_ok = locate(src)
-        di, di_ok = locate(dst)
+        si, si_ok = sorted_lookup(ids_sorted, src)
+        di, di_ok = sorted_lookup(ids_sorted, dst)
         # only edges with BOTH endpoints in the node set move mass:
         # phantom-src edges never join a rank row, phantom-dst mass is
         # dropped by the marker filter — identical to the loop below

@@ -1,21 +1,32 @@
-"""Keyed lookup-join building blocks for candidate-pair verification.
+"""Bucketed equi-joins over Ray Data, all on one exchange.
 
-``attach_payload`` and ``hash_join`` hash-co-locate rows through ONE
-``groupby`` shuffle — the same exchange a hash join performs, but built
-on Ray Data's stable sort-based shuffle rather than the experimental
-``Dataset.join`` operator (whose per-partition aggregator actors
-over-subscribe small clusters and choke on schema-less empty
-partitions).
+:func:`co_partition` is the only place the two sides of a keyed join meet.
+Each side's rows are tagged with a side marker and a HASH BUCKET of their
+int64 key, padded with typed nulls for the other side's columns, and
+unioned; ONE ``groupby(bucket).map_groups`` shuffle co-locates them, and
+every bucket is split back into its two sides and handed to the caller's
+``resolve``.  :func:`hash_join`, :func:`anti_join`, :func:`attach_payload`,
+``suffix.repeated_substrings``' prefix attach and the co-partitioned as-of
+join in ``pipelines.streaming`` are each one resolve over it.  The shuffle
+is Ray Data's stable sort-based one, not the experimental ``Dataset.join``
+operator (whose per-partition aggregator actors over-subscribe small
+clusters and choke on schema-less empty partitions).
 
-The grouping key is a HASH BUCKET of the join key, not the key itself:
-grouping on the raw key would invoke a per-group Python callback once
-per key — the maximum-overhead shape for a corpus-sized key domain
-(one call per document at 10^10 keys).  With ``n_buckets`` groups, each
-callback receives a whole bucket of keys and resolves them with
-vectorized numpy (searchsorted for the ≤1-row-per-key lookup side; a
-repeat/tile index construction for the general cartesian), so per-group
-overhead is amortised over ~|rows|/n_buckets rows.  Size ``n_buckets``
-like shuffle partitions (a few × cluster cores, or data / ~100 MB).
+The grouping key is a hash bucket of the join key, not the key itself:
+grouping on the raw key would invoke a per-group Python callback once per
+key, the maximum-overhead shape for a corpus-sized key domain.  With
+``n_buckets`` groups each callback resolves a whole bucket of keys with
+vectorized numpy (:func:`sorted_lookup` for the ≤1-row-per-key lookup
+side, a repeat/tile index construction for the general cartesian), so
+per-group overhead is amortised over ~|rows|/n_buckets rows.  Size
+``n_buckets`` like shuffle partitions (a few × cluster cores, or data /
+~100 MB).
+
+Null keys follow SQL: a null key matches nothing, not even another null.
+``co_partition`` gives each side's null-key rows a bucket of their own, so
+a resolve only ever sees them beside an empty other side: inner joins and
+``attach_payload`` drop them, ``left``/``full`` joins keep them unmatched,
+and ``anti_join`` keeps them.
 """
 
 from __future__ import annotations
@@ -24,10 +35,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-_KEY = "__join_key"
 _BUCKET = "__join_bucket"
-_PAYLOAD = "__join_payload"
-_IS_LOOKUP = "__join_is_lookup"
+_FROM_RIGHT = "__join_from_right"
 
 DEFAULT_JOIN_BUCKETS = 64
 
@@ -45,6 +54,94 @@ def _bucket_of(keys: pa.ChunkedArray | pa.Array, n_buckets: int) -> pa.Array:
     k ^= k >> np.uint64(33)
     k *= np.uint64(0xFF51AFD7ED558CCD)
     return pa.array((k % np.uint64(n_buckets)).astype(np.int64), pa.int64())
+
+
+def sorted_lookup(sorted_keys: np.ndarray, values) -> tuple[np.ndarray, np.ndarray]:
+    """Find each of ``values`` in the ascending ``sorted_keys``: returns
+    the ``searchsorted`` position clipped to a valid index, and the mask
+    of values found there.  Index ``sorted_keys`` (or an array aligned
+    with it) only at ``pos[hit]``; an empty ``sorted_keys`` finds
+    nothing."""
+    values = np.asarray(values)
+    if not len(sorted_keys):
+        return np.zeros(len(values), dtype=np.int64), np.zeros(len(values), dtype=bool)
+    pos = np.minimum(np.searchsorted(sorted_keys, values), len(sorted_keys) - 1)
+    return pos, sorted_keys[pos] == values
+
+
+def _int64(tbl: pa.Table, col: str) -> np.ndarray:
+    """A key column as int64 numpy (nulls read as 0: a resolve only meets
+    null keys beside an empty other side, where they match nothing)."""
+    return np.asarray(pc.fill_null(tbl.column(col).cast(pa.int64()), 0), dtype=np.int64)
+
+
+def _fields(ds, key: str) -> list[tuple[str, pa.DataType]]:
+    schema = ds.schema()
+    if schema is None:
+        return [(key, pa.int64())]
+    return list(zip(schema.names, schema.types))
+
+
+def co_partition(left, right, left_key: str, right_key: str, resolve, *, n_buckets: int):
+    """Co-locate ``left`` and ``right`` by a hash bucket of their int64
+    keys in ONE shuffle and return ``resolve(lrows, rrows)`` over every
+    bucket.
+
+    ``lrows`` and ``rrows`` are the bucket's rows of each side, as Arrow
+    tables with that side's own column names and types; either may have
+    no rows, and a side whose dataset has no schema (no rows and no
+    typed block, as a ``map_batches`` over empty input leaves it) arrives
+    as an empty table holding only its key column.  ``resolve`` returns
+    an Arrow table (one schema for every bucket); the result is the
+    Dataset of those tables, in no particular row order.  Rows with a
+    null key go to a bucket of their own side, so a null key never meets
+    a row of the other side.
+
+    Both sides' schemas are read up front (``Dataset.schema()``): pass
+    materialized or cheaply-read datasets, or that read re-runs their
+    lineage.
+    """
+    lfields, rfields = _fields(left, left_key), _fields(right, right_key)
+    lnames, rnames = [n for n, _ in lfields], [n for n, _ in rfields]
+    tagged = [f"l.{n}" for n in lnames] + [f"r.{n}" for n in rnames] + [_BUCKET, _FROM_RIGHT]
+
+    def tagger(key: str, from_right: bool):
+        own, other = (rfields, lfields) if from_right else (lfields, rfields)
+        null_bucket = n_buckets + from_right
+
+        def tag(batch: pa.Table) -> pa.Table:
+            n = batch.num_rows
+            key_col = batch.column(key).cast(pa.int64())
+            bucket = pc.if_else(
+                pc.is_null(key_col),
+                null_bucket,
+                _bucket_of(pc.fill_null(key_col, 0), n_buckets),
+            )
+            # own columns ship uncast: one dataset's blocks may disagree on
+            # a type (an all-null block is null-typed), and the shuffle's
+            # concat unifies them
+            cols = [batch.column(c) for c, _ in own]
+            pad = [pa.nulls(n, t) for _, t in other]
+            return pa.Table.from_arrays(
+                (pad + cols if from_right else cols + pad)
+                + [bucket, pa.array(np.full(n, from_right), pa.bool_())],
+                names=tagged,
+            )
+
+        return tag
+
+    def split(group: pa.Table) -> pa.Table:
+        is_right = group.column(_FROM_RIGHT)
+        lrows = group.filter(pc.invert(is_right)).select([f"l.{n}" for n in lnames])
+        rrows = group.filter(is_right).select([f"r.{n}" for n in rnames])
+        return resolve(lrows.rename_columns(lnames), rrows.rename_columns(rnames))
+
+    return (
+        left.map_batches(tagger(left_key, False), batch_format="pyarrow")
+        .union(right.map_batches(tagger(right_key, True), batch_format="pyarrow"))
+        .groupby(_BUCKET)
+        .map_groups(split, batch_format="pyarrow")
+    )
 
 
 def attach_payload(
@@ -73,74 +170,34 @@ def attach_payload(
         n_buckets: hash buckets for the grouping (see module docstring).
 
     Returns a Dataset with ``carry_cols`` + ``out_col``; pairs whose key
-    has no lookup row are dropped (inner semantics).
+    is null or has no lookup row are dropped (inner semantics).
     """
     names = list(carry_cols)
+    # pinned: co_partition reads the projection's schema, which would
+    # otherwise re-run the pairs' lineage (a shuffle, for every caller)
+    projected = pairs.map_batches(
+        lambda b: pa.table({c: b.column(c).cast(carry_cols[c]) for c in names}),
+        batch_format="pyarrow",
+    ).materialize()
 
-    def tag_pairs(batch: pa.Table) -> pa.Table:
-        cols = {c: batch.column(c).cast(carry_cols[c]) for c in names}
-        key = batch.column(key_col).cast(pa.int64())
-        cols[_KEY] = key
-        cols[_BUCKET] = _bucket_of(key, n_buckets)
-        cols[_PAYLOAD] = pa.array([b""] * batch.num_rows, pa.binary())
-        cols[_IS_LOOKUP] = pa.array([False] * batch.num_rows, pa.bool_())
-        return pa.table(cols)
+    empty = pa.schema([*carry_cols.items(), (out_col, pa.binary())]).empty_table()
 
-    def tag_lookup(batch: pa.Table) -> pa.Table:
-        n = batch.num_rows
-        cols = {c: pa.nulls(n, carry_cols[c]) for c in names}
-        key = batch.column("key").cast(pa.int64())
-        cols[_KEY] = key
-        cols[_BUCKET] = _bucket_of(key, n_buckets)
-        cols[_PAYLOAD] = batch.column("payload").cast(pa.binary())
-        cols[_IS_LOOKUP] = pa.array([True] * n, pa.bool_())
-        return pa.table(cols)
-
-    unioned = pairs.map_batches(tag_pairs, batch_format="pyarrow").union(
-        lookup.map_batches(tag_lookup, batch_format="pyarrow")
-    )
-
-    empty = pa.table(
-        {
-            **{c: pa.array([], carry_cols[c]) for c in names},
-            out_col: pa.array([], pa.binary()),
-        }
-    )
-
-    def resolve_bucket(group: pa.Table) -> pa.Table:
-        """Vectorized whole-bucket resolve: searchsorted lookup of every
-        pair key against the bucket's (sorted) lookup keys."""
-        mask = group.column(_IS_LOOKUP)
-        lookup_rows = group.filter(mask)
-        pair_rows = group.filter(pc.invert(mask))
-        if lookup_rows.num_rows == 0 or pair_rows.num_rows == 0:
-            return empty
-        if dedupe and pair_rows.num_rows > 1:
+    def resolve(prs: pa.Table, lk_rows: pa.Table) -> pa.Table:
+        if not prs.num_rows or not lk_rows.num_rows:
+            return empty  # an empty side may hold only its key column
+        if dedupe and prs.num_rows > 1:
             # distinct carry tuples (pyarrow hash group-by, no Python loop)
-            pair_rows = (
-                pair_rows.select(names + [_KEY])
-                .group_by(names + [_KEY], use_threads=False)
-                .aggregate([])
-            )
-        lk = np.asarray(lookup_rows.column(_KEY), dtype=np.int64)
+            prs = prs.group_by(names, use_threads=False).aggregate([])
+        lk = _int64(lk_rows, "key")
         order = np.argsort(lk, kind="stable")
-        lk_sorted = lk[order]
-        pk = np.asarray(pair_rows.column(_KEY), dtype=np.int64)
-        pos = np.searchsorted(lk_sorted, pk)
-        pos_clip = np.minimum(pos, len(lk_sorted) - 1)
-        valid = lk_sorted[pos_clip] == pk
-        matched = pair_rows.filter(pa.array(valid))
-        payload_src = lookup_rows.column(_PAYLOAD).take(
-            pa.array(order[pos_clip[valid]], pa.int64())
+        pos, hit = sorted_lookup(lk[order], _int64(prs, key_col))
+        matched = prs.filter(pa.array(hit)).select(names)
+        payload = lk_rows.column("payload").cast(pa.binary())
+        return matched.append_column(
+            out_col, payload.take(pa.array(order[pos[hit]], pa.int64()))
         )
-        cols = {c: matched.column(c) for c in names}
-        cols[out_col] = payload_src
-        return pa.table(cols)
 
-    return unioned.groupby(_BUCKET).map_groups(resolve_bucket, batch_format="pyarrow")
-
-
-_SIDE = "__join_side"
+    return co_partition(projected, lookup, key_col, "key", resolve, n_buckets=n_buckets)
 
 
 def hash_join(
@@ -152,17 +209,16 @@ def hash_join(
     n_buckets: int = DEFAULT_JOIN_BUCKETS,
     how: str = "inner",
 ):
-    """General distributed equi-join via one keyed sort-shuffle
+    """General distributed equi-join over :func:`co_partition`
     (``how="inner"``, ``"left"`` or ``"full"`` — outer modes keep
     unmatched rows with typed nulls in the other side's columns; the
     right key column surfaces as the ``on`` column for right-only rows
     of a full join, mirroring SQL ``USING``/``coalesce`` semantics).
+    A null key matches nothing: inner drops it, outer keeps it unmatched.
 
-    Both sides are tagged and unioned; one ``groupby`` on the key's hash
-    bucket co-locates matching rows; each bucket emits the cartesian
-    product of its left × right rows per key, built with vectorized
-    repeat/tile index arrays (no per-key Python callback — see module
-    docstring).
+    Each bucket emits the cartesian product of its left × right rows per
+    key, built with vectorized repeat/tile index arrays (no per-key
+    Python callback — see module docstring).
 
     Column layout: all left columns + all right columns except the right
     key (mirrors SQL ``USING``).  Non-key column-name collisions are the
@@ -176,134 +232,60 @@ def hash_join(
     left_schema = left.schema()
     right_schema = right.schema()
     left_names = list(left_schema.names)
-    right_names = [n for n in right_schema.names if n != right_on]
     left_types = dict(zip(left_schema.names, left_schema.types))
     right_types = {
-        n: t
-        for n, t in zip(right_schema.names, right_schema.types)
-        if n != right_on
+        n: t for n, t in zip(right_schema.names, right_schema.types) if n != right_on
     }
-
-    def tag_left(batch: pa.Table) -> pa.Table:
-        cols = {f"l_{c}": batch.column(c) for c in left_names}
-        cols.update(
-            {f"r_{c}": pa.nulls(batch.num_rows, right_types[c]) for c in right_names}
-        )
-        key = batch.column(on).cast(pa.int64())
-        cols[_KEY] = key
-        cols[_BUCKET] = _bucket_of(key, n_buckets)
-        cols[_SIDE] = pa.array([0] * batch.num_rows, pa.int8())
-        return pa.table(cols)
-
-    def tag_right(batch: pa.Table) -> pa.Table:
-        cols = {f"l_{c}": pa.nulls(batch.num_rows, left_types[c]) for c in left_names}
-        cols.update({f"r_{c}": batch.column(c) for c in right_names})
-        key = batch.column(right_on).cast(pa.int64())
-        cols[_KEY] = key
-        cols[_BUCKET] = _bucket_of(key, n_buckets)
-        cols[_SIDE] = pa.array([1] * batch.num_rows, pa.int8())
-        return pa.table(cols)
-
-    unioned = left.map_batches(tag_left, batch_format="pyarrow").union(
-        right.map_batches(tag_right, batch_format="pyarrow")
-    )
-
-    out_fields = [(n, left_types[n]) for n in left_names] + [
-        (n, right_types[n]) for n in right_names
-    ]
-    empty = pa.table({n: pa.array([], t) for n, t in out_fields})
+    right_names = list(right_types)
 
     def _left_only(lrows: pa.Table, mask: np.ndarray) -> pa.Table:
         """Unmatched left rows + typed nulls for the right columns."""
         kept = lrows.filter(pa.array(mask))
-        cols = {n: kept.column(f"l_{n}") for n in left_names}
-        cols.update(
-            {n: pa.nulls(kept.num_rows, right_types[n]) for n in right_names}
-        )
+        cols = {n: kept.column(n) for n in left_names}
+        cols.update({n: pa.nulls(kept.num_rows, right_types[n]) for n in right_names})
         return pa.table(cols)
 
     def _right_only(rrows: pa.Table, mask: np.ndarray) -> pa.Table:
         """Unmatched right rows: nulls for left columns, except the join
         key column, which carries the right key (SQL USING semantics)."""
         kept = rrows.filter(pa.array(mask))
-        cols = {}
-        for n in left_names:
-            if n == on:
-                cols[n] = kept.column(_KEY).cast(left_types[n])
-            else:
-                cols[n] = pa.nulls(kept.num_rows, left_types[n])
-        cols.update({n: kept.column(f"r_{n}") for n in right_names})
+        cols = {
+            n: kept.column(right_on).cast(left_types[n])
+            if n == on
+            else pa.nulls(kept.num_rows, left_types[n])
+            for n in left_names
+        }
+        cols.update({n: kept.column(n) for n in right_names})
         return pa.table(cols)
 
-    def emit_bucket(group: pa.Table) -> pa.Table:
-        side = group.column(_SIDE)
-        lrows = group.filter(pc.equal(side, 0))
-        rrows = group.filter(pc.equal(side, 1))
-        if lrows.num_rows == 0:
-            if how == "full" and rrows.num_rows:
-                return _right_only(
-                    rrows, np.ones(rrows.num_rows, dtype=bool)
-                )
-            return empty
-        lk = np.asarray(lrows.column(_KEY), dtype=np.int64)
-        if rrows.num_rows == 0:
-            if how in ("left", "full"):
-                return _left_only(lrows, np.ones(len(lk), dtype=bool))
-            return empty
-        rk = np.asarray(rrows.column(_KEY), dtype=np.int64)
+    def emit_bucket(lrows: pa.Table, rrows: pa.Table) -> pa.Table:
+        lk, rk = _int64(lrows, on), _int64(rrows, right_on)
         l_order = np.argsort(lk, kind="stable")
         r_order = np.argsort(rk, kind="stable")
-        lk_s, rk_s = lk[l_order], rk[r_order]
         # per-key run starts/counts on both sorted sides
-        lu, l_start, l_cnt = np.unique(lk_s, return_index=True, return_counts=True)
-        ru, r_start, r_cnt = np.unique(rk_s, return_index=True, return_counts=True)
-        # match the key sets
-        li = np.searchsorted(ru, lu)
-        li_clip = np.minimum(li, len(ru) - 1)
-        common = ru[li_clip] == lu
-        outer_parts = []
-        mk = lu[common]
-        if how in ("left", "full") and not common.all():
-            if len(mk):
-                pos = np.minimum(np.searchsorted(mk, lk), len(mk) - 1)
-                unmatched = mk[pos] != lk
-            else:
-                unmatched = np.ones(len(lk), dtype=bool)
-            outer_parts.append(_left_only(lrows, unmatched))
-        if how == "full":
-            if len(mk):
-                pos = np.minimum(np.searchsorted(mk, rk), len(mk) - 1)
-                r_unmatched = mk[pos] != rk
-            else:
-                r_unmatched = np.ones(len(rk), dtype=bool)
-            if r_unmatched.any():
-                outer_parts.append(_right_only(rrows, r_unmatched))
-        if not common.any():
-            if outer_parts:
-                return pa.concat_tables(outer_parts)
-            return empty
+        lu, l_start, l_cnt = np.unique(lk[l_order], return_index=True, return_counts=True)
+        ru, r_start, r_cnt = np.unique(rk[r_order], return_index=True, return_counts=True)
+        ri, common = sorted_lookup(ru, lu)
         lc, ls = l_cnt[common], l_start[common]
-        rc = r_cnt[li_clip[common]]
-        rs = r_start[li_clip[common]]
+        rc, rs = r_cnt[ri[common]], r_start[ri[common]]
         # vectorized per-key cartesian: for key k with (lc, rc) rows the
         # output enumerates p = 0..lc*rc-1 as (p // rc, p % rc)
         m = lc * rc
-        total = int(m.sum())
         key_id = np.repeat(np.arange(len(m)), m)
-        p = np.arange(total) - np.repeat(np.cumsum(m) - m, m)
+        p = np.arange(int(m.sum())) - np.repeat(np.cumsum(m) - m, m)
         l_idx = pa.array(l_order[ls[key_id] + p // rc[key_id]], pa.int64())
         r_idx = pa.array(r_order[rs[key_id] + p % rc[key_id]], pa.int64())
-        cols = {}
-        for n in left_names:
-            cols[n] = lrows.column(f"l_{n}").take(l_idx)
-        for n in right_names:
-            cols[n] = rrows.column(f"r_{n}").take(r_idx)
-        inner = pa.table(cols)
-        if outer_parts:
-            return pa.concat_tables([inner] + outer_parts)
-        return inner
+        cols = {n: lrows.column(n).take(l_idx) for n in left_names}
+        cols.update({n: rrows.column(n).take(r_idx) for n in right_names})
+        parts = [pa.table(cols)]
+        matched = lu[common]
+        if how != "inner":
+            parts.append(_left_only(lrows, ~sorted_lookup(matched, lk)[1]))
+        if how == "full":
+            parts.append(_right_only(rrows, ~sorted_lookup(matched, rk)[1]))
+        return pa.concat_tables(parts)
 
-    return unioned.groupby(_BUCKET).map_groups(emit_bucket, batch_format="pyarrow")
+    return co_partition(left, right, on, right_on, emit_bucket, n_buckets=n_buckets)
 
 
 def anti_join(
@@ -315,64 +297,30 @@ def anti_join(
     n_buckets: int = DEFAULT_JOIN_BUCKETS,
 ):
     """Left ANTI equi-join: left rows whose key has NO match in right —
-    the "new since the last snapshot" / incremental-dedup exchange.
+    the "new since the last snapshot" / incremental-dedup exchange.  A
+    null left key matches nothing, so its row is kept (SQL ``ANTI JOIN``).
 
-    Same single bucketed sort-shuffle as :func:`hash_join`, but the
-    right side ships only its key column, locally deduplicated per
-    batch first (``pc.unique``), so a heavily-duplicated probe side
-    costs one light int64 row per distinct key per block.  Per bucket
-    the resolve is one sorted ``searchsorted`` membership test.
+    One :func:`co_partition` exchange, but the right side ships only its
+    key column, locally deduplicated per batch first (``pc.unique``), so
+    a heavily-duplicated probe side costs one light int64 row per
+    distinct key per block.  Per bucket the resolve is one
+    :func:`sorted_lookup` membership test.
 
     Returns left's columns unchanged.
     """
     right_on = right_on or on
-
-    left_schema = left.schema()
-    left_names = list(left_schema.names)
-    left_types = dict(zip(left_schema.names, left_schema.types))
-
-    def tag_left(batch: pa.Table) -> pa.Table:
-        cols = {f"l_{c}": batch.column(c) for c in left_names}
-        key = batch.column(on).cast(pa.int64())
-        cols[_KEY] = key
-        cols[_BUCKET] = _bucket_of(key, n_buckets)
-        cols[_SIDE] = pa.array([0] * batch.num_rows, pa.int8())
-        return pa.table(cols)
-
-    def tag_right(batch: pa.Table) -> pa.Table:
-        key = pc.unique(
-            batch.column(right_on).cast(pa.int64()).combine_chunks()
-        )
-        cols = {f"l_{c}": pa.nulls(len(key), left_types[c]) for c in left_names}
-        cols[_KEY] = key
-        cols[_BUCKET] = _bucket_of(key, n_buckets)
-        cols[_SIDE] = pa.array([1] * len(key), pa.int8())
-        return pa.table(cols)
-
-    unioned = left.map_batches(tag_left, batch_format="pyarrow").union(
-        right.map_batches(tag_right, batch_format="pyarrow")
+    right_keys = right.map_batches(
+        lambda b: pa.table(
+            {right_on: pc.unique(b.column(right_on).cast(pa.int64()).combine_chunks())}
+        ),
+        batch_format="pyarrow",
     )
-    empty = pa.table({n: pa.array([], left_types[n]) for n in left_names})
 
-    def emit_bucket(group: pa.Table) -> pa.Table:
-        side = group.column(_SIDE)
-        lrows = group.filter(pc.equal(side, 0))
-        if lrows.num_rows == 0:
-            return empty
-        rkeys = np.unique(
-            np.asarray(group.filter(pc.equal(side, 1)).column(_KEY), dtype=np.int64)
-        )
-        lk = np.asarray(lrows.column(_KEY), dtype=np.int64)
-        if len(rkeys):
-            pos = np.searchsorted(rkeys, lk)
-            pos_clip = np.minimum(pos, len(rkeys) - 1)
-            keep_mask = rkeys[pos_clip] != lk
-        else:
-            keep_mask = np.ones(len(lk), dtype=bool)
-        kept = lrows.filter(pa.array(keep_mask))
-        return pa.table({n: kept.column(f"l_{n}") for n in left_names})
+    def keep_unmatched(lrows: pa.Table, rrows: pa.Table) -> pa.Table:
+        _, hit = sorted_lookup(np.unique(_int64(rrows, right_on)), _int64(lrows, on))
+        return lrows.filter(pa.array(~hit))
 
-    return unioned.groupby(_BUCKET).map_groups(emit_bucket, batch_format="pyarrow")
+    return co_partition(left, right_keys, on, right_on, keep_unmatched, n_buckets=n_buckets)
 
 
 PAIR_CAP = 200  # bucket size above which all-pairs expansion is star-sampled

@@ -234,120 +234,44 @@ def suffix_array(
     )
 
 
-def _attach_prefixes_broadcast(reps, ds, doc_col, text_col, cap):
-    """Oracle-scale prefix attach: every doc text in ONE ``ray.put``."""
-    import ray
-
-    texts = {
-        r[doc_col]: (r[text_col] or "")
-        for r in ds.select_columns([doc_col, text_col]).take_all()
-    }
-    texts_ref = ray.put(texts)
-
-    def rep_rows(batch: pa.Table) -> pa.Table:
-        t = ray.get(texts_ref)
-        ranks = batch.column("srank").to_pylist()
-        dps = batch.column("min(dp)").to_pylist()
-        sizes = batch.column("count()").to_pylist()
-        prefs, lens = [], []
-        for dp in dps:
-            doc, pos = dp >> _POS_BITS, dp & ((1 << _POS_BITS) - 1)
-            suf = t[doc][pos : pos + cap]
-            prefs.append(suf)
-            lens.append(min(len(t[doc]) - pos, cap))
-        return pa.table(
-            {
-                "srank": pa.array(ranks, pa.int64()),
-                "pref": pa.array(prefs, pa.string()),
-                "slen": pa.array(lens, pa.int64()),
-                "csize": pa.array(sizes, pa.int64()),
-            }
-        )
-
-    return reps.map_batches(rep_rows, batch_format="pyarrow")
-
-
-def _attach_prefixes_join(reps, ds, doc_col, text_col, cap, n_buckets=64):
-    """Corpus-scale prefix attach: rep rows and doc texts co-locate by
-    ONE groupby shuffle on a hash bucket of the doc id; each bucket
-    holds ~1/n_buckets of the corpus text ONCE and slices every rep
-    prefix from that single copy — never a broadcast, and never one
-    text copy per rep row (a length-L doc can own up to L rep classes:
-    joining the text onto each would be O(L²) bytes)."""
-    import pyarrow.compute as pc
-
-    from .joins import _bucket_of
-
-    def tag_reps(batch: pa.Table) -> pa.Table:
-        dp = np.asarray(batch.column("min(dp)"), dtype=np.int64)
-        doc = dp >> _POS_BITS
-        return pa.table(
-            {
-                "bucket": _bucket_of(pa.array(doc, pa.int64()), n_buckets),
-                "doc": pa.array(doc, pa.int64()),
-                "pos": pa.array(dp & ((1 << _POS_BITS) - 1), pa.int64()),
-                "srank": batch.column("srank").cast(pa.int64()),
-                "csize": batch.column("count()").cast(pa.int64()),
-                "text": pa.nulls(batch.num_rows, pa.string()),
-            }
-        )
-
-    def tag_docs(batch: pa.Table) -> pa.Table:
-        doc = batch.column(doc_col).cast(pa.int64())
-        n = batch.num_rows
-        return pa.table(
-            {
-                "bucket": _bucket_of(doc, n_buckets),
-                "doc": doc,
-                "pos": pa.nulls(n, pa.int64()),
-                "srank": pa.nulls(n, pa.int64()),
-                "csize": pa.nulls(n, pa.int64()),
-                "text": batch.column(text_col).cast(pa.string()),
-            }
-        )
-
-    unioned = reps.map_batches(tag_reps, batch_format="pyarrow").union(
-        ds.map_batches(tag_docs, batch_format="pyarrow")
-    )
-
-    empty = pa.table(
+def _rep_rows(batch: pa.Table) -> pa.Table:
+    """A rank class's representative row, its packed ``(doc, pos)``
+    split back into two columns."""
+    dp = np.asarray(batch.column("min(dp)"), dtype=np.int64)
+    return pa.table(
         {
-            "srank": pa.array([], pa.int64()),
-            "pref": pa.array([], pa.string()),
-            "slen": pa.array([], pa.int64()),
-            "csize": pa.array([], pa.int64()),
+            "doc": pa.array(dp >> _POS_BITS, pa.int64()),
+            "pos": pa.array(dp & ((1 << _POS_BITS) - 1), pa.int64()),
+            "srank": batch.column("srank").cast(pa.int64()),
+            "csize": batch.column("count()").cast(pa.int64()),
         }
     )
 
-    def resolve(group: pa.Table) -> pa.Table:
-        is_doc = pc.is_valid(group.column("text"))
-        doc_rows = group.filter(is_doc)
-        rep_rows = group.filter(pc.invert(is_doc))
-        if rep_rows.num_rows == 0:
-            return empty
-        texts = dict(
-            zip(
-                doc_rows.column("doc").to_pylist(),
-                doc_rows.column("text").to_pylist(),
-            )
-        )
-        prefs, lens = [], []
-        for doc, pos in zip(
-            rep_rows.column("doc").to_pylist(), rep_rows.column("pos").to_pylist()
-        ):
-            t = texts.get(doc) or ""
-            prefs.append(t[pos : pos + cap])
-            lens.append(min(len(t) - pos, cap))
-        return pa.table(
-            {
-                "srank": rep_rows.column("srank"),
-                "pref": pa.array(prefs, pa.string()),
-                "slen": pa.array(lens, pa.int64()),
-                "csize": rep_rows.column("csize"),
-            }
-        )
 
-    return unioned.groupby("bucket").map_groups(resolve, batch_format="pyarrow")
+_PREFIXED = pa.schema(
+    [("srank", pa.int64()), ("pref", pa.string()), ("slen", pa.int64()), ("csize", pa.int64())]
+)
+
+
+def _with_prefixes(reps: pa.Table, texts: dict, cap: int) -> pa.Table:
+    """``reps`` with each class's capped prefix ``texts[doc][pos:]`` and
+    its capped length."""
+    if not reps.num_rows:
+        return _PREFIXED.empty_table()  # co_partition's side may be key-only
+    prefs, lens = [], []
+    for d, p in zip(reps.column("doc").to_pylist(), reps.column("pos").to_pylist()):
+        t = texts.get(d) or ""
+        prefs.append(t[p : p + cap])
+        lens.append(min(len(t) - p, cap))
+    return pa.table(
+        [
+            reps.column("srank"),
+            pa.array(prefs, pa.string()),
+            pa.array(lens, pa.int64()),
+            reps.column("csize"),
+        ],
+        schema=_PREFIXED,
+    )
 
 
 def repeated_substrings(
@@ -357,8 +281,6 @@ def repeated_substrings(
     text_col: str = "text",
     min_len: int = 20,
     cap: int = 64,
-    broadcast_doc_limit: int = 100_000,
-    prefix_attach: str = "auto",
 ):
     """Longest repeated substrings of the corpus from the suffix array —
     the artifact ExactSubstr dedup thresholds on: every maximal repeat
@@ -375,36 +297,29 @@ def repeated_substrings(
     Lengths and substrings are CAPPED at ``cap`` chars (the dedup
     thresholding never needs more; the capped probe is also what keeps
     the SQL oracle's pairwise comparison bounded).  Output: DISTINCT
-    ``(length, substring)`` rows with length ≥ ``min_len``.
+    ``(length, substring)`` rows with length ≥ ``min_len``.  A null text
+    is an empty document.
 
-    Shape: :func:`suffix_array` → one groupby(srank) for class
-    representatives (min packed (doc,pos) + class size) → capped
-    prefixes attached by ``prefix_attach``: ``"broadcast"`` ships every
-    doc text once via ``ray.put`` (loudly bounded by
-    ``broadcast_doc_limit``), ``"join"`` is the corpus-scale path
-    (:func:`_attach_prefixes_join` — doc-bucket co-location, one text
-    copy per bucket), ``"auto"`` picks by doc count → ONE hash_join of
-    rank r onto r+1 → vectorized-per-pair LCP → one tiny dedupe groupby.
+    Shape: the ``(doc_id, text)`` projection is materialized once →
+    :func:`suffix_array` → one groupby(srank) for class representatives
+    (min packed (doc,pos) + class size) → capped prefixes attached to
+    the representatives: while the projection fits
+    :func:`~go_htmldate_ray.stages.blocks.light_table`'s budget every
+    text ships once via ``ray.put``; above it one
+    :func:`~go_htmldate_ray.stages.joins.co_partition` exchange on the
+    doc id slices each prefix from the bucket's single copy of its text
+    (never one text copy per rep row: a length-L doc can own up to L rep
+    classes) → ONE hash_join of rank r onto r+1 → vectorized-per-pair
+    LCP → one tiny dedupe groupby.
     """
+    import ray
     from ray.data.aggregate import Count, Min
 
-    from .joins import hash_join
+    from .blocks import light_table
+    from .joins import DEFAULT_JOIN_BUCKETS, co_partition, hash_join
 
-    if prefix_attach not in ("auto", "broadcast", "join"):
-        raise ValueError(f"unknown prefix_attach {prefix_attach!r}")
-    if prefix_attach == "auto":
-        prefix_attach = (
-            "join" if ds.count() > broadcast_doc_limit else "broadcast"
-        )
-    elif prefix_attach == "broadcast":
-        n_docs = ds.count()
-        if n_docs > broadcast_doc_limit:
-            raise ValueError(
-                f"repeated_substrings broadcasts doc texts; got {n_docs} docs "
-                f"> {broadcast_doc_limit} — use prefix_attach='join' at this scale"
-            )
-
-    sa = suffix_array(ds, doc_col=doc_col, text_col=text_col)
+    docs = ds.select_columns([doc_col, text_col]).materialize()
+    sa = suffix_array(docs, doc_col=doc_col, text_col=text_col)
 
     def packed(batch: pa.Table) -> pa.Table:
         doc = np.asarray(batch.column("doc_id"), dtype=np.int64)
@@ -420,14 +335,30 @@ def repeated_substrings(
         sa.map_batches(packed, batch_format="pyarrow")
         .groupby("srank")
         .aggregate(Min("dp"), Count())
+        .map_batches(_rep_rows, batch_format="pyarrow")
     )
 
-    if prefix_attach == "join":
-        rep_t = _attach_prefixes_join(reps, ds, doc_col, text_col, cap).materialize()
+    def texts_of(t: pa.Table) -> dict:
+        return dict(zip(t.column(doc_col).to_pylist(), t.column(text_col).to_pylist()))
+
+    text_tbl = light_table(docs, pa.schema([(doc_col, pa.int64()), (text_col, pa.string())]))
+    if text_tbl is not None:
+        texts_ref = ray.put(texts_of(text_tbl))
+        attached = reps.map_batches(
+            lambda b: _with_prefixes(b, ray.get(texts_ref), cap), batch_format="pyarrow"
+        )
     else:
-        rep_t = _attach_prefixes_broadcast(
-            reps, ds, doc_col, text_col, cap
-        ).materialize()
+        # reps pinned: co_partition reads its schema, which would
+        # otherwise re-run the suffix-array groupby
+        attached = co_partition(
+            reps.materialize(),
+            docs,
+            "doc",
+            doc_col,
+            lambda r, d: _with_prefixes(r, texts_of(d), cap),
+            n_buckets=DEFAULT_JOIN_BUCKETS,
+        )
+    rep_t = attached.materialize()
 
     shifted = rep_t.map_batches(
         lambda b: pa.table(

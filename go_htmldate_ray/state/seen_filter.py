@@ -16,15 +16,12 @@ from __future__ import annotations
 import numpy as np
 
 from ..stages import blocks
+from ..stages.joins import sorted_lookup
 
 
 def member(keys: np.ndarray, hashes) -> np.ndarray:
     """Boolean mask: which ``hashes`` are in the sorted unique ``keys``."""
-    h = np.asarray(hashes, dtype=np.int64)
-    if not len(keys):
-        return np.zeros(len(h), dtype=bool)
-    i = np.searchsorted(keys, h)
-    return keys[np.minimum(i, len(keys) - 1)] == h
+    return sorted_lookup(keys, np.asarray(hashes, dtype=np.int64))[1]
 
 
 class SeenSet:

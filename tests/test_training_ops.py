@@ -1002,31 +1002,10 @@ def test_repeated_substrings_vs_python_rule(ray_session):
     assert any(sub.startswith(boiler[:20]) for _, sub in got)  # planted repeat found
 
 
-def test_repeated_substrings_broadcast_bound_guard(ray_session):
-    """The explicit broadcast mode is loudly bounded: exceeding
-    broadcast_doc_limit must raise before anything materializes, with a
-    message pointing at the join-based scale path; auto mode switches
-    to the join path instead of raising."""
-    import pytest
-    import ray
-
-    from go_htmldate_ray.stages.suffix import repeated_substrings
-
-    rows = [{"doc_id": i, "text": f"doc {i} text"} for i in range(6)]
-    with pytest.raises(ValueError, match="broadcasts doc texts"):
-        repeated_substrings(
-            ray.data.from_items(rows),
-            broadcast_doc_limit=5,
-            prefix_attach="broadcast",
-        )
-    with pytest.raises(ValueError, match="unknown prefix_attach"):
-        repeated_substrings(ray.data.from_items(rows), prefix_attach="bogus")
-
-
-def test_repeated_substrings_join_attach_matches_broadcast(ray_session):
-    """The corpus-scale join-based prefix attach must emit exactly the
-    broadcast path's (length, substring) set — exercised by forcing
-    auto over the limit so the join path is what auto picks."""
+def test_repeated_substrings_join_attach_matches_broadcast(ray_session, scale_path):
+    """The co-partitioned prefix attach (the scale path) must emit exactly
+    the broadcast attach's (length, substring) set, on a corpus with one
+    null-text and one blank-text document."""
     import random
 
     import ray
@@ -1039,17 +1018,20 @@ def test_repeated_substrings_join_attach_matches_broadcast(ray_session):
     for i in range(8):
         body = "".join(rng.choice("abcde ") for _ in range(rng.randrange(15, 50)))
         rows.append({"doc_id": i, "text": body + (boiler if i % 2 == 0 else "")})
+    blank = [{"doc_id": 8, "text": None}, {"doc_id": 9, "text": "   "}]
+    rows += blank
 
-    def run(**kw):
+    def run(rows):
         return {
             (r["length"], r["substring"])
             for r in repeated_substrings(
-                ray.data.from_items(rows), min_len=20, cap=64, **kw
+                ray.data.from_items(rows), min_len=20, cap=64
             ).take_all()
         }
 
-    a = run(prefix_attach="broadcast")
-    b = run(prefix_attach="join")
-    c = run(broadcast_doc_limit=4)  # auto → join (8 docs > 4)
-    assert a == b == c
-    assert any(sub.startswith(boiler[:20]) for _, sub in a)
+    light = run(rows)
+    with scale_path():
+        scale = run(rows)
+        assert run(blank) == set()
+    assert light == scale
+    assert any(sub.startswith(boiler[:20]) for _, sub in light)
