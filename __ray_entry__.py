@@ -3,792 +3,88 @@
 Ray is initialised by the driver BEFORE this module is imported; nothing
 here calls ``ray.init`` / ``ray.shutdown``.
 
-``queries()`` maps one entry per implemented operator/pipeline from
-SURVEY.md §2 (+ the training-data operators) to a callable over an sf
-dir; ``oracle_sql()`` gives the DuckDB-equivalent SQL where the operator
-is SQL-expressible (the synthetic pages source embeds its dates through
-pure integer arithmetic on doc_id precisely so the extraction pipelines
-have independent SQL oracles — see go_htmldate_ray/sources/pages.py).
+``REGISTRY`` (at the end of the file) holds one record per implemented
+operator/pipeline from SURVEY.md §2 (+ the training-data operators): the
+callable over an sf dir and, side by side, its check — the DuckDB SQL
+that recomputes the result independently (the synthetic pages source
+embeds its dates through pure integer arithmetic on doc_id precisely so
+the extraction pipelines have independent SQL oracles — see
+go_htmldate_ray/sources/pages.py), or, where no oracle is expressible,
+the documented reason the driver's rows-only check applies.
+``queries()``, ``oracle_sql()`` and ``ROWS_ONLY`` are views over it.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable
+from dataclasses import dataclass
 from typing import Any
 
-from go_htmldate_ray.sources.io import read_parquet_clean
+import numpy as np
+import pyarrow as pa
+import pyarrow.compute as pc
 
-# Machine-readable marker: queries() entries that DELIBERATELY have no
-# oracle_sql() entry (the driver's weaker rows-only check applies), each
-# with its documented reason — so tooling can distinguish "rows-only by
-# necessity" from "missing oracle" without reading prose.
-ROWS_ONLY: dict[str, str] = {
-    "golden_corpus_dates_full": (
-        "includes the 6 inconsistently-recorded golden-corpus rows "
-        "(tests/golden_mismatches.json); byte parity for the other 994 is "
-        "gated in tests/test_golden_corpus.py"
-    ),
-    "bpe_merge_table": (
-        "iterative argmax-merge training is not SQL-expressible; the merge "
-        "table is pinned against a pure-Python reference in "
-        "tests/test_training_ops.py"
-    ),
-}
-
-# SQL fragment recomputing the synthesized page date (sources/pages.py)
-_DATE_SQL = "(DATE '2000-01-01' + ((doc_id * 7919) % 9000)::INTEGER)"
-_URL_SQL = (
-    "CASE WHEN doc_id % 4 = 2 THEN "
-    "'https://site' || (doc_id % 97) || '.example.org/' || "
-    f"strftime({_DATE_SQL}, '%Y/%m/%d') || '/post-' || doc_id || '.html' "
-    "ELSE 'https://site' || (doc_id % 97) || '.example.org/article/' || doc_id || '.html' END"
+from go_htmldate_ray.pipelines import (
+    analytics,
+    crawl,
+    curation,
+    streaming,
 )
+from go_htmldate_ray.pipelines import extract_dates as ed
+from go_htmldate_ray.sources import sitemap
+from go_htmldate_ray.sources.io import read_parquet_clean
+from go_htmldate_ray.sources.pages import outlinks
+from go_htmldate_ray.stages import (
+    bpe,
+    cleaning,
+    dedup,
+    graph,
+    lm,
+    multimodal,
+    packing,
+    quantiles,
+    sampling,
+    search,
+    selection,
+    similarity,
+    sketches,
+    suffix,
+    text_extract,
+    text_stage,
+)
+
+
+@dataclass(frozen=True)
+class Query:
+    """One driver query: ``fn`` over an sf dir, checked either by
+    ``sql`` — the DuckDB oracle, as text or as a zero-argument builder
+    for oracles whose literals are derived from the fixture — or, when
+    no oracle is expressible, by the rows-only check, with the reason in
+    ``rows_only``."""
+
+    fn: Callable[[str], Any]
+    sql: str | Callable[[], str] | None = None
+    rows_only: str | None = None
+
+    def __post_init__(self):
+        if (self.sql is None) == (self.rows_only is None):
+            raise ValueError("a Query needs exactly one of sql= and rows_only=")
 
 
 def entry() -> Any:
     """Flagship pipeline on sf0.001: pages → date extraction."""
-    from go_htmldate_ray.pipelines.extract_dates import extract_dates
-
-    return extract_dates("/root/testdata/sf0.001", concurrency=(1, 4))
+    return ed.extract_dates("/root/testdata/sf0.001", concurrency=(1, 4))
 
 
 def queries() -> dict[str, Callable[[str], Any]]:
-    from go_htmldate_ray.pipelines import analytics, extract_dates as ed
-    from go_htmldate_ray.stages import (
-        cleaning,
-        dedup,
-        sampling,
-        search,
-        selection,
-        similarity,
-        text_stage,
-    )
+    return _rotate({name: q.fn for name, q in REGISTRY.items()})
 
-    def _docs(sf_dir):
-        import ray.data
 
-        return read_parquet_clean(f"{sf_dir}/documents.parquet")
-
-    def _map(sf_dir, fn, columns):
-        import ray.data
-
-        ds = read_parquet_clean(f"{sf_dir}/documents.parquet", columns=columns)
-        return ds.map_batches(fn, batch_format="pyarrow")
-
+def oracle_sql() -> dict[str, str]:
     return _rotate({
-        "extract_dates": lambda sf: ed.extract_dates(sf),
-        "extract_dates_extensive": lambda sf: ed.extract_dates(
-            sf, skip_extensive_search=False
-        ),
-        "url_dates": ed.url_dates,
-        # Container round-trip: synthetic pages written as gzip'd WARC
-        # shards (ISO 28500), read back via read_binary_files + per-shard
-        # parse, doc_id recovered from the URL, then the same extraction
-        # cascade — verified against the extract_dates oracle.
-        "warc_extract_dates": ed.warc_extract_dates,
-        # CDX random access: distributed (url, shard, offset, length)
-        # index over the gzip'd shards, then ONE seek+bounded-read per
-        # selected record — no shard scan — into the extraction cascade.
-        "warc_random_access": lambda sf: ed.warc_random_access_dates(sf),
-        "host_page_counts": ed.host_page_counts,
-        # Host connectivity from REAL page parses: DOM anchor extraction
-        # -> per-batch pair-count partials -> one small Sum groupby.
-        "host_link_edges": ed.host_link_edges,
-        # Per-page outlink spam signals from REAL DOM parses (external
-        # ratio, distinct-host fanout) — stateless, no shuffle.
-        "page_link_stats": ed.page_link_stats,
-        # Connected components over the strong (n_links >= 2) host graph:
-        # string nodes -> md5-derived int ids -> min-label propagation,
-        # component surfaced as the labelling host string.
-        "host_components": lambda sf: _typed_df(
-            ed.host_components(sf),
-            {"host": "string", "component": "string"},
-        ),
-        # Co-citation: target-host pairs sharing >= 3 distinct linking
-        # hosts (bucketed vectorized pair expansion, loud out-degree cap).
-        "host_cocitation": ed.host_cocitation,
-        # Bibliographic coupling (the cocitation dual): source-host
-        # pairs linking to >= 3 common targets.
-        "host_bib_coupling": ed.host_bib_coupling,
-        # Host-level curation gate: per-doc badword-rate flags rolled up
-        # to the host, whole host kept/dropped by flagged-doc rate.
-        "host_quality_gate": ed.host_quality_gate,
-        # Anchor-text aggregation per target URL from REAL page parses:
-        # (dst, anchor) partial counts -> Sum groupby -> tiny per-dst
-        # finalize (rows per group = distinct anchors, not inlinks).
-        "anchor_texts": ed.anchor_text_summary,
-        # Redirect-chain folding: path-doubling resolution (log2(chain)
-        # bucketed join rounds over int64 ids) + URL re-attach joins.
-        "resolve_redirects": ed.redirect_resolution,
-        # Generalized suffix array by prefix doubling (Manber-Myers over
-        # Ray Data; the ExactSubstr foundation).  Bounded to doc_id < 30
-        # (~15k suffixes) because the ORACLE sorts every suffix string;
-        # the operator itself is corpus-generic.
-        "suffix_array": lambda sf: _suffix_array(sf, max_doc_id=30),
-        # ExactSubstr detection artifact: distinct repeated substrings
-        # (>= 20 chars, capped 64) from SA class sizes + adjacent-class
-        # LCPs; same doc bound as suffix_array (oracle sort cost).
-        "repeated_substrings": lambda sf: _repeated_substrings(sf, max_doc_id=30),
-        # Ingest hygiene: the REAL charset sniffing (BOM -> meta ->
-        # utf-8 -> latin-1) over planted-encoding page bytes.
-        "charset_audit": ed.charset_audit,
-        # Change-based recrawl signal: real snapshot_diff statuses ->
-        # host attach -> per-batch partials -> Sum groupby -> exact ppm.
-        "host_change_rates": ed.host_change_rates,
-        # Crawl-trap detection: URL count vs digit-collapsed template
-        # count per host; planted /cal/ exploders (host idx % 13 == 5)
-        # must flag, everyone else must not.
-        "crawl_trap_hosts": ed.crawl_trap_hosts,
-        # Rendezvous-hash frontier sharding across a resize: argmax of
-        # md5(shard:url) before (8 shards) and after (9); the minimal-
-        # movement property is pytest'd, the assignment is SQL-exact.
-        "shard_rendezvous": ed.shard_rendezvous,
-        # STRAND-style bitext mining: /de/ mirror pages join their en
-        # originals on the marker-stripped URL template (distributed
-        # hash_join), then the 2:1 token-length ratio filter.
-        "bitext_candidates": ed.bitext_candidates,
-        # Link-farm signal: host pairs linking to EACH OTHER, both
-        # directed counts, from the real page-parsed edge list — one
-        # Min/Sum groupby on the unordered pair key.
-        "reciprocal_links": ed.reciprocal_links,
-        # Scheduler policy composition: host authority = summed integer
-        # PageRank -> per-host politeness cap -> global top-budget.
-        "frontier_priority": ed.frontier_priority,
-        # Anti-spam scheduler variant: per-host budget keyed on seeded
-        # TrustRank mass instead of raw PageRank.
-        "trusted_frontier_priority": lambda sf: ed.frontier_priority(
-            sf, rank="trustrank"
-        ),
-        # Triangle counting on the oriented host graph: wedges join +
-        # closing-edge join (both bucketed), each triangle credits its
-        # three hosts; zero-triangle hosts included.
-        "host_triangles": ed.host_triangles,
-        # Hierarchical heavy-hitter frontier over URL paths: deepest
-        # per-host prefixes whose subtree count >= 4 (light pair
-        # shuffles + a bounded candidate small side).
-        "hot_paths": ed.hot_paths,
-        # Structured-data harvesting: JSON-LD block count / @type /
-        # datePublished per page through the REAL parse + json path.
-        "jsonld_summary": ed.jsonld_summary,
-        # Mirror/scraper host detection: host pairs with >= 2 near-dup
-        # docs (planted verbatim mirror of host 2 onto host 86; every
-        # natural singleton host pair must be dropped).
-        "mirror_hosts": ed.mirror_hosts,
-        # Conjunctive (boolean AND) retrieval: docs containing every
-        # query term, summed tf — matching postings only ever shuffle.
-        "boolean_and_search": lambda sf: _search().boolean_and_search(
-            read_parquet_clean(f"{sf}/documents.parquet", columns=["doc_id", "text"]),
-            ("merge", "window", "spark"),
-        ),
-        # Order-insensitive corpus checksum: commutative sum/xor monoids
-        # over per-row 63-bit md5 — block order / resume path invariant.
-        "corpus_checksum": lambda sf: _sketches().corpus_checksum(
-            read_parquet_clean(f"{sf}/documents.parquet", columns=["doc_id", "text"])
-        ),
-        # DUST alias->canonical URL rewrite map: light (content_hash,
-        # url) rows -> one keyed groupby -> per-family emission
-        # (planted mirror families; the natural corpus has no dups).
-        "url_aliases": ed.url_alias_map,
-        # Per-wave fetch-budget apportionment: host counts -> bucketed
-        # prefix sums -> cumulative rounding (sums to EXACTLY budget).
-        # budget=137 deliberately: a budget that is an exact multiple of
-        # the frontier total makes allocated = k*n_urls independent of
-        # the cumulative order, silently bypassing the prefix-sum path
-        # (how the ordered_cumsum int64-overflow bug initially slipped
-        # past a budget=1000-over-500-URL oracle).
-        "crawl_budget_allocation": lambda sf: ed.crawl_budget_allocation(
-            sf, budget=137
-        ),
-        # Bloom URL-seen membership (the OR-monoid half of the north
-        # rule's "bloom/cuckoo" seen state): per-block bitmap partials
-        # -> tiny driver OR -> broadcast probe.  Deliberately UNDERSIZED
-        # (1024 bits / ~333 keys, fill ~0.73) so the oracle exercises
-        # real false positives, not just the no-false-negative side.
-        "bloom_seen_check": ed.bloom_seen_audit,
-        # Registrable-domain extraction (publicsuffix.org algorithm):
-        # per-domain crawl state groups on this, not raw host.  Hosts
-        # synthesized from doc_id to hit every branch (wildcard *.ck,
-        # exception !www.ck, host == suffix, implicit *).
-        "registrable_domains": ed.registrable_domains,
-        # Per-registrable-domain page counts over the PSL fixture —
-        # the grouping granularity per-domain politeness/quotas use.
-        "domain_page_counts": ed.domain_page_counts,
-        "domain_quality_rollup": ed.domain_quality_rollup,
-        # Cho & Garcia-Molina change-based revisit schedule: exact
-        # integer intervals on top of the real host_change_rates
-        # pipeline (snapshot FULL-outer diff -> per-host ppm).
-        "recrawl_intervals": ed.recrawl_intervals,
-        # Content-defined chunking (FastCDC/LBFS gear-hash family, pure
-        # form): boundaries are functions of the preceding 64 code
-        # points, so edits shift only neighboring chunks — the chunk-
-        # level dedup front-end.  Batch-concat vectorized (64 shifted
-        # uint64 adds per BLOCK, not per doc); no shuffle.
-        "cdc_chunks": lambda sf: _map(
-            sf, text_stage.cdc_chunk_batch, ["doc_id", "text"]
-        ),
-        # Chunk-level dedup over the CDC keys (what CDC exists for):
-        # local pair pre-count -> pair Sum -> per-key Sum+Count -> dup
-        # filter; the natural corpus repeats 178 chunk keys at sf0.01,
-        # so no planting is needed for a non-degenerate oracle.
-        "cdc_dup_chunks": lambda sf: cleaning.cdc_dup_chunk_stats(
-            read_parquet_clean(
-                f"{sf}/documents.parquet", columns=["doc_id", "text"]
-            )
-        ),
-        # Corpus temporal profile: full extraction cascade -> per-year
-        # partial counts -> tiny Sum groupby.
-        "date_year_histogram": ed.date_year_histogram,
-        "token_counts": lambda sf: _map(
-            sf, text_stage.token_count_batch, ["doc_id", "text"]
-        ),
-        "quality_scores": lambda sf: _map(
-            sf, text_stage.quality_batch, ["doc_id", "text"]
-        ),
-        # C4-style badword blocklist filter as a rate gate — both counts
-        # are one RE2 count_substring_regex kernel over the column.
-        "badword_filter": lambda sf: _map(
-            sf, cleaning.badword_batch, ["doc_id", "text"]
-        ),
-        # Per-host template/boilerplate line detection (within-domain
-        # line dedup): planted footer (100%) + nav (~50%, the threshold
-        # boundary) lines; lines shuffle as md5 hashes, never text.
-        "host_boilerplate": lambda sf: cleaning.host_boilerplate_lines(
-            _map(sf, cleaning.plant_host_template_lines, ["doc_id", "text"])
-        ),
-        # RAG/LM context chunking: overlapping 100-char windows, stride
-        # 80 — a stateless flat expansion (rows ≈ len/stride per doc).
-        "chunk_documents": lambda sf: _map(
-            sf,
-            lambda b: text_stage.chunk_batch(b, size=100, stride=80),
-            ["doc_id", "text"],
-        ),
-        # Unicode hygiene: NFC audit over fixture text with planted
-        # decomposed characters (every 7th doc) so both sides trigger.
-        "normalize_text": _normalize_text,
-        # Arrow-native URL decomposition over the synthesized frontier.
-        "url_components": ed.url_components,
-        # Sitemap ingestion: distributed host discovery -> per-host
-        # sitemap fetch+parse inside the mapper (frontier bootstrap).
-        "sitemap_urls": _sitemap_urls,
-        # Robots-driven bootstrap: hosts -> robots.txt Sitemap: directives
-        # -> declared sitemaps (same result set, plus the robots hop).
-        "sitemap_from_robots": _sitemap_from_robots,
-        # HTML -> visible-text extraction over the synthesized pages
-        # (block-walk rule documented in stages/text_extract.py; the
-        # oracle recomputes the exact text from the fixture columns).
-        "page_texts": _page_texts,
-        # jusText-style content/boilerplate block classification over
-        # REAL page parses (word count + link density per block).
-        "boilerplate_blocks": _boilerplate_blocks,
-        # Freshness: WARC capture date minus extracted publication date.
-        "page_staleness": ed.page_staleness,
-        # Recrawl prioritization: per-host page count + exact integer
-        # total staleness (partial combine per block -> tiny Sum groupby).
-        "host_staleness": ed.host_staleness,
-        "fingerprints": lambda sf: _map(
-            sf, text_stage.fingerprint_batch, ["doc_id", "text"]
-        ),
-        "lang_id": lambda sf: _map(sf, text_stage.lang_id_batch, ["doc_id", "text"]),
-        # SpotSigs near-dup pairs (Theobald et al. SIGIR 2008):
-        # stopword-anchored chain signatures, df-pruned candidates,
-        # exact integer-ppm Jaccard verify over the FULL sets.
-        "spotsigs_pairs": lambda sf: dedup.spotsigs_pairs(
-            read_parquet_clean(
-                f"{sf}/documents.parquet", columns=["doc_id", "text"]
-            ),
-            threshold_ppm=600000,
-        ),
-        # Character-distribution entropy (integer nano-unit terms, the
-        # charlm_nll exactness scheme): one utf-32 decode + np.unique +
-        # reduceat per batch.
-        "char_entropy": lambda sf: _map(
-            sf, text_stage.char_entropy_batch, ["doc_id", "text"]
-        ),
-        # LID confusion audit: docs where the script-rule regime
-        # overrides the stopword argmax, as a (stop_lang, script_lang)
-        # count table over the snippet-planted corpus.
-        "lid_disagreement": lambda sf: text_stage.lid_disagreement(
-            read_parquet_clean(
-                f"{sf}/documents.parquet", columns=["doc_id", "text"]
-            )
-        ),
-        # Two-regime production lang-ID: Unicode-script codepoint
-        # bucketing decides CJK/ar/he/el/hi/th outright, stopword argmax
-        # handles Latin/Cyrillic; planted pure-script snippets
-        # (doc_id % 12) make the fixture hit every decision branch.
-        "script_lang_id": lambda sf: _map(
-            sf,
-            lambda b: text_stage.script_lang_batch(
-                text_stage.plant_script_snippets(b)
-            ),
-            ["doc_id", "text"],
-        ),
-        # C4-style line/document cleaning (Raffel et al. 2020 §2.2):
-        # planted line classes (doc_id % 5 / % 3) hit every rule over
-        # the single-line fixture text.
-        "c4_line_filter": lambda sf: _map(
-            sf,
-            lambda b: cleaning.c4_rules_batch(cleaning.plant_c4_lines(b)),
-            ["doc_id", "text"],
-        ),
-        # Mojibake repair (UTF-8-read-as-cp1252): planted encoding
-        # classes exercise both repair and all three pass-through paths.
-        "mojibake_repair": lambda sf: _map(
-            sf,
-            lambda b: cleaning.mojibake_batch(cleaning.plant_mojibake(b)),
-            ["doc_id", "text"],
-        ),
-        # fastText-style hashed linear classifier: broadcast weight
-        # table (ray.put once, cached per worker), integer-exact logits.
-        "hashed_classifier": lambda sf: selection.hashed_classifier(
-            read_parquet_clean(
-                f"{sf}/documents.parquet", columns=["doc_id", "text"]
-            )
-        ),
-        "winnow_fingerprints": lambda sf: _map(
-            sf, text_stage.winnow_batch, ["doc_id", "text"]
-        ),
-        # Gopher-style repetition signals (duplicate-bigram fraction and
-        # most-frequent-bigram coverage).
-        "repetition_scores": lambda sf: _map(
-            sf, text_stage.repetition_batch, ["doc_id", "text"]
-        ),
-        # Gopher document-quality rule filter (Rae et al. 2021 table A1);
-        # word-count bounds tightened to 30..80 so the 10..99-word fixture
-        # exercises both outcomes of the combined flag.
-        "gopher_quality": lambda sf: _map(
-            sf,
-            lambda b: text_stage.gopher_quality_batch(
-                b, min_words=30, max_words=80, min_stopword_hits=1
-            ),
-            ["doc_id", "text"],
-        ),
-        # Corpus composition: per-language doc/token totals via per-batch
-        # partial rows (n_langs x n_blocks rows through the groupby).
-        "lang_doc_stats": lambda sf: text_stage.lang_doc_stats(
-            read_parquet_clean(f"{sf}/documents.parquet", columns=["lang", "text"])
-        ),
-        # tf-idf top-terms: doc-term tf rows -> df groupby -> bucketed
-        # distributed join -> per-bucket vectorized top-k.
-        "tfidf_top_terms": lambda sf: text_stage.tfidf_top_terms(_docs(sf), k=3),
-        # CCNet-style passage-level exact dedup (keep globally-first
-        # occurrence; chunk mode because the fixture has no newlines).
-        "paragraph_dedup": lambda sf: cleaning.paragraph_dedup_stats(
-            _docs(sf), mode="chunk", chunk_tokens=10
-        ),
-        # PII scrub over fixture text augmented with planted PII (every
-        # 5th doc) so the oracle exercises the positive side too.
-        "pii_redaction": _pii_redaction,
-        # Benchmark-leak check: 5-gram overlap vs the broadcast blocklist
-        # built from docs 0..19.
-        "decontaminate": lambda sf: cleaning.decontaminate(
-            _docs(sf), blocklist_max_id=20, n=5
-        ),
-        # Train/val/test split labels, deterministic in (seed, doc_id).
-        "dataset_split": lambda sf: sampling.dataset_split(
-            _docs(sf).select_columns(["doc_id", "lang"]), seed=11
-        ),
-        # Leakage-safe variant: md5(seed:source) decides ONCE per group,
-        # so a site's near-duplicate pages can never straddle train and
-        # eval.  Output is per-(split, source) doc counts — each source
-        # appearing under exactly one split IS the leakage guarantee.
-        "source_split_counts": lambda sf: _source_split_counts(sf),
-        # Contamination audit: MinHash near-dup pairs straddling the
-        # per-row split — the measurement that motivates grouped_split.
-        "split_contamination": lambda sf: _split_contamination(sf),
-        # Distributed BPE merge training (arXiv:1508.07909): corpus ->
-        # weighted word-vocab dataset, then per merge round one light
-        # pair-count shuffle + per-block argmax + stateless merge apply.
-        # No SQL oracle: k data-dependent sequential-rewrite rounds are
-        # the iterative-algorithm exemption; parity is pinned to the
-        # single-process reference in tests/test_training_ops.py.
-        "bpe_merge_table": lambda sf: _bpe().bpe_train(
-            read_parquet_clean(f"{sf}/documents.parquet", columns=["text"]),
-            n_merges=16,
-        ),
-        # LM concat-and-chunk packing layout: global ordered prefix sum
-        # (range buckets -> driver carry prefix -> per-bucket vectorized
-        # cumsum) maps every doc to its context-window span.
-        "packed_sequences": lambda sf: _packing().pack_sequences(
-            read_parquet_clean(
-                f"{sf}/documents.parquet", columns=["doc_id", "text"]
-            ),
-            context_len=512,
-        ),
-        # CCNet-style LM quality signal: corpus-trained Laplace char-
-        # bigram model (one count pass, broadcast once), per-doc total
-        # NLL in exact integer nanos; perplexity derives downstream.
-        "charlm_nll": lambda sf: _lm().charlm_nll(
-            read_parquet_clean(
-                f"{sf}/documents.parquet", columns=["doc_id", "text"]
-            )
-        ),
-        # CCNet head/middle/tail terciles: charlm scores -> exact
-        # 1/3, 2/3 quantile thresholds -> broadcast-scalar bucketing.
-        "ccnet_buckets": lambda sf: selection.ccnet_buckets(
-            read_parquet_clean(
-                f"{sf}/documents.parquet", columns=["doc_id", "text"]
-            )
-        ),
-        # DSIR data selection (arXiv:2302.03169): hashed-unigram
-        # log-likelihood-ratio weights, target = lang='en'; nano
-        # fixed-point so the per-doc sum is an exact integer.
-        "dsir_weights": lambda sf: selection.dsir_weights(
-            _docs(sf), target_col="lang", target_value="en"
-        ),
-        # The resampling half: top-50 most target-like docs — a total
-        # order on (weight desc, doc_id), light rows only.
-        "dsir_select": lambda sf: selection.dsir_select(
-            _docs(sf), k=50, target_col="lang", target_value="en"
-        ),
-        # Heavy-hitters vocabulary: per-batch partial counts (combiner) →
-        # one token-keyed Sum groupby → total-order top-k.
-        "vocab_top_tokens": lambda sf: text_stage.top_tokens(
-            read_parquet_clean(f"{sf}/documents.parquet", columns=["text"]), k=100
-        ),
-        # Deterministic samplers: keep decision = md5(seed:doc_id), a pure
-        # function the SQL oracle recomputes — rerunning a failed shard
-        # keeps the same rows (Dataset.random_sample would not).
-        "sample_documents": lambda sf: sampling.bernoulli_sample(
-            _docs(sf), rate=0.2, seed=7
-        ).select_columns(["doc_id", "lang"]),
-        "sample_stratified": lambda sf: sampling.stratified_sample(
-            _docs(sf),
-            strata_col="lang",
-            rates={"en": 0.5},
-            default_rate=0.1,
-            seed=7,
-        ).select_columns(["doc_id", "lang"]),
-        # mT5/XLM-R temperature sampling (alpha=0.5): per-language keep
-        # rate sqrt(c_min/c_l) in exact ppm, md5 keep rule.
-        "sample_temperature": lambda sf: sampling.temperature_sample(
-            _docs(sf), alpha=0.5, seed=7
-        ).select_columns(["doc_id", "lang"]),
-        "dedup_exact": lambda sf: dedup.exact_dedup(_docs(sf)),
-        # Incremental crawl dedup: today's docs (id >= 100) whose exact
-        # content is absent from the id < 100 snapshot — one bucketed
-        # anti-join shuffle over light hash rows.  The fixture has no
-        # natural dups across the id-100 boundary, so 5 snapshot texts
-        # are re-planted as today-ids (1e6+i) on BOTH sides — the oracle
-        # proves drops AND keeps.
-        "new_docs_vs_snapshot": _new_docs_vs_snapshot,
-        # Asymmetric n-gram containment (Broder) over the bounded
-        # sample: quote/subset detection the symmetric Jaccard misses.
-        "containment_pairs": lambda sf: dedup.containment_pairs(_docs(sf)),
-        # Incremental NEAR-dup: the minhash LSH pairs that cross the
-        # id-100 boundary, as (new_doc, old_doc); 29 natural
-        # cross-boundary pairs at threshold 0.7 on this fixture.
-        "near_dup_vs_snapshot": lambda sf: dedup.near_dup_vs_snapshot(
-            _docs(sf), snapshot_max_id=100, threshold=0.7
-        ),
-        # Incremental-recrawl delta: FULL-outer hash_join of current vs
-        # derived-previous content hashes -> new/changed/unchanged/gone.
-        "snapshot_diff": lambda sf: dedup.snapshot_diff(
-            read_parquet_clean(
-                f"{sf}/documents.parquet", columns=["doc_id", "text"]
-            )
-        ),
-        # Distributed Okapi BM25 keyword search: stats+df pass -> scoring
-        # pass with per-block top-k; fixed-point nano scores make the
-        # sum order-independent and SQL-exact.
-        "bm25_search": lambda sf: search.bm25_topk(
-            read_parquet_clean(f"{sf}/documents.parquet", columns=["doc_id", "text"]),
-            ("merge", "window", "spark"),
-            k=10,
-        ),
-        # Token-budget estimate: whitespace + GPT-2-style pre-tokenizer
-        # piece counts (ASCII-literal pattern, Python-re/RE2 identical).
-        "bpe_token_counts": lambda sf: read_parquet_clean(
-            f"{sf}/documents.parquet", columns=["doc_id", "text"]
-        ).map_batches(text_stage.bpe_token_count_batch, batch_format="pyarrow"),
-        # Weighted sampling without replacement (Efraimidis-Spirakis):
-        # deterministic md5 uniforms, nano fixed-point ln(u)/w keys,
-        # per-block top-k -> one k-row sort.
-        "weighted_sample_docs": lambda sf: sampling.weighted_sample(
-            read_parquet_clean(
-                f"{sf}/documents.parquet", columns=["doc_id", "n_chars"]
-            ),
-            weight_col="n_chars",
-            k=50,
-            seed=7,
-        ),
-        # Count-Min token-frequency sketch: per-block cell combiners ->
-        # one keyed Sum over <= depth*width light rows; counters are
-        # md5-derived integers the SQL oracle recomputes.
-        "countmin_tokens": lambda sf: _sketches().countmin_sketch(
-            read_parquet_clean(f"{sf}/documents.parquet", columns=["text"]),
-            col="text",
-            depth=4,
-            width=256,
-        ),
-        # Exact frequency-threshold heavy hitters in two passes
-        # (TPUT-style): per-batch supported counts + truncation-ceiling
-        # upper bounds give a provable candidate superset (U < threshold
-        # reasserted at runtime), then an exact broadcast-filtered
-        # recount — never a full-vocab shuffle.  Bigrams: 916 keys at
-        # sf0.01, 54 survivors at threshold 40.
-        "heavy_hitter_tokens": lambda sf: _sketches().heavy_hitters(
-            read_parquet_clean(f"{sf}/documents.parquet", columns=["text"]),
-            col="text",
-            threshold=40,
-            ngram=2,
-        ),
-        # Vocabulary-coverage scoring: per-doc OOV ppm vs the top-10
-        # corpus vocab (vocab build broadcast once, stateless scoring).
-        "oov_rates": lambda sf: text_stage.oov_rates(
-            read_parquet_clean(f"{sf}/documents.parquet", columns=["doc_id", "text"]),
-            vocab_k=10,
-        ),
-        # Collocation mining: top-20 bigrams by PMI (combiner partials →
-        # two keyed Sums → two bucketed joins to attach unigram counts).
-        "bigram_collocations": lambda sf: text_stage.bigram_collocations(
-            read_parquet_clean(f"{sf}/documents.parquet", columns=["text"]),
-            k=20,
-            min_count=5,
-        ),
-        # HyperLogLog distinct-text sketch: per-block register maxima →
-        # one Max groupby over ≤2^p light rows; registers are pure
-        # md5-derived integers the SQL oracle recomputes exactly.
-        "hll_text_registers": lambda sf: _sketches().hll_registers(
-            read_parquet_clean(f"{sf}/documents.parquet", columns=["text"]),
-            col="text",
-            p=10,
-        ),
-        # Grouped mergeable sketch: per-host distinct-token HLL
-        # registers (group, bucket, rho_max) — one keyed Max groupby of
-        # constant-size per-block partials instead of a per-group exact
-        # COUNT(DISTINCT) shuffle.
-        "host_token_hll": _host_token_hll,
-        # Pregel-style PageRank over the crawl link graph (5 rounds,
-        # integer fixed-point units so sums commute; oracle = unrolled
-        # iteration CTEs with identical integer arithmetic).
-        "pagerank": _pagerank,
-        # TrustRank (seeded PageRank): teleport restricted to the
-        # doc_id % 17 == 0 seed set, 3 rounds, same integer arithmetic.
-        "trustrank": _trustrank,
-        # Spam mass (Gyöngyi et al. 2006): the per-mille fraction of
-        # each node's PageRank NOT funded by the trusted core —
-        # pagerank run twice (uniform + seeded), one light equi-join.
-        "spam_mass": _spam_mass,
-        # HITS hubs/authorities: integer-exact half-rounds (join + Sum
-        # per half-round, per-half-round >> replacing normalization).
-        "hits_scores": lambda sf: _hits(sf, iters=2),
-        # In-degree distribution of the same graph (zero-degree nodes
-        # included): two light-row keyed aggregations.
-        "link_degree_histogram": _degree_histogram,
-        # Classic index-build exchange: exact per-batch tf rows, one
-        # term-hash-bucket shuffle to stamp each term's df.
-        "inverted_index": lambda sf: search.build_inverted_index(
-            read_parquet_clean(f"{sf}/documents.parquet", columns=["doc_id", "text"])
-        ),
-        # ExactSubstr-style cleaning (Lee et al. 2021, n-gram anchors):
-        # drop every token covered by a cross-doc duplicated 5-gram;
-        # hybrid broadcast/join span removal (path decided by dup-set size).
-        "remove_dup_spans": lambda sf: dedup.remove_dup_spans(
-            read_parquet_clean(f"{sf}/documents.parquet", columns=["doc_id", "text"]),
-            n=5,
-            min_docs=2,
-        ),
-        # Memorization diagnostic: word 5-grams present in >=2 distinct
-        # docs; light (hash, doc) rows -> Count groupby.
-        "dup_ngrams": lambda sf: dedup.dup_ngrams(
-            read_parquet_clean(f"{sf}/documents.parquet", columns=["doc_id", "text"]),
-            n=5,
-            min_docs=2,
-        ),
-        # Domain-quota curation: keep the 10 lowest-doc_id docs per
-        # source via the salted two-phase cap (skew-safe).
-        "cap_per_source": lambda sf: sampling.cap_per_group(
-            read_parquet_clean(
-                f"{sf}/documents.parquet", columns=["doc_id", "source"]
-            ),
-            group_col="source",
-            cap=10,
-        ),
-        # hot_buckets="error": the SQL oracle enumerates every band
-        # collision pair, so a fixture hot enough to trigger star-sampling
-        # must fail loudly here, not as a confusing hash mismatch.
-        "minhash_dedup_pairs": lambda sf: dedup.minhash_lsh_pairs(
-            _docs(sf), hot_buckets="error"
-        ),
-        # Cluster-level near-dup: connected components (min-label
-        # propagation + pointer doubling) over the minhash pair graph —
-        # oracle recomputes the components with a recursive CTE over the
-        # exact same SQL-derived pair set.
-        "near_dup_clusters": lambda sf: _typed_df(
-            dedup.near_dup_clusters(_docs(sf), hot_buckets="error"),
-            {"doc_id": "int64", "cluster_rep": "int64"},
-        ),
-        # The dedup ACTION: per-doc keep flag (0 for non-rep cluster
-        # members): one map over the doc ids against the sorted drop-id
-        # array while the cluster table fits light_table, else a
-        # light-row union + Max groupby.
-        "near_dup_keep": lambda sf: dedup.near_dup_keep(
-            _docs(sf), hot_buckets="error"
-        ),
-        # End-to-end curation funnel: quality + lang-ID + near-dup keep
-        # flags in ONE text pass (joined on above the light budget),
-        # per-language kept/total stats.
-        "curated_corpus_stats": _curated_corpus_stats,
-        "simhash": lambda sf: _map(sf, dedup.simhash_batch, ["doc_id", "text"]),
-        "token_jaccard_pairs": lambda sf: dedup.token_jaccard_pairs(
-            _docs(sf), max_doc_id=200, min_jaccard=0.5
-        ),
-        "ngram_jaccard_pairs": lambda sf: _typed_df(
-            dedup.ngram_jaccard_pairs(_docs(sf), n=3, max_doc_id=200, min_jaccard=0.03),
-            {"doc_a": "int64", "doc_b": "int64", "jaccard": "float64"},
-        ),
-        "ann_cosine_topk": lambda sf: similarity.brute_force_topk(
-            _embeddings(sf), query_ids=list(range(8)), k=5
-        ),
-        "ann_lsh_topk": lambda sf: similarity.lsh_topk(
-            _embeddings(sf), query_ids=list(range(8)), k=5
-        ),
-        # Corpus→corpus k-NN graph over LSH candidates: every vector's
-        # top-3 banded-collision neighbors, hash-verified against the
-        # band-restricted exact recomputation.
-        "knn_graph": lambda sf: similarity.knn_graph(
-            _embeddings(sf), k=3, hot_buckets="error"
-        ),
-        # IVF in the APPROXIMATE regime (n_probe=4 of 16 cells): the SQL
-        # oracle recomputes the probe-restricted search from the literal
-        # centroids (seed-deterministic k-means over the vec_id<2048
-        # sample — same shared-constant pattern as the minhash perms).
-        "ann_ivf_topk": lambda sf: similarity.ivf_topk(
-            _embeddings(sf), query_ids=list(range(8)), k=5,
-            n_centroids=16, n_probe=4,
-        ),
-        # PQ/ADC compressed scan (Jégou et al.): m sub-codes per vector,
-        # query scores = per-subspace lookup-table sums (rounded 9dp).
-        "ann_pq_topk": lambda sf: similarity.pq_topk(
-            _embeddings(sf), query_ids=list(range(8)), k=5, m=16, n_codes=64
-        ),
-        "embedding_dup_pairs": lambda sf: similarity.embedding_dup_pairs(
-            _embeddings(sf), threshold=0.4
-        ),
-        # Spherical k-means: deterministic sample init + 2 distributed
-        # Lloyd iterations (partial sums per batch, K-row driver combine,
-        # centroids rounded to a fixed grid); the oracle replays the
-        # iterations in SQL from the literal init centroids.
-        "kmeans_clusters": lambda sf: similarity.kmeans_assign(
-            _embeddings(sf), n_clusters=8, refine_iters=2
-        ),
-        # Scalar int8-range quantization: per-dim min/max from one
-        # light aggregate pass, explicit half-up floor both sides.
-        "scalar_quantize": lambda sf: similarity.scalar_quantize(
-            _embeddings(sf)
-        ),
-        # Johnson–Lindenstrauss projection to 16 dims (seeded Gaussian,
-        # exact ÷4 scale, 6-dp values flattened for value comparison).
-        "jl_projection": lambda sf: similarity.jl_project(
-            _embeddings(sf), out_dim=16
-        ),
-        # Margin-based bitext mining (Artetxe & Schwenk 2019): planted
-        # translated twins matched by the 2·cos − μ_k(b) − μ_k(a*)
-        # distance margin; 6-dp + id tie-breaks keep it SQL-exact.
-        "xling_margin_pairs": lambda sf: similarity.xling_margin_pairs(
-            _embeddings(sf), k=4
-        ),
-        # SemDeDup (Abbas et al. 2023): within each k-means cluster drop
-        # members whose cosine to any earlier member reaches 0.5; the
-        # oracle replays the clustering AND the pairwise rule in SQL.
-        "semdedup": lambda sf: similarity.semdedup(
-            _embeddings(sf), n_clusters=8, threshold=0.5, refine_iters=2
-        ),
-        # Banded-LSH near-dup pairs over the fixture AUGMENTED with three
-        # planted exact duplicates (vec 0..2 copied to vec_id+10^7): the
-        # oracle now exercises BOTH sides — recall (the planted pairs must
-        # surface) and precision (nothing else may).
-        "embedding_dup_pairs_lsh": _embedding_dup_pairs_lsh,
-        "media_features": _media_features,
-        # Perceptual-hash (dHash) image dedup through the REAL BMP
-        # decoder: planted pixel-formula images (doc_id % 41 families)
-        # are encoded as genuine padded BMP bytes, decoded, hashed, and
-        # Min/Count-grouped; the oracle replays the formula and the
-        # 56-bit hash in SQL, so any decode error fails the hash.
-        "image_dhash_dups": _image_dhash_dups,
-        "image_dhash_png_dups": _image_dhash_png_dups,
-        # Same dedup over REAL baseline-JPEG decode (numpy DCT codec).
-        # The family pixel design guarantees dHash survives the lossy
-        # round trip by margin, so the oracle replays ORIGINAL pixels.
-        "image_dhash_jpeg_dups": _image_dhash_jpeg_dups,
-        # Same dedup over REAL GIF decode (stdlib-free LZW) — lossless,
-        # so the oracle replays exact palette-indexed pixels.
-        "image_dhash_gif_dups": _image_dhash_gif_dups,
-        # Per-window integer audio energy over REAL RIFF/WAVE decode
-        # (PCM codec in numpy/stdlib) — the VAD/segmentation layout.
-        "audio_window_energy": lambda sf: __import__(
-            "go_htmldate_ray.stages.multimodal", fromlist=["x"]
-        ).audio_window_energy(sf),
-        # One pipeline through ALL FIVE real image codecs: sniff ->
-        # genuine decode -> per-format media inventory.
-        "media_sniff_stats": lambda sf: __import__(
-            "go_htmldate_ray.stages.multimodal", fromlist=["x"]
-        ).media_sniff_stats(sf),
-        # REAL video frame sampling: MJPG AVI container-parsed, every
-        # 2nd frame JPEG-decoded, keyframe dHash emitted — the video
-        # dedup fingerprint layout.
-        "video_frame_dhash": lambda sf: __import__(
-            "go_htmldate_ray.stages.multimodal", fromlist=["x"]
-        ).video_frame_dhash(sf),
-        "crawl_reachable": _crawl_reachable,
-        # Crawl-ORDERING evidence: pages per wave == BFS depth histogram
-        # under a non-binding budget (depth-tracking recursive-CTE oracle).
-        "crawl_wave_counts": _crawl_wave_counts,
-        "golden_corpus_dates": lambda sf: _golden_corpus_dates(sf, exclude_known=True),
-        # Full 1000-doc corpus including the 6 rows whose recorded outputs
-        # are internally inconsistent in the reference corpus itself
-        # (tests/golden_mismatches.json) — rows-only by necessity; the
-        # byte-parity gate lives in tests/test_golden_corpus.py.
-        "golden_corpus_dates_full": lambda sf: _golden_corpus_dates(sf, exclude_known=False),
-        # Exact distributed quantiles (histogram-refinement selection,
-        # no full sort) — percentile_disc semantics.
-        "value_quantiles": _value_quantiles,
-        "windowed_events": _streaming("windowed_events"),
-        # Sliding (hopping) windows: window 2h / hop 1h — every event in
-        # two windows, combiner-before-shuffle like the tumbling variant.
-        "sliding_window_events": _streaming("sliding_window_events"),
-        # Per-group exact quantiles: one histogram pass for ALL groups
-        # (light (key,bin,cnt) rows), one combined collect pass.
-        "grouped_quantiles": _grouped_quantiles,
-        # Per-language doc-length quantiles — the length-filter
-        # calibration table (CCNet tunes length cuts per language); the
-        # same bounded-scan grouped exact-quantile machinery.
-        "doclen_quantiles_by_lang": _doclen_quantiles_by_lang,
-        # Grouped top-N: keyed Sum groupby -> stable-hash type buckets ->
-        # vectorized in-bucket ranking.
-        "top_users_per_type": analytics.top_users_per_type,
-        "asof_latest_order": _streaming("asof_join_latest_order"),
-        "sessionize_events": _streaming("sessionize_events"),
-        # Politeness audit over the fetch log: per-key ordered gap scan
-        # vs the key's declared minimum delay (same bucketed vectorized
-        # shape as sessionize_events).
-        "crawl_delay_compliance": _streaming("crawl_delay_compliance"),
-        # Distributed range (interval) join: grid-cell equi-join
-        # reduction + exact containment filter over overlapping windows.
-        "events_in_windows": _streaming("events_in_windows"),
-        # Interval-overlap join: both sides grid-expanded, one equi-join,
-        # first-shared-cell emission (exactly-once, no distinct shuffle).
-        "orders_overlapping_windows": _streaming("orders_overlapping_windows"),
-        # GROUPING SETS rollup in one pass: finest partial per block,
-        # coarser levels derived from it, one Sum groupby on the
-        # composite (grouping_id, keys).
-        "events_rollup": analytics.events_rollup,
-        "events_by_type": analytics.events_by_type,
-        # Exact COUNT(DISTINCT) per group: local pair dedup -> pair
-        # groupby -> partial-count Sum groupby.
-        "distinct_users_by_type": analytics.distinct_users_by_type,
-        "top_users_by_value": analytics.top_users_by_value,
-        "orders_by_segment": analytics.orders_by_segment,
-        "orders_customer_join": analytics.orders_customer_join,
-        # Skew-aware join: a planted mega-customer (every 3rd order)
-        # takes the hot-key broadcast path, cold keys the bucketed join.
-        "orders_customer_skew_join": analytics.orders_customer_skew_join,
-        # LEFT OUTER variant: unmatched orders keep a null segment.
-        "orders_customer_left_join": analytics.orders_customer_left_join,
-        # FULL OUTER variant: customer-only rows surface too.
-        "orders_customer_full_join": analytics.orders_customer_full_join,
-        "pricing_summary": analytics.pricing_summary,
+        name: q.sql() if callable(q.sql) else q.sql
+        for name, q in REGISTRY.items()
+        if q.sql is not None
     })
 
 
@@ -867,10 +163,28 @@ def _rotate(q: dict) -> dict:
     return ordered
 
 
-def _embeddings(sf_dir):
-    import ray.data
+# --- shared readers and SQL fragments ----------------------------------------
 
+def _docs(sf_dir: str, *columns: str):
+    """The fixture's documents table, pruned to ``columns`` if given."""
+    return read_parquet_clean(
+        f"{sf_dir}/documents.parquet", columns=list(columns) or None
+    )
+
+
+def _text_map(fn):
+    """The query mapping ``fn`` over the (doc_id, text) document batches."""
+    return lambda sf_dir: _docs(sf_dir, "doc_id", "text").map_batches(
+        fn, batch_format="pyarrow"
+    )
+
+
+def _embeddings(sf_dir):
     return read_parquet_clean(f"{sf_dir}/embeddings.parquet")
+
+
+# The ANN queries' probe set: vec_id 0..7 (the oracles' ``vec_id < 8``).
+_QUERY_IDS = list(range(8))
 
 
 def _typed_df(ds, dtypes: dict):
@@ -889,16 +203,84 @@ def _typed_df(ds, dtypes: dict):
     return df
 
 
+# SQL fragment recomputing the synthesized page date (sources/pages.py)
+_DATE_SQL = "(DATE '2000-01-01' + ((doc_id * 7919) % 9000)::INTEGER)"
+_URL_SQL = (
+    "CASE WHEN doc_id % 4 = 2 THEN "
+    "'https://site' || (doc_id % 97) || '.example.org/' || "
+    f"strftime({_DATE_SQL}, '%Y/%m/%d') || '/post-' || doc_id || '.html' "
+    "ELSE 'https://site' || (doc_id % 97) || '.example.org/article/' || doc_id || '.html' END"
+)
+# Every extraction path recovers each page's planted date.
+_EXTRACT_SQL = f"""
+        SELECT doc_id, {_URL_SQL} AS url,
+               strftime({_DATE_SQL}, '%Y-%m-%d') AS date_str
+        FROM documents"""
+# Every host publishes each of its pages in its sitemap.
+_SITEMAP_SQL = f"""
+        SELECT 'site' || (doc_id % 97) || '.example.org' AS host,
+               {_URL_SQL} AS url,
+               strftime({_DATE_SQL}, '%Y-%m-%d') AS lastmod
+        FROM documents"""
+# The synthesized pages' link graph (sources/pages.outlinks): every doc
+# links to (13d+1)%N and (29d+7)%N, as (doc_id, t) rows.
+_OUTLINKS_SQL = (
+    "(doc_id*13+1) % (SELECT count(*) FROM documents)",
+    "(doc_id*29+7) % (SELECT count(*) FROM documents)",
+)
+_LINKS_SQL = f"""
+            SELECT doc_id,
+                   {_OUTLINKS_SQL[0]} AS t
+            FROM documents
+            UNION ALL
+            SELECT doc_id,
+                   {_OUTLINKS_SQL[1]} AS t
+            FROM documents
+        """
+# The same graph as an ``edges (src, dst)`` CTE.
+_EDGES_SQL = f"""
+        edges AS (SELECT doc_id AS src, t AS dst FROM ({_LINKS_SQL}))"""
+# snapshot_diff's planting: tracked = present in both snapshots (not new
+# %17==3, ghosts excluded); changed = %10==0 among tracked.
+_TRACKED_SQL = """
+        t AS (
+            SELECT doc_id,
+                   'site' || (doc_id % 97) || '.example.org' AS host,
+                   (doc_id % 10 = 0)::INTEGER AS ch
+            FROM documents
+            WHERE doc_id % 17 != 3
+        )"""
+# Distinct word 3-gram sets of the docs below 200 (a doc shorter than
+# three tokens is one shingle), the bounded pair queries' sample.
+_TRIGRAM_SETS_SQL = r"""
+        sh AS (
+            SELECT doc_id,
+                   list_distinct(
+                       CASE WHEN length(ts) < 3 THEN [array_to_string(ts, ' ')]
+                            ELSE list_transform(range(1, length(ts) - 1),
+                                                i -> array_to_string(ts[i:i+2], ' '))
+                       END) AS gs
+            FROM (SELECT doc_id, regexp_split_to_array(trim(text), '\s+') AS ts
+                  FROM documents WHERE doc_id < 200 AND trim(text) != '')
+        )"""
+
+
+def _split_sql(h: str) -> str:
+    """sampling.dataset_split's label for the 63-bit md5 value ``h``:
+    train below 0.8 of the range, val below 0.9, else test."""
+    return (
+        f"CASE WHEN {h} < {int(0.8 * (1 << 63))}::UBIGINT THEN 'train' "
+        f"WHEN {h} < {int(0.9 * (1 << 63))}::UBIGINT THEN 'val' ELSE 'test' END"
+    )
+
+
+# --- operator-side helpers ---------------------------------------------------
+
 _PLANTED_DUP_OFFSET = 10_000_000  # planted-duplicate vec_id offset
 _PLANTED_DUP_COUNT = 3
 
 
 def _embedding_dup_pairs_lsh(sf_dir):
-    import pyarrow as pa
-    import pyarrow.compute as pc
-
-    from go_htmldate_ray.stages.similarity import embedding_dup_pairs_lsh
-
     ds = _embeddings(sf_dir)
 
     def plant(batch: pa.Table) -> pa.Table:
@@ -914,38 +296,17 @@ def _embedding_dup_pairs_lsh(sf_dir):
         ds.map_batches(plant, batch_format="pyarrow")
     )
     return _typed_df(
-        embedding_dup_pairs_lsh(aug, threshold=0.9, hot_buckets="error"),
+        similarity.embedding_dup_pairs_lsh(aug, threshold=0.9, hot_buckets="error"),
         {"vec_a": "int64", "vec_b": "int64", "cosine": "float64"},
     )
 
 
-def _split_contamination(sf_dir):
-    from go_htmldate_ray.pipelines.curation import split_contamination
-
-    # hot_buckets="error": the SQL oracle enumerates every band
-    # collision, so a star-sampled fixture must fail loudly here
-    return split_contamination(_docs_table(sf_dir), hot_buckets="error")
-
-
-def _docs_table(sf_dir):
-    from go_htmldate_ray.sources.io import read_parquet_clean
-
-    return read_parquet_clean(
-        f"{sf_dir}/documents.parquet", columns=["doc_id", "text"]
-    )
-
-
 def _source_split_counts(sf_dir):
-    import pyarrow as pa
-
-    from go_htmldate_ray.sources.io import read_parquet_clean
-    from go_htmldate_ray.stages import sampling
     from go_htmldate_ray.stages.combine import combine_sum_by
 
-    docs = read_parquet_clean(
-        f"{sf_dir}/documents.parquet", columns=["doc_id", "source"]
+    labeled = sampling.grouped_split(
+        _docs(sf_dir, "doc_id", "source"), group_col="source", seed=11
     )
-    labeled = sampling.grouped_split(docs, group_col="source", seed=11)
 
     def partial(b: pa.Table) -> pa.Table:
         t = b.group_by(["split", "source"]).aggregate([([], "count_all")])
@@ -975,212 +336,48 @@ def _source_split_counts(sf_dir):
     )
 
 
-def _page_texts(sf_dir):
-    from go_htmldate_ray.stages.text_extract import page_texts
-
-    return page_texts(sf_dir)
-
-
-def _boilerplate_blocks(sf_dir):
-    from go_htmldate_ray.stages.text_extract import boilerplate_blocks
-
-    return boilerplate_blocks(sf_dir)
-
-
-def _sitemap_urls(sf_dir):
-    from go_htmldate_ray.sources.sitemap import sitemap_urls
-
-    return sitemap_urls(sf_dir)
-
-
-def _sitemap_from_robots(sf_dir):
-    from go_htmldate_ray.sources.sitemap import sitemap_urls_from_robots
-
-    return sitemap_urls_from_robots(sf_dir)
-
-
-def _normalize_text(sf_dir):
-    """Plant decomposed Unicode (combining acute) on every 7th doc — the
-    same augmentation the oracle SQL applies with chr(769) — so the NFC
-    audit exercises both the already-normalized and the recomposed
-    paths on the all-ASCII fixture."""
-    import pyarrow as pa
-
-    from go_htmldate_ray.stages.cleaning import nfc_normalize_batch
-
-    ds = read_parquet_clean(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
+def _planted_text(sf_dir, every: int, suffix_of):
+    """(doc_id, text) batches with ``suffix_of(doc_id)`` appended to the
+    text of every ``every``-th doc — the same augmentation the oracle SQL
+    applies."""
 
     def plant(batch: pa.Table) -> pa.Table:
-        out = []
-        for d, t in zip(
-            batch.column("doc_id").to_pylist(), batch.column("text").to_pylist()
-        ):
-            t = t or ""
-            if d % 7 == 0:
-                t = t + " cafe\u0301"
-            out.append(t)
+        out = [
+            (t or "") + (suffix_of(d) if d % every == 0 else "")
+            for d, t in zip(
+                batch.column("doc_id").to_pylist(), batch.column("text").to_pylist()
+            )
+        ]
         return pa.table(
             {"doc_id": batch.column("doc_id"), "text": pa.array(out, pa.string())}
         )
 
-    return ds.map_batches(plant, batch_format="pyarrow").map_batches(
-        nfc_normalize_batch, batch_format="pyarrow"
+    return _docs(sf_dir, "doc_id", "text").map_batches(plant, batch_format="pyarrow")
+
+
+def _normalize_text(sf_dir):
+    """Plant decomposed Unicode (combining acute) on every 7th doc so the
+    NFC audit exercises both the already-normalized and the recomposed
+    paths on the all-ASCII fixture."""
+    return _planted_text(sf_dir, 7, lambda d: " cafe\u0301").map_batches(
+        cleaning.nfc_normalize_batch, batch_format="pyarrow"
     )
 
 
 def _pii_redaction(sf_dir):
-    """Plant deterministic PII (email + phone + IPv4) on every 5th doc —
-    the same augmentation the oracle SQL applies — then run the
-    vectorized redaction stage."""
-    import pyarrow as pa
-
-    from go_htmldate_ray.stages.cleaning import pii_redact_batch
-
-    ds = read_parquet_clean(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
-
-    def plant(batch: pa.Table) -> pa.Table:
-        out = []
-        for d, t in zip(
-            batch.column("doc_id").to_pylist(), batch.column("text").to_pylist()
-        ):
-            t = t or ""
-            if d % 5 == 0:
-                t = (
-                    f"{t} contact user{d}@mail.example.com or "
-                    f"+1 555 010{d % 10} from 10.0.{d % 256}.1"
-                )
-            out.append(t)
-        return pa.table(
-            {"doc_id": batch.column("doc_id"), "text": pa.array(out, pa.string())}
-        )
-
-    return ds.map_batches(plant, batch_format="pyarrow").map_batches(
-        pii_redact_batch, batch_format="pyarrow"
-    )
-
-
-_QUANTILE_QS = [0.0, 0.25, 0.5, 0.75, 0.9, 0.99, 1.0]
-
-
-def _value_quantiles(sf_dir):
-    from go_htmldate_ray.stages.quantiles import exact_quantiles
-
-    return exact_quantiles(
-        read_parquet_clean(f"{sf_dir}/events.parquet", columns=["value"]),
-        "value",
-        _QUANTILE_QS,
-    )
-
-
-def _value_quantiles_sql() -> str:
-    parts = [
-        f"SELECT {q}::DOUBLE AS q, "
-        f"percentile_disc({q}) WITHIN GROUP (ORDER BY value) AS value FROM events"
-        for q in _QUANTILE_QS
-    ]
-    return "\nUNION ALL\n".join(parts)
-
-
-_GROUPED_QS = [0.25, 0.5, 0.75, 0.95]
-
-
-def _grouped_quantiles(sf_dir):
-    from go_htmldate_ray.stages.quantiles import grouped_quantiles
-
-    return grouped_quantiles(
-        read_parquet_clean(f"{sf_dir}/events.parquet", columns=["event_type", "value"]),
-        "event_type",
-        "value",
-        _GROUPED_QS,
-    )
-
-
-def _grouped_quantiles_sql() -> str:
-    parts = [
-        f"SELECT event_type, {q}::DOUBLE AS q, "
-        f"percentile_disc({q}) WITHIN GROUP (ORDER BY value) AS value "
-        "FROM events GROUP BY event_type"
-        for q in _GROUPED_QS
-    ]
-    return "\nUNION ALL\n".join(parts)
-
-
-def _doclen_quantiles_by_lang(sf_dir):
-    from go_htmldate_ray.stages.quantiles import grouped_quantiles
-
-    out = grouped_quantiles(
-        read_parquet_clean(
-            f"{sf_dir}/documents.parquet", columns=["lang", "n_chars"]
+    """Plant deterministic PII (email + phone + IPv4) on every 5th doc,
+    then run the vectorized redaction stage."""
+    return _planted_text(
+        sf_dir,
+        5,
+        lambda d: (
+            f" contact user{d}@mail.example.com or "
+            f"+1 555 010{d % 10} from 10.0.{d % 256}.1"
         ),
-        "lang",
-        "n_chars",
-        _GROUPED_QS,
-    )
-    # n_chars is integral; surface the discrete quantile as int64 like
-    # the oracle's percentile_disc
-    out["value"] = out["value"].astype("int64")
-    return out
-
-
-def _doclen_quantiles_sql() -> str:
-    parts = [
-        f"SELECT lang, {q}::DOUBLE AS q, "
-        f"percentile_disc({q}) WITHIN GROUP (ORDER BY n_chars) AS value "
-        "FROM documents GROUP BY lang"
-        for q in _GROUPED_QS
-    ]
-    return "\nUNION ALL\n".join(parts)
-
-
-def _media_features(sf_dir):
-    from go_htmldate_ray.stages.multimodal import media_features
-
-    return media_features(sf_dir)
-
-
-def _image_dhash_dups(sf_dir):
-    from go_htmldate_ray.stages.multimodal import image_dhash_dedup
-
-    return image_dhash_dedup(sf_dir)
-
-
-def _image_dhash_png_dups(sf_dir):
-    from go_htmldate_ray.stages.multimodal import image_dhash_dedup
-
-    return image_dhash_dedup(sf_dir, n_families=37, image_format="png")
-
-
-def _image_dhash_jpeg_dups(sf_dir):
-    from go_htmldate_ray.stages.multimodal import image_dhash_dedup
-
-    return image_dhash_dedup(sf_dir, n_families=37, image_format="jpeg")
-
-
-def _image_dhash_gif_dups(sf_dir):
-    from go_htmldate_ray.stages.multimodal import image_dhash_dedup
-
-    return image_dhash_dedup(sf_dir, n_families=37, image_format="gif")
-
-
-def _sketches():
-    from go_htmldate_ray.stages import sketches
-
-    return sketches
-
-
-def _search():
-    from go_htmldate_ray.stages import search
-
-    return search
+    ).map_batches(cleaning.pii_redact_batch, batch_format="pyarrow")
 
 
 def _host_token_hll(sf_dir):
-    import pyarrow as pa
-
-    docs = read_parquet_clean(
-        f"{sf_dir}/documents.parquet", columns=["doc_id", "text"]
-    )
-
     def add_host(b: pa.Table) -> pa.Table:
         from go_htmldate_ray.sources.pages import page_host
 
@@ -1189,310 +386,21 @@ def _host_token_hll(sf_dir):
             {"host": pa.array(hosts, pa.string()), "text": b.column("text")}
         )
 
-    return _sketches().grouped_hll_registers(
-        docs.map_batches(add_host, batch_format="pyarrow"),
+    return sketches.grouped_hll_registers(
+        _docs(sf_dir, "doc_id", "text").map_batches(add_host, batch_format="pyarrow"),
         group_col="host",
         col="text",
         p=8,
     )
 
 
-def _lm():
-    from go_htmldate_ray.stages import lm
-
-    return lm
-
-
-def _packing():
-    from go_htmldate_ray.stages import packing
-
-    return packing
-
-
-def _bpe():
-    from go_htmldate_ray.stages import bpe
-
-    return bpe
-
-
-def _link_graph(sf_dir):
-    """(nodes, edges) of the deterministic link graph the crawl oracle
-    uses: every doc links to (13d+1)%N and (29d+7)%N."""
-    import numpy as np
-    import pyarrow as pa
-
-    docs = read_parquet_clean(f"{sf_dir}/documents.parquet", columns=["doc_id"])
-    n = docs.count()
-
-    def nodes(batch: pa.Table) -> pa.Table:
-        return pa.table({"id": batch.column("doc_id").cast(pa.int64())})
-
-    def edges(batch: pa.Table) -> pa.Table:
-        d = np.asarray(batch.column("doc_id"), dtype=np.int64)
-        return pa.table(
-            {
-                "src": pa.array(np.concatenate([d, d]), pa.int64()),
-                "dst": pa.array(
-                    np.concatenate([(13 * d + 1) % n, (29 * d + 7) % n]),
-                    pa.int64(),
-                ),
-            }
-        )
-
-    return (
-        docs.map_batches(nodes, batch_format="pyarrow"),
-        docs.map_batches(edges, batch_format="pyarrow"),
-    )
-
-
-def _pagerank(sf_dir, iters: int = 5):
-    from go_htmldate_ray.stages.graph import pagerank
-
-    nodes, edges = _link_graph(sf_dir)
-    return pagerank(nodes, edges, iters=iters)
-
-
-def _seeded_link_graph(sf_dir):
-    """:func:`_link_graph` with the deterministic ``doc_id % 17 == 0``
-    seed set stamped on the node table (hand-vetted hosts stand-in;
-    ~6%% of nodes at every sf, so trust decays visibly along the
-    fixture ring)."""
-    import numpy as np
-    import pyarrow as pa
-
-    nodes, edges = _link_graph(sf_dir)
-
-    def seed(batch: pa.Table) -> pa.Table:
-        ids = np.asarray(batch.column("id"), dtype=np.int64)
-        return pa.table(
-            {
-                "id": batch.column("id"),
-                "is_seed": pa.array((ids % 17 == 0).astype(np.int64)),
-            }
-        )
-
-    return nodes.map_batches(seed, batch_format="pyarrow"), edges
-
-
-def _trustrank(sf_dir, iters: int = 3):
-    """Seeded PageRank (TrustRank): teleport + initial mass restricted
-    to the ``doc_id % 17 == 0`` seed set."""
-    from go_htmldate_ray.stages.graph import pagerank
-
-    nodes, edges = _seeded_link_graph(sf_dir)
-    return pagerank(nodes, edges, iters=iters, seed_col="is_seed")
-
-
-def _spam_mass(sf_dir, iters: int = 3):
-    """Link-spam mass (PageRank minus TrustRank, as a per-mille
-    fraction of PageRank) per node — the VLDB 2006 demotion signal."""
-    from go_htmldate_ray.stages.graph import spam_mass
-
-    nodes, edges = _seeded_link_graph(sf_dir)
-    return spam_mass(nodes, edges, seed_col="is_seed", iters=iters)
-
-
 def _degree_histogram(sf_dir):
-    from go_htmldate_ray.stages.graph import degree_histogram
-
-    nodes, edges = _link_graph(sf_dir)
-    return degree_histogram(nodes, edges, col="dst")
-
-
-def _suffix_array(sf_dir, max_doc_id: int = 30):
-    import pyarrow.compute as pc
-
-    from go_htmldate_ray.stages.suffix import suffix_array
-
-    docs = read_parquet_clean(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
-    bounded = docs.map_batches(
-        lambda b: b.filter(pc.less(b.column("doc_id"), max_doc_id)),
-        batch_format="pyarrow",
-    )
-    return suffix_array(bounded)
-
-
-def _repeated_substrings(sf_dir, max_doc_id: int = 30):
-    import pyarrow.compute as pc
-
-    from go_htmldate_ray.stages.suffix import repeated_substrings
-
-    docs = read_parquet_clean(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
-    bounded = docs.map_batches(
-        lambda b: b.filter(pc.less(b.column("doc_id"), max_doc_id)),
-        batch_format="pyarrow",
-    )
-    return repeated_substrings(bounded, min_len=20, cap=64)
-
-
-def _hits(sf_dir, iters: int = 2):
-    """HITS needs degree VARIANCE to be non-vacuous: the standard crawl
-    link graph is 2-regular in AND out ((13d+1)%N and (29d+7)%N are both
-    bijections mod N), on which hubs == authorities == the uniform
-    vector.  This query therefore pairs the linear map with a QUADRATIC
-    one ((d*d+7)%N — in-degrees spread 0..~6), giving the oracle real
-    structure to verify."""
-    import numpy as np
-    import pyarrow as pa
-
-    from go_htmldate_ray.stages.graph import hits
-
-    docs = read_parquet_clean(f"{sf_dir}/documents.parquet", columns=["doc_id"])
-    n = docs.count()
-
-    def nodes(batch: pa.Table) -> pa.Table:
-        return pa.table({"id": batch.column("doc_id").cast(pa.int64())})
-
-    def edges(batch: pa.Table) -> pa.Table:
-        d = np.asarray(batch.column("doc_id"), dtype=np.int64)
-        return pa.table(
-            {
-                "src": pa.array(np.concatenate([d, d]), pa.int64()),
-                "dst": pa.array(
-                    np.concatenate([(d * 13 + 1) % n, (d * d + 7) % n]),
-                    pa.int64(),
-                ),
-            }
-        )
-
-    return hits(
-        docs.map_batches(nodes, batch_format="pyarrow"),
-        docs.map_batches(edges, batch_format="pyarrow"),
-        iters=iters,
-    )
-
-
-def _hits_sql(iters: int = 2, shift: int = 1, base_shift: int = 20) -> str:
-    """Unrolled half-round CTEs with the engine's exact integer rule:
-    a'(v) = (sum h over in-edges) // 2^shift, h'(u) = (sum a' over
-    out-edges) // 2^shift, from h0 = 2^base_shift per node."""
-    base = 1 << base_shift
-    div = 1 << shift
-    parts = [
-        f"""
-        WITH nn AS (SELECT count(*) AS n FROM documents),
-        edges AS (
-            SELECT doc_id AS src,
-                   (doc_id*13+1) % (SELECT n FROM nn) AS dst FROM documents
-            UNION ALL
-            SELECT doc_id, (doc_id*doc_id+7) % (SELECT n FROM nn) FROM documents
-        ),
-        n0 AS (SELECT doc_id AS id FROM documents),
-        h0 AS (SELECT id, {base}::BIGINT AS v FROM n0)"""
-    ]
-    prev_h = "h0"
-    for k in range(1, iters + 1):
-        parts.append(
-            f""",
-        a{k} AS (SELECT n0.id, coalesce(s.v, 0)::BIGINT AS v FROM n0 LEFT JOIN (
-            SELECT e.dst AS id, (sum({prev_h}.v) // {div})::BIGINT AS v
-            FROM edges e JOIN {prev_h} ON {prev_h}.id = e.src GROUP BY e.dst
-        ) s USING (id)),
-        h{k} AS (SELECT n0.id, coalesce(s.v, 0)::BIGINT AS v FROM n0 LEFT JOIN (
-            SELECT e.src AS id, (sum(a{k}.v) // {div})::BIGINT AS v
-            FROM edges e JOIN a{k} ON a{k}.id = e.dst GROUP BY e.src
-        ) s USING (id))"""
-        )
-        prev_h = f"h{k}"
-    parts.append(
-        f"""
-        SELECT h{iters}.id AS doc_id, h{iters}.v AS hub_units, a{iters}.v AS auth_units
-        FROM h{iters} JOIN a{iters} USING (id)"""
-    )
-    return "".join(parts)
-
-
-def _pagerank_sql(iters: int = 5) -> str:
-    """Unrolled power-iteration CTEs with the engine's exact integer
-    rule: base = (1e15*15)//(100*N); transfer = (r*85)//(100*outdeg)."""
-    total = 10**15
-    parts = [
-        f"""
-        WITH nn AS (SELECT count(*) AS n FROM documents),
-        edges AS (
-            SELECT doc_id AS src,
-                   (doc_id*13+1) % (SELECT n FROM nn) AS dst FROM documents
-            UNION ALL
-            SELECT doc_id, (doc_id*29+7) % (SELECT n FROM nn) FROM documents
-        ),
-        deg AS (SELECT src, count(*)::BIGINT AS outdeg FROM edges GROUP BY src),
-        r0 AS (SELECT doc_id AS id,
-                      ({total} // (SELECT n FROM nn))::BIGINT AS r
-               FROM documents)"""
-    ]
-    for k in range(1, iters + 1):
-        parts.append(
-            f""",
-        r{k} AS (
-            SELECT p.id,
-                   (({total} * 15) // (100 * (SELECT n FROM nn))
-                    + coalesce(c.s, 0))::BIGINT AS r
-            FROM r{k - 1} p
-            LEFT JOIN (
-                SELECT e.dst AS id, sum((r.r * 85) // (100 * d.outdeg)) AS s
-                FROM edges e JOIN r{k - 1} r ON r.id = e.src
-                             JOIN deg d ON d.src = e.src
-                GROUP BY e.dst
-            ) c ON c.id = p.id
-        )"""
-        )
-    parts.append(f"\n        SELECT id AS doc_id, r AS rank_units FROM r{iters}")
-    return "".join(parts)
-
-
-def _trustrank_sql(iters: int = 3) -> str:
-    """Seeded-PageRank unrolled CTEs: identical integer transfer rule,
-    but base and initial mass only on the doc_id %% 17 == 0 seeds,
-    divided by the SEED count."""
-    total = 10**15
-    parts = [
-        f"""
-        WITH nn AS (SELECT count(*) AS n FROM documents),
-        ns AS (SELECT count(*) AS k FROM documents WHERE doc_id % 17 = 0),
-        edges AS (
-            SELECT doc_id AS src,
-                   (doc_id*13+1) % (SELECT n FROM nn) AS dst FROM documents
-            UNION ALL
-            SELECT doc_id, (doc_id*29+7) % (SELECT n FROM nn) FROM documents
-        ),
-        deg AS (SELECT src, count(*)::BIGINT AS outdeg FROM edges GROUP BY src),
-        r0 AS (SELECT doc_id AS id,
-                      (CASE WHEN doc_id % 17 = 0
-                            THEN {total} // (SELECT k FROM ns)
-                            ELSE 0 END)::BIGINT AS r
-               FROM documents)"""
-    ]
-    for k in range(1, iters + 1):
-        parts.append(
-            f""",
-        r{k} AS (
-            SELECT p.id,
-                   ((CASE WHEN p.id % 17 = 0
-                          THEN ({total} * 15) // (100 * (SELECT k FROM ns))
-                          ELSE 0 END)
-                    + coalesce(c.s, 0))::BIGINT AS r
-            FROM r{k - 1} p
-            LEFT JOIN (
-                SELECT e.dst AS id, sum((r.r * 85) // (100 * d.outdeg)) AS s
-                FROM edges e JOIN r{k - 1} r ON r.id = e.src
-                             JOIN deg d ON d.src = e.src
-                GROUP BY e.dst
-            ) c ON c.id = p.id
-        )"""
-        )
-    parts.append(f"\n        SELECT id AS doc_id, r AS rank_units FROM r{iters}")
-    return "".join(parts)
+    nodes, edges, _ = ed.link_graph(sf_dir)
+    return graph.degree_histogram(nodes, edges, col="dst")
 
 
 def _new_docs_vs_snapshot(sf_dir):
-    import pyarrow as pa
-    import pyarrow.compute as pc
-
-    from go_htmldate_ray.stages.dedup import new_docs_vs_snapshot
-
-    ds = read_parquet_clean(
-        f"{sf_dir}/documents.parquet", columns=["doc_id", "text"]
-    )
+    ds = _docs(sf_dir, "doc_id", "text")
 
     def plant(batch: pa.Table) -> pa.Table:
         t = batch.filter(pc.less(batch.column("doc_id"), 5))
@@ -1504,25 +412,7 @@ def _new_docs_vs_snapshot(sf_dir):
         )
 
     aug = ds.union(ds.map_batches(plant, batch_format="pyarrow"))
-    return new_docs_vs_snapshot(aug, snapshot_max_id=100)
-
-
-def _curated_corpus_stats(sf_dir):
-    from go_htmldate_ray.pipelines.curation import curated_corpus_stats
-
-    return curated_corpus_stats(sf_dir, hot_buckets="error")
-
-
-def _crawl_reachable(sf_dir):
-    from go_htmldate_ray.pipelines.crawl import crawl_reachable
-
-    return crawl_reachable(sf_dir)
-
-
-def _crawl_wave_counts(sf_dir):
-    from go_htmldate_ray.pipelines.crawl import crawl_wave_counts
-
-    return crawl_wave_counts(sf_dir)
+    return dedup.new_docs_vs_snapshot(aug, snapshot_max_id=100)
 
 
 def _known_inconsistent_urls() -> list[str]:
@@ -1539,7 +429,7 @@ def _known_inconsistent_urls() -> list[str]:
     return sorted({e["url"] for e in json.loads(data.read_text())})
 
 
-def _golden_corpus_dates(sf_dir, exclude_known: bool = False):
+def _golden_corpus_dates(sf_dir, exclude_known: bool):
     """Real-page pipeline over the reference's 1000-doc corpus (read-only
     fixture; independent of sf_dir).  With ``exclude_known`` the 6
     inconsistently-recorded rows are dropped, making the remaining 994
@@ -1548,7 +438,6 @@ def _golden_corpus_dates(sf_dir, exclude_known: bool = False):
     import json
     from pathlib import Path
 
-    import pyarrow as pa
     import ray.data
 
     from go_htmldate_ray.sources import reference_files
@@ -1601,2085 +490,20 @@ def _golden_corpus_dates(sf_dir, exclude_known: bool = False):
     )
 
 
-def _streaming(name):
-    def run(sf_dir):
-        from go_htmldate_ray.pipelines import streaming
+def _golden_corpus_sql() -> str:
+    # The reference's own recorded Fast outputs ARE the oracle: DuckDB
+    # reads the ported comparison corpus (scripts/comparison/data.go →
+    # tests/data/comparison_corpus.json) and excludes the 6 rows whose
+    # recorded values are internally inconsistent (same exclusion applied
+    # to the Ray side; see tests/golden_mismatches.json).
+    from pathlib import Path
 
-        return getattr(streaming, name)(sf_dir)
-
-    return run
-
-
-def oracle_sql() -> dict[str, str]:
-    return _rotate({
-        "extract_dates": f"""
-            SELECT doc_id, {_URL_SQL} AS url,
-                   strftime({_DATE_SQL}, '%Y-%m-%d') AS date_str
-            FROM documents""",
-        "extract_dates_extensive": f"""
-            SELECT doc_id, {_URL_SQL} AS url,
-                   strftime({_DATE_SQL}, '%Y-%m-%d') AS date_str
-            FROM documents""",
-        "warc_extract_dates": f"""
-            SELECT doc_id, {_URL_SQL} AS url,
-                   strftime({_DATE_SQL}, '%Y-%m-%d') AS date_str
-            FROM documents""",
-        "warc_random_access": f"""
-            SELECT doc_id, {_URL_SQL} AS url,
-                   strftime({_DATE_SQL}, '%Y-%m-%d') AS date_str
-            FROM documents WHERE doc_id < 20""",
-        "url_dates": f"""
-            SELECT doc_id,
-                   CASE WHEN doc_id % 4 = 2
-                        THEN strftime({_DATE_SQL}, '%Y-%m-%d')
-                        ELSE '' END AS url_date
-            FROM documents""",
-        "host_page_counts": """
-            SELECT 'site' || (doc_id % 97) || '.example.org' AS host,
-                   count(*) AS n_pages
-            FROM documents GROUP BY 1""",
-        # pipelines/extract_dates.page_link_stats — the synthesized
-        # pages' two formula anchors replayed per page.
-        "page_link_stats": """
-            WITH e AS (
-                SELECT doc_id,
-                       (doc_id*13+1) % (SELECT count(*) FROM documents) AS t
-                FROM documents
-                UNION ALL
-                SELECT doc_id,
-                       (doc_id*29+7) % (SELECT count(*) FROM documents) AS t
-                FROM documents
-            )
-            SELECT doc_id,
-                   count(*)::BIGINT AS n_links,
-                   sum(CASE WHEN t % 97 != doc_id % 97
-                            THEN 1 ELSE 0 END)::BIGINT AS n_external,
-                   count(DISTINCT t % 97)::BIGINT AS n_distinct_hosts
-            FROM e GROUP BY doc_id""",
-        "host_link_edges": """
-            WITH e AS (
-                SELECT doc_id,
-                       (doc_id*13+1) % (SELECT count(*) FROM documents) AS t
-                FROM documents
-                UNION ALL
-                SELECT doc_id,
-                       (doc_id*29+7) % (SELECT count(*) FROM documents) AS t
-                FROM documents
-            )
-            SELECT 'site' || (doc_id % 97) || '.example.org' AS src_host,
-                   'site' || (t % 97) || '.example.org' AS dst_host,
-                   count(*)::BIGINT AS n_links
-            FROM e GROUP BY 1, 2""",
-        # pipelines/extract_dates.host_components — recursive reachability
-        # over the strong (n >= 2, src != dst) symmetric host graph;
-        # component = host whose md5-derived 63-bit id is minimal in the
-        # component (the engine's min-label convergence target).
-        "host_components": """
-            WITH RECURSIVE e AS (
-                SELECT doc_id,
-                       (doc_id*13+1) % (SELECT count(*) FROM documents) AS t
-                FROM documents
-                UNION ALL
-                SELECT doc_id,
-                       (doc_id*29+7) % (SELECT count(*) FROM documents) AS t
-                FROM documents
-            ),
-            g AS (
-                SELECT 'site' || (doc_id % 97) || '.example.org' AS s,
-                       'site' || (t % 97) || '.example.org' AS d,
-                       count(*) AS n
-                FROM e GROUP BY 1, 2
-            ),
-            ed AS (SELECT s, d FROM g WHERE n >= 2 AND s != d),
-            sym AS (SELECT s AS u, d AS v FROM ed
-                    UNION SELECT d, s FROM ed),
-            reach(u, v) AS (
-                SELECT u, u FROM (SELECT DISTINCT u FROM sym)
-                UNION
-                SELECT r.u, e2.v FROM reach r JOIN sym e2 ON e2.u = r.v
-            )
-            SELECT u AS host,
-                   arg_min(v, ('0x' || substr(md5(v), 1, 16))::UBIGINT >> 1)
-                       AS component
-            FROM reach GROUP BY u""",
-        # pipelines/extract_dates.host_cocitation — distinct-edge self
-        # join per source, unordered target pairs with >= 3 shared
-        # sources (string < is byte-wise on both sides).
-        "host_cocitation": """
-            WITH e AS (
-                SELECT doc_id,
-                       (doc_id*13+1) % (SELECT count(*) FROM documents) AS t
-                FROM documents
-                UNION ALL
-                SELECT doc_id,
-                       (doc_id*29+7) % (SELECT count(*) FROM documents) AS t
-                FROM documents
-            ),
-            de AS (
-                SELECT DISTINCT
-                       'site' || (doc_id % 97) || '.example.org' AS s,
-                       'site' || (t % 97) || '.example.org' AS d
-                FROM e
-            ),
-            p AS (
-                SELECT a.d AS host_a, b.d AS host_b
-                FROM de a JOIN de b ON a.s = b.s AND a.d < b.d
-            )
-            SELECT host_a, host_b, count(*)::BIGINT AS n_common
-            FROM p GROUP BY 1, 2 HAVING count(*) >= 3""",
-        # pipelines/extract_dates.host_bib_coupling — the cocitation
-        # dual: distinct-edge self join per TARGET, unordered source
-        # pairs with >= 3 shared targets.
-        "host_bib_coupling": """
-            WITH e AS (
-                SELECT doc_id,
-                       (doc_id*13+1) % (SELECT count(*) FROM documents) AS t
-                FROM documents
-                UNION ALL
-                SELECT doc_id,
-                       (doc_id*29+7) % (SELECT count(*) FROM documents) AS t
-                FROM documents
-            ),
-            de AS (
-                SELECT DISTINCT
-                       'site' || (doc_id % 97) || '.example.org' AS s,
-                       'site' || (t % 97) || '.example.org' AS d
-                FROM e
-            ),
-            p AS (
-                SELECT a.s AS host_a, b.s AS host_b
-                FROM de a JOIN de b ON a.d = b.d AND a.s < b.s
-            )
-            SELECT host_a, host_b, count(*)::BIGINT AS n_common
-            FROM p GROUP BY 1, 2 HAVING count(*) >= 3""",
-        # pipelines/extract_dates.host_quality_gate — per-doc badword
-        # rate flag (the badword_filter rule) rolled up to the fixture
-        # host, whole-host keep by flagged-doc rate (<= 20%).
-        "host_quality_gate": r"""
-            WITH f AS (
-                SELECT doc_id % 97 AS h,
-                       CASE WHEN len(regexp_extract_all(
-                                      text, '\b(?:slow|dup)\b')) * 1000
-                                 <= len(regexp_extract_all(
-                                        text, '\S+')) * 50
-                            THEN 0 ELSE 1 END AS flagged
-                FROM documents
-            )
-            SELECT 'site' || h || '.example.org' AS host,
-                   count(*)::BIGINT AS n_docs,
-                   sum(flagged)::BIGINT AS n_flagged,
-                   (CASE WHEN sum(flagged) * 1000 <= count(*) * 200
-                         THEN 1 ELSE 0 END)::BIGINT AS host_keep
-            FROM f GROUP BY 1""",
-        # PageRank replay (3 unrolled iterations) -> host authority sum
-        # -> smallest-doc_id cap per host -> top-budget with the same
-        # (priority DESC, doc_id ASC) tie-break the engine sorts on.
-        "frontier_priority": f"""
-            WITH pr AS ({{PR}}),
-            hr AS (
-                SELECT 'site' || (doc_id % 97) || '.example.org' AS host,
-                       sum(rank_units)::BIGINT AS priority
-                FROM pr GROUP BY 1
-            ),
-            f AS (
-                SELECT d.doc_id, h.host, h.priority,
-                       row_number() OVER (
-                           PARTITION BY h.host ORDER BY d.doc_id) AS rn
-                FROM documents d
-                JOIN hr h ON h.host = 'site' || (d.doc_id % 97)
-                                 || '.example.org'
-            )
-            SELECT doc_id, host, priority FROM f WHERE rn <= 3
-            ORDER BY priority DESC, doc_id ASC LIMIT 100""".replace(
-            "{PR}", _pagerank_sql(iters=3)
-        ),
-        # ed.frontier_priority(rank="trustrank") — identical policy
-        # replay over the seeded-teleport rank CTE.
-        "trusted_frontier_priority": f"""
-            WITH pr AS ({{PR}}),
-            hr AS (
-                SELECT 'site' || (doc_id % 97) || '.example.org' AS host,
-                       sum(rank_units)::BIGINT AS priority
-                FROM pr GROUP BY 1
-            ),
-            f AS (
-                SELECT d.doc_id, h.host, h.priority,
-                       row_number() OVER (
-                           PARTITION BY h.host ORDER BY d.doc_id) AS rn
-                FROM documents d
-                JOIN hr h ON h.host = 'site' || (d.doc_id % 97)
-                                 || '.example.org'
-            )
-            SELECT doc_id, host, priority FROM f WHERE rn <= 3
-            ORDER BY priority DESC, doc_id ASC LIMIT 100""".replace(
-            "{PR}", _trustrank_sql(iters=3)
-        ),
-        # Augmented corpus (verbatim mirrors of host-2 docs at host 86)
-        # through the FULL minhash recomputation, folded to unordered
-        # host pairs with the >= 2 threshold.
-        "mirror_hosts": f"""
-            WITH aug AS (
-                SELECT doc_id, text FROM documents
-                UNION ALL
-                SELECT 3000000 + ((doc_id - 2) // 97) * 97 + 5 AS doc_id,
-                       text
-                FROM documents WHERE doc_id % 97 = 2
-            ),
-            pairs AS ({_minhash_sql(table="aug")}),
-            h AS (
-                SELECT least(doc_a % 97, doc_b % 97) AS a,
-                       greatest(doc_a % 97, doc_b % 97) AS b
-                FROM pairs WHERE doc_a % 97 != doc_b % 97
-            )
-            SELECT 'site' || a || '.example.org' AS host_a,
-                   'site' || b || '.example.org' AS host_b,
-                   count(*)::BIGINT AS n_pairs
-            FROM h GROUP BY a, b HAVING count(*) >= 2""",
-        # Variant doc_id % 4 == 1 embeds exactly one NewsArticle block
-        # with the iso-formula datePublished; every other variant has no
-        # JSON-LD at all.
-        "jsonld_summary": f"""
-            SELECT doc_id,
-                   CASE WHEN doc_id % 4 = 1 THEN 1 ELSE 0 END::BIGINT
-                       AS n_jsonld,
-                   CASE WHEN doc_id % 4 = 1 THEN 'NewsArticle' ELSE '' END
-                       AS jsonld_types,
-                   CASE WHEN doc_id % 4 = 1 THEN
-                        strftime({_DATE_SQL}, '%Y-%m-%d') || 'T'
-                        || lpad((doc_id % 24)::VARCHAR, 2, '0') || ':'
-                        || lpad((doc_id % 60)::VARCHAR, 2, '0')
-                        || ':00+00:00'
-                   ELSE '' END AS date_published
-            FROM documents""",
-        # Docs with ALL three terms; per-doc tf summed over the terms.
-        "boolean_and_search": r"""
-            WITH toks AS (
-                SELECT doc_id,
-                       unnest(regexp_split_to_array(trim(text), '\s+')) AS term
-                FROM documents WHERE trim(text) != ''
-            ),
-            m AS (
-                SELECT doc_id, term, count(*)::BIGINT AS tf FROM toks
-                WHERE term IN ('merge', 'window', 'spark') GROUP BY 1, 2
-            )
-            SELECT doc_id, sum(tf)::BIGINT AS total_tf
-            FROM m GROUP BY doc_id HAVING count(*) = 3""",
-        # 63-bit md5 per row; sum mod 2^63 and bit_xor are the engine's
-        # exact commutative monoids.
-        "corpus_checksum": """
-            WITH h AS (
-                SELECT (('0x' || substr(md5(doc_id || ':' || coalesce(text, '')),
-                                        1, 16))::UBIGINT >> 1) AS h
-                FROM documents
-            )
-            SELECT count(*)::BIGINT AS n_docs,
-                   (sum(h::HUGEINT) % 9223372036854775808)::BIGINT AS sum_hash,
-                   bit_xor(h)::BIGINT AS xor_hash
-            FROM h""",
-        # Prefix lattice: directory prefixes (trailing '/') + full-path
-        # leaf; maximal-depth rule via starts_with anti-check among the
-        # >= 4 candidates — same lattice convention as the engine.
-        "hot_paths": f"""
-            WITH u AS (
-                SELECT 'site' || (doc_id % 97) || '.example.org' AS hostn,
-                       CASE WHEN doc_id % 4 = 2
-                            THEN '/' || strftime({_DATE_SQL}, '%Y/%m/%d')
-                                 || '/post-' || doc_id || '.html'
-                            ELSE '/article/' || doc_id || '.html' END AS path
-                FROM documents
-            ),
-            segs AS (SELECT hostn, path, string_split(path, '/') AS a FROM u),
-            pref AS (
-                SELECT hostn, array_to_string(a[1:i], '/') || '/' AS prefix
-                FROM segs, unnest(range(1, len(a))) t(i)
-                UNION ALL
-                SELECT hostn, path FROM u WHERE path != '/'
-            ),
-            c AS (
-                SELECT hostn, prefix, count(*)::BIGINT AS n_urls
-                FROM pref GROUP BY 1, 2 HAVING count(*) >= 4
-            )
-            SELECT p.hostn AS host, p.prefix, p.n_urls FROM c p
-            WHERE NOT EXISTS (
-                SELECT 1 FROM c q
-                WHERE q.hostn = p.hostn AND q.prefix != p.prefix
-                  AND starts_with(q.prefix, p.prefix)
-            )""",
-        # Oriented distinct host edges from the link formula, the same
-        # two-join triangle enumeration (b < c wedge once), per-host
-        # credit of all three corners, zero hosts via LEFT JOIN.
-        "host_triangles": """
-            WITH e0 AS (
-                SELECT doc_id % 97 AS s,
-                       ((doc_id*13+1) % (SELECT count(*) FROM documents)) % 97
-                           AS t
-                FROM documents
-                UNION ALL
-                SELECT doc_id % 97,
-                       ((doc_id*29+7) % (SELECT count(*) FROM documents)) % 97
-                FROM documents
-            ),
-            e AS (
-                SELECT DISTINCT least(s, t) AS a, greatest(s, t) AS b
-                FROM e0 WHERE s <> t
-            ),
-            tri AS (
-                SELECT w1.a AS a, w1.b AS b, w2.b AS c
-                FROM e w1
-                JOIN e w2 ON w2.a = w1.a AND w2.b > w1.b
-                JOIN e w3 ON w3.a = w1.b AND w3.b = w2.b
-            ),
-            m AS (
-                SELECT a AS h FROM tri
-                UNION ALL SELECT b FROM tri
-                UNION ALL SELECT c FROM tri
-            )
-            SELECT 'site' || hh.h || '.example.org' AS host,
-                   coalesce(t.n, 0)::BIGINT AS n_triangles
-            FROM (SELECT DISTINCT doc_id % 97 AS h FROM documents) hh
-            LEFT JOIN (SELECT h, count(*) AS n FROM m GROUP BY h) t
-              USING (h)""",
-        # Mutual edges via a direction-swapped self-join of the edge
-        # CTE; host_a < host_b picks one orientation and drops loops.
-        "reciprocal_links": """
-            WITH e AS (
-                SELECT doc_id,
-                       (doc_id*13+1) % (SELECT count(*) FROM documents) AS t
-                FROM documents
-                UNION ALL
-                SELECT doc_id,
-                       (doc_id*29+7) % (SELECT count(*) FROM documents) AS t
-                FROM documents
-            ),
-            g AS (
-                SELECT 'site' || (doc_id % 97) || '.example.org' AS src_host,
-                       'site' || (t % 97) || '.example.org' AS dst_host,
-                       count(*)::BIGINT AS n_links
-                FROM e GROUP BY 1, 2
-            )
-            SELECT a.src_host AS host_a, a.dst_host AS host_b,
-                   a.n_links AS links_ab, b.n_links AS links_ba
-            FROM g a JOIN g b
-              ON b.src_host = a.dst_host AND b.dst_host = a.src_host
-            WHERE a.src_host < a.dst_host""",
-        # Every synthesized anchor for target t reads 'related <t>', so
-        # the per-target summary collapses to count(*) inlinks with one
-        # distinct anchor string; the URL is the page_url formula over t.
-        "anchor_texts": f"""
-            WITH e AS (
-                SELECT (doc_id*13+1) % (SELECT count(*) FROM documents) AS t
-                FROM documents
-                UNION ALL
-                SELECT (doc_id*29+7) % (SELECT count(*) FROM documents) AS t
-                FROM documents
-            )
-            SELECT {_URL_SQL.replace("doc_id", "t")} AS dst_url,
-                   count(*)::BIGINT AS n_inlinks,
-                   1::BIGINT AS n_anchor_texts,
-                   'related ' || t AS top_anchor
-            FROM e GROUP BY t""",
-        # Class sizes >= 2 give full-suffix repeats; adjacent DISTINCT
-        # suffixes give prefix repeats via a capped (64) LCP probe —
-        # prefix equality is monotone, so max equal-k IS the LCP.
-        "repeated_substrings": """
-            WITH suf AS (
-                SELECT substr(text, t.pos::INT + 1) AS s
-                FROM documents, unnest(range(0, length(coalesce(text, '')))) t(pos)
-                WHERE doc_id < 30
-            ),
-            cls AS (SELECT s, count(*) AS c FROM suf GROUP BY s),
-            adj AS (SELECT s, c, lead(s) OVER (ORDER BY s) AS nxt FROM cls),
-            hits AS (
-                SELECT least(length(s), 64)::BIGINT AS length,
-                       substr(s, 1, 64) AS substring
-                FROM adj WHERE c >= 2 AND least(length(s), 64) >= 20
-                UNION ALL
-                SELECT lcp.k AS length, substr(s, 1, lcp.k::INT) AS substring
-                FROM adj, LATERAL (
-                    SELECT coalesce(max(r.k), 0)::BIGINT AS k
-                    FROM range(1, 65) r(k)
-                    WHERE substr(adj.s, 1, r.k::INT) = substr(adj.nxt, 1, r.k::INT)
-                ) lcp
-                WHERE adj.nxt IS NOT NULL AND lcp.k >= 20
-            )
-            SELECT DISTINCT length, substring FROM hits""",
-        # Dense rank of every bounded-corpus suffix by binary string
-        # order — DuckDB's default binary collation == the engine's
-        # codepoint order (UTF-8 is order-preserving).
-        "suffix_array": """
-            SELECT doc_id, t.pos::BIGINT AS pos,
-                   dense_rank() OVER (ORDER BY substr(text, t.pos::INT + 1))::BIGINT
-                       AS srank
-            FROM documents, unnest(range(0, length(coalesce(text, '')))) t(pos)
-            WHERE doc_id < 30""",
-        # The planting restated: which charset the sniff must land on
-        # per doc_id % 13 variant (the engine runs real detection on
-        # real bytes; the oracle states the planted truth).
-        "charset_audit": """
-            SELECT doc_id,
-                   CASE doc_id % 13
-                        WHEN 1 THEN 'windows-1252'
-                        WHEN 2 THEN ''
-                        WHEN 3 THEN 'iso-8859-1'
-                        WHEN 4 THEN ''
-                        ELSE 'utf-8' END AS declared_charset,
-                   CASE doc_id % 13
-                        WHEN 1 THEN 'windows-1252'
-                        WHEN 2 THEN 'utf-8'
-                        WHEN 3 THEN 'iso-8859-1'
-                        WHEN 4 THEN 'latin-1'
-                        ELSE 'utf-8' END AS used_charset,
-                   (doc_id % 13 = 2) AS has_bom
-            FROM documents""",
-        # Tracked = present in both snapshots (not new %17==3, ghosts
-        # excluded); changed = %10==0 among tracked — snapshot_diff's
-        # planting rules, restated per host with exact integer ppm.
-        "host_change_rates": """
-            WITH t AS (
-                SELECT doc_id,
-                       'site' || (doc_id % 97) || '.example.org' AS host,
-                       (doc_id % 10 = 0)::INTEGER AS ch
-                FROM documents
-                WHERE doc_id % 17 != 3
-            )
-            SELECT host,
-                   count(*)::BIGINT AS n_tracked,
-                   sum(ch)::BIGINT AS n_changed,
-                   (sum(ch) * 1000000 // count(*))::BIGINT AS change_rate_ppm
-            FROM t GROUP BY host""",
-        # Planted /de/ mirrors (doc % 23 == 4, non-date-path) with token
-        # count n + doc%3 - 1; the join key is the en URL itself, so the
-        # pair set is exactly the planted set passing the ratio test.
-        "bitext_candidates": r"""
-            WITH d AS (
-                SELECT doc_id,
-                       CASE WHEN trim(text) = '' THEN 0
-                            ELSE length(regexp_split_to_array(trim(text), '\s+'))
-                       END AS n
-                FROM documents
-            )
-            SELECT doc_id AS en_doc, doc_id AS de_doc,
-                   'site' || (doc_id % 97) || '.example.org' AS host,
-                   n AS n_tokens_en,
-                   (n + doc_id % 3 - 1)::BIGINT AS n_tokens_de
-            FROM d
-            WHERE doc_id % 23 = 4 AND doc_id % 4 != 2
-              AND n <= 2 * (n + doc_id % 3 - 1)
-              AND (n + doc_id % 3 - 1) <= 2 * n""",
-        # Rendezvous weights are full 64-bit md5 prefixes; argmax per
-        # doc via row_number (wt DESC, s ASC — the engine's tie-break).
-        "shard_rendezvous": f"""
-            WITH u AS (SELECT doc_id, {_URL_SQL} AS url FROM documents),
-            w AS (
-                SELECT doc_id, s.s,
-                       ('0x' || substr(md5(s.s || ':' || url), 1, 16))::UBIGINT
-                           AS wt
-                FROM u, range(9) s(s)
-            ),
-            b AS (SELECT doc_id, s AS shard_before FROM (
-                    SELECT doc_id, s, row_number() OVER (
-                        PARTITION BY doc_id ORDER BY wt DESC, s ASC) AS rn
-                    FROM w WHERE s < 8) WHERE rn = 1),
-            a AS (SELECT doc_id, s AS shard_after FROM (
-                    SELECT doc_id, s, row_number() OVER (
-                        PARTITION BY doc_id ORDER BY wt DESC, s ASC) AS rn
-                    FROM w) WHERE rn = 1)
-            SELECT b.doc_id, b.shard_before::BIGINT AS shard_before,
-                   a.shard_after::BIGINT AS shard_after,
-                   (b.shard_before <> a.shard_after)::BIGINT AS moved
-            FROM b JOIN a USING (doc_id)""",
-        # URL synthesis (page_url + planted /cal/ exploders) restated in
-        # SQL; templates = digit runs collapsed to '0'; trap rule is the
-        # same integer inequality the engine applies.
-        "crawl_trap_hosts": f"""
-            WITH urls AS (
-                SELECT 'site' || (doc_id % 97) || '.example.org' AS host,
-                       {_URL_SQL} AS url
-                FROM documents
-                UNION ALL
-                SELECT 'site' || (doc_id % 97) || '.example.org',
-                       'https://site' || (doc_id % 97)
-                           || '.example.org/cal/' || doc_id || '/' || k.k
-                FROM documents, range(12) k(k)
-                WHERE (doc_id % 97) % 13 = 5
-            ),
-            t AS (
-                SELECT host,
-                       regexp_replace(url, '[0-9]+', '0', 'g') AS template,
-                       count(*) AS n
-                FROM urls GROUP BY 1, 2
-            )
-            SELECT host, sum(n)::BIGINT AS n_urls,
-                   count(*)::BIGINT AS n_templates,
-                   (sum(n) >= 10 * count(*))::BIGINT AS trap
-            FROM t GROUP BY host""",
-        # clamp(10^6 // max(ppm,1) // 16, 1, 32) on the change rates
-        "recrawl_intervals": """
-            WITH t AS (
-                SELECT doc_id,
-                       'site' || (doc_id % 97) || '.example.org' AS host,
-                       (doc_id % 10 = 0)::INTEGER AS ch
-                FROM documents
-                WHERE doc_id % 17 != 3
-            ),
-            r AS (
-                SELECT host,
-                       (sum(ch) * 1000000 // count(*))::BIGINT AS change_rate_ppm
-                FROM t GROUP BY host
-            )
-            SELECT host, change_rate_ppm,
-                   least(32, greatest(1,
-                       1000000 // greatest(change_rate_ppm, 1) // 16
-                   ))::BIGINT AS interval_waves
-            FROM r""",
-        # domain groupby over the same PSL host derivation; suffix-only
-        # hosts (registrable = '') group under the suffix itself
-        "domain_page_counts": """
-            WITH hosts AS (
-              SELECT doc_id,
-                CASE doc_id % 8
-                  WHEN 0 THEN 'www.paper' || (doc_id % 11) || '.co.uk'
-                  WHEN 1 THEN 'news' || (doc_id % 11) || '.com'
-                  WHEN 2 THEN 'user' || (doc_id % 11) || '.github.io'
-                  WHEN 3 THEN 'shop' || (doc_id % 11) || '.com.au'
-                  WHEN 4 THEN 'a' || (doc_id % 5) || '.b' || (doc_id % 3) || '.ck'
-                  WHEN 5 THEN CASE WHEN doc_id % 16 = 5 THEN 'github.io' ELSE 'www.ck' END
-                  WHEN 6 THEN 'archive.m' || (doc_id % 11) || '.edu.cn'
-                  ELSE 'site' || (doc_id % 11) || '.example.org'
-                END AS host
-              FROM documents
-            ),
-            lab AS (
-              SELECT doc_id, host, string_split(host, '.') AS ls,
-                     length(string_split(host, '.')) AS n
-              FROM hosts
-            ),
-            cand AS (
-              SELECT doc_id, n, j, array_to_string(ls[n - j + 1 : n], '.') AS suf
-              FROM lab, unnest(range(1, n + 1)) t(j)
-            ),
-            m AS (
-              SELECT doc_id,
-                max(CASE WHEN suf IN ('www.ck') THEN j END) AS exc_j,
-                max(CASE WHEN suf IN ('com','org','net','io','uk','co.uk',
-                    'gov.uk','au','com.au','cn','edu.cn','jp','co.jp',
-                    'github.io','blogspot.com') THEN j END) AS ex_j,
-                max(CASE WHEN j < n AND suf IN ('ck') THEN j + 1 END) AS wi_j
-              FROM cand GROUP BY doc_id
-            ),
-            ps AS (
-              SELECT l.doc_id, l.ls, l.n,
-                CASE WHEN m.exc_j IS NOT NULL THEN m.exc_j - 1
-                     ELSE greatest(coalesce(m.ex_j, 1), coalesce(m.wi_j, 1))
-                END AS psl
-              FROM lab l JOIN m USING (doc_id)
-            ),
-            dom AS (
-              SELECT doc_id,
-                CASE WHEN n > psl THEN array_to_string(ls[n - psl : n], '.')
-                     ELSE array_to_string(ls[n - psl + 1 : n], '.') END AS domain
-              FROM ps
-            )
-            SELECT domain, count(*)::BIGINT AS n_pages
-            FROM dom GROUP BY domain""",
-        # Mirror-family planting recomputed in SQL; canonical = min(url)
-        # per content family, one alias row per non-canonical member.
-        "url_aliases": f"""
-            WITH c AS (
-                SELECT {_URL_SQL} AS url,
-                       CASE WHEN doc_id % 41 = 3
-                            THEN 'mirror family ' || (doc_id % 3)
-                            ELSE coalesce(text, '') END AS content
-                FROM documents
-            ),
-            g AS (
-                SELECT url,
-                       min(url) OVER (PARTITION BY content) AS canonical_url,
-                       count(*) OVER (PARTITION BY content) AS n
-                FROM c
-            )
-            SELECT canonical_url, url AS alias_url
-            FROM g WHERE n >= 2 AND url != canonical_url""",
-        # Cumulative-rounding apportionment in exact BIGINT arithmetic,
-        # ordered by the same md5-int63 host hash the engine ranks on.
-        "crawl_budget_allocation": """
-            WITH c AS (
-                SELECT 'site' || (doc_id % 97) || '.example.org' AS host,
-                       count(*)::BIGINT AS n_urls
-                FROM documents GROUP BY 1
-            ),
-            h AS (
-                SELECT host, n_urls,
-                       (('0x' || substr(md5(host), 1, 16))::UBIGINT >> 1)::BIGINT AS h63
-                FROM c
-            ),
-            t AS (SELECT sum(n_urls)::BIGINT AS total FROM h),
-            cu AS (
-                SELECT host, n_urls,
-                       sum(n_urls) OVER (ORDER BY h63)::BIGINT AS cum
-                FROM h
-            )
-            SELECT host, n_urls,
-                   ((2*cum*137 + total) // (2*total)
-                    - (2*(cum - n_urls)*137 + total) // (2*total))::BIGINT
-                       AS allocated
-            FROM cu, t""",
-        # Full Bloom recomputation: Kirsch-Mitzenmacher double hashing
-        # on the first-8-md5-bytes UBIGINT key hash; the filter's set
-        # bits are the DISTINCT positions of the build side, membership
-        # = all k probe positions present (LEFT JOIN count).
-        "bloom_seen_check": f"""
-            WITH pages AS (SELECT doc_id, {_URL_SQL} AS url FROM documents),
-            ph AS (
-                SELECT doc_id, ('0x' || substr(md5(url), 1, 16))::UBIGINT AS h64
-                FROM pages
-            ),
-            bits AS (
-                SELECT DISTINCT ((h64 >> 32) + i::UBIGINT *
-                    ((h64 & 4294967295::UBIGINT) | 1::UBIGINT)) % 1024::UBIGINT AS pos
-                FROM ph, range(0, 4) t(i) WHERE doc_id % 3 != 0
-            ),
-            pp AS (
-                SELECT doc_id, ((h64 >> 32) + i::UBIGINT *
-                    ((h64 & 4294967295::UBIGINT) | 1::UBIGINT)) % 1024::UBIGINT AS pos
-                FROM ph, range(0, 4) t(i)
-            ),
-            hits AS (
-                SELECT pp.doc_id, count(b.pos) = 4 AS maybe_seen
-                FROM pp LEFT JOIN bits b ON b.pos = pp.pos GROUP BY pp.doc_id
-            )
-            SELECT p.doc_id, h.maybe_seen, (p.doc_id % 3 != 0) AS is_seen,
-                   (h.maybe_seen AND p.doc_id % 3 = 0) AS false_positive
-            FROM pages p JOIN hits h USING (doc_id)""",
-        # Independent PSL-match recomputation: per-host candidate label
-        # suffixes (lateral unnest) vs the literal rule lists; exception
-        # beats wildcard/exact beats the implicit '*' single-label rule.
-        "registrable_domains": _psl_domains_sql(),
-        # Per-registrable-domain curation rollup: PSL domain + token /
-        # char counts + stopword lang-ID composed on the one reused key.
-        "domain_quality_rollup": rf"""
-            WITH rd AS ({{PSL}}),
-            lang AS ({{LANG}}),
-            tc AS (
-              SELECT doc_id,
-                CASE WHEN trim(coalesce(text, '')) = '' THEN 0
-                     ELSE length(regexp_split_to_array(trim(text), '\s+'))
-                END::BIGINT AS toks,
-                length(coalesce(text, ''))::BIGINT AS chars
-              FROM documents)
-            SELECT CASE WHEN rd.registrable_domain = '' THEN rd.public_suffix
-                        ELSE rd.registrable_domain END AS domain,
-              count(*)::BIGINT AS n_docs,
-              sum(tc.toks)::BIGINT AS total_tokens,
-              sum(tc.chars)::BIGINT AS total_chars,
-              sum(CASE WHEN lang.pred_lang = 'en' THEN 1 ELSE 0 END)::BIGINT
-                  AS n_en_docs
-            FROM rd JOIN tc USING (doc_id) JOIN lang USING (doc_id)
-            GROUP BY 1""".replace("{PSL}", _psl_domains_sql()).replace(
-            "{LANG}", _lang_id_sql()
-        ),
-        # Closed form of the synthesized chain rule (id%8!=0 -> id-1):
-        # the chain from id lands on id - id%8 after exactly id%8 hops.
-        # The engine must DISCOVER this by path doubling; the oracle
-        # states it directly.
-        "resolve_redirects": f"""
-            SELECT {_URL_SQL} AS url,
-                   {_URL_SQL.replace("doc_id", "(doc_id - (doc_id % 8))")}
-                       AS final_url,
-                   (doc_id % 8)::BIGINT AS hops
-            FROM documents""",
-        "chunk_documents": r"""
-            WITH s AS (
-                SELECT unnest(generate_series(
-                    1,
-                    (SELECT max(greatest(length(text), 1)) FROM documents),
-                    80)) AS g
-            )
-            SELECT d.doc_id,
-                   CAST((s.g - 1) // 80 AS BIGINT) AS chunk_id,
-                   s.g::BIGINT AS chunk_start,
-                   substring(d.text, s.g::INT, 100) AS chunk_text
-            FROM documents d JOIN s ON s.g <= greatest(length(d.text), 1)""",
-        "normalize_text": r"""
-            WITH t AS (
-                SELECT doc_id,
-                       text || CASE WHEN doc_id % 7 = 0
-                                    THEN ' cafe' || chr(769) ELSE '' END AS raw
-                FROM documents
-            )
-            SELECT doc_id,
-                   (raw = nfc_normalize(raw)) AS was_nfc,
-                   length(nfc_normalize(raw))::BIGINT AS n_chars_norm,
-                   md5(nfc_normalize(raw)) AS norm_md5
-            FROM t""",
-        "url_components": f"""
-            SELECT doc_id,
-                   'https' AS scheme,
-                   'site' || (doc_id % 97) || '.example.org' AS host,
-                   CASE WHEN doc_id % 4 = 2
-                        THEN strftime({_DATE_SQL}, '/%Y/%m/%d/')
-                             || 'post-' || doc_id || '.html'
-                        ELSE '/article/' || doc_id || '.html' END AS path,
-                   (CASE WHEN doc_id % 4 = 2 THEN 4 ELSE 2 END)::BIGINT
-                       AS path_depth,
-                   CASE WHEN doc_id % 4 = 2
-                        THEN 'post-' || doc_id || '.html'
-                        ELSE doc_id || '.html' END AS filename
-            FROM documents""",
-        "sitemap_urls": f"""
-            SELECT 'site' || (doc_id % 97) || '.example.org' AS host,
-                   {_URL_SQL} AS url,
-                   strftime({_DATE_SQL}, '%Y-%m-%d') AS lastmod
-            FROM documents""",
-        "sitemap_from_robots": f"""
-            SELECT 'site' || (doc_id % 97) || '.example.org' AS host,
-                   {_URL_SQL} AS url,
-                   strftime({_DATE_SQL}, '%Y-%m-%d') AS lastmod
-            FROM documents""",
-        "page_texts": f"""
-            WITH s AS (
-                SELECT unnest(generate_series(
-                    1,
-                    (SELECT max(greatest(length(text), 1)) FROM documents),
-                    400)) AS g
-            ),
-            chunks AS (
-                SELECT d.doc_id,
-                       string_agg(
-                           nullif(trim(regexp_replace(
-                               substring(d.text, s.g::INT, 400),
-                               '\\s+', ' ', 'g')), ''),
-                           chr(10) ORDER BY s.g) AS body
-                FROM documents d JOIN s ON s.g <= greatest(length(d.text), 1)
-                GROUP BY d.doc_id
-            ),
-            exp AS (
-                SELECT d.doc_id,
-                       'Document ' || d.doc_id
-                       || CASE WHEN d.doc_id % 4 = 3
-                               THEN chr(10) || strftime({_DATE_SQL}, '%Y-%m-%d')
-                               ELSE '' END
-                       || COALESCE(chr(10) || c.body, '')
-                       || chr(10) || 'related '
-                       || ((d.doc_id * 13 + 1) % (SELECT count(*) FROM documents))
-                       || ' related '
-                       || ((d.doc_id * 29 + 7) % (SELECT count(*) FROM documents))
-                           AS t
-                FROM documents d JOIN chunks c USING (doc_id)
-            )
-            SELECT doc_id, length(t)::BIGINT AS n_chars, md5(t) AS text_md5
-            FROM exp""",
-        # jusText oracle: the synthesized page's blocks are h1
-        # ('Document N', 2 words), the variant-3 <time> line (1 word),
-        # the 400-char <p> chunks (word counts recomputed per chunk,
-        # 0 link words), and the footer ('related X related Y', 4 words
-        # all inside anchors -> link density 1).  good = nw >= 10 AND
-        # 2*nl < nw, so only the long-enough paragraph chunks qualify.
-        "boilerplate_blocks": r"""
-            WITH s AS (
-                SELECT unnest(generate_series(
-                    1,
-                    (SELECT max(greatest(length(text), 1)) FROM documents),
-                    400)) AS g
-            ),
-            pb AS (
-                SELECT d.doc_id, s.g,
-                       nullif(trim(regexp_replace(
-                           substring(d.text, s.g::INT, 400),
-                           '\s+', ' ', 'g')), '') AS btxt
-                FROM documents d JOIN s ON s.g <= greatest(length(d.text), 1)
-            ),
-            pw AS (
-                SELECT doc_id, g, btxt,
-                       length(regexp_split_to_array(btxt, '\s+'))::BIGINT AS nw
-                FROM pb WHERE btxt IS NOT NULL
-            ),
-            agg AS (
-                SELECT doc_id,
-                       count(*)::BIGINT AS n_para,
-                       sum(CASE WHEN nw >= 10 THEN 1 ELSE 0 END)::BIGINT
-                           AS n_good,
-                       sum(CASE WHEN nw >= 10 THEN nw ELSE 0 END)::BIGINT
-                           AS good_words,
-                       sum(CASE WHEN nw < 10 THEN nw ELSE 0 END)::BIGINT
-                           AS short_para_words,
-                       string_agg(CASE WHEN nw >= 10 THEN btxt END,
-                                  chr(10) ORDER BY g) AS good_txt
-                FROM pw GROUP BY doc_id
-            )
-            SELECT d.doc_id,
-                   (2 + CASE WHEN d.doc_id % 4 = 3 THEN 1 ELSE 0 END
-                      + coalesce(a.n_para, 0))::BIGINT AS n_blocks,
-                   coalesce(a.n_good, 0)::BIGINT AS n_good,
-                   coalesce(a.good_words, 0)::BIGINT AS good_words,
-                   (6 + CASE WHEN d.doc_id % 4 = 3 THEN 1 ELSE 0 END
-                      + coalesce(a.short_para_words, 0))::BIGINT
-                       AS boiler_words,
-                   md5(coalesce(a.good_txt, '')) AS good_md5
-            FROM documents d LEFT JOIN agg a USING (doc_id)""",
-        "page_staleness": f"""
-            SELECT doc_id,
-                   ((DATE '2024-01-01' + (doc_id // 86400)::INTEGER)
-                    - {_DATE_SQL})::BIGINT AS age_days
-            FROM documents""",
-        "host_staleness": f"""
-            SELECT 'site' || (doc_id % 97) || '.example.org' AS host,
-                   count(*)::BIGINT AS n_pages,
-                   SUM(((DATE '2024-01-01' + (doc_id // 86400)::INTEGER)
-                        - {_DATE_SQL})::BIGINT)::BIGINT AS sum_age_days
-            FROM documents GROUP BY 1""",
-        "date_year_histogram": f"""
-            SELECT substr(strftime({_DATE_SQL}, '%Y-%m-%d'), 1, 4) AS year,
-                   count(*)::BIGINT AS n_pages
-            FROM documents GROUP BY 1""",
-        "token_counts": r"""
-            SELECT doc_id,
-                   CASE WHEN trim(text) = '' THEN 0
-                        ELSE length(regexp_split_to_array(trim(text), '\s+')) END
-                       AS n_tokens
-            FROM documents""",
-        # stages/cleaning.host_boilerplate_lines over
-        # plant_host_template_lines — per-doc distinct (host, line)
-        # rows, doc counts per host, exact integer rate threshold.
-        "host_boilerplate": r"""
-            WITH dl AS (
-                SELECT DISTINCT doc_id, doc_id % 97 AS h,
-                       trim(regexp_replace(text, '[ \t\n\r\f\v]+', ' ', 'g'),
-                            ' ') AS ln
-                FROM documents
-                WHERE trim(regexp_replace(text, '[ \t\n\r\f\v]+', ' ', 'g'),
-                           ' ') != ''
-                UNION
-                SELECT DISTINCT doc_id, doc_id % 97,
-                       'home | news | archive | site' || (doc_id % 97)
-                FROM documents WHERE doc_id % 2 = 0
-                UNION
-                SELECT DISTINCT doc_id, doc_id % 97,
-                       'copyright site' || (doc_id % 97)
-                           || '.example.org all rights reserved'
-                FROM documents
-            ),
-            lc AS (SELECT h, ln, count(*)::BIGINT AS n_line
-                   FROM dl GROUP BY 1, 2),
-            hc AS (SELECT doc_id % 97 AS h, count(*)::BIGINT AS n_docs
-                   FROM documents GROUP BY 1)
-            SELECT 'site' || lc.h || '.example.org' AS host,
-                   md5(lc.ln) AS line_md5,
-                   lc.n_line AS n_docs_line,
-                   hc.n_docs AS n_docs_host,
-                   ((lc.n_line * 1000) // hc.n_docs)::BIGINT AS per_mille
-            FROM lc JOIN hc ON hc.h = lc.h
-            WHERE hc.n_docs >= 3 AND lc.n_line * 1000 >= hc.n_docs * 500""",
-        # stages/cleaning.badword_batch — same RE2 patterns, integer
-        # rate gate (5% bad-token rate).
-        "badword_filter": r"""
-            SELECT doc_id,
-                   len(regexp_extract_all(text, '\S+'))::BIGINT AS n_tokens,
-                   len(regexp_extract_all(text, '\b(?:slow|dup)\b'))::BIGINT
-                       AS n_bad,
-                   (CASE WHEN len(regexp_extract_all(
-                                   text, '\b(?:slow|dup)\b')) * 1000
-                              <= len(regexp_extract_all(text, '\S+')) * 50
-                         THEN 1 ELSE 0 END)::BIGINT AS keep
-            FROM documents""",
-        "quality_scores": r"""
-            WITH t AS (
-                SELECT doc_id, text,
-                       CASE WHEN trim(text) = '' THEN []::VARCHAR[]
-                            ELSE regexp_split_to_array(trim(text), '\s+') END AS toks
-                FROM documents
-            )
-            SELECT doc_id,
-                   length(text) AS n_chars_calc,
-                   length(toks) AS n_tokens,
-                   length(list_distinct(toks)) AS n_uniq_tokens,
-                   CASE WHEN length(text) = 0 THEN 0.0
-                        ELSE round(
-                            (length(text) - length(regexp_replace(text,
-                                '[.,;:!?''"()\[\]{}-]', '', 'g')))::DOUBLE
-                            / length(text), 6) END AS punct_ratio,
-                   CASE WHEN length(toks) = 0 THEN 0.0
-                        ELSE round(
-                            length(list_filter(toks, w -> list_contains(
-                                ['the','and','of','to','in','is','that','for','with','a'],
-                                lower(w))))::DOUBLE / length(toks), 6) END AS stopword_ratio
-            FROM t""",
-        # Same word (str.split) / line ('\n' split) semantics and ASCII
-        # regexes as stages/text_stage.gopher_quality_batch; thresholds
-        # mirror the queries() wiring (30..80 words, >=1 stopword hit).
-        "gopher_quality": _GOPHER_QUALITY_SQL,
-        "vocab_top_tokens": r"""
-            WITH toks AS (
-                SELECT unnest(regexp_split_to_array(trim(text), '\s+')) AS token
-                FROM documents WHERE trim(text) != ''
-            )
-            SELECT token, count(*) AS n FROM toks
-            GROUP BY token ORDER BY n DESC, token ASC LIMIT 100""",
-        "fingerprints": r"""
-            SELECT doc_id,
-                   substr(md5(lower(regexp_replace(trim(text), '\s+', ' ', 'g'))), 1, 16)
-                       AS fingerprint
-            FROM documents""",
-        "dedup_exact": """
-            SELECT min(doc_id) AS doc_id, count(*) AS n_dups
-            FROM documents GROUP BY text""",
-        "snapshot_diff": """
-            WITH prev AS (
-                SELECT doc_id,
-                       CASE WHEN doc_id % 10 = 0
-                            THEN coalesce(text, '') || chr(1)
-                            ELSE coalesce(text, '') END AS ptext
-                FROM documents WHERE doc_id % 17 != 3
-                UNION ALL
-                SELECT doc_id + 10000000 AS doc_id, '' AS ptext
-                FROM documents WHERE doc_id % 23 = 5
-            )
-            SELECT coalesce(d.doc_id, p.doc_id) AS doc_id,
-                   CASE WHEN p.doc_id IS NULL THEN 'new'
-                        WHEN d.doc_id IS NULL THEN 'gone'
-                        WHEN coalesce(d.text, '') != p.ptext THEN 'changed'
-                        ELSE 'unchanged' END AS status
-            FROM documents d FULL JOIN prev p ON d.doc_id = p.doc_id""",
-        # Engine key: first 8 md5 bytes big-endian >> 1 (text_hash_batch)
-        # = ('0x' || first 16 hex chars)::UBIGINT >> 1.
-        "new_docs_vs_snapshot": """
-            WITH aug AS (
-                SELECT doc_id, text FROM documents
-                UNION ALL
-                SELECT doc_id + 1000000 AS doc_id, text FROM documents
-                WHERE doc_id < 5
-            ),
-            h AS (
-                SELECT doc_id,
-                       (('0x' || substr(md5(text), 1, 16))::UBIGINT >> 1)::BIGINT
-                           AS key
-                FROM aug
-            )
-            SELECT t.doc_id FROM h t
-            WHERE t.doc_id >= 100
-              AND NOT EXISTS (
-                  SELECT 1 FROM h s WHERE s.doc_id < 100 AND s.key = t.key
-              )""",
-        # Cross-side restriction of the full minhash recomputation:
-        # doc_a < 100 <= doc_b (the oracle's canonical doc_a < doc_b
-        # orientation puts the snapshot side in doc_a).
-        "near_dup_vs_snapshot": f"""
-            WITH pairs AS ({_minhash_sql(threshold=0.7)})
-            SELECT doc_b AS new_doc, doc_a AS old_doc, est_jaccard
-            FROM pairs WHERE doc_a < 100 AND doc_b >= 100""",
-        # Same fixed-point floor(contrib*1e9 + 0.5) nano arithmetic as
-        # stages/search.py::bm25_topk — DuckDB ln is bit-identical to
-        # Python math.log, and integer nano sums commute.
-        "bm25_search": r"""
-            WITH toks AS (
-                SELECT doc_id, unnest(regexp_split_to_array(trim(text), '\s+')) AS term
-                FROM documents WHERE trim(text) != ''
-            ),
-            dl AS (SELECT doc_id, count(*)::DOUBLE AS dl FROM toks GROUP BY doc_id),
-            stats AS (SELECT (SELECT count(*) FROM documents)::DOUBLE AS n,
-                             (SELECT coalesce(sum(dl), 0) FROM dl)::DOUBLE AS wl),
-            tf AS (SELECT doc_id, term, count(*)::DOUBLE AS tf FROM toks
-                   WHERE term IN ('merge', 'window', 'spark')
-                   GROUP BY doc_id, term),
-            df AS (SELECT term, count(*)::DOUBLE AS df FROM tf GROUP BY term),
-            scored AS (
-                SELECT tf.doc_id,
-                       sum(floor(ln((stats.n - df.df + 0.5) / (df.df + 0.5) + 1)
-                                 * tf.tf * (1.2 + 1)
-                                 / (tf.tf + 1.2 * (1 - 0.75
-                                        + 0.75 * dl.dl / (stats.wl / stats.n)))
-                                 * 1000000000 + 0.5)::BIGINT) AS nano
-                FROM tf JOIN df USING (term) JOIN dl USING (doc_id)
-                     CROSS JOIN stats
-                GROUP BY tf.doc_id
-            )
-            SELECT row_number() OVER (ORDER BY nano DESC, doc_id)::BIGINT AS rank,
-                   doc_id, nano::DOUBLE / 1000000000 AS score
-            FROM scored ORDER BY nano DESC, doc_id LIMIT 10""",
-        "bpe_token_counts": r"""
-            SELECT doc_id,
-                   CASE WHEN trim(text) = '' THEN 0
-                        ELSE len(regexp_split_to_array(trim(text), '\s+'))
-                   END::BIGINT AS n_tokens,
-                   len(regexp_extract_all(text,
-                       '''(?:s|t|re|ve|m|ll|d)| ?[A-Za-z]+| ?[0-9]+| ?[^\sA-Za-z0-9]+|\s+'
-                   ))::BIGINT AS n_bpe_tokens
-            FROM documents""",
-        # u = (md5-int63 + 1) / 2^63 exactly as the engine computes it;
-        # ln and the nano floor agree bit-for-bit.
-        "weighted_sample_docs": r"""
-            WITH h AS (
-                SELECT doc_id,
-                       (('0x' || substr(md5('7:' || doc_id), 1, 16))::UBIGINT >> 1)
-                           AS h63,
-                       n_chars
-                FROM documents WHERE n_chars > 0
-            ),
-            keyed AS (
-                SELECT doc_id,
-                       floor(ln((h63 + 1)::DOUBLE / 9223372036854775808)
-                             / n_chars::DOUBLE * 1000000000 + 0.5)::BIGINT AS nano
-                FROM h
-            )
-            SELECT row_number() OVER (ORDER BY nano DESC, doc_id)::BIGINT AS rank,
-                   doc_id
-            FROM keyed ORDER BY nano DESC, doc_id LIMIT 50""",
-        "countmin_tokens": r"""
-            WITH toks AS (
-                SELECT unnest(regexp_split_to_array(trim(text), '\s+')) AS term
-                FROM documents WHERE trim(text) != ''
-            ),
-            tc AS (SELECT term, count(*)::BIGINT AS c FROM toks GROUP BY term),
-            cells AS (
-                SELECT r.j AS row_id,
-                       ((('0x' || substr(md5(r.j || ':' || tc.term), 1, 16))::UBIGINT >> 1)
-                        % 256)::BIGINT AS col_id,
-                       tc.c
-                FROM tc CROSS JOIN (VALUES (0), (1), (2), (3)) r(j)
-            )
-            SELECT row_id::BIGINT AS row_id, col_id, sum(c)::BIGINT AS counter
-            FROM cells GROUP BY row_id, col_id""",
-        # Top-10 vocab (n DESC, token ASC — top_tokens' tie-break), then
-        # per-doc OOV counts with exact integer ppm.
-        "oov_rates": r"""
-            WITH toks AS (
-                SELECT doc_id,
-                       unnest(regexp_split_to_array(trim(text), '\s+')) AS term
-                FROM documents WHERE trim(text) != ''
-            ),
-            v AS (
-                SELECT term FROM toks GROUP BY term
-                ORDER BY count(*) DESC, term ASC LIMIT 10
-            ),
-            s AS (
-                SELECT doc_id, count(*)::BIGINT AS n_tokens,
-                       sum(CASE WHEN term NOT IN (SELECT term FROM v)
-                                THEN 1 ELSE 0 END)::BIGINT AS n_oov
-                FROM toks GROUP BY doc_id
-            )
-            SELECT d.doc_id,
-                   coalesce(s.n_tokens, 0) AS n_tokens,
-                   coalesce(s.n_oov, 0) AS n_oov,
-                   CASE WHEN coalesce(s.n_tokens, 0) > 0
-                        THEN s.n_oov * 1000000 // s.n_tokens
-                        ELSE 0 END::BIGINT AS oov_ppm
-            FROM documents d LEFT JOIN s USING (doc_id)""",
-        "heavy_hitter_tokens": r"""
-            WITH d AS (
-                SELECT regexp_split_to_array(trim(text), '\s+') AS a
-                FROM documents WHERE trim(text) != ''
-            ),
-            bi AS (SELECT a[i] || ' ' || a[i+1] AS token
-                   FROM d, unnest(range(1, len(a))) t(i))
-            SELECT token, count(*)::BIGINT AS n
-            FROM bi GROUP BY token HAVING count(*) >= 40""",
-        # Nano fixed-point PMI on exact-integer ratios converted to
-        # double once per side — ln and floor agree bit-for-bit.
-        "bigram_collocations": r"""
-            WITH d AS (
-                SELECT regexp_split_to_array(trim(text), '\s+') AS a
-                FROM documents WHERE trim(text) != ''
-            ),
-            uni AS (SELECT unnest(a) AS term FROM d),
-            cu AS (SELECT term, count(*)::BIGINT AS c FROM uni GROUP BY term),
-            tot AS (SELECT (SELECT count(*) FROM uni)::BIGINT AS tu,
-                           (SELECT coalesce(sum(len(a) - 1), 0) FROM d)::BIGINT AS tb),
-            bi AS (SELECT a[i] AS x, a[i+1] AS y
-                   FROM d, unnest(range(1, len(a))) t(i)),
-            cb AS (SELECT x, y, count(*)::BIGINT AS n_xy FROM bi
-                   GROUP BY x, y HAVING count(*) >= 5),
-            scored AS (
-                SELECT cb.x, cb.y, cb.n_xy,
-                       floor(ln((cb.n_xy::HUGEINT * tot.tu * tot.tu)::DOUBLE
-                                / (tot.tb::HUGEINT * cx.c * cy.c)::DOUBLE)
-                             * 1000000000 + 0.5)::BIGINT AS nano
-                FROM cb JOIN cu cx ON cx.term = cb.x
-                        JOIN cu cy ON cy.term = cb.y
-                     CROSS JOIN tot
-            )
-            SELECT x, y, n_xy, nano::DOUBLE / 1000000000 AS score
-            FROM scored ORDER BY nano DESC, x, y LIMIT 20""",
-        # Exact register parity: DuckDB bin/strpos gives an integer
-        # leading-zero count — no float log2 on either side.
-        "hll_text_registers": """
-            WITH h AS (
-                SELECT ('0x' || substr(md5(text), 1, 16))::UBIGINT AS h
-                FROM documents WHERE text IS NOT NULL
-            ),
-            parts AS (
-                SELECT (h >> 54)::BIGINT AS bucket,
-                       (h % (1::UBIGINT << 54))::UBIGINT AS rest
-                FROM h
-            )
-            SELECT bucket,
-                   max(CASE WHEN rest = 0 THEN 55
-                            ELSE strpos(lpad(bin(rest), 54, '0'), '1')
-                       END)::BIGINT AS rho_max
-            FROM parts GROUP BY bucket""",
-        # p=8 -> 56 rest bits; registers grouped by the doc_id-formula
-        # host; distinct (host, token) pairs feed the same exact-integer
-        # rho as the global sketch.
-        "host_token_hll": r"""
-            WITH toks AS (
-                SELECT 'site' || (doc_id % 97) || '.example.org' AS hostn,
-                       unnest(regexp_split_to_array(trim(text), '\s+')) AS tok
-                FROM documents WHERE trim(text) != ''
-            ),
-            h AS (
-                SELECT DISTINCT hostn,
-                       ('0x' || substr(md5(tok), 1, 16))::UBIGINT AS h
-                FROM toks
-            ),
-            parts AS (
-                SELECT hostn, (h >> 56)::BIGINT AS bucket,
-                       (h % (1::UBIGINT << 56))::UBIGINT AS rest
-                FROM h
-            )
-            SELECT hostn AS "group", bucket,
-                   max(CASE WHEN rest = 0 THEN 57
-                            ELSE strpos(lpad(bin(rest), 56, '0'), '1')
-                       END)::BIGINT AS rho_max
-            FROM parts GROUP BY hostn, bucket""",
-        "pagerank": _pagerank_sql(iters=5),
-        "trustrank": _trustrank_sql(iters=3),
-        # stages/graph.spam_mass — both unrolled rank CTE chains as
-        # derived tables, one equi-join.  DuckDB // truncates toward
-        # zero while numpy floors, so the oracle subtracts the positive
-        # mod first (numerator then divides exactly; trunc == floor).
-        "spam_mass": f"""
-            SELECT p.doc_id,
-                   p.rank_units AS pr_units,
-                   t.rank_units AS tr_units,
-                   (CASE WHEN p.rank_units > 0
-                         THEN (((p.rank_units - t.rank_units) * 1000)
-                               - (((((p.rank_units - t.rank_units) * 1000)
-                                    % p.rank_units) + p.rank_units)
-                                  % p.rank_units)) // p.rank_units
-                         ELSE 0 END)::BIGINT AS spam_mass_permille
-            FROM ({_pagerank_sql(iters=3)}) p
-            JOIN ({_trustrank_sql(iters=3)}) t ON t.doc_id = p.doc_id""",
-        "hits_scores": _hits_sql(iters=2),
-        "link_degree_histogram": """
-            WITH nn AS (SELECT count(*) AS n FROM documents),
-            edges AS (
-                SELECT doc_id AS src,
-                       (doc_id*13+1) % (SELECT n FROM nn) AS dst FROM documents
-                UNION ALL
-                SELECT doc_id, (doc_id*29+7) % (SELECT n FROM nn) FROM documents
-            ),
-            deg AS (
-                SELECT d.doc_id AS id, count(e.dst)::BIGINT AS indeg
-                FROM documents d LEFT JOIN edges e ON e.dst = d.doc_id
-                GROUP BY d.doc_id
-            )
-            SELECT indeg AS degree, count(*)::BIGINT AS n_nodes
-            FROM deg GROUP BY indeg""",
-        # Whitespace tokenization identical to the engine's (trim +
-        # split on whitespace runs); df = postings per term.
-        "inverted_index": r"""
-            WITH toks AS (
-                SELECT doc_id, unnest(regexp_split_to_array(trim(text), '\s+')) AS term
-                FROM documents WHERE trim(text) != ''
-            ),
-            tf AS (SELECT term, doc_id, count(*)::BIGINT AS tf
-                   FROM toks GROUP BY term, doc_id)
-            SELECT term, doc_id, tf,
-                   count(*) OVER (PARTITION BY term)::BIGINT AS df
-            FROM tf""",
-        # Same md5-int63 gram hash as the engine (_hash63); DISTINCT
-        # (doc, gram) first = engine's per-doc gram set.
-        # Same token/gram/hash skeleton as dup_ngrams, then: covered
-        # token positions = union of [i, i+4] over duplicated gram
-        # starts; clean_text = surviving tokens joined by ' ' (the
-        # operator's whitespace-normalization contract).
-        "remove_dup_spans": r"""
-            WITH toks AS (
-                SELECT doc_id, regexp_split_to_array(trim(text), '\s+') AS a
-                FROM documents WHERE trim(text) != ''
-            ),
-            pos AS (
-                SELECT doc_id, i,
-                       (('0x' || substr(md5(array_to_string(a[i:i+4], ' ')), 1, 16))::UBIGINT >> 1)::BIGINT AS h
-                FROM toks, unnest(range(1, len(a) - 3)) AS t(i)
-            ),
-            dup AS (
-                SELECT h FROM (
-                    SELECT h, count(DISTINCT doc_id) AS c FROM pos GROUP BY h
-                ) WHERE c >= 2
-            ),
-            cov AS (
-                SELECT DISTINCT p.doc_id, u.j
-                FROM pos p JOIN dup USING (h), unnest(range(p.i, p.i + 5)) AS u(j)
-            ),
-            tk AS (
-                SELECT t.doc_id, a[u.j] AS tok, u.j
-                FROM toks t, unnest(range(1, len(a) + 1)) AS u(j)
-            ),
-            counts AS (SELECT doc_id, len(a)::BIGINT AS n_tokens FROM toks),
-            ncov AS (SELECT doc_id, count(*)::BIGINT AS n_removed FROM cov GROUP BY doc_id),
-            kept AS (
-                SELECT tk.doc_id, string_agg(tk.tok, ' ' ORDER BY tk.j) AS clean_text
-                FROM tk LEFT JOIN cov ON cov.doc_id = tk.doc_id AND cov.j = tk.j
-                WHERE cov.j IS NULL
-                GROUP BY tk.doc_id
-            )
-            SELECT d.doc_id,
-                   coalesce(c.n_tokens, 0)::BIGINT AS n_tokens,
-                   coalesce(nc.n_removed, 0)::BIGINT AS n_removed,
-                   coalesce(k.clean_text, '') AS clean_text
-            FROM documents d
-            LEFT JOIN counts c USING (doc_id)
-            LEFT JOIN ncov nc ON nc.doc_id = d.doc_id
-            LEFT JOIN kept k ON k.doc_id = d.doc_id""",
-        "dup_ngrams": r"""
-            WITH toks AS (
-                SELECT doc_id, regexp_split_to_array(trim(text), '\s+') AS a
-                FROM documents WHERE trim(text) != ''
-            ),
-            grams AS (
-                SELECT DISTINCT doc_id,
-                       (('0x' || substr(md5(array_to_string(a[i:i+4], ' ')), 1, 16))::UBIGINT >> 1)::BIGINT AS ngram_hash
-                FROM toks, unnest(range(1, len(a) - 3)) AS t(i)
-            )
-            SELECT ngram_hash, count(*)::BIGINT AS n_docs
-            FROM grams GROUP BY ngram_hash HAVING count(*) >= 2""",
-        "cap_per_source": """
-            SELECT doc_id, source FROM documents
-            QUALIFY row_number() OVER (PARTITION BY source ORDER BY doc_id) <= 10""",
-        # md5(seed:doc_id) top-63-bit threshold — identical bytes to the
-        # engine's hashlib.md5(f"{seed}:{doc_id}") keep rule.
-        "sample_documents": f"""
-            SELECT doc_id, lang FROM documents
-            WHERE ('0x' || substr(md5('7:' || doc_id), 1, 16))::UBIGINT >> 1
-                  < {int(0.2 * (1 << 63))}::UBIGINT""",
-        "sample_stratified": f"""
-            SELECT doc_id, lang FROM documents
-            WHERE ('0x' || substr(md5('7:' || doc_id), 1, 16))::UBIGINT >> 1
-                  < CASE WHEN lang = 'en' THEN {int(0.5 * (1 << 63))}::UBIGINT
-                         ELSE {int(0.1 * (1 << 63))}::UBIGINT END""",
-        "sample_temperature": """
-            WITH c AS (SELECT lang, count(*)::BIGINT AS c FROM documents GROUP BY lang),
-            m AS (SELECT min(c) AS cmin FROM c),
-            r AS (SELECT lang,
-                         floor(1000000 * sqrt(m.cmin::DOUBLE / c.c::DOUBLE) + 0.5)::BIGINT AS t
-                  FROM c, m)
-            SELECT d.doc_id, d.lang
-            FROM documents d JOIN r USING (lang)
-            WHERE ((('0x' || substr(md5('7:' || d.doc_id), 1, 16))::UBIGINT >> 1)
-                   % 1000000)::BIGINT < r.t""",
-        "token_jaccard_pairs": r"""
-            WITH toks AS (
-                SELECT doc_id,
-                       list_distinct(regexp_split_to_array(trim(text), '\s+')) AS ts
-                FROM documents WHERE doc_id < 200 AND trim(text) != ''
-            )
-            SELECT a.doc_id AS doc_a, b.doc_id AS doc_b,
-                   round(length(list_intersect(a.ts, b.ts))::DOUBLE
-                         / length(list_distinct(list_concat(a.ts, b.ts))), 6) AS jaccard
-            FROM toks a JOIN toks b ON a.doc_id < b.doc_id
-            WHERE length(list_intersect(a.ts, b.ts))::DOUBLE
-                  / length(list_distinct(list_concat(a.ts, b.ts))) >= 0.5""",
-        "ngram_jaccard_pairs": r"""
-            WITH sh AS (
-                SELECT doc_id,
-                       list_distinct(
-                           CASE WHEN length(ts) < 3 THEN [array_to_string(ts, ' ')]
-                                ELSE list_transform(range(1, length(ts) - 1),
-                                                    i -> array_to_string(ts[i:i+2], ' '))
-                           END) AS gs
-                FROM (SELECT doc_id, regexp_split_to_array(trim(text), '\s+') AS ts
-                      FROM documents WHERE doc_id < 200 AND trim(text) != '')
-            )
-            SELECT a.doc_id AS doc_a, b.doc_id AS doc_b,
-                   round(length(list_intersect(a.gs, b.gs))::DOUBLE
-                         / length(list_distinct(list_concat(a.gs, b.gs))), 6) AS jaccard
-            FROM sh a JOIN sh b ON a.doc_id < b.doc_id
-            WHERE length(list_intersect(a.gs, b.gs))::DOUBLE
-                  / length(list_distinct(list_concat(a.gs, b.gs))) >= 0.03""",
-        "containment_pairs": r"""
-            WITH sh AS (
-                SELECT doc_id,
-                       list_distinct(
-                           CASE WHEN length(ts) < 3 THEN [array_to_string(ts, ' ')]
-                                ELSE list_transform(range(1, length(ts) - 1),
-                                                    i -> array_to_string(ts[i:i+2], ' '))
-                           END) AS gs
-                FROM (SELECT doc_id, regexp_split_to_array(trim(text), '\s+') AS ts
-                      FROM documents WHERE doc_id < 200 AND trim(text) != '')
-            )
-            SELECT src_doc, dst_doc, containment_ppm FROM (
-                SELECT a.doc_id AS src_doc, b.doc_id AS dst_doc,
-                       (length(list_intersect(a.gs, b.gs))::BIGINT * 1000000
-                        // length(a.gs))::BIGINT AS containment_ppm
-                FROM sh a JOIN sh b ON a.doc_id != b.doc_id
-            ) WHERE containment_ppm >= 500000""",
-        "ann_cosine_topk": """
-            WITH q AS (SELECT vec_id AS qid, embedding AS qe FROM embeddings WHERE vec_id < 8),
-            scored AS (
-                SELECT q.qid, e.vec_id AS nid,
-                       list_cosine_similarity(q.qe::DOUBLE[], e.embedding::DOUBLE[]) AS c
-                FROM q, embeddings e WHERE e.vec_id != q.qid
-            ),
-            ranked AS (
-                SELECT qid, nid,
-                       row_number() OVER (PARTITION BY qid ORDER BY c DESC, nid ASC) AS rnk
-                FROM scored
-            )
-            SELECT qid AS query_id, nid AS neighbor_id, rnk AS rank
-            FROM ranked WHERE rnk <= 5""",
-        "embedding_dup_pairs": """
-            SELECT a.vec_id AS vec_a, b.vec_id AS vec_b,
-                   round(list_cosine_similarity(a.embedding::DOUBLE[],
-                                                b.embedding::DOUBLE[]), 6) AS cosine
-            FROM embeddings a JOIN embeddings b ON a.vec_id < b.vec_id
-            WHERE list_cosine_similarity(a.embedding::DOUBLE[],
-                                         b.embedding::DOUBLE[]) >= 0.4""",
-        # Crawl oracle: the converged robots-respecting visited set equals
-        # the reachable set of the deterministic link graph (seeds = docs
-        # 0..9, edges doc → (13d+1)%N and (29d+7)%N, hosts with index%13==0
-        # disallow /article/ paths) — recomputed here with a recursive CTE.
-        "crawl_reachable": f"""
-            WITH RECURSIVE reach(id) AS (
-                SELECT doc_id FROM documents WHERE doc_id < 10
-                  AND NOT ((doc_id % 97) % 13 = 0 AND doc_id % 4 != 2)
-                UNION
-                SELECT t.target FROM reach r
-                JOIN (
-                    SELECT doc_id,
-                           (doc_id*13+1) % (SELECT count(*) FROM documents) AS target
-                    FROM documents
-                    UNION ALL
-                    SELECT doc_id,
-                           (doc_id*29+7) % (SELECT count(*) FROM documents) AS target
-                    FROM documents
-                ) t ON t.doc_id = r.id
-                WHERE NOT ((t.target % 97) % 13 = 0 AND t.target % 4 != 2)
-            )
-            SELECT id AS doc_id,
-                   {_URL_SQL.replace('doc_id', 'id')} AS url
-            FROM reach""",
-        "crawl_wave_counts": """
-            WITH RECURSIVE reach(id, d) AS (
-                SELECT doc_id, 0 FROM documents WHERE doc_id < 10
-                  AND NOT ((doc_id % 97) % 13 = 0 AND doc_id % 4 != 2)
-                UNION
-                SELECT t.target, r.d + 1 FROM reach r
-                JOIN (
-                    SELECT doc_id,
-                           (doc_id*13+1) % (SELECT count(*) FROM documents) AS target
-                    FROM documents
-                    UNION ALL
-                    SELECT doc_id,
-                           (doc_id*29+7) % (SELECT count(*) FROM documents) AS target
-                    FROM documents
-                ) t ON t.doc_id = r.id
-                WHERE NOT ((t.target % 97) % 13 = 0 AND t.target % 4 != 2)
-                  AND r.d < 63
-            )
-            SELECT md::BIGINT AS wave, count(*)::BIGINT AS n_fetched
-            FROM (SELECT id, min(d) AS md FROM reach GROUP BY id)
-            GROUP BY 1""",
-        "value_quantiles": _value_quantiles_sql(),
-        "grouped_quantiles": _grouped_quantiles_sql(),
-        "doclen_quantiles_by_lang": _doclen_quantiles_sql(),
-        "sliding_window_events": """
-            SELECT strftime(date_trunc('hour', ts) - j.j * INTERVAL 1 HOUR,
-                            '%Y-%m-%d %H:%M:%S') AS window_start,
-                   event_type, count(*) AS n_events,
-                   round(sum(value), 2) AS sum_value
-            FROM events CROSS JOIN (VALUES (0), (1)) j(j)
-            GROUP BY 1, 2""",
-        "top_users_per_type": """
-            WITH totals AS (
-                SELECT event_type, user_id, round(sum(value), 2) AS total_value
-                FROM events GROUP BY event_type, user_id
-            ),
-            ranked AS (
-                SELECT event_type, user_id, total_value,
-                       row_number() OVER (
-                           PARTITION BY event_type
-                           ORDER BY total_value DESC, user_id ASC
-                       ) AS rank
-                FROM totals
-            )
-            SELECT event_type, user_id, total_value, rank::BIGINT AS rank
-            FROM ranked WHERE rank <= 3""",
-        "windowed_events": """
-            SELECT strftime(date_trunc('hour', ts), '%Y-%m-%d %H:%M:%S') AS window_start, event_type,
-                   count(*) AS n_events, round(sum(value), 2) AS sum_value
-            FROM events GROUP BY 1, 2""",
-        "events_rollup": """
-            SELECT (CASE WHEN grouping(event_type) = 0 AND grouping(day) = 0 THEN 0
-                         WHEN grouping(event_type) = 0 THEN 1
-                         WHEN grouping(day) = 0 THEN 2
-                         ELSE 3 END)::BIGINT AS grouping_id,
-                   coalesce(event_type, '') AS event_type,
-                   coalesce(day, '') AS day,
-                   count(value)::BIGINT AS n_events,
-                   round(sum(value), 2) AS sum_value
-            FROM (SELECT event_type, strftime(ts, '%Y-%m-%d') AS day, value
-                  FROM events)
-            GROUP BY GROUPING SETS ((event_type, day), (event_type), (day), ())""",
-        "events_in_windows": """
-            WITH w AS (
-                SELECT i::BIGINT AS window_id,
-                       TIMESTAMP '2024-01-01' + i * (INTERVAL 4 HOUR) AS wstart,
-                       TIMESTAMP '2024-01-01' + i * (INTERVAL 4 HOUR)
-                           + (2 + (i % 5)) * (INTERVAL 1 HOUR) AS wend
-                FROM generate_series(0, 179) s(i)
-            )
-            SELECT e.event_id, w.window_id
-            FROM events e JOIN w ON e.ts >= w.wstart AND e.ts < w.wend""",
-        "orders_overlapping_windows": """
-            WITH w AS (
-                SELECT i::BIGINT AS window_id,
-                       TIMESTAMP '1995-01-01' + i * 10 * (INTERVAL 1 DAY) AS wstart,
-                       TIMESTAMP '1995-01-01' + i * 10 * (INTERVAL 1 DAY)
-                           + (3 + (i % 9)) * (INTERVAL 1 DAY) AS wend
-                FROM generate_series(0, 239) s(i)
-            ),
-            spans AS (
-                SELECT o_orderkey, o_orderdate AS ostart,
-                       o_orderdate + (1 + (o_orderkey % 7)) * (INTERVAL 1 DAY) AS oend
-                FROM orders
-            )
-            SELECT s.o_orderkey, w.window_id
-            FROM spans s JOIN w ON s.ostart < w.wend AND w.wstart < s.oend""",
-        "asof_latest_order": """
-            SELECT e.event_id,
-                   coalesce(o.o_orderkey, -1) AS o_orderkey
-            FROM events e
-            LEFT JOIN LATERAL (
-                SELECT o_orderkey FROM orders o2
-                WHERE o2.o_custkey = e.user_id
-                  AND o2.o_orderdate <= CAST(e.ts AS DATE)
-                ORDER BY o2.o_orderdate DESC, o2.o_orderkey DESC
-                LIMIT 1
-            ) o ON TRUE""",
-        "sessionize_events": """
-            WITH ordered AS (
-                SELECT event_id, user_id, ts,
-                       CASE WHEN ts - lag(ts) OVER w > INTERVAL 30 MINUTE
-                            THEN 1 ELSE 0 END AS new_session
-                FROM events
-                WINDOW w AS (PARTITION BY user_id ORDER BY ts, event_id)
-            )
-            SELECT event_id,
-                   CAST(user_id * 1000000
-                        + sum(new_session) OVER (
-                              PARTITION BY user_id ORDER BY ts, event_id
-                              ROWS UNBOUNDED PRECEDING
-                          ) AS BIGINT) AS session_id
-            FROM ordered""",
-        # pipelines/streaming.crawl_delay_compliance — lag-window gap scan
-        # in integer microseconds vs the fixture's per-key delay policy.
-        "crawl_delay_compliance": """
-            WITH g AS (
-                SELECT user_id, ts,
-                       lag(ts) OVER (PARTITION BY user_id
-                                     ORDER BY ts, event_id) AS prev
-                FROM events
-            )
-            SELECT user_id, count(*)::BIGINT AS n_events,
-                   sum(CASE WHEN prev IS NOT NULL
-                             AND epoch_us(ts) - epoch_us(prev)
-                                 < (user_id % 5 + 1) * 60000000
-                            THEN 1 ELSE 0 END)::BIGINT AS n_violations,
-                   (user_id % 5 + 1) * 60 AS min_gap_s
-            FROM g GROUP BY user_id""",
-        "events_by_type": """
-            SELECT event_type, count(*) AS n_events,
-                   round(sum(value), 2) AS sum_value
-            FROM events GROUP BY event_type""",
-        "distinct_users_by_type": """
-            SELECT event_type, count(DISTINCT user_id)::BIGINT AS n_users
-            FROM events GROUP BY event_type""",
-        "top_users_by_value": """
-            SELECT user_id, round(sum(value), 2) AS total_value
-            FROM events GROUP BY user_id
-            ORDER BY sum(value) DESC, user_id ASC LIMIT 10""",
-        "orders_customer_join": """
-            SELECT o.o_orderkey, o.o_custkey, c.c_mktsegment,
-                   round(o.o_totalprice, 2) AS o_totalprice
-            FROM orders o JOIN customer c ON o.o_custkey = c.c_custkey""",
-        "orders_customer_skew_join": """
-            WITH p AS (
-                SELECT o_orderkey,
-                       CASE WHEN o_orderkey % 3 = 0 THEN 1
-                            ELSE o_custkey END AS o_custkey,
-                       o_totalprice
-                FROM orders
-            )
-            SELECT p.o_orderkey, p.o_custkey, c.c_mktsegment,
-                   round(p.o_totalprice, 2) AS o_totalprice
-            FROM p JOIN customer c ON p.o_custkey = c.c_custkey""",
-        "orders_customer_left_join": """
-            SELECT o.o_orderkey, o.o_custkey, c.c_mktsegment,
-                   round(o.o_totalprice, 2) AS o_totalprice
-            FROM orders o LEFT JOIN (
-                SELECT * FROM customer WHERE c_custkey < 50
-            ) c ON o.o_custkey = c.c_custkey""",
-        "orders_customer_full_join": """
-            SELECT o.o_orderkey,
-                   coalesce(o.o_custkey, c.c_custkey) AS o_custkey,
-                   c.c_mktsegment,
-                   round(o.o_totalprice, 2) AS o_totalprice
-            FROM (SELECT * FROM orders WHERE o_orderkey < 1000) o
-            FULL JOIN (
-                SELECT * FROM customer WHERE c_custkey < 50
-            ) c ON o.o_custkey = c.c_custkey""",
-        "orders_by_segment": """
-            SELECT c.c_mktsegment, count(*) AS n_orders,
-                   round(sum(o.o_totalprice), 2) AS total_price
-            FROM orders o JOIN customer c ON o.o_custkey = c.c_custkey
-            GROUP BY c.c_mktsegment""",
-        "pricing_summary": """
-            SELECT l_returnflag, l_linestatus,
-                   round(sum(l_quantity), 2) AS sum_qty,
-                   sum(CAST(round(l_extendedprice * 100) AS BIGINT)) / 100.0 AS sum_base_price,
-                   sum(CAST(round(l_extendedprice * (1 - l_discount) * 100) AS BIGINT)) / 100.0
-                       AS sum_disc_price,
-                   count(*) AS count_order
-            FROM lineitem WHERE l_shipdate <= DATE '1998-09-02'
-            GROUP BY l_returnflag, l_linestatus
-            ORDER BY l_returnflag, l_linestatus""",
-        "repetition_scores": r"""
-            WITH t AS (
-                SELECT doc_id,
-                       CASE WHEN trim(text) = '' THEN []::VARCHAR[]
-                            ELSE regexp_split_to_array(trim(text), '\s+') END AS ts
-                FROM documents
-            ),
-            b AS (
-                SELECT doc_id,
-                       CASE WHEN length(ts) < 2 THEN []::VARCHAR[]
-                            ELSE list_transform(range(1, length(ts)),
-                                                i -> ts[i] || ' ' || ts[i+1])
-                       END AS bg
-                FROM t
-            ),
-            agg AS (
-                SELECT doc_id, length(bg)::BIGINT AS n_bigrams,
-                       length(list_distinct(bg)) AS n_uniq
-                FROM b
-            ),
-            tops AS (
-                SELECT doc_id, max(c) AS maxc FROM (
-                    SELECT doc_id, g, count(*) AS c
-                    FROM (SELECT doc_id, unnest(bg) AS g FROM b)
-                    GROUP BY doc_id, g
-                ) GROUP BY doc_id
-            )
-            SELECT a.doc_id, a.n_bigrams,
-                   CASE WHEN a.n_bigrams = 0 THEN 0.0
-                        ELSE round(1.0 - a.n_uniq::DOUBLE / a.n_bigrams, 6)
-                   END AS dup_bigram_frac,
-                   coalesce(round(tops.maxc::DOUBLE / a.n_bigrams, 6), 0.0)
-                       AS top_bigram_frac
-            FROM agg a LEFT JOIN tops USING (doc_id)""",
-        "lang_doc_stats": r"""
-            SELECT lang, count(*)::BIGINT AS n_docs,
-                   sum(n_tok)::BIGINT AS total_tokens,
-                   round(sum(n_tok)::DOUBLE / count(*), 6) AS avg_tokens
-            FROM (
-                SELECT lang,
-                       CASE WHEN trim(text) = '' THEN 0
-                            ELSE length(regexp_split_to_array(trim(text), '\s+'))
-                       END AS n_tok
-                FROM documents
-            ) GROUP BY lang""",
-        "tfidf_top_terms": r"""
-            WITH tf AS (
-                SELECT doc_id, term, count(*)::BIGINT AS tf FROM (
-                    SELECT doc_id, unnest(regexp_split_to_array(trim(text), '\s+')) AS term
-                    FROM documents WHERE trim(text) != ''
-                ) GROUP BY doc_id, term
-            ),
-            df AS (SELECT term, count(*)::BIGINT AS df FROM tf GROUP BY term),
-            ranked AS (
-                SELECT tf.doc_id, tf.term, tf.tf, df.df,
-                       row_number() OVER (
-                           PARTITION BY tf.doc_id
-                           ORDER BY tf.tf::DOUBLE / df.df DESC, tf.term ASC
-                       ) AS rank
-                FROM tf JOIN df USING (term)
-            )
-            SELECT doc_id, term, tf, df, rank::BIGINT AS rank
-            FROM ranked WHERE rank <= 3""",
-        "paragraph_dedup": r"""
-            WITH toks AS (
-                SELECT doc_id, regexp_split_to_array(trim(text), '\s+') AS ts
-                FROM documents WHERE trim(text) != ''
-            ),
-            paras AS (
-                SELECT doc_id, unnest(range(1, length(ts) + 1, 10)) AS i, ts
-                FROM toks
-            ),
-            hashed AS (
-                SELECT doc_id,
-                       ('0x' || substr(md5(array_to_string(ts[i:i+9], ' ')), 1, 16))::UBIGINT >> 1 AS h,
-                       doc_id * 1048576 + (i - 1) // 10 AS packed
-                FROM paras
-            ),
-            marked AS (
-                SELECT doc_id,
-                       CASE WHEN packed = min(packed) OVER (PARTITION BY h)
-                            THEN 0 ELSE 1 END AS dup
-                FROM hashed
-            )
-            SELECT doc_id, count(*)::BIGINT AS n_paras, sum(dup)::BIGINT AS n_dup_paras
-            FROM marked GROUP BY doc_id""",
-        "pii_redaction": _pii_sql(),
-        "decontaminate": r"""
-            WITH g AS (
-                SELECT doc_id, list_distinct(
-                    CASE WHEN length(ts) < 5 THEN [array_to_string(ts, ' ')]
-                         ELSE list_transform(range(1, length(ts) - 3),
-                                             i -> array_to_string(ts[i:i+4], ' '))
-                    END) AS gs
-                FROM (SELECT doc_id, regexp_split_to_array(trim(text), '\s+') AS ts
-                      FROM documents WHERE trim(text) != '')
-            ),
-            bl AS (
-                SELECT list_distinct(flatten(list(gs))) AS gl FROM g WHERE doc_id < 20
-            )
-            SELECT d.doc_id,
-                   coalesce(length(list_intersect(g.gs, bl.gl)), 0)::BIGINT AS n_hits,
-                   coalesce(length(list_intersect(g.gs, bl.gl)) > 0, false) AS contaminated
-            FROM documents d LEFT JOIN g USING (doc_id) CROSS JOIN bl""",
-        "dataset_split": f"""
-            SELECT doc_id, lang,
-                   CASE WHEN h < {int(0.8 * (1 << 63))}::UBIGINT THEN 'train'
-                        WHEN h < {int(0.9 * (1 << 63))}::UBIGINT THEN 'val'
-                        ELSE 'test' END AS split
-            FROM (SELECT doc_id, lang,
-                         ('0x' || substr(md5('11:' || doc_id), 1, 16))::UBIGINT >> 1 AS h
-                  FROM documents)""",
-        # stages/sampling.py::grouped_split — md5(seed:source) decides
-        # once per GROUP (leakage-safe split); same byte rule as above.
-        # A NULL source makes h NULL, so the CASE falls through to
-        # 'test'; the engine labels a NULL group 'test' by the same rule.
-        "source_split_counts": f"""
-            SELECT CASE WHEN h < {int(0.8 * (1 << 63))}::UBIGINT THEN 'train'
-                        WHEN h < {int(0.9 * (1 << 63))}::UBIGINT THEN 'val'
-                        ELSE 'test' END AS split,
-                   source, count(*)::BIGINT AS n_docs
-            FROM (SELECT source,
-                         ('0x' || substr(md5('11:' || source), 1, 16))::UBIGINT >> 1 AS h
-                  FROM documents)
-            GROUP BY split, source""",
-        # stages/packing.py::pack_sequences — exact-integer window
-        # cumsum reproduces the distributed range-bucket prefix sum.
-        "packed_sequences": r"""
-WITH t AS (
-  SELECT doc_id,
-         length(regexp_split_to_array(trim(text), '\s+'))::BIGINT AS n
-  FROM documents WHERE trim(text) != ''),
-c AS (SELECT doc_id, n, sum(n) OVER (ORDER BY doc_id)::BIGINT AS cum FROM t)
-SELECT doc_id, n AS n_tokens, (cum - n) AS start_offset,
-       ((cum - n) // 512)::BIGINT AS first_pack,
-       ((cum - 1) // 512)::BIGINT AS last_pack
-FROM c""",
-        # stages/lm.py::charlm_nll — Laplace char-bigram NLL; codepoint
-        # semantics (DuckDB length/substr) match the engine's UTF-32
-        # arrays; nano floor arithmetic identical to Python math.
-        "charlm_nll": _CHARLM_NLL_SQL,
-        # CCNet head/middle/tail terciles (composition of the charlm and
-        # percentile_disc oracles; v = integer per-bigram score).
-        "ccnet_buckets": f"""
-WITH nll AS ({_CHARLM_NLL_SQL}),
-scored AS (SELECT doc_id, nll_nano // n_bigrams AS v FROM nll),
-t AS (SELECT percentile_disc(1.0/3) WITHIN GROUP (ORDER BY v) AS t1,
-             percentile_disc(2.0/3) WITHIN GROUP (ORDER BY v) AS t2
-      FROM scored)
-SELECT s.doc_id,
-       CASE WHEN s.v <= t.t1 THEN 'head'
-            WHEN s.v <= t.t2 THEN 'middle'
-            ELSE 'tail' END AS bucket
-FROM scored s, t""",
-        # stages/selection.py::dsir_weights — Laplace-smoothed hashed-
-        # unigram log ratios (target = lang='en') in integer nanos;
-        # ln/floor arithmetic identical to Python math.log/floor.
-        "dsir_weights": _dsir_sql(),
-        "dsir_select": _dsir_sql()
-        + """
-ORDER BY weight_nano DESC, doc_id ASC LIMIT 50""",
-        "kmeans_clusters": _kmeans_sql(),
-        "semdedup": _semdedup_sql(),
-        "jl_projection": _jl_sql(),
-        # Per-dim min/max over the unnested doubles, then the same
-        # half-up floor the engine applies; constant dims -> 0.
-        "scalar_quantize": """
-            WITH v AS (
-                SELECT vec_id, embedding::DOUBLE[] AS e FROM embeddings
-            ),
-            x AS (
-                SELECT vec_id, i.i - 1 AS dim_id, e[i.i] AS val
-                FROM v, unnest(range(1, len(e) + 1)) i(i)
-            ),
-            s AS (
-                SELECT dim_id, min(val) AS lo, max(val) AS hi
-                FROM x GROUP BY dim_id
-            )
-            SELECT x.vec_id, x.dim_id,
-                   CASE WHEN s.hi > s.lo THEN
-                        least(greatest(
-                            floor((x.val - s.lo) * 255 / (s.hi - s.lo) + 0.5),
-                            0), 255)
-                   ELSE 0 END::BIGINT AS q
-            FROM x JOIN s USING (dim_id)""",
-        # Planted twins via a correlated list_transform (the engine's
-        # double arithmetic verbatim); both top-k means and the margin
-        # replayed with the same 6-dp rounding and id tie-breaks.
-        "xling_margin_pairs": """
-            WITH a AS (SELECT vec_id, embedding::DOUBLE[] AS e FROM embeddings),
-            b AS (
-                SELECT vec_id + 5000000 AS bid,
-                       list_transform(range(1, len(e) + 1),
-                           p -> e[p] + ((vec_id + p - 1) % 7 - 3) * 0.01) AS e
-                FROM a WHERE vec_id % 29 = 6
-            ),
-            cos AS (
-                SELECT b.bid, a.vec_id AS aid,
-                       round(list_cosine_similarity(a.e, b.e), 6) AS c
-                FROM a, b
-            ),
-            topb AS (
-                SELECT bid, aid, c, row_number() OVER (
-                    PARTITION BY bid ORDER BY c DESC, aid ASC) AS rn
-                FROM cos
-            ),
-            mu_b AS (SELECT bid,
-                            sum(CAST(round(c * 1000000) AS BIGINT)) AS s
-                     FROM topb WHERE rn <= 4 GROUP BY bid),
-            best AS (SELECT bid, aid, c FROM topb WHERE rn = 1),
-            topa AS (
-                SELECT aid, bid, c, row_number() OVER (
-                    PARTITION BY aid ORDER BY c DESC, bid ASC) AS rn
-                FROM cos WHERE aid IN (SELECT aid FROM best)
-            ),
-            mu_a AS (SELECT aid,
-                            sum(CAST(round(c * 1000000) AS BIGINT)) AS s
-                     FROM topa WHERE rn <= 4 GROUP BY aid)
-            SELECT best.bid AS src_id, best.aid AS matched_id,
-                   (8 * CAST(round(best.c * 1000000) AS BIGINT)
-                    - mu_b.s - mu_a.s)::BIGINT AS margin_micro4
-            FROM best JOIN mu_b USING (bid)
-            JOIN mu_a ON mu_a.aid = best.aid""",
-        # stages/dedup.spotsigs_pairs — full signature/df/Jaccard replay;
-        # tokenization is the SAME explicit ASCII-whitespace RE2 class as
-        # the engine's _spot_signatures, so multi-space/newline/tab text
-        # cannot desynchronize the two sides.
-        "spotsigs_pairs": r"""
-            WITH toks AS (
-                SELECT doc_id,
-                       list_filter(
-                           regexp_split_to_array(text, '[ \t\n\r\f\v]+'),
-                           x -> x != '') AS arr
-                FROM documents
-            ),
-            sig_lists AS (
-                SELECT doc_id,
-                       [array_to_string(
-                            list_filter(
-                                arr[i + 1 :], x -> x NOT IN ('the', 'a')
-                            )[:2], ' ')
-                        FOR i IN range(1, len(arr) + 1)
-                        IF arr[i] IN ('the', 'a')] AS raw
-                FROM toks
-            ),
-            sigs0 AS (SELECT doc_id, unnest(raw) AS sig FROM sig_lists),
-            -- a full chain of 2 tokens joins with exactly one space;
-            -- shorter tails ('' or one token) drop like the engine's
-            -- len(tail) == chain rule
-            sigs AS (SELECT DISTINCT doc_id, sig FROM sigs0
-                     WHERE sig LIKE '% %'),
-            df AS (SELECT sig, count(*) AS d FROM sigs GROUP BY sig),
-            rare AS (SELECT s.doc_id, s.sig FROM sigs s JOIN df USING (sig)
-                     WHERE df.d BETWEEN 2 AND 4),
-            cand AS (SELECT DISTINCT a.doc_id AS doc_a, b.doc_id AS doc_b
-                     FROM rare a JOIN rare b
-                       ON a.sig = b.sig AND a.doc_id < b.doc_id),
-            sizes AS (SELECT doc_id, count(*) AS sz FROM sigs GROUP BY doc_id),
-            inter AS (
-                SELECT a.doc_id AS doc_a, b.doc_id AS doc_b,
-                       count(*) AS n_shared
-                FROM sigs a JOIN sigs b
-                  ON a.sig = b.sig AND a.doc_id < b.doc_id
-                JOIN cand c ON c.doc_a = a.doc_id AND c.doc_b = b.doc_id
-                GROUP BY 1, 2
-            )
-            SELECT i.doc_a, i.doc_b, i.n_shared::BIGINT AS n_shared,
-                   ((i.n_shared * 1000000)
-                    // (sa.sz + sb.sz - i.n_shared))::BIGINT AS jaccard_ppm
-            FROM inter i JOIN sizes sa ON sa.doc_id = i.doc_a
-                         JOIN sizes sb ON sb.doc_id = i.doc_b
-            WHERE i.n_shared * 1000000
-                  >= 600000 * (sa.sz + sb.sz - i.n_shared)""",
-        "lang_id": _lang_id_sql(),
-        "script_lang_id": _script_lang_sql(),
-        # stages/text_stage.char_entropy_batch — integer nano-unit
-        # per-distinct-codepoint terms (charlm_nll exactness scheme);
-        # DuckDB length/substr count codepoints like the engine's utf-32
-        # bucketing.
-        "char_entropy": """
-            WITH ch AS (
-                SELECT doc_id, substr(text, i, 1) AS c
-                FROM (SELECT doc_id, text,
-                             unnest(range(1, length(text) + 1)) AS i
-                      FROM documents WHERE length(text) >= 1)),
-            cc AS (SELECT doc_id, c, count(*)::BIGINT AS k
-                   FROM ch GROUP BY doc_id, c)
-            SELECT doc_id, sum(k)::BIGINT AS n_cp,
-                   sum(floor(k::DOUBLE * ln(k::DOUBLE) * 1e9
-                             + 0.5))::BIGINT AS ent_term_nano
-            FROM cc GROUP BY doc_id""",
-        # stages/text_stage.lid_disagreement — both LID regimes recomputed
-        # over the SAME planted corpus (_script_aug_sql), joined on
-        # doc_id, disagreement cells counted.
-        "lid_disagreement": f"""
-            WITH s AS ({_script_lang_sql()}),
-            f AS ({_lang_id_sql(f'({_script_aug_sql()}) AS aug2')})
-            SELECT f.pred_lang AS stop_lang, s.pred_lang AS script_lang,
-                   count(*)::BIGINT AS n_docs
-            FROM s JOIN f USING (doc_id)
-            WHERE s.pred_lang != f.pred_lang
-            GROUP BY 1, 2""",
-        "c4_line_filter": _c4_line_sql(),
-        "hashed_classifier": _hashed_classifier_sql(),
-        "mojibake_repair": _mojibake_sql(),
-        "simhash": _SIMHASH_SQL,
-        "winnow_fingerprints": _winnow_sql(),
-        # Full gear-hash recomputation: per-position window sums with
-        # literal powers of two, HUGEINT mod-2^64 = the engine's uint64
-        # wrap-around; chunk assembly via lag() over boundary positions.
-        "cdc_chunks": _cdc_sql(),
-        # dedup summary over the same gear chunking
-        "cdc_dup_chunks": f"""
-WITH c AS ({_cdc_sql()})
-SELECT chunk_md5, count(*)::BIGINT AS n_occurrences,
-       count(DISTINCT doc_id)::BIGINT AS n_docs
-FROM c GROUP BY 1 HAVING count(*) > 1""",
-        "minhash_dedup_pairs": _minhash_sql(),
-        # pipelines/curation.py::split_contamination — the same pair set
-        # as minhash_dedup_pairs, labeled with dataset_split's md5 rule
-        # and rolled up per (split_a, split_b).
-        "split_contamination": f"""
-            WITH pairs AS (SELECT * FROM ({_minhash_sql()}) q)
-            SELECT
-              CASE WHEN ha < {int(0.8 * (1 << 63))}::UBIGINT THEN 'train'
-                   WHEN ha < {int(0.9 * (1 << 63))}::UBIGINT THEN 'val'
-                   ELSE 'test' END AS split_a,
-              CASE WHEN hb < {int(0.8 * (1 << 63))}::UBIGINT THEN 'train'
-                   WHEN hb < {int(0.9 * (1 << 63))}::UBIGINT THEN 'val'
-                   ELSE 'test' END AS split_b,
-              count(*)::BIGINT AS n_pairs
-            FROM (SELECT doc_a, doc_b,
-                         ('0x' || substr(md5('11:' || doc_a), 1, 16))::UBIGINT >> 1 AS ha,
-                         ('0x' || substr(md5('11:' || doc_b), 1, 16))::UBIGINT >> 1 AS hb
-                  FROM pairs)
-            GROUP BY split_a, split_b""",
-        "near_dup_clusters": _near_dup_clusters_sql(),
-        "near_dup_keep": _near_dup_keep_sql(),
-        # Composition of the gopher_quality, lang_id, and near_dup_keep
-        # oracles: per predicted language, total docs and the docs/tokens
-        # surviving quality AND dedup.
-        "curated_corpus_stats": f"""
-WITH lang AS ({_lang_id_sql()}),
-q AS ({_GOPHER_QUALITY_SQL}),
-k AS ({_near_dup_keep_sql()})
-SELECT lang.pred_lang,
-       count(*)::BIGINT AS n_docs,
-       sum(CASE WHEN q.passes = 1 AND k.keep = 1 THEN 1 ELSE 0 END)::BIGINT
-           AS n_kept,
-       sum(CASE WHEN q.passes = 1 AND k.keep = 1 THEN q.n_words ELSE 0 END)::BIGINT
-           AS kept_tokens
-FROM lang JOIN q USING (doc_id) JOIN k USING (doc_id)
-GROUP BY lang.pred_lang""",
-        "ann_lsh_topk": _ann_lsh_sql(),
-        "knn_graph": _knn_graph_sql(),
-        "ann_ivf_topk": _ann_ivf_sql(),
-        "ann_pq_topk": _ann_pq_sql(m=16, n_codes=64),
-        "embedding_dup_pairs_lsh": f"""
-            WITH aug AS (
-                SELECT vec_id, embedding FROM embeddings
-                UNION ALL
-                SELECT vec_id + {_PLANTED_DUP_OFFSET}, embedding
-                FROM embeddings WHERE vec_id < {_PLANTED_DUP_COUNT}
-            )
-            SELECT a.vec_id AS vec_a, b.vec_id AS vec_b,
-                   round(list_cosine_similarity(a.embedding::DOUBLE[],
-                                                b.embedding::DOUBLE[]), 6) AS cosine
-            FROM aug a JOIN aug b ON a.vec_id < b.vec_id
-            WHERE list_cosine_similarity(a.embedding::DOUBLE[],
-                                         b.embedding::DOUBLE[]) >= 0.9""",
-        "golden_corpus_dates": _golden_corpus_sql(),
-        "media_features": _media_features_sql(),
-        # dHash replay: gray(x,y) from the planted affine-mod-256 pixel
-        # formulas (synth_family_bmp), bit y*8+x set iff gray(x+1,y) >
-        # gray(x,y), summed with << — verifies the engine's encode →
-        # decode → hash path bit-for-bit.
-        "image_dhash_dups": """
-            WITH g AS (
-                SELECT d.doc_id, x.x, y.y,
-                       (299 * (((d.doc_id % 41) * 37 + x.x * 11 + y.y * 23) % 256)
-                        + 587 * (((d.doc_id % 41) * 59 + x.x * 17 + y.y * 5) % 256)
-                        + 114 * (((d.doc_id % 41) * 83 + x.x * 3 + y.y * 29) % 256))
-                       // 1000 AS gray
-                FROM documents d, range(9) x(x), range(7) y(y)
-            ),
-            bits AS (
-                SELECT a.doc_id, (a.y * 8 + a.x)::BIGINT AS idx
-                FROM g a JOIN g b
-                  ON b.doc_id = a.doc_id AND b.y = a.y AND b.x = a.x + 1
-                WHERE a.x < 8 AND b.gray > a.gray
-            ),
-            h AS (
-                SELECT d.doc_id,
-                       coalesce(sum(1::BIGINT << idx), 0)::BIGINT AS dhash
-                FROM documents d LEFT JOIN bits USING (doc_id)
-                GROUP BY d.doc_id
-            )
-            SELECT dhash, min(doc_id) AS rep_doc, count(*)::BIGINT AS n_docs
-            FROM h GROUP BY dhash""",
-        # same dHash replay with the synth_family_png formulas (mod 37,
-        # different affine constants) — the engine side routes through
-        # the REAL stdlib-zlib PNG decode with all five scanline filters,
-        # so a wrong unfilter produces a different hash and fails here.
-        "image_dhash_png_dups": """
-            WITH g AS (
-                SELECT d.doc_id, x.x, y.y,
-                       (299 * (((d.doc_id % 37) * 41 + x.x * 13 + y.y * 19) % 256)
-                        + 587 * (((d.doc_id % 37) * 67 + x.x * 7 + y.y * 31) % 256)
-                        + 114 * (((d.doc_id % 37) * 89 + x.x * 5 + y.y * 3) % 256))
-                       // 1000 AS gray
-                FROM documents d, range(9) x(x), range(7) y(y)
-            ),
-            bits AS (
-                SELECT a.doc_id, (a.y * 8 + a.x)::BIGINT AS idx
-                FROM g a JOIN g b
-                  ON b.doc_id = a.doc_id AND b.y = a.y AND b.x = a.x + 1
-                WHERE a.x < 8 AND b.gray > a.gray
-            ),
-            h AS (
-                SELECT d.doc_id,
-                       coalesce(sum(1::BIGINT << idx), 0)::BIGINT AS dhash
-                FROM documents d LEFT JOIN bits USING (doc_id)
-                GROUP BY d.doc_id
-            )
-            SELECT dhash, min(doc_id) AS rep_doc, count(*)::BIGINT AS n_docs
-            FROM h GROUP BY dhash""",
-        # stages/multimodal.synth_family_jpeg + ImageDHashStage over the
-        # REAL numpy JPEG codec — the pixel design guarantees the dHash
-        # survives the lossy round trip by margin (gaps >= 24 vs <= ~3
-        # perturbation at quality 95), so replaying the ORIGINAL pixel
-        # formula is exact; r=g=b makes the luma equal gray on both sides.
-        "image_dhash_jpeg_dups": """
-            WITH g AS (
-                SELECT d.doc_id, x.x, y.y,
-                       CASE WHEN x.x % 2 = 0 THEN 128
-                            ELSE 104 + 48 * (((d.doc_id % 37)
-                                 >> (((x.x // 2) + 4 * y.y) % 6)) & 1)
-                       END AS gray
-                FROM documents d, range(9) x(x), range(7) y(y)
-            ),
-            bits AS (
-                SELECT a.doc_id, (a.y * 8 + a.x)::BIGINT AS idx
-                FROM g a JOIN g b
-                  ON b.doc_id = a.doc_id AND b.y = a.y AND b.x = a.x + 1
-                WHERE a.x < 8 AND b.gray > a.gray
-            ),
-            h AS (
-                SELECT d.doc_id,
-                       coalesce(sum(1::BIGINT << idx), 0)::BIGINT AS dhash
-                FROM documents d LEFT JOIN bits USING (doc_id)
-                GROUP BY d.doc_id
-            )
-            SELECT dhash, min(doc_id) AS rep_doc, count(*)::BIGINT AS n_docs
-            FROM h GROUP BY dhash""",
-        # stages/multimodal.synth_family_gif + ImageDHashStage over the
-        # REAL LZW GIF codec — lossless, so the palette-index pixel
-        # formula replays exactly.
-        "image_dhash_gif_dups": """
-            WITH g AS (
-                SELECT d.doc_id, x.x, y.y,
-                       (299 * ((((d.doc_id % 37) * 5 + x.x * 3 + y.y * 7)
-                                % 16) * 31 % 256)
-                        + 587 * ((((d.doc_id % 37) * 5 + x.x * 3 + y.y * 7)
-                                  % 16) * 57 % 256)
-                        + 114 * ((((d.doc_id % 37) * 5 + x.x * 3 + y.y * 7)
-                                  % 16) * 11 % 256))
-                       // 1000 AS gray
-                FROM documents d, range(9) x(x), range(7) y(y)
-            ),
-            bits AS (
-                SELECT a.doc_id, (a.y * 8 + a.x)::BIGINT AS idx
-                FROM g a JOIN g b
-                  ON b.doc_id = a.doc_id AND b.y = a.y AND b.x = a.x + 1
-                WHERE a.x < 8 AND b.gray > a.gray
-            ),
-            h AS (
-                SELECT d.doc_id,
-                       coalesce(sum(1::BIGINT << idx), 0)::BIGINT AS dhash
-                FROM documents d LEFT JOIN bits USING (doc_id)
-                GROUP BY d.doc_id
-            )
-            SELECT dhash, min(doc_id) AS rep_doc, count(*)::BIGINT AS n_docs
-            FROM h GROUP BY dhash""",
-        # stages/multimodal.audio_window_energy — the synthesized WAVE's
-        # sample formula replayed; energy is an int64 sum of squares, so
-        # the comparison is exact.
-        "audio_window_energy": """
-            WITH s AS (
-                SELECT d.doc_id, i.i,
-                       ((d.doc_id * 7 + i.i * 13) % 65536) - 32768 AS v
-                FROM documents d, range(600) i(i)
-            )
-            SELECT doc_id AS media_id,
-                   (i // 256)::BIGINT AS window_index,
-                   count(*)::BIGINT AS n_window_samples,
-                   sum(v * v)::BIGINT AS energy
-            FROM s GROUP BY 1, 2""",
-        # stages/multimodal.media_sniff_stats — every synthetic payload
-        # decodes to 7x9 = 63 pixels; format is doc_id % 5.
-        "media_sniff_stats": """
-            SELECT CASE doc_id % 5
-                       WHEN 0 THEN 'bmp' WHEN 1 THEN 'png'
-                       WHEN 2 THEN 'jpeg' WHEN 3 THEN 'gif'
-                       ELSE 'pnm' END AS format,
-                   count(*)::BIGINT AS n_media,
-                   (count(*) * 63)::BIGINT AS n_pixels
-            FROM documents GROUP BY 1""",
-        # stages/multimodal.video_frame_dhash — frame fi of doc d is the
-        # synth_family_jpeg image of (d % 37 + fi) % 37; the dHash
-        # margin contract (see image_dhash_jpeg_dups) makes replaying
-        # the ORIGINAL pixel formula exact per sampled frame.
-        "video_frame_dhash": """
-            WITH fr AS (SELECT unnest([0, 2, 4]) AS fi),
-            g AS (
-                SELECT d.doc_id, fr.fi, x.x, y.y,
-                       CASE WHEN x.x % 2 = 0 THEN 128
-                            ELSE 104 + 48 * ((((d.doc_id % 37 + fr.fi) % 37)
-                                 >> (((x.x // 2) + 4 * y.y) % 6)) & 1)
-                       END AS gray
-                FROM documents d, fr, range(9) x(x), range(7) y(y)
-            ),
-            bits AS (
-                SELECT a.doc_id, a.fi, (a.y * 8 + a.x)::BIGINT AS idx
-                FROM g a JOIN g b
-                  ON b.doc_id = a.doc_id AND b.fi = a.fi
-                 AND b.y = a.y AND b.x = a.x + 1
-                WHERE a.x < 8 AND b.gray > a.gray
-            )
-            SELECT d.doc_id AS media_id, fr.fi::BIGINT AS frame_index,
-                   coalesce(sum(1::BIGINT << idx), 0)::BIGINT AS dhash
-            FROM documents d CROSS JOIN fr
-            LEFT JOIN bits ON bits.doc_id = d.doc_id AND bits.fi = fr.fi
-            GROUP BY 1, 2""",
-        # golden_corpus_dates_full: includes the 6 inconsistently-recorded
-        # corpus rows → rows-only by necessity (byte parity is gated in
-        # tests/test_golden_corpus.py).
-    })
+    corpus = Path(__file__).parent / "tests" / "data" / "comparison_corpus.json"
+    excl = ", ".join(f"'{u}'" for u in _known_inconsistent_urls())
+    return f"""
+SELECT url, fast AS date_str
+FROM read_json_auto('{corpus}')
+WHERE url NOT IN ({excl})"""
 
 
 _CHARLM_NLL_SQL = r"""
@@ -4222,8 +1046,6 @@ def _minhash_sql(
     # banding collision → signature-agreement estimate ≥ threshold.
     # All products stay < 2^62, so UBIGINT arithmetic is exact — the Ray
     # stage uses the same overflow-free formulation.
-    import numpy as np
-
     rng = np.random.RandomState(42)
     a = rng.randint(1, 1 << 31, size=num_perm)
     b = rng.randint(0, 1 << 31, size=num_perm)
@@ -4281,7 +1103,6 @@ _ORACLE_SF_DIR = "/root/testdata/sf0.01"
 def _fixture_embedding_matrix(max_vec_id: int | None = None):
     """(vec_id-sorted) embedding matrix of the oracle fixture — the same
     rows the engine's bounded samples see, read with plain pyarrow."""
-    import numpy as np
     import pyarrow.parquet as pq
 
     t = pq.read_table(
@@ -4336,218 +1157,6 @@ reach(u, v) AS (
   SELECT r.u, e.v FROM reach r JOIN edges e ON e.u = r.v
 )
 SELECT u AS doc_id, min(v) AS cluster_rep FROM reach GROUP BY u"""
-
-
-def _ann_lsh_sql(n_planes: int = 12, k: int = 5) -> str:
-    # The LSH restriction is deterministic: hyperplanes from
-    # RandomState(42) (the one band of the BandedHasher that
-    # stages/similarity.lsh_topk uses),
-    # candidate set = rows whose bucket is within Hamming distance 1 of a
-    # query bucket, exact cosine ranking within candidates.  Bucket signs
-    # are scale-invariant, so raw (unnormalized) embeddings are hashed.
-    # The plane width comes from the fixture itself, not a literal 64,
-    # so a fixture dim change cannot silently desynchronize the oracle.
-    import numpy as np
-
-    rng = np.random.RandomState(42)
-    planes = rng.standard_normal((n_planes, _fixture_embedding_dim()))
-    plane_rows = ", ".join(
-        f"({p}, [{','.join(repr(float(x)) for x in planes[p])}]::DOUBLE[])"
-        for p in range(n_planes)
-    )
-    return f"""
-WITH planes(pid, pv) AS (VALUES {plane_rows}),
-vecs AS (SELECT vec_id, embedding::DOUBLE[] AS e FROM embeddings),
-sig AS (
-  SELECT v.vec_id,
-         sum(CASE WHEN list_inner_product(v.e, p.pv) > 0
-                  THEN (1::BIGINT << p.pid) ELSE 0 END)::BIGINT AS bucket
-  FROM vecs v, planes p GROUP BY v.vec_id
-),
-qb AS (SELECT vec_id AS qid, bucket FROM sig WHERE vec_id < 8),
-wanted AS (
-  SELECT DISTINCT bucket AS w FROM qb
-  UNION
-  SELECT DISTINCT xor(qb.bucket, (1::BIGINT << p.pid)) FROM qb, planes p
-),
-cand AS (SELECT s.vec_id FROM sig s WHERE s.bucket IN (SELECT w FROM wanted)),
-scored AS (
-  SELECT q.vec_id AS qid, c.vec_id AS nid,
-         list_cosine_similarity(q.e, v2.e) AS c
-  FROM vecs q JOIN cand c ON c.vec_id != q.vec_id
-  JOIN vecs v2 ON v2.vec_id = c.vec_id
-  WHERE q.vec_id < 8
-),
-ranked AS (
-  SELECT qid, nid, row_number() OVER (PARTITION BY qid ORDER BY c DESC, nid ASC) AS rnk
-  FROM scored
-)
-SELECT qid AS query_id, nid AS neighbor_id, rnk AS rank FROM ranked WHERE rnk <= {k}"""
-
-
-def _knn_graph_sql(k: int = 3, n_bands: int = 8, planes_per_band: int = 6) -> str:
-    # Band-restricted exact recomputation of stages/similarity.knn_graph:
-    # the banded planes are regenerated from RandomState(42) (same seed
-    # and layout as BandedHasher — plane row p belongs to band p // r at
-    # bit p % r; sign hashing is scale-invariant so raw embeddings are
-    # hashed), candidates = directional pairs sharing >= 1 band code,
-    # ranking = row_number over (round(cos, 6) DESC, neighbor ASC) — the
-    # rounded cosine is the engine's ranking key too, so order ties are
-    # deterministic on both sides.
-    import numpy as np
-
-    rng = np.random.RandomState(42)
-    r = planes_per_band
-    planes = rng.standard_normal((n_bands * r, _fixture_embedding_dim()))
-    plane_rows = ", ".join(
-        f"({p}, [{','.join(repr(float(x)) for x in planes[p])}]::DOUBLE[])"
-        for p in range(n_bands * r)
-    )
-    return f"""
-WITH planes(pid, pv) AS (VALUES {plane_rows}),
-vecs AS (SELECT vec_id, embedding::DOUBLE[] AS e FROM embeddings),
-sig AS (
-  SELECT v.vec_id, (p.pid // {r})::BIGINT AS band,
-         sum(CASE WHEN list_inner_product(v.e, p.pv) > 0
-                  THEN (1::BIGINT << (p.pid % {r})) ELSE 0 END)::BIGINT AS code
-  FROM vecs v, planes p GROUP BY v.vec_id, p.pid // {r}
-),
-cand AS (
-  SELECT DISTINCT a.vec_id AS qid, b.vec_id AS nid
-  FROM sig a JOIN sig b ON a.band = b.band AND a.code = b.code
-  WHERE a.vec_id != b.vec_id
-),
-scored AS (
-  SELECT c.qid, c.nid,
-         round(list_cosine_similarity(qa.e, qb.e), 6) AS cs
-  FROM cand c
-  JOIN vecs qa ON qa.vec_id = c.qid
-  JOIN vecs qb ON qb.vec_id = c.nid
-),
-ranked AS (
-  SELECT qid, nid,
-         row_number() OVER (PARTITION BY qid ORDER BY cs DESC, nid ASC) AS rnk
-  FROM scored
-)
-SELECT qid AS vec_id, nid AS neighbor_id, rnk AS rank
-FROM ranked WHERE rnk <= {k}"""
-
-
-def _ann_ivf_sql(n_centroids: int = 16, n_probe: int = 4, k: int = 5) -> str:
-    # Probe-restricted IVF search recomputed in SQL from the literal
-    # centroids (kmeans_centroids over the vec_id-sorted fixture sample —
-    # seed-deterministic, the shared-constant pattern of the minhash
-    # perms / LSH planes).  Cell assignment (argmax of centroid dot,
-    # ties → lowest cell id), the UNION of all queries' probed cells,
-    # and the exact cosine ranking within candidates all mirror
-    # stages/similarity.ivf_topk; dot products are norm-invariant, so
-    # raw embeddings feed the assignment directly.
-    from go_htmldate_ray.stages.similarity import kmeans_centroids
-
-    cents = kmeans_centroids(_fixture_embedding_matrix(max_vec_id=2048), n_centroids)
-    cent_rows = ", ".join(
-        f"({c}, [{','.join(repr(float(x)) for x in cents[c])}]::DOUBLE[])"
-        for c in range(len(cents))
-    )
-    return f"""
-WITH cents(cid, cv) AS (VALUES {cent_rows}),
-vecs AS (SELECT vec_id, embedding::DOUBLE[] AS e FROM embeddings),
-ip AS (
-  SELECT v.vec_id, c.cid, list_inner_product(v.e, c.cv) AS s
-  FROM vecs v, cents c
-),
-assign AS (
-  SELECT vec_id, cid AS cell FROM (
-    SELECT vec_id, cid,
-           row_number() OVER (PARTITION BY vec_id ORDER BY s DESC, cid ASC) AS rn
-    FROM ip
-  ) WHERE rn = 1
-),
-wanted AS (
-  SELECT DISTINCT cid AS cell FROM (
-    SELECT vec_id, cid,
-           row_number() OVER (PARTITION BY vec_id ORDER BY s DESC, cid ASC) AS rn
-    FROM ip WHERE vec_id < 8
-  ) WHERE rn <= {n_probe}
-),
-cand AS (SELECT a.vec_id FROM assign a WHERE a.cell IN (SELECT cell FROM wanted)),
-scored AS (
-  SELECT q.vec_id AS qid, c.vec_id AS nid,
-         list_cosine_similarity(q.e, v2.e) AS c
-  FROM vecs q JOIN cand c ON c.vec_id != q.vec_id
-  JOIN vecs v2 ON v2.vec_id = c.vec_id
-  WHERE q.vec_id < 8
-),
-ranked AS (
-  SELECT qid, nid, row_number() OVER (PARTITION BY qid ORDER BY c DESC, nid ASC) AS rnk
-  FROM scored
-)
-SELECT qid AS query_id, nid AS neighbor_id, rnk AS rank FROM ranked WHERE rnk <= {k}"""
-
-
-def _ann_pq_sql(m: int = 4, n_codes: int = 16, k: int = 5) -> str:
-    # PQ / ADC search recomputed in SQL from the trained codebook
-    # literals (deterministic per-subspace L2 k-means over the
-    # vec_id-sorted fixture sample — the IVF centroid-literal pattern).
-    # Encoding (argmin sub-distance, ties -> lowest code), the per-
-    # subspace lookup contributions and their 9-decimal-rounded sum all
-    # mirror stages/similarity.pq_topk; ranking ties break by id.
-    import numpy as np
-
-    from go_htmldate_ray.stages.similarity import _l2_kmeans
-
-    mat = _fixture_embedding_matrix(max_vec_id=2048)
-    norms = np.linalg.norm(mat, axis=1, keepdims=True)
-    norms[norms == 0] = 1.0
-    mat = mat / norms
-    dim = mat.shape[1]
-    dsub = dim // m
-    cb_rows = []
-    for s in range(m):
-        cents = _l2_kmeans(mat[:, s * dsub : (s + 1) * dsub], n_codes)
-        for code in range(len(cents)):
-            vals = ",".join(repr(float(x)) for x in cents[code])
-            cb_rows.append(f"({s}, {code}, [{vals}]::DOUBLE[])")
-    cb_values = ", ".join(cb_rows)
-    return f"""
-WITH cb(s, code, cv) AS (VALUES {cb_values}),
-vecs AS (
-  SELECT vec_id,
-         list_transform(embedding::DOUBLE[],
-             x -> x / sqrt(list_inner_product(embedding::DOUBLE[],
-                                              embedding::DOUBLE[]))) AS e
-  FROM embeddings
-),
-subs AS (
-  SELECT vec_id, sq.s, e[sq.s * {dsub} + 1 : (sq.s + 1) * {dsub}] AS xs
-  FROM vecs, (SELECT unnest(range(0, {m})) AS s) sq
-),
-dist AS (
-  SELECT d.vec_id, d.s, c.code,
-         list_inner_product(d.xs, d.xs) - 2 * list_inner_product(d.xs, c.cv)
-             + list_inner_product(c.cv, c.cv) AS d2
-  FROM subs d JOIN cb c ON c.s = d.s
-),
-codes AS (
-  SELECT vec_id, s, code FROM (
-    SELECT vec_id, s, code,
-           row_number() OVER (PARTITION BY vec_id, s ORDER BY d2 ASC, code ASC) AS rn
-    FROM dist
-  ) WHERE rn = 1
-),
-contrib AS (
-  SELECT q.vec_id AS qid, x.vec_id AS nid, list_inner_product(q.xs, c2.cv) AS part
-  FROM subs q
-  JOIN codes x ON x.s = q.s AND x.vec_id != q.vec_id
-  JOIN cb c2 ON c2.s = x.s AND c2.code = x.code
-  WHERE q.vec_id < 8
-),
-scores AS (SELECT qid, nid, round(sum(part), 9) AS sc FROM contrib GROUP BY qid, nid),
-ranked AS (
-  SELECT qid, nid, row_number() OVER (PARTITION BY qid ORDER BY sc DESC, nid ASC) AS rnk
-  FROM scores
-)
-SELECT qid AS query_id, nid AS neighbor_id, rnk AS rank FROM ranked WHERE rnk <= {k}"""
 
 
 def _media_features_sql(n: int = 8) -> str:
@@ -4614,21 +1223,17 @@ SELECT doc_id, (c1 + c2 + c3)::BIGINT AS n_redacted,
 FROM s3"""
 
 
-def _kmeans_sql(
-    n_clusters: int = 8, refine_iters: int = 2, round_decimals: int = 6
-) -> str:
+def _kmeans_sql(n_clusters: int, refine_iters: int, round_decimals: int = 6) -> str:
     # Full SQL replay of stages/similarity.kmeans_assign: literal init
     # centroids (the deterministic bounded-sample k-means — the IVF
     # shared-constant pattern), then each distributed Lloyd iteration
     # re-derived as CTEs: argmax-dot assignment (ties -> lowest cid),
     # per-cell per-dim mean of unit vectors, renormalize, round to the
     # same fixed decimal grid; empty cells keep the previous centroid.
-    import numpy as np
-
-    from go_htmldate_ray.stages.similarity import kmeans_centroids
-
     cents = np.round(
-        kmeans_centroids(_fixture_embedding_matrix(max_vec_id=2048), n_clusters),
+        similarity.kmeans_centroids(
+            _fixture_embedding_matrix(max_vec_id=2048), n_clusters
+        ),
         round_decimals,
     )
     dim = cents.shape[1]
@@ -4676,69 +1281,2963 @@ SELECT vec_id, cid::BIGINT AS cluster FROM (
     )
 
 
-def _semdedup_sql(
-    threshold: float = 0.5, n_clusters: int = 8, refine_iters: int = 2
-) -> str:
-    # Full SQL replay of stages/similarity.semdedup: the kmeans_assign
-    # replay (literal init centroids + Lloyd CTEs) provides the cluster
-    # assignment; keep = 0 iff some same-cluster member with a smaller
-    # vec_id has cosine >= threshold (the paper's column-max-over-strict-
-    # upper-triangle rule in EXISTS form).
-    # zero-norm guard (the engine maps zero vectors to cosine 0 via
-    # norms[norms==0]=1; unguarded list_cosine_similarity gives NaN,
-    # which DuckDB orders ABOVE the threshold) — same CASE pattern as
-    # _kmeans_sql's nrm CTE
-    return f"""
-WITH assign AS ({_kmeans_sql(n_clusters, refine_iters)}),
-v AS (
-  SELECT vec_id, e,
-         CASE WHEN sqrt(list_inner_product(e, e)) = 0 THEN 1.0
-              ELSE sqrt(list_inner_product(e, e)) END AS nrm
-  FROM (SELECT vec_id, embedding::DOUBLE[] AS e FROM embeddings)
-)
-SELECT a.vec_id, a.cluster,
-       CASE WHEN EXISTS (
-           SELECT 1 FROM assign a2 JOIN v v2 ON v2.vec_id = a2.vec_id
-           WHERE a2.cluster = a.cluster AND a2.vec_id < a.vec_id
-             AND list_inner_product(v1.e, v2.e) / (v1.nrm * v2.nrm)
-                 >= {threshold}
-       ) THEN 0 ELSE 1 END::BIGINT AS keep
-FROM assign a JOIN v v1 ON v1.vec_id = a.vec_id"""
+# --- query families: one declaration of each parameter the operator and
+# its oracle share --------------------------------------------------------
 
-
-def _jl_sql(out_dim: int = 16, seed: int = 11) -> str:
-    # The projection matrix literals come from the same RandomState the
-    # engine rebuilds per batch; the ÷root scale is float-exact.
-    import math
-
-    import numpy as np
-
-    dim = _fixture_embedding_dim()
-    p = np.random.RandomState(seed).standard_normal((out_dim, dim))
-    root = math.isqrt(out_dim)
-    rows = ", ".join(
-        f"({d}, [{','.join(repr(float(x)) for x in p[d])}]::DOUBLE[])"
-        for d in range(out_dim)
+def _ann_lsh(*, k: int, n_planes: int) -> Query:
+    def sql() -> str:
+        # The LSH restriction is deterministic: hyperplanes from
+        # RandomState(42) (the one band of the BandedHasher that
+        # stages/similarity.lsh_topk uses),
+        # candidate set = rows whose bucket is within Hamming distance 1 of a
+        # query bucket, exact cosine ranking within candidates.  Bucket signs
+        # are scale-invariant, so raw (unnormalized) embeddings are hashed.
+        # The plane width comes from the fixture itself, not a literal 64,
+        # so a fixture dim change cannot silently desynchronize the oracle.
+        rng = np.random.RandomState(42)
+        planes = rng.standard_normal((n_planes, _fixture_embedding_dim()))
+        plane_rows = ", ".join(
+            f"({p}, [{','.join(repr(float(x)) for x in planes[p])}]::DOUBLE[])"
+            for p in range(n_planes)
+        )
+        return f"""
+    WITH planes(pid, pv) AS (VALUES {plane_rows}),
+    vecs AS (SELECT vec_id, embedding::DOUBLE[] AS e FROM embeddings),
+    sig AS (
+      SELECT v.vec_id,
+             sum(CASE WHEN list_inner_product(v.e, p.pv) > 0
+                      THEN (1::BIGINT << p.pid) ELSE 0 END)::BIGINT AS bucket
+      FROM vecs v, planes p GROUP BY v.vec_id
+    ),
+    qb AS (SELECT vec_id AS qid, bucket FROM sig WHERE vec_id < 8),
+    wanted AS (
+      SELECT DISTINCT bucket AS w FROM qb
+      UNION
+      SELECT DISTINCT xor(qb.bucket, (1::BIGINT << p.pid)) FROM qb, planes p
+    ),
+    cand AS (SELECT s.vec_id FROM sig s WHERE s.bucket IN (SELECT w FROM wanted)),
+    scored AS (
+      SELECT q.vec_id AS qid, c.vec_id AS nid,
+             list_cosine_similarity(q.e, v2.e) AS c
+      FROM vecs q JOIN cand c ON c.vec_id != q.vec_id
+      JOIN vecs v2 ON v2.vec_id = c.vec_id
+      WHERE q.vec_id < 8
+    ),
+    ranked AS (
+      SELECT qid, nid, row_number() OVER (PARTITION BY qid ORDER BY c DESC, nid ASC) AS rnk
+      FROM scored
     )
+    SELECT qid AS query_id, nid AS neighbor_id, rnk AS rank FROM ranked WHERE rnk <= {k}"""
+
+    return Query(
+        lambda sf: similarity.lsh_topk(
+            _embeddings(sf), query_ids=_QUERY_IDS, k=k, n_planes=n_planes
+        ),
+        sql,
+    )
+
+
+def _knn_graph(*, k: int, n_bands: int, planes_per_band: int) -> Query:
+    def sql() -> str:
+        # Band-restricted exact recomputation of stages/similarity.knn_graph:
+        # the banded planes are regenerated from RandomState(42) (same seed
+        # and layout as BandedHasher — plane row p belongs to band p // r at
+        # bit p % r; sign hashing is scale-invariant so raw embeddings are
+        # hashed), candidates = directional pairs sharing >= 1 band code,
+        # ranking = row_number over (round(cos, 6) DESC, neighbor ASC) — the
+        # rounded cosine is the engine's ranking key too, so order ties are
+        # deterministic on both sides.
+        rng = np.random.RandomState(42)
+        r = planes_per_band
+        planes = rng.standard_normal((n_bands * r, _fixture_embedding_dim()))
+        plane_rows = ", ".join(
+            f"({p}, [{','.join(repr(float(x)) for x in planes[p])}]::DOUBLE[])"
+            for p in range(n_bands * r)
+        )
+        return f"""
+    WITH planes(pid, pv) AS (VALUES {plane_rows}),
+    vecs AS (SELECT vec_id, embedding::DOUBLE[] AS e FROM embeddings),
+    sig AS (
+      SELECT v.vec_id, (p.pid // {r})::BIGINT AS band,
+             sum(CASE WHEN list_inner_product(v.e, p.pv) > 0
+                      THEN (1::BIGINT << (p.pid % {r})) ELSE 0 END)::BIGINT AS code
+      FROM vecs v, planes p GROUP BY v.vec_id, p.pid // {r}
+    ),
+    cand AS (
+      SELECT DISTINCT a.vec_id AS qid, b.vec_id AS nid
+      FROM sig a JOIN sig b ON a.band = b.band AND a.code = b.code
+      WHERE a.vec_id != b.vec_id
+    ),
+    scored AS (
+      SELECT c.qid, c.nid,
+             round(list_cosine_similarity(qa.e, qb.e), 6) AS cs
+      FROM cand c
+      JOIN vecs qa ON qa.vec_id = c.qid
+      JOIN vecs qb ON qb.vec_id = c.nid
+    ),
+    ranked AS (
+      SELECT qid, nid,
+             row_number() OVER (PARTITION BY qid ORDER BY cs DESC, nid ASC) AS rnk
+      FROM scored
+    )
+    SELECT qid AS vec_id, nid AS neighbor_id, rnk AS rank
+    FROM ranked WHERE rnk <= {k}"""
+
+    return Query(
+        lambda sf: similarity.knn_graph(
+            _embeddings(sf),
+            k=k,
+            n_bands=n_bands,
+            planes_per_band=planes_per_band,
+            hot_buckets="error",
+        ),
+        sql,
+    )
+
+
+def _ann_ivf(*, k: int, n_centroids: int, n_probe: int) -> Query:
+    def sql() -> str:
+        # Probe-restricted IVF search recomputed in SQL from the literal
+        # centroids (kmeans_centroids over the vec_id-sorted fixture sample —
+        # seed-deterministic, the shared-constant pattern of the minhash
+        # perms / LSH planes).  Cell assignment (argmax of centroid dot,
+        # ties → lowest cell id), the UNION of all queries' probed cells,
+        # and the exact cosine ranking within candidates all mirror
+        # stages/similarity.ivf_topk; dot products are norm-invariant, so
+        # raw embeddings feed the assignment directly.
+        cents = similarity.kmeans_centroids(
+            _fixture_embedding_matrix(max_vec_id=2048), n_centroids
+        )
+        cent_rows = ", ".join(
+            f"({c}, [{','.join(repr(float(x)) for x in cents[c])}]::DOUBLE[])"
+            for c in range(len(cents))
+        )
+        return f"""
+    WITH cents(cid, cv) AS (VALUES {cent_rows}),
+    vecs AS (SELECT vec_id, embedding::DOUBLE[] AS e FROM embeddings),
+    ip AS (
+      SELECT v.vec_id, c.cid, list_inner_product(v.e, c.cv) AS s
+      FROM vecs v, cents c
+    ),
+    assign AS (
+      SELECT vec_id, cid AS cell FROM (
+        SELECT vec_id, cid,
+               row_number() OVER (PARTITION BY vec_id ORDER BY s DESC, cid ASC) AS rn
+        FROM ip
+      ) WHERE rn = 1
+    ),
+    wanted AS (
+      SELECT DISTINCT cid AS cell FROM (
+        SELECT vec_id, cid,
+               row_number() OVER (PARTITION BY vec_id ORDER BY s DESC, cid ASC) AS rn
+        FROM ip WHERE vec_id < 8
+      ) WHERE rn <= {n_probe}
+    ),
+    cand AS (SELECT a.vec_id FROM assign a WHERE a.cell IN (SELECT cell FROM wanted)),
+    scored AS (
+      SELECT q.vec_id AS qid, c.vec_id AS nid,
+             list_cosine_similarity(q.e, v2.e) AS c
+      FROM vecs q JOIN cand c ON c.vec_id != q.vec_id
+      JOIN vecs v2 ON v2.vec_id = c.vec_id
+      WHERE q.vec_id < 8
+    ),
+    ranked AS (
+      SELECT qid, nid, row_number() OVER (PARTITION BY qid ORDER BY c DESC, nid ASC) AS rnk
+      FROM scored
+    )
+    SELECT qid AS query_id, nid AS neighbor_id, rnk AS rank FROM ranked WHERE rnk <= {k}"""
+
+    return Query(
+        lambda sf: similarity.ivf_topk(
+            _embeddings(sf),
+            query_ids=_QUERY_IDS,
+            k=k,
+            n_centroids=n_centroids,
+            n_probe=n_probe,
+        ),
+        sql,
+    )
+
+
+def _ann_pq(*, k: int, m: int, n_codes: int) -> Query:
+    def sql() -> str:
+        # PQ / ADC search recomputed in SQL from the trained codebook
+        # literals (deterministic per-subspace L2 k-means over the
+        # vec_id-sorted fixture sample — the IVF centroid-literal pattern).
+        # Encoding (argmin sub-distance, ties -> lowest code), the per-
+        # subspace lookup contributions and their 9-decimal-rounded sum all
+        # mirror stages/similarity.pq_topk; ranking ties break by id.
+        mat = _fixture_embedding_matrix(max_vec_id=2048)
+        norms = np.linalg.norm(mat, axis=1, keepdims=True)
+        norms[norms == 0] = 1.0
+        mat = mat / norms
+        dim = mat.shape[1]
+        dsub = dim // m
+        cb_rows = []
+        for s in range(m):
+            cents = similarity._l2_kmeans(mat[:, s * dsub : (s + 1) * dsub], n_codes)
+            for code in range(len(cents)):
+                vals = ",".join(repr(float(x)) for x in cents[code])
+                cb_rows.append(f"({s}, {code}, [{vals}]::DOUBLE[])")
+        cb_values = ", ".join(cb_rows)
+        return f"""
+    WITH cb(s, code, cv) AS (VALUES {cb_values}),
+    vecs AS (
+      SELECT vec_id,
+             list_transform(embedding::DOUBLE[],
+                 x -> x / sqrt(list_inner_product(embedding::DOUBLE[],
+                                                  embedding::DOUBLE[]))) AS e
+      FROM embeddings
+    ),
+    subs AS (
+      SELECT vec_id, sq.s, e[sq.s * {dsub} + 1 : (sq.s + 1) * {dsub}] AS xs
+      FROM vecs, (SELECT unnest(range(0, {m})) AS s) sq
+    ),
+    dist AS (
+      SELECT d.vec_id, d.s, c.code,
+             list_inner_product(d.xs, d.xs) - 2 * list_inner_product(d.xs, c.cv)
+                 + list_inner_product(c.cv, c.cv) AS d2
+      FROM subs d JOIN cb c ON c.s = d.s
+    ),
+    codes AS (
+      SELECT vec_id, s, code FROM (
+        SELECT vec_id, s, code,
+               row_number() OVER (PARTITION BY vec_id, s ORDER BY d2 ASC, code ASC) AS rn
+        FROM dist
+      ) WHERE rn = 1
+    ),
+    contrib AS (
+      SELECT q.vec_id AS qid, x.vec_id AS nid, list_inner_product(q.xs, c2.cv) AS part
+      FROM subs q
+      JOIN codes x ON x.s = q.s AND x.vec_id != q.vec_id
+      JOIN cb c2 ON c2.s = x.s AND c2.code = x.code
+      WHERE q.vec_id < 8
+    ),
+    scores AS (SELECT qid, nid, round(sum(part), 9) AS sc FROM contrib GROUP BY qid, nid),
+    ranked AS (
+      SELECT qid, nid, row_number() OVER (PARTITION BY qid ORDER BY sc DESC, nid ASC) AS rnk
+      FROM scores
+    )
+    SELECT qid AS query_id, nid AS neighbor_id, rnk AS rank FROM ranked WHERE rnk <= {k}"""
+
+    return Query(
+        lambda sf: similarity.pq_topk(
+            _embeddings(sf), query_ids=_QUERY_IDS, k=k, m=m, n_codes=n_codes
+        ),
+        sql,
+    )
+
+
+def _kmeans(*, n_clusters: int, refine_iters: int) -> Query:
+    return Query(
+        lambda sf: similarity.kmeans_assign(
+            _embeddings(sf), n_clusters=n_clusters, refine_iters=refine_iters
+        ),
+        lambda: _kmeans_sql(n_clusters, refine_iters),
+    )
+
+
+def _semdedup(*, n_clusters: int, threshold: float, refine_iters: int) -> Query:
+    def sql() -> str:
+        # Full SQL replay of stages/similarity.semdedup: the kmeans_assign
+        # replay (literal init centroids + Lloyd CTEs) provides the cluster
+        # assignment; keep = 0 iff some same-cluster member with a smaller
+        # vec_id has cosine >= threshold (the paper's column-max-over-strict-
+        # upper-triangle rule in EXISTS form).
+        # zero-norm guard (the engine maps zero vectors to cosine 0 via
+        # norms[norms==0]=1; unguarded list_cosine_similarity gives NaN,
+        # which DuckDB orders ABOVE the threshold) — same CASE pattern as
+        # _kmeans_sql's nrm CTE
+        return f"""
+    WITH assign AS ({_kmeans_sql(n_clusters, refine_iters)}),
+    v AS (
+      SELECT vec_id, e,
+             CASE WHEN sqrt(list_inner_product(e, e)) = 0 THEN 1.0
+                  ELSE sqrt(list_inner_product(e, e)) END AS nrm
+      FROM (SELECT vec_id, embedding::DOUBLE[] AS e FROM embeddings)
+    )
+    SELECT a.vec_id, a.cluster,
+           CASE WHEN EXISTS (
+               SELECT 1 FROM assign a2 JOIN v v2 ON v2.vec_id = a2.vec_id
+               WHERE a2.cluster = a.cluster AND a2.vec_id < a.vec_id
+                 AND list_inner_product(v1.e, v2.e) / (v1.nrm * v2.nrm)
+                     >= {threshold}
+           ) THEN 0 ELSE 1 END::BIGINT AS keep
+    FROM assign a JOIN v v1 ON v1.vec_id = a.vec_id"""
+
+    return Query(
+        lambda sf: similarity.semdedup(
+            _embeddings(sf),
+            n_clusters=n_clusters,
+            threshold=threshold,
+            refine_iters=refine_iters,
+        ),
+        sql,
+    )
+
+
+def _jl(*, out_dim: int, seed: int) -> Query:
+    def sql() -> str:
+        # The projection matrix literals come from the same RandomState the
+        # engine rebuilds per batch; the ÷root scale is float-exact.
+        import math
+
+        dim = _fixture_embedding_dim()
+        p = np.random.RandomState(seed).standard_normal((out_dim, dim))
+        root = math.isqrt(out_dim)
+        rows = ", ".join(
+            f"({d}, [{','.join(repr(float(x)) for x in p[d])}]::DOUBLE[])"
+            for d in range(out_dim)
+        )
+        return f"""
+    WITH p(dim_id, v) AS (VALUES {rows}),
+    e AS (SELECT vec_id, embedding::DOUBLE[] AS e FROM embeddings)
+    SELECT e.vec_id, p.dim_id::BIGINT AS dim_id,
+           round(list_inner_product(e.e, p.v) / {root}, 6) AS val
+    FROM e, p"""
+
+    return Query(
+        lambda sf: similarity.jl_project(_embeddings(sf), out_dim=out_dim, seed=seed),
+        sql,
+    )
+
+
+def _bounded_docs(sf_dir, max_doc_id: int):
+    return _docs(sf_dir, "doc_id", "text").map_batches(
+        lambda b: b.filter(pc.less(b.column("doc_id"), max_doc_id)),
+        batch_format="pyarrow",
+    )
+
+
+def _suffix_array(*, max_doc_id: int) -> Query:
+    # Dense rank of every bounded-corpus suffix by binary string order —
+    # DuckDB's default binary collation == the engine's codepoint order
+    # (UTF-8 is order-preserving).
+    return Query(
+        lambda sf: suffix.suffix_array(_bounded_docs(sf, max_doc_id)),
+        f"""
+        SELECT doc_id, t.pos::BIGINT AS pos,
+               dense_rank() OVER (ORDER BY substr(text, t.pos::INT + 1))::BIGINT
+                   AS srank
+        FROM documents, unnest(range(0, length(coalesce(text, '')))) t(pos)
+        WHERE doc_id < {max_doc_id}""",
+    )
+
+
+def _repeated_substrings(*, max_doc_id: int, min_len: int, cap: int) -> Query:
+    # Class sizes >= 2 give full-suffix repeats; adjacent DISTINCT
+    # suffixes give prefix repeats via a capped LCP probe — prefix
+    # equality is monotone, so max equal-k IS the LCP.
+    return Query(
+        lambda sf: suffix.repeated_substrings(
+            _bounded_docs(sf, max_doc_id), min_len=min_len, cap=cap
+        ),
+        f"""
+        WITH suf AS (
+            SELECT substr(text, t.pos::INT + 1) AS s
+            FROM documents, unnest(range(0, length(coalesce(text, '')))) t(pos)
+            WHERE doc_id < {max_doc_id}
+        ),
+        cls AS (SELECT s, count(*) AS c FROM suf GROUP BY s),
+        adj AS (SELECT s, c, lead(s) OVER (ORDER BY s) AS nxt FROM cls),
+        hits AS (
+            SELECT least(length(s), {cap})::BIGINT AS length,
+                   substr(s, 1, {cap}) AS substring
+            FROM adj WHERE c >= 2 AND least(length(s), {cap}) >= {min_len}
+            UNION ALL
+            SELECT lcp.k AS length, substr(s, 1, lcp.k::INT) AS substring
+            FROM adj, LATERAL (
+                SELECT coalesce(max(r.k), 0)::BIGINT AS k
+                FROM range(1, {cap + 1}) r(k)
+                WHERE substr(adj.s, 1, r.k::INT) = substr(adj.nxt, 1, r.k::INT)
+            ) lcp
+            WHERE adj.nxt IS NOT NULL AND lcp.k >= {min_len}
+        )
+        SELECT DISTINCT length, substring FROM hits""",
+    )
+
+
+def _rank_sql(iters: int, trust: bool = False) -> str:
+    """Unrolled power-iteration CTEs with the engine's exact integer
+    rule: base = (1e15*15)//(100*N); transfer = (r*85)//(100*outdeg).
+    ``trust`` (TrustRank) puts the base and the initial mass only on the
+    doc_id % 17 == 0 seeds, divided by the SEED count."""
+    total = 10**15
+    if trust:
+        seeds = "\n        ns AS (SELECT count(*) AS k FROM documents WHERE doc_id % 17 = 0),"
+        r0 = f"CASE WHEN doc_id % 17 = 0 THEN {total} // (SELECT k FROM ns) ELSE 0 END"
+        base = (
+            f"(CASE WHEN p.id % 17 = 0 THEN ({total} * 15) // (100 * (SELECT k FROM ns))"
+            " ELSE 0 END)"
+        )
+    else:
+        seeds = ""
+        r0 = f"{total} // (SELECT n FROM nn)"
+        base = f"({total} * 15) // (100 * (SELECT n FROM nn))"
+    parts = [
+        f"""
+        WITH nn AS (SELECT count(*) AS n FROM documents),{seeds}{_EDGES_SQL},
+        deg AS (SELECT src, count(*)::BIGINT AS outdeg FROM edges GROUP BY src),
+        r0 AS (SELECT doc_id AS id, ({r0})::BIGINT AS r FROM documents)"""
+    ]
+    for k in range(1, iters + 1):
+        parts.append(
+            f""",
+        r{k} AS (
+            SELECT p.id, ({base} + coalesce(c.s, 0))::BIGINT AS r
+            FROM r{k - 1} p
+            LEFT JOIN (
+                SELECT e.dst AS id, sum((r.r * 85) // (100 * d.outdeg)) AS s
+                FROM edges e JOIN r{k - 1} r ON r.id = e.src
+                             JOIN deg d ON d.src = e.src
+                GROUP BY e.dst
+            ) c ON c.id = p.id
+        )"""
+        )
+    parts.append(f"\n        SELECT id AS doc_id, r AS rank_units FROM r{iters}")
+    return "".join(parts)
+
+
+def _pagerank(*, iters: int, trust: bool = False) -> Query:
+    kind = "trustrank" if trust else "pagerank"
+    return Query(
+        lambda sf: ed.link_rank(sf, iters=iters, kind=kind), _rank_sql(iters, trust)
+    )
+
+
+def _spam_mass(*, iters: int) -> Query:
+    # Both unrolled rank CTE chains as derived tables, one equi-join.
+    # DuckDB // truncates toward zero while numpy floors, so the oracle
+    # subtracts the positive mod first (numerator then divides exactly;
+    # trunc == floor).
+    return Query(
+        lambda sf: ed.link_rank(sf, iters=iters, kind="spam_mass"),
+        f"""
+        SELECT p.doc_id,
+               p.rank_units AS pr_units,
+               t.rank_units AS tr_units,
+               (CASE WHEN p.rank_units > 0
+                     THEN (((p.rank_units - t.rank_units) * 1000)
+                           - (((((p.rank_units - t.rank_units) * 1000)
+                                % p.rank_units) + p.rank_units)
+                              % p.rank_units)) // p.rank_units
+                     ELSE 0 END)::BIGINT AS spam_mass_permille
+        FROM ({_rank_sql(iters)}) p
+        JOIN ({_rank_sql(iters, trust=True)}) t ON t.doc_id = p.doc_id""",
+    )
+
+
+def _frontier(rank: str, *, iters: int, per_host_cap: int, budget: int) -> Query:
+    # The rank replay -> host authority sum -> smallest-doc_id cap per
+    # host -> top-budget with the same (priority DESC, doc_id ASC)
+    # tie-break the engine sorts on.
+    return Query(
+        lambda sf: ed.frontier_priority(
+            sf, per_host_cap=per_host_cap, budget=budget, iters=iters, rank=rank
+        ),
+        f"""
+        WITH pr AS ({_rank_sql(iters, trust=rank == "trustrank")}),
+        hr AS (
+            SELECT 'site' || (doc_id % 97) || '.example.org' AS host,
+                   sum(rank_units)::BIGINT AS priority
+            FROM pr GROUP BY 1
+        ),
+        f AS (
+            SELECT d.doc_id, h.host, h.priority,
+                   row_number() OVER (
+                       PARTITION BY h.host ORDER BY d.doc_id) AS rn
+            FROM documents d
+            JOIN hr h ON h.host = 'site' || (d.doc_id % 97)
+                             || '.example.org'
+        )
+        SELECT doc_id, host, priority FROM f WHERE rn <= {per_host_cap}
+        ORDER BY priority DESC, doc_id ASC LIMIT {budget}""",
+    )
+
+
+def _hits(*, iters: int, shift: int, base_shift: int) -> Query:
+    """HITS needs degree VARIANCE to be non-vacuous: the standard crawl
+    link graph is 2-regular in AND out (both outlinks are bijections
+    mod N), on which hubs == authorities == the uniform vector.  This
+    query therefore pairs the first, linear outlink with a QUADRATIC one
+    ((d*d+7)%N — in-degrees spread 0..~6), giving the oracle real
+    structure to verify.  The oracle unrolls the half-rounds with the
+    engine's exact integer rule: a'(v) = (sum h over in-edges) //
+    2^shift, h'(u) = (sum a' over out-edges) // 2^shift, from
+    h0 = 2^base_shift per node."""
+
+    def run(sf_dir):
+        docs = _docs(sf_dir, "doc_id")
+        n = docs.count()
+
+        def nodes(batch: pa.Table) -> pa.Table:
+            return pa.table({"id": batch.column("doc_id").cast(pa.int64())})
+
+        def edges(batch: pa.Table) -> pa.Table:
+            d = np.asarray(batch.column("doc_id"), dtype=np.int64)
+            return pa.table(
+                {
+                    "src": pa.array(np.concatenate([d, d]), pa.int64()),
+                    "dst": pa.array(
+                        np.concatenate([outlinks(d, n)[0], (d * d + 7) % n]),
+                        pa.int64(),
+                    ),
+                }
+            )
+
+        return graph.hits(
+            docs.map_batches(nodes, batch_format="pyarrow"),
+            docs.map_batches(edges, batch_format="pyarrow"),
+            iters=iters,
+            scale_shift=shift,
+            base_shift=base_shift,
+        )
+
+    base = 1 << base_shift
+    div = 1 << shift
+    parts = [
+        f"""
+        WITH nn AS (SELECT count(*) AS n FROM documents),
+        edges AS (
+            SELECT doc_id AS src, {_OUTLINKS_SQL[0]} AS dst FROM documents
+            UNION ALL
+            SELECT doc_id, (doc_id*doc_id+7) % (SELECT n FROM nn) FROM documents
+        ),
+        n0 AS (SELECT doc_id AS id FROM documents),
+        h0 AS (SELECT id, {base}::BIGINT AS v FROM n0)"""
+    ]
+    prev_h = "h0"
+    for k in range(1, iters + 1):
+        parts.append(
+            f""",
+        a{k} AS (SELECT n0.id, coalesce(s.v, 0)::BIGINT AS v FROM n0 LEFT JOIN (
+            SELECT e.dst AS id, (sum({prev_h}.v) // {div})::BIGINT AS v
+            FROM edges e JOIN {prev_h} ON {prev_h}.id = e.src GROUP BY e.dst
+        ) s USING (id)),
+        h{k} AS (SELECT n0.id, coalesce(s.v, 0)::BIGINT AS v FROM n0 LEFT JOIN (
+            SELECT e.src AS id, (sum(a{k}.v) // {div})::BIGINT AS v
+            FROM edges e JOIN a{k} ON a{k}.id = e.dst GROUP BY e.src
+        ) s USING (id))"""
+        )
+        prev_h = f"h{k}"
+    parts.append(
+        f"""
+        SELECT h{iters}.id AS doc_id, h{iters}.v AS hub_units, a{iters}.v AS auth_units
+        FROM h{iters} JOIN a{iters} USING (id)"""
+    )
+    return Query(run, "".join(parts))
+
+
+def _near_dup_vs_snapshot(*, snapshot_max_id: int, threshold: float) -> Query:
+    # Cross-side restriction of the full minhash recomputation: the
+    # oracle's canonical doc_a < doc_b orientation puts the snapshot side
+    # in doc_a.
+    return Query(
+        lambda sf: dedup.near_dup_vs_snapshot(
+            _docs(sf), snapshot_max_id=snapshot_max_id, threshold=threshold
+        ),
+        f"""
+        WITH pairs AS ({_minhash_sql(threshold=threshold)})
+        SELECT doc_b AS new_doc, doc_a AS old_doc, est_jaccard
+        FROM pairs WHERE doc_a < {snapshot_max_id} AND doc_b >= {snapshot_max_id}""",
+    )
+
+
+_GROUPED_QS = [0.25, 0.5, 0.75, 0.95]
+
+
+def _value_quantiles(qs: list[float]) -> Query:
+    return Query(
+        lambda sf: quantiles.exact_quantiles(
+            read_parquet_clean(f"{sf}/events.parquet", columns=["value"]), "value", qs
+        ),
+        "\nUNION ALL\n".join(
+            f"SELECT {q}::DOUBLE AS q, "
+            f"percentile_disc({q}) WITHIN GROUP (ORDER BY value) AS value FROM events"
+            for q in qs
+        ),
+    )
+
+
+def _grouped_quantiles(
+    table: str, group: str, col: str, dtype: str | None = None
+) -> Query:
+    """Per-``group`` exact ``_GROUPED_QS`` quantiles of ``col``; ``dtype``
+    casts the discrete quantile back to an integral column's type, like
+    the oracle's percentile_disc."""
+
+    def run(sf_dir):
+        out = quantiles.grouped_quantiles(
+            read_parquet_clean(f"{sf_dir}/{table}.parquet", columns=[group, col]),
+            group,
+            col,
+            _GROUPED_QS,
+        )
+        if dtype is not None:
+            out["value"] = out["value"].astype(dtype)
+        return out
+
+    return Query(
+        run,
+        "\nUNION ALL\n".join(
+            f"SELECT {group}, {q}::DOUBLE AS q, "
+            f"percentile_disc({q}) WITHIN GROUP (ORDER BY {col}) AS value "
+            f"FROM {table} GROUP BY {group}"
+            for q in _GROUPED_QS
+        ),
+    )
+
+
+def _dhash_dups_sql(gray: str) -> str:
+    """dHash dedup replay over the 9x7 planted pixel formula ``gray``
+    (in d.doc_id, x.x, y.y): bit y*8+x set iff gray(x+1,y) > gray(x,y),
+    summed with <<, grouped by hash."""
     return f"""
-WITH p(dim_id, v) AS (VALUES {rows}),
-e AS (SELECT vec_id, embedding::DOUBLE[] AS e FROM embeddings)
-SELECT e.vec_id, p.dim_id::BIGINT AS dim_id,
-       round(list_inner_product(e.e, p.v) / {root}, 6) AS val
-FROM e, p"""
+        WITH g AS (
+            SELECT d.doc_id, x.x, y.y,
+                   {gray} AS gray
+            FROM documents d, range(9) x(x), range(7) y(y)
+        ),
+        bits AS (
+            SELECT a.doc_id, (a.y * 8 + a.x)::BIGINT AS idx
+            FROM g a JOIN g b
+              ON b.doc_id = a.doc_id AND b.y = a.y AND b.x = a.x + 1
+            WHERE a.x < 8 AND b.gray > a.gray
+        ),
+        h AS (
+            SELECT d.doc_id,
+                   coalesce(sum(1::BIGINT << idx), 0)::BIGINT AS dhash
+            FROM documents d LEFT JOIN bits USING (doc_id)
+            GROUP BY d.doc_id
+        )
+        SELECT dhash, min(doc_id) AS rep_doc, count(*)::BIGINT AS n_docs
+        FROM h GROUP BY dhash"""
 
 
-def _golden_corpus_sql() -> str:
-    # The reference's own recorded Fast outputs ARE the oracle: DuckDB
-    # reads the ported comparison corpus (scripts/comparison/data.go →
-    # tests/data/comparison_corpus.json) and excludes the 6 rows whose
-    # recorded values are internally inconsistent (same exclusion applied
-    # to the Ray side; see tests/golden_mismatches.json).
-    from pathlib import Path
+REGISTRY: dict[str, Query] = {
+    "extract_dates": Query(ed.extract_dates, _EXTRACT_SQL),
+    "extract_dates_extensive": Query(
+        lambda sf: ed.extract_dates(sf, skip_extensive_search=False),
+        _EXTRACT_SQL,
+    ),
+    "url_dates": Query(ed.url_dates, f"""
+        SELECT doc_id,
+               CASE WHEN doc_id % 4 = 2
+                    THEN strftime({_DATE_SQL}, '%Y-%m-%d')
+                    ELSE '' END AS url_date
+        FROM documents"""),
+    # Container round-trip: synthetic pages written as gzip'd WARC
+    # shards (ISO 28500), read back via read_binary_files + per-shard
+    # parse, doc_id recovered from the URL, then the same extraction
+    # cascade — verified against the extract_dates oracle.
+    "warc_extract_dates": Query(ed.warc_extract_dates, _EXTRACT_SQL),
+    # CDX random access: distributed (url, shard, offset, length)
+    # index over the gzip'd shards, then ONE seek+bounded-read per
+    # selected record — no shard scan — into the extraction cascade.
+    "warc_random_access": Query(
+        ed.warc_random_access_dates,
+        _EXTRACT_SQL + " WHERE doc_id < 20",
+    ),
+    "host_page_counts": Query(ed.host_page_counts, """
+        SELECT 'site' || (doc_id % 97) || '.example.org' AS host,
+               count(*) AS n_pages
+        FROM documents GROUP BY 1"""),
+    # Host connectivity from REAL page parses: DOM anchor extraction
+    # -> per-batch pair-count partials -> one small Sum groupby.
+    "host_link_edges": Query(ed.host_link_edges, f"""
+        WITH e AS ({_LINKS_SQL})
+        SELECT 'site' || (doc_id % 97) || '.example.org' AS src_host,
+               'site' || (t % 97) || '.example.org' AS dst_host,
+               count(*)::BIGINT AS n_links
+        FROM e GROUP BY 1, 2"""),
+    # Per-page outlink spam signals from REAL DOM parses (external
+    # ratio, distinct-host fanout) — stateless, no shuffle.
+    # pipelines/extract_dates.page_link_stats — the synthesized
+    # pages' two formula anchors replayed per page.
+    "page_link_stats": Query(ed.page_link_stats, f"""
+        WITH e AS ({_LINKS_SQL})
+        SELECT doc_id,
+               count(*)::BIGINT AS n_links,
+               sum(CASE WHEN t % 97 != doc_id % 97
+                        THEN 1 ELSE 0 END)::BIGINT AS n_external,
+               count(DISTINCT t % 97)::BIGINT AS n_distinct_hosts
+        FROM e GROUP BY doc_id"""),
+    # Connected components over the strong (n_links >= 2) host graph:
+    # string nodes -> md5-derived int ids -> min-label propagation,
+    # component surfaced as the labelling host string.
+    # pipelines/extract_dates.host_components — recursive reachability
+    # over the strong (n >= 2, src != dst) symmetric host graph;
+    # component = host whose md5-derived 63-bit id is minimal in the
+    # component (the engine's min-label convergence target).
+    "host_components": Query(
+        lambda sf: _typed_df(
+            ed.host_components(sf),
+            {"host": "string", "component": "string"},
+        ),
+        f"""
+        WITH RECURSIVE e AS ({_LINKS_SQL}),
+        g AS (
+            SELECT 'site' || (doc_id % 97) || '.example.org' AS s,
+                   'site' || (t % 97) || '.example.org' AS d,
+                   count(*) AS n
+            FROM e GROUP BY 1, 2
+        ),
+        ed AS (SELECT s, d FROM g WHERE n >= 2 AND s != d),
+        sym AS (SELECT s AS u, d AS v FROM ed
+                UNION SELECT d, s FROM ed),
+        reach(u, v) AS (
+            SELECT u, u FROM (SELECT DISTINCT u FROM sym)
+            UNION
+            SELECT r.u, e2.v FROM reach r JOIN sym e2 ON e2.u = r.v
+        )
+        SELECT u AS host,
+               arg_min(v, ('0x' || substr(md5(v), 1, 16))::UBIGINT >> 1)
+                   AS component
+        FROM reach GROUP BY u""",
+    ),
+    # Co-citation: target-host pairs sharing >= 3 distinct linking
+    # hosts (bucketed vectorized pair expansion, loud out-degree cap).
+    # pipelines/extract_dates.host_cocitation — distinct-edge self
+    # join per source, unordered target pairs with >= 3 shared
+    # sources (string < is byte-wise on both sides).
+    "host_cocitation": Query(ed.host_cocitation, f"""
+        WITH e AS ({_LINKS_SQL}),
+        de AS (
+            SELECT DISTINCT
+                   'site' || (doc_id % 97) || '.example.org' AS s,
+                   'site' || (t % 97) || '.example.org' AS d
+            FROM e
+        ),
+        p AS (
+            SELECT a.d AS host_a, b.d AS host_b
+            FROM de a JOIN de b ON a.s = b.s AND a.d < b.d
+        )
+        SELECT host_a, host_b, count(*)::BIGINT AS n_common
+        FROM p GROUP BY 1, 2 HAVING count(*) >= 3"""),
+    # Bibliographic coupling (the cocitation dual): source-host
+    # pairs linking to >= 3 common targets.
+    # pipelines/extract_dates.host_bib_coupling — the cocitation
+    # dual: distinct-edge self join per TARGET, unordered source
+    # pairs with >= 3 shared targets.
+    "host_bib_coupling": Query(ed.host_bib_coupling, f"""
+        WITH e AS ({_LINKS_SQL}),
+        de AS (
+            SELECT DISTINCT
+                   'site' || (doc_id % 97) || '.example.org' AS s,
+                   'site' || (t % 97) || '.example.org' AS d
+            FROM e
+        ),
+        p AS (
+            SELECT a.s AS host_a, b.s AS host_b
+            FROM de a JOIN de b ON a.d = b.d AND a.s < b.s
+        )
+        SELECT host_a, host_b, count(*)::BIGINT AS n_common
+        FROM p GROUP BY 1, 2 HAVING count(*) >= 3"""),
+    # Host-level curation gate: per-doc badword-rate flags rolled up
+    # to the host, whole host kept/dropped by flagged-doc rate.
+    # pipelines/extract_dates.host_quality_gate — per-doc badword
+    # rate flag (the badword_filter rule) rolled up to the fixture
+    # host, whole-host keep by flagged-doc rate (<= 20%).
+    "host_quality_gate": Query(ed.host_quality_gate, r"""
+        WITH f AS (
+            SELECT doc_id % 97 AS h,
+                   CASE WHEN len(regexp_extract_all(
+                                  text, '\b(?:slow|dup)\b')) * 1000
+                             <= len(regexp_extract_all(
+                                    text, '\S+')) * 50
+                        THEN 0 ELSE 1 END AS flagged
+            FROM documents
+        )
+        SELECT 'site' || h || '.example.org' AS host,
+               count(*)::BIGINT AS n_docs,
+               sum(flagged)::BIGINT AS n_flagged,
+               (CASE WHEN sum(flagged) * 1000 <= count(*) * 200
+                     THEN 1 ELSE 0 END)::BIGINT AS host_keep
+        FROM f GROUP BY 1"""),
+    # Anchor-text aggregation per target URL from REAL page parses:
+    # (dst, anchor) partial counts -> Sum groupby -> tiny per-dst
+    # finalize (rows per group = distinct anchors, not inlinks).
+    # Every synthesized anchor for target t reads 'related <t>', so
+    # the per-target summary collapses to count(*) inlinks with one
+    # distinct anchor string; the URL is the page_url formula over t.
+    "anchor_texts": Query(ed.anchor_text_summary, f"""
+        WITH e AS ({_LINKS_SQL})
+        SELECT {_URL_SQL.replace("doc_id", "t")} AS dst_url,
+               count(*)::BIGINT AS n_inlinks,
+               1::BIGINT AS n_anchor_texts,
+               'related ' || t AS top_anchor
+        FROM e GROUP BY t"""),
+    # Redirect-chain folding: path-doubling resolution (log2(chain)
+    # bucketed join rounds over int64 ids) + URL re-attach joins.
+    # Closed form of the synthesized chain rule (id%8!=0 -> id-1):
+    # the chain from id lands on id - id%8 after exactly id%8 hops.
+    # The engine must DISCOVER this by path doubling; the oracle
+    # states it directly.
+    "resolve_redirects": Query(ed.redirect_resolution, f"""
+        SELECT {_URL_SQL} AS url,
+               {_URL_SQL.replace("doc_id", "(doc_id - (doc_id % 8))")}
+                   AS final_url,
+               (doc_id % 8)::BIGINT AS hops
+        FROM documents"""),
+    # Generalized suffix array by prefix doubling (Manber-Myers over
+    # Ray Data; the ExactSubstr foundation).  Bounded to doc_id < 30
+    # (~15k suffixes) because the ORACLE sorts every suffix string;
+    # the operator itself is corpus-generic.
+    "suffix_array": _suffix_array(max_doc_id=30),
+    # ExactSubstr detection artifact: distinct repeated substrings
+    # (>= 20 chars, capped 64) from SA class sizes + adjacent-class
+    # LCPs; same doc bound as suffix_array (oracle sort cost).
+    "repeated_substrings": _repeated_substrings(max_doc_id=30, min_len=20, cap=64),
+    # Ingest hygiene: the REAL charset sniffing (BOM -> meta ->
+    # utf-8 -> latin-1) over planted-encoding page bytes.
+    # The planting restated: which charset the sniff must land on
+    # per doc_id % 13 variant (the engine runs real detection on
+    # real bytes; the oracle states the planted truth).
+    "charset_audit": Query(ed.charset_audit, """
+        SELECT doc_id,
+               CASE doc_id % 13
+                    WHEN 1 THEN 'windows-1252'
+                    WHEN 2 THEN ''
+                    WHEN 3 THEN 'iso-8859-1'
+                    WHEN 4 THEN ''
+                    ELSE 'utf-8' END AS declared_charset,
+               CASE doc_id % 13
+                    WHEN 1 THEN 'windows-1252'
+                    WHEN 2 THEN 'utf-8'
+                    WHEN 3 THEN 'iso-8859-1'
+                    WHEN 4 THEN 'latin-1'
+                    ELSE 'utf-8' END AS used_charset,
+               (doc_id % 13 = 2) AS has_bom
+        FROM documents"""),
+    # Change-based recrawl signal: real snapshot_diff statuses ->
+    # host attach -> per-batch partials -> Sum groupby -> exact ppm.
+    # Tracked = present in both snapshots (not new %17==3, ghosts
+    # excluded); changed = %10==0 among tracked — snapshot_diff's
+    # planting rules, restated per host with exact integer ppm.
+    "host_change_rates": Query(ed.host_change_rates, f"""
+        WITH {_TRACKED_SQL}
+        SELECT host,
+               count(*)::BIGINT AS n_tracked,
+               sum(ch)::BIGINT AS n_changed,
+               (sum(ch) * 1000000 // count(*))::BIGINT AS change_rate_ppm
+        FROM t GROUP BY host"""),
+    # Crawl-trap detection: URL count vs digit-collapsed template
+    # count per host; planted /cal/ exploders (host idx % 13 == 5)
+    # must flag, everyone else must not.
+    # URL synthesis (page_url + planted /cal/ exploders) restated in
+    # SQL; templates = digit runs collapsed to '0'; trap rule is the
+    # same integer inequality the engine applies.
+    "crawl_trap_hosts": Query(ed.crawl_trap_hosts, f"""
+        WITH urls AS (
+            SELECT 'site' || (doc_id % 97) || '.example.org' AS host,
+                   {_URL_SQL} AS url
+            FROM documents
+            UNION ALL
+            SELECT 'site' || (doc_id % 97) || '.example.org',
+                   'https://site' || (doc_id % 97)
+                       || '.example.org/cal/' || doc_id || '/' || k.k
+            FROM documents, range(12) k(k)
+            WHERE (doc_id % 97) % 13 = 5
+        ),
+        t AS (
+            SELECT host,
+                   regexp_replace(url, '[0-9]+', '0', 'g') AS template,
+                   count(*) AS n
+            FROM urls GROUP BY 1, 2
+        )
+        SELECT host, sum(n)::BIGINT AS n_urls,
+               count(*)::BIGINT AS n_templates,
+               (sum(n) >= 10 * count(*))::BIGINT AS trap
+        FROM t GROUP BY host"""),
+    # Rendezvous-hash frontier sharding across a resize: argmax of
+    # md5(shard:url) before (8 shards) and after (9); the minimal-
+    # movement property is pytest'd, the assignment is SQL-exact.
+    # Rendezvous weights are full 64-bit md5 prefixes; argmax per
+    # doc via row_number (wt DESC, s ASC — the engine's tie-break).
+    "shard_rendezvous": Query(ed.shard_rendezvous, f"""
+        WITH u AS (SELECT doc_id, {_URL_SQL} AS url FROM documents),
+        w AS (
+            SELECT doc_id, s.s,
+                   ('0x' || substr(md5(s.s || ':' || url), 1, 16))::UBIGINT
+                       AS wt
+            FROM u, range(9) s(s)
+        ),
+        b AS (SELECT doc_id, s AS shard_before FROM (
+                SELECT doc_id, s, row_number() OVER (
+                    PARTITION BY doc_id ORDER BY wt DESC, s ASC) AS rn
+                FROM w WHERE s < 8) WHERE rn = 1),
+        a AS (SELECT doc_id, s AS shard_after FROM (
+                SELECT doc_id, s, row_number() OVER (
+                    PARTITION BY doc_id ORDER BY wt DESC, s ASC) AS rn
+                FROM w) WHERE rn = 1)
+        SELECT b.doc_id, b.shard_before::BIGINT AS shard_before,
+               a.shard_after::BIGINT AS shard_after,
+               (b.shard_before <> a.shard_after)::BIGINT AS moved
+        FROM b JOIN a USING (doc_id)"""),
+    # STRAND-style bitext mining: /de/ mirror pages join their en
+    # originals on the marker-stripped URL template (distributed
+    # hash_join), then the 2:1 token-length ratio filter.
+    # Planted /de/ mirrors (doc % 23 == 4, non-date-path) with token
+    # count n + doc%3 - 1; the join key is the en URL itself, so the
+    # pair set is exactly the planted set passing the ratio test.
+    "bitext_candidates": Query(ed.bitext_candidates, r"""
+        WITH d AS (
+            SELECT doc_id,
+                   CASE WHEN trim(text) = '' THEN 0
+                        ELSE length(regexp_split_to_array(trim(text), '\s+'))
+                   END AS n
+            FROM documents
+        )
+        SELECT doc_id AS en_doc, doc_id AS de_doc,
+               'site' || (doc_id % 97) || '.example.org' AS host,
+               n AS n_tokens_en,
+               (n + doc_id % 3 - 1)::BIGINT AS n_tokens_de
+        FROM d
+        WHERE doc_id % 23 = 4 AND doc_id % 4 != 2
+          AND n <= 2 * (n + doc_id % 3 - 1)
+          AND (n + doc_id % 3 - 1) <= 2 * n"""),
+    # Link-farm signal: host pairs linking to EACH OTHER, both
+    # directed counts, from the real page-parsed edge list — one
+    # Min/Sum groupby on the unordered pair key.
+    # Mutual edges via a direction-swapped self-join of the edge
+    # CTE; host_a < host_b picks one orientation and drops loops.
+    "reciprocal_links": Query(ed.reciprocal_links, f"""
+        WITH e AS ({_LINKS_SQL}),
+        g AS (
+            SELECT 'site' || (doc_id % 97) || '.example.org' AS src_host,
+                   'site' || (t % 97) || '.example.org' AS dst_host,
+                   count(*)::BIGINT AS n_links
+            FROM e GROUP BY 1, 2
+        )
+        SELECT a.src_host AS host_a, a.dst_host AS host_b,
+               a.n_links AS links_ab, b.n_links AS links_ba
+        FROM g a JOIN g b
+          ON b.src_host = a.dst_host AND b.dst_host = a.src_host
+        WHERE a.src_host < a.dst_host"""),
+    # Scheduler policy composition: host authority = summed integer
+    # PageRank -> per-host politeness cap -> global top-budget.
+    "frontier_priority": _frontier("pagerank", iters=3, per_host_cap=3, budget=100),
+    # Anti-spam scheduler variant: per-host budget keyed on seeded
+    # TrustRank mass instead of raw PageRank.
+    "trusted_frontier_priority": _frontier(
+        "trustrank", iters=3, per_host_cap=3, budget=100,
+    ),
+    # Triangle counting on the oriented host graph: wedges join +
+    # closing-edge join (both bucketed), each triangle credits its
+    # three hosts; zero-triangle hosts included.
+    # Oriented distinct host edges from the link formula, the same
+    # two-join triangle enumeration (b < c wedge once), per-host
+    # credit of all three corners, zero hosts via LEFT JOIN.
+    "host_triangles": Query(ed.host_triangles, """
+        WITH e0 AS (
+            SELECT doc_id % 97 AS s,
+                   ((doc_id*13+1) % (SELECT count(*) FROM documents)) % 97
+                       AS t
+            FROM documents
+            UNION ALL
+            SELECT doc_id % 97,
+                   ((doc_id*29+7) % (SELECT count(*) FROM documents)) % 97
+            FROM documents
+        ),
+        e AS (
+            SELECT DISTINCT least(s, t) AS a, greatest(s, t) AS b
+            FROM e0 WHERE s <> t
+        ),
+        tri AS (
+            SELECT w1.a AS a, w1.b AS b, w2.b AS c
+            FROM e w1
+            JOIN e w2 ON w2.a = w1.a AND w2.b > w1.b
+            JOIN e w3 ON w3.a = w1.b AND w3.b = w2.b
+        ),
+        m AS (
+            SELECT a AS h FROM tri
+            UNION ALL SELECT b FROM tri
+            UNION ALL SELECT c FROM tri
+        )
+        SELECT 'site' || hh.h || '.example.org' AS host,
+               coalesce(t.n, 0)::BIGINT AS n_triangles
+        FROM (SELECT DISTINCT doc_id % 97 AS h FROM documents) hh
+        LEFT JOIN (SELECT h, count(*) AS n FROM m GROUP BY h) t
+          USING (h)"""),
+    # Hierarchical heavy-hitter frontier over URL paths: deepest
+    # per-host prefixes whose subtree count >= 4 (light pair
+    # shuffles + a bounded candidate small side).
+    # Prefix lattice: directory prefixes (trailing '/') + full-path
+    # leaf; maximal-depth rule via starts_with anti-check among the
+    # >= 4 candidates — same lattice convention as the engine.
+    "hot_paths": Query(ed.hot_paths, f"""
+        WITH u AS (
+            SELECT 'site' || (doc_id % 97) || '.example.org' AS hostn,
+                   CASE WHEN doc_id % 4 = 2
+                        THEN '/' || strftime({_DATE_SQL}, '%Y/%m/%d')
+                             || '/post-' || doc_id || '.html'
+                        ELSE '/article/' || doc_id || '.html' END AS path
+            FROM documents
+        ),
+        segs AS (SELECT hostn, path, string_split(path, '/') AS a FROM u),
+        pref AS (
+            SELECT hostn, array_to_string(a[1:i], '/') || '/' AS prefix
+            FROM segs, unnest(range(1, len(a))) t(i)
+            UNION ALL
+            SELECT hostn, path FROM u WHERE path != '/'
+        ),
+        c AS (
+            SELECT hostn, prefix, count(*)::BIGINT AS n_urls
+            FROM pref GROUP BY 1, 2 HAVING count(*) >= 4
+        )
+        SELECT p.hostn AS host, p.prefix, p.n_urls FROM c p
+        WHERE NOT EXISTS (
+            SELECT 1 FROM c q
+            WHERE q.hostn = p.hostn AND q.prefix != p.prefix
+              AND starts_with(q.prefix, p.prefix)
+        )"""),
+    # Structured-data harvesting: JSON-LD block count / @type /
+    # datePublished per page through the REAL parse + json path.
+    # Variant doc_id % 4 == 1 embeds exactly one NewsArticle block
+    # with the iso-formula datePublished; every other variant has no
+    # JSON-LD at all.
+    "jsonld_summary": Query(ed.jsonld_summary, f"""
+        SELECT doc_id,
+               CASE WHEN doc_id % 4 = 1 THEN 1 ELSE 0 END::BIGINT
+                   AS n_jsonld,
+               CASE WHEN doc_id % 4 = 1 THEN 'NewsArticle' ELSE '' END
+                   AS jsonld_types,
+               CASE WHEN doc_id % 4 = 1 THEN
+                    strftime({_DATE_SQL}, '%Y-%m-%d') || 'T'
+                    || lpad((doc_id % 24)::VARCHAR, 2, '0') || ':'
+                    || lpad((doc_id % 60)::VARCHAR, 2, '0')
+                    || ':00+00:00'
+               ELSE '' END AS date_published
+        FROM documents"""),
+    # Mirror/scraper host detection: host pairs with >= 2 near-dup
+    # docs (planted verbatim mirror of host 2 onto host 86; every
+    # natural singleton host pair must be dropped).
+    # Augmented corpus (verbatim mirrors of host-2 docs at host 86)
+    # through the FULL minhash recomputation, folded to unordered
+    # host pairs with the >= 2 threshold.
+    "mirror_hosts": Query(ed.mirror_hosts, f"""
+        WITH aug AS (
+            SELECT doc_id, text FROM documents
+            UNION ALL
+            SELECT 3000000 + ((doc_id - 2) // 97) * 97 + 5 AS doc_id,
+                   text
+            FROM documents WHERE doc_id % 97 = 2
+        ),
+        pairs AS ({_minhash_sql(table="aug")}),
+        h AS (
+            SELECT least(doc_a % 97, doc_b % 97) AS a,
+                   greatest(doc_a % 97, doc_b % 97) AS b
+            FROM pairs WHERE doc_a % 97 != doc_b % 97
+        )
+        SELECT 'site' || a || '.example.org' AS host_a,
+               'site' || b || '.example.org' AS host_b,
+               count(*)::BIGINT AS n_pairs
+        FROM h GROUP BY a, b HAVING count(*) >= 2"""),
+    # Conjunctive (boolean AND) retrieval: docs containing every
+    # query term, summed tf — matching postings only ever shuffle.
+    # Docs with ALL three terms; per-doc tf summed over the terms.
+    "boolean_and_search": Query(
+        lambda sf: search.boolean_and_search(
+            _docs(sf, "doc_id", "text"), ("merge", "window", "spark")
+        ),
+        r"""
+        WITH toks AS (
+            SELECT doc_id,
+                   unnest(regexp_split_to_array(trim(text), '\s+')) AS term
+            FROM documents WHERE trim(text) != ''
+        ),
+        m AS (
+            SELECT doc_id, term, count(*)::BIGINT AS tf FROM toks
+            WHERE term IN ('merge', 'window', 'spark') GROUP BY 1, 2
+        )
+        SELECT doc_id, sum(tf)::BIGINT AS total_tf
+        FROM m GROUP BY doc_id HAVING count(*) = 3""",
+    ),
+    # Order-insensitive corpus checksum: commutative sum/xor monoids
+    # over per-row 63-bit md5 — block order / resume path invariant.
+    # 63-bit md5 per row; sum mod 2^63 and bit_xor are the engine's
+    # exact commutative monoids.
+    "corpus_checksum": Query(
+        lambda sf: sketches.corpus_checksum(_docs(sf, "doc_id", "text")),
+        """
+        WITH h AS (
+            SELECT (('0x' || substr(md5(doc_id || ':' || coalesce(text, '')),
+                                    1, 16))::UBIGINT >> 1) AS h
+            FROM documents
+        )
+        SELECT count(*)::BIGINT AS n_docs,
+               (sum(h::HUGEINT) % 9223372036854775808)::BIGINT AS sum_hash,
+               bit_xor(h)::BIGINT AS xor_hash
+        FROM h""",
+    ),
+    # DUST alias->canonical URL rewrite map: light (content_hash,
+    # url) rows -> one keyed groupby -> per-family emission
+    # (planted mirror families; the natural corpus has no dups).
+    # Mirror-family planting recomputed in SQL; canonical = min(url)
+    # per content family, one alias row per non-canonical member.
+    "url_aliases": Query(ed.url_alias_map, f"""
+        WITH c AS (
+            SELECT {_URL_SQL} AS url,
+                   CASE WHEN doc_id % 41 = 3
+                        THEN 'mirror family ' || (doc_id % 3)
+                        ELSE coalesce(text, '') END AS content
+            FROM documents
+        ),
+        g AS (
+            SELECT url,
+                   min(url) OVER (PARTITION BY content) AS canonical_url,
+                   count(*) OVER (PARTITION BY content) AS n
+            FROM c
+        )
+        SELECT canonical_url, url AS alias_url
+        FROM g WHERE n >= 2 AND url != canonical_url"""),
+    # Per-wave fetch-budget apportionment: host counts -> bucketed
+    # prefix sums -> cumulative rounding (sums to EXACTLY budget).
+    # budget=137 deliberately: a budget that is an exact multiple of
+    # the frontier total makes allocated = k*n_urls independent of
+    # the cumulative order, silently bypassing the prefix-sum path
+    # (how the ordered_cumsum int64-overflow bug initially slipped
+    # past a budget=1000-over-500-URL oracle).
+    # Cumulative-rounding apportionment in exact BIGINT arithmetic,
+    # ordered by the same md5-int63 host hash the engine ranks on.
+    "crawl_budget_allocation": Query(
+        lambda sf: ed.crawl_budget_allocation(sf, budget=137),
+        """
+        WITH c AS (
+            SELECT 'site' || (doc_id % 97) || '.example.org' AS host,
+                   count(*)::BIGINT AS n_urls
+            FROM documents GROUP BY 1
+        ),
+        h AS (
+            SELECT host, n_urls,
+                   (('0x' || substr(md5(host), 1, 16))::UBIGINT >> 1)::BIGINT AS h63
+            FROM c
+        ),
+        t AS (SELECT sum(n_urls)::BIGINT AS total FROM h),
+        cu AS (
+            SELECT host, n_urls,
+                   sum(n_urls) OVER (ORDER BY h63)::BIGINT AS cum
+            FROM h
+        )
+        SELECT host, n_urls,
+               ((2*cum*137 + total) // (2*total)
+                - (2*(cum - n_urls)*137 + total) // (2*total))::BIGINT
+                   AS allocated
+        FROM cu, t""",
+    ),
+    # Bloom URL-seen membership (the OR-monoid half of the north
+    # rule's "bloom/cuckoo" seen state): per-block bitmap partials
+    # -> tiny driver OR -> broadcast probe.  Deliberately UNDERSIZED
+    # (1024 bits / ~333 keys, fill ~0.73) so the oracle exercises
+    # real false positives, not just the no-false-negative side.
+    # Full Bloom recomputation: Kirsch-Mitzenmacher double hashing
+    # on the first-8-md5-bytes UBIGINT key hash; the filter's set
+    # bits are the DISTINCT positions of the build side, membership
+    # = all k probe positions present (LEFT JOIN count).
+    "bloom_seen_check": Query(ed.bloom_seen_audit, f"""
+        WITH pages AS (SELECT doc_id, {_URL_SQL} AS url FROM documents),
+        ph AS (
+            SELECT doc_id, ('0x' || substr(md5(url), 1, 16))::UBIGINT AS h64
+            FROM pages
+        ),
+        bits AS (
+            SELECT DISTINCT ((h64 >> 32) + i::UBIGINT *
+                ((h64 & 4294967295::UBIGINT) | 1::UBIGINT)) % 1024::UBIGINT AS pos
+            FROM ph, range(0, 4) t(i) WHERE doc_id % 3 != 0
+        ),
+        pp AS (
+            SELECT doc_id, ((h64 >> 32) + i::UBIGINT *
+                ((h64 & 4294967295::UBIGINT) | 1::UBIGINT)) % 1024::UBIGINT AS pos
+            FROM ph, range(0, 4) t(i)
+        ),
+        hits AS (
+            SELECT pp.doc_id, count(b.pos) = 4 AS maybe_seen
+            FROM pp LEFT JOIN bits b ON b.pos = pp.pos GROUP BY pp.doc_id
+        )
+        SELECT p.doc_id, h.maybe_seen, (p.doc_id % 3 != 0) AS is_seen,
+               (h.maybe_seen AND p.doc_id % 3 = 0) AS false_positive
+        FROM pages p JOIN hits h USING (doc_id)"""),
+    # Registrable-domain extraction (publicsuffix.org algorithm):
+    # per-domain crawl state groups on this, not raw host.  Hosts
+    # synthesized from doc_id to hit every branch (wildcard *.ck,
+    # exception !www.ck, host == suffix, implicit *).
+    # Independent PSL-match recomputation: per-host candidate label
+    # suffixes (lateral unnest) vs the literal rule lists; exception
+    # beats wildcard/exact beats the implicit '*' single-label rule.
+    "registrable_domains": Query(ed.registrable_domains, _psl_domains_sql()),
+    # Per-registrable-domain page counts over the PSL fixture —
+    # the grouping granularity per-domain politeness/quotas use.
+    # domain groupby over the same PSL host derivation; suffix-only
+    # hosts (registrable = '') group under the suffix itself
+    "domain_page_counts": Query(ed.domain_page_counts, f"""
+        SELECT CASE WHEN registrable_domain = '' THEN public_suffix
+                    ELSE registrable_domain END AS domain,
+               count(*)::BIGINT AS n_pages
+        FROM ({_psl_domains_sql()}) GROUP BY 1"""),
+    # Per-registrable-domain curation rollup: PSL domain + token /
+    # char counts + stopword lang-ID composed on the one reused key.
+    "domain_quality_rollup": Query(ed.domain_quality_rollup, rf"""
+        WITH rd AS ({_psl_domains_sql()}),
+        lang AS ({_lang_id_sql()}),
+        tc AS (
+          SELECT doc_id,
+            CASE WHEN trim(coalesce(text, '')) = '' THEN 0
+                 ELSE length(regexp_split_to_array(trim(text), '\s+'))
+            END::BIGINT AS toks,
+            length(coalesce(text, ''))::BIGINT AS chars
+          FROM documents)
+        SELECT CASE WHEN rd.registrable_domain = '' THEN rd.public_suffix
+                    ELSE rd.registrable_domain END AS domain,
+          count(*)::BIGINT AS n_docs,
+          sum(tc.toks)::BIGINT AS total_tokens,
+          sum(tc.chars)::BIGINT AS total_chars,
+          sum(CASE WHEN lang.pred_lang = 'en' THEN 1 ELSE 0 END)::BIGINT
+              AS n_en_docs
+        FROM rd JOIN tc USING (doc_id) JOIN lang USING (doc_id)
+        GROUP BY 1"""),
+    # Cho & Garcia-Molina change-based revisit schedule: exact
+    # integer intervals on top of the real host_change_rates
+    # pipeline (snapshot FULL-outer diff -> per-host ppm).
+    # clamp(10^6 // max(ppm,1) // 16, 1, 32) on the change rates
+    "recrawl_intervals": Query(ed.recrawl_intervals, f"""
+        WITH {_TRACKED_SQL},
+        r AS (
+            SELECT host,
+                   (sum(ch) * 1000000 // count(*))::BIGINT AS change_rate_ppm
+            FROM t GROUP BY host
+        )
+        SELECT host, change_rate_ppm,
+               least(32, greatest(1,
+                   1000000 // greatest(change_rate_ppm, 1) // 16
+               ))::BIGINT AS interval_waves
+        FROM r"""),
+    # Content-defined chunking (FastCDC/LBFS gear-hash family, pure
+    # form): boundaries are functions of the preceding 64 code
+    # points, so edits shift only neighboring chunks — the chunk-
+    # level dedup front-end.  Batch-concat vectorized (64 shifted
+    # uint64 adds per BLOCK, not per doc); no shuffle.
+    # Full gear-hash recomputation: per-position window sums with
+    # literal powers of two, HUGEINT mod-2^64 = the engine's uint64
+    # wrap-around; chunk assembly via lag() over boundary positions.
+    "cdc_chunks": Query(_text_map(text_stage.cdc_chunk_batch), _cdc_sql()),
+    # Chunk-level dedup over the CDC keys (what CDC exists for):
+    # local pair pre-count -> pair Sum -> per-key Sum+Count -> dup
+    # filter; the natural corpus repeats 178 chunk keys at sf0.01,
+    # so no planting is needed for a non-degenerate oracle.
+    # dedup summary over the same gear chunking
+    "cdc_dup_chunks": Query(
+        lambda sf: cleaning.cdc_dup_chunk_stats(_docs(sf, "doc_id", "text")),
+        f"""
+WITH c AS ({_cdc_sql()})
+SELECT chunk_md5, count(*)::BIGINT AS n_occurrences,
+   count(DISTINCT doc_id)::BIGINT AS n_docs
+FROM c GROUP BY 1 HAVING count(*) > 1""",
+    ),
+    # Corpus temporal profile: full extraction cascade -> per-year
+    # partial counts -> tiny Sum groupby.
+    "date_year_histogram": Query(ed.date_year_histogram, f"""
+        SELECT substr(strftime({_DATE_SQL}, '%Y-%m-%d'), 1, 4) AS year,
+               count(*)::BIGINT AS n_pages
+        FROM documents GROUP BY 1"""),
+    "token_counts": Query(_text_map(text_stage.token_count_batch), r"""
+        SELECT doc_id,
+               CASE WHEN trim(text) = '' THEN 0
+                    ELSE length(regexp_split_to_array(trim(text), '\s+')) END
+                   AS n_tokens
+        FROM documents"""),
+    "quality_scores": Query(_text_map(text_stage.quality_batch), r"""
+        WITH t AS (
+            SELECT doc_id, text,
+                   CASE WHEN trim(text) = '' THEN []::VARCHAR[]
+                        ELSE regexp_split_to_array(trim(text), '\s+') END AS toks
+            FROM documents
+        )
+        SELECT doc_id,
+               length(text) AS n_chars_calc,
+               length(toks) AS n_tokens,
+               length(list_distinct(toks)) AS n_uniq_tokens,
+               CASE WHEN length(text) = 0 THEN 0.0
+                    ELSE round(
+                        (length(text) - length(regexp_replace(text,
+                            '[.,;:!?''"()\[\]{}-]', '', 'g')))::DOUBLE
+                        / length(text), 6) END AS punct_ratio,
+               CASE WHEN length(toks) = 0 THEN 0.0
+                    ELSE round(
+                        length(list_filter(toks, w -> list_contains(
+                            ['the','and','of','to','in','is','that','for','with','a'],
+                            lower(w))))::DOUBLE / length(toks), 6) END AS stopword_ratio
+        FROM t"""),
+    # C4-style badword blocklist filter as a rate gate — both counts
+    # are one RE2 count_substring_regex kernel over the column.
+    # stages/cleaning.badword_batch — same RE2 patterns, integer
+    # rate gate (5% bad-token rate).
+    "badword_filter": Query(_text_map(cleaning.badword_batch), r"""
+        SELECT doc_id,
+               len(regexp_extract_all(text, '\S+'))::BIGINT AS n_tokens,
+               len(regexp_extract_all(text, '\b(?:slow|dup)\b'))::BIGINT
+                   AS n_bad,
+               (CASE WHEN len(regexp_extract_all(
+                               text, '\b(?:slow|dup)\b')) * 1000
+                          <= len(regexp_extract_all(text, '\S+')) * 50
+                     THEN 1 ELSE 0 END)::BIGINT AS keep
+        FROM documents"""),
+    # Per-host template/boilerplate line detection (within-domain
+    # line dedup): planted footer (100%) + nav (~50%, the threshold
+    # boundary) lines; lines shuffle as md5 hashes, never text.
+    # stages/cleaning.host_boilerplate_lines over
+    # plant_host_template_lines — per-doc distinct (host, line)
+    # rows, doc counts per host, exact integer rate threshold.
+    "host_boilerplate": Query(
+        lambda sf: cleaning.host_boilerplate_lines(
+            _text_map(cleaning.plant_host_template_lines)(sf)
+        ),
+        r"""
+        WITH dl AS (
+            SELECT DISTINCT doc_id, doc_id % 97 AS h,
+                   trim(regexp_replace(text, '[ \t\n\r\f\v]+', ' ', 'g'),
+                        ' ') AS ln
+            FROM documents
+            WHERE trim(regexp_replace(text, '[ \t\n\r\f\v]+', ' ', 'g'),
+                       ' ') != ''
+            UNION
+            SELECT DISTINCT doc_id, doc_id % 97,
+                   'home | news | archive | site' || (doc_id % 97)
+            FROM documents WHERE doc_id % 2 = 0
+            UNION
+            SELECT DISTINCT doc_id, doc_id % 97,
+                   'copyright site' || (doc_id % 97)
+                       || '.example.org all rights reserved'
+            FROM documents
+        ),
+        lc AS (SELECT h, ln, count(*)::BIGINT AS n_line
+               FROM dl GROUP BY 1, 2),
+        hc AS (SELECT doc_id % 97 AS h, count(*)::BIGINT AS n_docs
+               FROM documents GROUP BY 1)
+        SELECT 'site' || lc.h || '.example.org' AS host,
+               md5(lc.ln) AS line_md5,
+               lc.n_line AS n_docs_line,
+               hc.n_docs AS n_docs_host,
+               ((lc.n_line * 1000) // hc.n_docs)::BIGINT AS per_mille
+        FROM lc JOIN hc ON hc.h = lc.h
+        WHERE hc.n_docs >= 3 AND lc.n_line * 1000 >= hc.n_docs * 500""",
+    ),
+    # RAG/LM context chunking: overlapping 100-char windows, stride
+    # 80 — a stateless flat expansion (rows ≈ len/stride per doc).
+    "chunk_documents": Query(
+        _text_map(lambda b: text_stage.chunk_batch(b, size=100, stride=80)),
+        r"""
+        WITH s AS (
+            SELECT unnest(generate_series(
+                1,
+                (SELECT max(greatest(length(text), 1)) FROM documents),
+                80)) AS g
+        )
+        SELECT d.doc_id,
+               CAST((s.g - 1) // 80 AS BIGINT) AS chunk_id,
+               s.g::BIGINT AS chunk_start,
+               substring(d.text, s.g::INT, 100) AS chunk_text
+        FROM documents d JOIN s ON s.g <= greatest(length(d.text), 1)""",
+    ),
+    # Unicode hygiene: NFC audit over fixture text with planted
+    # decomposed characters (every 7th doc) so both sides trigger.
+    "normalize_text": Query(_normalize_text, r"""
+        WITH t AS (
+            SELECT doc_id,
+                   text || CASE WHEN doc_id % 7 = 0
+                                THEN ' cafe' || chr(769) ELSE '' END AS raw
+            FROM documents
+        )
+        SELECT doc_id,
+               (raw = nfc_normalize(raw)) AS was_nfc,
+               length(nfc_normalize(raw))::BIGINT AS n_chars_norm,
+               md5(nfc_normalize(raw)) AS norm_md5
+        FROM t"""),
+    # Arrow-native URL decomposition over the synthesized frontier.
+    "url_components": Query(ed.url_components, f"""
+        SELECT doc_id,
+               'https' AS scheme,
+               'site' || (doc_id % 97) || '.example.org' AS host,
+               CASE WHEN doc_id % 4 = 2
+                    THEN strftime({_DATE_SQL}, '/%Y/%m/%d/')
+                         || 'post-' || doc_id || '.html'
+                    ELSE '/article/' || doc_id || '.html' END AS path,
+               (CASE WHEN doc_id % 4 = 2 THEN 4 ELSE 2 END)::BIGINT
+                   AS path_depth,
+               CASE WHEN doc_id % 4 = 2
+                    THEN 'post-' || doc_id || '.html'
+                    ELSE doc_id || '.html' END AS filename
+        FROM documents"""),
+    # Sitemap ingestion: distributed host discovery -> per-host
+    # sitemap fetch+parse inside the mapper (frontier bootstrap).
+    "sitemap_urls": Query(sitemap.sitemap_urls, _SITEMAP_SQL),
+    # Robots-driven bootstrap: hosts -> robots.txt Sitemap: directives
+    # -> declared sitemaps (same result set, plus the robots hop).
+    "sitemap_from_robots": Query(sitemap.sitemap_urls_from_robots, _SITEMAP_SQL),
+    # HTML -> visible-text extraction over the synthesized pages
+    # (block-walk rule documented in stages/text_extract.py; the
+    # oracle recomputes the exact text from the fixture columns).
+    "page_texts": Query(text_extract.page_texts, f"""
+        WITH s AS (
+            SELECT unnest(generate_series(
+                1,
+                (SELECT max(greatest(length(text), 1)) FROM documents),
+                400)) AS g
+        ),
+        chunks AS (
+            SELECT d.doc_id,
+                   string_agg(
+                       nullif(trim(regexp_replace(
+                           substring(d.text, s.g::INT, 400),
+                           '\\s+', ' ', 'g')), ''),
+                       chr(10) ORDER BY s.g) AS body
+            FROM documents d JOIN s ON s.g <= greatest(length(d.text), 1)
+            GROUP BY d.doc_id
+        ),
+        exp AS (
+            SELECT d.doc_id,
+                   'Document ' || d.doc_id
+                   || CASE WHEN d.doc_id % 4 = 3
+                           THEN chr(10) || strftime({_DATE_SQL}, '%Y-%m-%d')
+                           ELSE '' END
+                   || COALESCE(chr(10) || c.body, '')
+                   || chr(10) || 'related '
+                   || ((d.doc_id * 13 + 1) % (SELECT count(*) FROM documents))
+                   || ' related '
+                   || ((d.doc_id * 29 + 7) % (SELECT count(*) FROM documents))
+                       AS t
+            FROM documents d JOIN chunks c USING (doc_id)
+        )
+        SELECT doc_id, length(t)::BIGINT AS n_chars, md5(t) AS text_md5
+        FROM exp"""),
+    # jusText-style content/boilerplate block classification over
+    # REAL page parses (word count + link density per block).
+    # jusText oracle: the synthesized page's blocks are h1
+    # ('Document N', 2 words), the variant-3 <time> line (1 word),
+    # the 400-char <p> chunks (word counts recomputed per chunk,
+    # 0 link words), and the footer ('related X related Y', 4 words
+    # all inside anchors -> link density 1).  good = nw >= 10 AND
+    # 2*nl < nw, so only the long-enough paragraph chunks qualify.
+    "boilerplate_blocks": Query(text_extract.boilerplate_blocks, r"""
+        WITH s AS (
+            SELECT unnest(generate_series(
+                1,
+                (SELECT max(greatest(length(text), 1)) FROM documents),
+                400)) AS g
+        ),
+        pb AS (
+            SELECT d.doc_id, s.g,
+                   nullif(trim(regexp_replace(
+                       substring(d.text, s.g::INT, 400),
+                       '\s+', ' ', 'g')), '') AS btxt
+            FROM documents d JOIN s ON s.g <= greatest(length(d.text), 1)
+        ),
+        pw AS (
+            SELECT doc_id, g, btxt,
+                   length(regexp_split_to_array(btxt, '\s+'))::BIGINT AS nw
+            FROM pb WHERE btxt IS NOT NULL
+        ),
+        agg AS (
+            SELECT doc_id,
+                   count(*)::BIGINT AS n_para,
+                   sum(CASE WHEN nw >= 10 THEN 1 ELSE 0 END)::BIGINT
+                       AS n_good,
+                   sum(CASE WHEN nw >= 10 THEN nw ELSE 0 END)::BIGINT
+                       AS good_words,
+                   sum(CASE WHEN nw < 10 THEN nw ELSE 0 END)::BIGINT
+                       AS short_para_words,
+                   string_agg(CASE WHEN nw >= 10 THEN btxt END,
+                              chr(10) ORDER BY g) AS good_txt
+            FROM pw GROUP BY doc_id
+        )
+        SELECT d.doc_id,
+               (2 + CASE WHEN d.doc_id % 4 = 3 THEN 1 ELSE 0 END
+                  + coalesce(a.n_para, 0))::BIGINT AS n_blocks,
+               coalesce(a.n_good, 0)::BIGINT AS n_good,
+               coalesce(a.good_words, 0)::BIGINT AS good_words,
+               (6 + CASE WHEN d.doc_id % 4 = 3 THEN 1 ELSE 0 END
+                  + coalesce(a.short_para_words, 0))::BIGINT
+                   AS boiler_words,
+               md5(coalesce(a.good_txt, '')) AS good_md5
+        FROM documents d LEFT JOIN agg a USING (doc_id)"""),
+    # Freshness: WARC capture date minus extracted publication date.
+    "page_staleness": Query(ed.page_staleness, f"""
+        SELECT doc_id,
+               ((DATE '2024-01-01' + (doc_id // 86400)::INTEGER)
+                - {_DATE_SQL})::BIGINT AS age_days
+        FROM documents"""),
+    # Recrawl prioritization: per-host page count + exact integer
+    # total staleness (partial combine per block -> tiny Sum groupby).
+    "host_staleness": Query(ed.host_staleness, f"""
+        SELECT 'site' || (doc_id % 97) || '.example.org' AS host,
+               count(*)::BIGINT AS n_pages,
+               SUM(((DATE '2024-01-01' + (doc_id // 86400)::INTEGER)
+                    - {_DATE_SQL})::BIGINT)::BIGINT AS sum_age_days
+        FROM documents GROUP BY 1"""),
+    "fingerprints": Query(_text_map(text_stage.fingerprint_batch), r"""
+        SELECT doc_id,
+               substr(md5(lower(regexp_replace(trim(text), '\s+', ' ', 'g'))), 1, 16)
+                   AS fingerprint
+        FROM documents"""),
+    "lang_id": Query(_text_map(text_stage.lang_id_batch), _lang_id_sql()),
+    # SpotSigs near-dup pairs (Theobald et al. SIGIR 2008):
+    # stopword-anchored chain signatures, df-pruned candidates,
+    # exact integer-ppm Jaccard verify over the FULL sets.
+    # stages/dedup.spotsigs_pairs — full signature/df/Jaccard replay;
+    # tokenization is the SAME explicit ASCII-whitespace RE2 class as
+    # the engine's _spot_signatures, so multi-space/newline/tab text
+    # cannot desynchronize the two sides.
+    "spotsigs_pairs": Query(
+        lambda sf: dedup.spotsigs_pairs(
+            _docs(sf, "doc_id", "text"), threshold_ppm=600000
+        ),
+        r"""
+        WITH toks AS (
+            SELECT doc_id,
+                   list_filter(
+                       regexp_split_to_array(text, '[ \t\n\r\f\v]+'),
+                       x -> x != '') AS arr
+            FROM documents
+        ),
+        sig_lists AS (
+            SELECT doc_id,
+                   [array_to_string(
+                        list_filter(
+                            arr[i + 1 :], x -> x NOT IN ('the', 'a')
+                        )[:2], ' ')
+                    FOR i IN range(1, len(arr) + 1)
+                    IF arr[i] IN ('the', 'a')] AS raw
+            FROM toks
+        ),
+        sigs0 AS (SELECT doc_id, unnest(raw) AS sig FROM sig_lists),
+        -- a full chain of 2 tokens joins with exactly one space;
+        -- shorter tails ('' or one token) drop like the engine's
+        -- len(tail) == chain rule
+        sigs AS (SELECT DISTINCT doc_id, sig FROM sigs0
+                 WHERE sig LIKE '% %'),
+        df AS (SELECT sig, count(*) AS d FROM sigs GROUP BY sig),
+        rare AS (SELECT s.doc_id, s.sig FROM sigs s JOIN df USING (sig)
+                 WHERE df.d BETWEEN 2 AND 4),
+        cand AS (SELECT DISTINCT a.doc_id AS doc_a, b.doc_id AS doc_b
+                 FROM rare a JOIN rare b
+                   ON a.sig = b.sig AND a.doc_id < b.doc_id),
+        sizes AS (SELECT doc_id, count(*) AS sz FROM sigs GROUP BY doc_id),
+        inter AS (
+            SELECT a.doc_id AS doc_a, b.doc_id AS doc_b,
+                   count(*) AS n_shared
+            FROM sigs a JOIN sigs b
+              ON a.sig = b.sig AND a.doc_id < b.doc_id
+            JOIN cand c ON c.doc_a = a.doc_id AND c.doc_b = b.doc_id
+            GROUP BY 1, 2
+        )
+        SELECT i.doc_a, i.doc_b, i.n_shared::BIGINT AS n_shared,
+               ((i.n_shared * 1000000)
+                // (sa.sz + sb.sz - i.n_shared))::BIGINT AS jaccard_ppm
+        FROM inter i JOIN sizes sa ON sa.doc_id = i.doc_a
+                     JOIN sizes sb ON sb.doc_id = i.doc_b
+        WHERE i.n_shared * 1000000
+              >= 600000 * (sa.sz + sb.sz - i.n_shared)""",
+    ),
+    # Character-distribution entropy (integer nano-unit terms, the
+    # charlm_nll exactness scheme): one utf-32 decode + np.unique +
+    # reduceat per batch.
+    # stages/text_stage.char_entropy_batch — integer nano-unit
+    # per-distinct-codepoint terms (charlm_nll exactness scheme);
+    # DuckDB length/substr count codepoints like the engine's utf-32
+    # bucketing.
+    "char_entropy": Query(_text_map(text_stage.char_entropy_batch), """
+        WITH ch AS (
+            SELECT doc_id, substr(text, i, 1) AS c
+            FROM (SELECT doc_id, text,
+                         unnest(range(1, length(text) + 1)) AS i
+                  FROM documents WHERE length(text) >= 1)),
+        cc AS (SELECT doc_id, c, count(*)::BIGINT AS k
+               FROM ch GROUP BY doc_id, c)
+        SELECT doc_id, sum(k)::BIGINT AS n_cp,
+               sum(floor(k::DOUBLE * ln(k::DOUBLE) * 1e9
+                         + 0.5))::BIGINT AS ent_term_nano
+        FROM cc GROUP BY doc_id"""),
+    # LID confusion audit: docs where the script-rule regime
+    # overrides the stopword argmax, as a (stop_lang, script_lang)
+    # count table over the snippet-planted corpus.
+    # stages/text_stage.lid_disagreement — both LID regimes recomputed
+    # over the SAME planted corpus (_script_aug_sql), joined on
+    # doc_id, disagreement cells counted.
+    "lid_disagreement": Query(
+        lambda sf: text_stage.lid_disagreement(_docs(sf, "doc_id", "text")),
+        f"""
+        WITH s AS ({_script_lang_sql()}),
+        f AS ({_lang_id_sql(f'({_script_aug_sql()}) AS aug2')})
+        SELECT f.pred_lang AS stop_lang, s.pred_lang AS script_lang,
+               count(*)::BIGINT AS n_docs
+        FROM s JOIN f USING (doc_id)
+        WHERE s.pred_lang != f.pred_lang
+        GROUP BY 1, 2""",
+    ),
+    # Two-regime production lang-ID: Unicode-script codepoint
+    # bucketing decides CJK/ar/he/el/hi/th outright, stopword argmax
+    # handles Latin/Cyrillic; planted pure-script snippets
+    # (doc_id % 12) make the fixture hit every decision branch.
+    "script_lang_id": Query(
+        _text_map(
+            lambda b: text_stage.script_lang_batch(text_stage.plant_script_snippets(b))
+        ),
+        _script_lang_sql(),
+    ),
+    # C4-style line/document cleaning (Raffel et al. 2020 §2.2):
+    # planted line classes (doc_id % 5 / % 3) hit every rule over
+    # the single-line fixture text.
+    "c4_line_filter": Query(
+        _text_map(
+            lambda b: cleaning.c4_rules_batch(cleaning.plant_c4_lines(b))
+        ),
+        _c4_line_sql(),
+    ),
+    # Mojibake repair (UTF-8-read-as-cp1252): planted encoding
+    # classes exercise both repair and all three pass-through paths.
+    "mojibake_repair": Query(
+        _text_map(
+            lambda b: cleaning.mojibake_batch(cleaning.plant_mojibake(b))
+        ),
+        _mojibake_sql(),
+    ),
+    # fastText-style hashed linear classifier: broadcast weight
+    # table (ray.put once, cached per worker), integer-exact logits.
+    "hashed_classifier": Query(
+        lambda sf: selection.hashed_classifier(_docs(sf, "doc_id", "text")),
+        _hashed_classifier_sql(),
+    ),
+    "winnow_fingerprints": Query(_text_map(text_stage.winnow_batch), _winnow_sql()),
+    # Gopher-style repetition signals (duplicate-bigram fraction and
+    # most-frequent-bigram coverage).
+    "repetition_scores": Query(_text_map(text_stage.repetition_batch), r"""
+        WITH t AS (
+            SELECT doc_id,
+                   CASE WHEN trim(text) = '' THEN []::VARCHAR[]
+                        ELSE regexp_split_to_array(trim(text), '\s+') END AS ts
+            FROM documents
+        ),
+        b AS (
+            SELECT doc_id,
+                   CASE WHEN length(ts) < 2 THEN []::VARCHAR[]
+                        ELSE list_transform(range(1, length(ts)),
+                                            i -> ts[i] || ' ' || ts[i+1])
+                   END AS bg
+            FROM t
+        ),
+        agg AS (
+            SELECT doc_id, length(bg)::BIGINT AS n_bigrams,
+                   length(list_distinct(bg)) AS n_uniq
+            FROM b
+        ),
+        tops AS (
+            SELECT doc_id, max(c) AS maxc FROM (
+                SELECT doc_id, g, count(*) AS c
+                FROM (SELECT doc_id, unnest(bg) AS g FROM b)
+                GROUP BY doc_id, g
+            ) GROUP BY doc_id
+        )
+        SELECT a.doc_id, a.n_bigrams,
+               CASE WHEN a.n_bigrams = 0 THEN 0.0
+                    ELSE round(1.0 - a.n_uniq::DOUBLE / a.n_bigrams, 6)
+               END AS dup_bigram_frac,
+               coalesce(round(tops.maxc::DOUBLE / a.n_bigrams, 6), 0.0)
+                   AS top_bigram_frac
+        FROM agg a LEFT JOIN tops USING (doc_id)"""),
+    # Gopher document-quality rule filter (Rae et al. 2021 table A1);
+    # word-count bounds tightened to 30..80 so the 10..99-word fixture
+    # exercises both outcomes of the combined flag.
+    # Same word (str.split) / line ('\n' split) semantics and ASCII
+    # regexes as stages/text_stage.gopher_quality_batch; thresholds
+    # mirror the queries() wiring (30..80 words, >=1 stopword hit).
+    "gopher_quality": Query(
+        _text_map(
+            lambda b: text_stage.gopher_quality_batch(
+                b, min_words=30, max_words=80, min_stopword_hits=1
+            ),
+        ),
+        _GOPHER_QUALITY_SQL,
+    ),
+    # Corpus composition: per-language doc/token totals via per-batch
+    # partial rows (n_langs x n_blocks rows through the groupby).
+    "lang_doc_stats": Query(
+        lambda sf: text_stage.lang_doc_stats(_docs(sf, "lang", "text")),
+        r"""
+        SELECT lang, count(*)::BIGINT AS n_docs,
+               sum(n_tok)::BIGINT AS total_tokens,
+               round(sum(n_tok)::DOUBLE / count(*), 6) AS avg_tokens
+        FROM (
+            SELECT lang,
+                   CASE WHEN trim(text) = '' THEN 0
+                        ELSE length(regexp_split_to_array(trim(text), '\s+'))
+                   END AS n_tok
+            FROM documents
+        ) GROUP BY lang""",
+    ),
+    # tf-idf top-terms: doc-term tf rows -> df groupby -> bucketed
+    # distributed join -> per-bucket vectorized top-k.
+    "tfidf_top_terms": Query(lambda sf: text_stage.tfidf_top_terms(_docs(sf), k=3), r"""
+        WITH tf AS (
+            SELECT doc_id, term, count(*)::BIGINT AS tf FROM (
+                SELECT doc_id, unnest(regexp_split_to_array(trim(text), '\s+')) AS term
+                FROM documents WHERE trim(text) != ''
+            ) GROUP BY doc_id, term
+        ),
+        df AS (SELECT term, count(*)::BIGINT AS df FROM tf GROUP BY term),
+        ranked AS (
+            SELECT tf.doc_id, tf.term, tf.tf, df.df,
+                   row_number() OVER (
+                       PARTITION BY tf.doc_id
+                       ORDER BY tf.tf::DOUBLE / df.df DESC, tf.term ASC
+                   ) AS rank
+            FROM tf JOIN df USING (term)
+        )
+        SELECT doc_id, term, tf, df, rank::BIGINT AS rank
+        FROM ranked WHERE rank <= 3"""),
+    # CCNet-style passage-level exact dedup (keep globally-first
+    # occurrence; chunk mode because the fixture has no newlines).
+    "paragraph_dedup": Query(
+        lambda sf: cleaning.paragraph_dedup_stats(
+            _docs(sf), mode="chunk", chunk_tokens=10
+        ),
+        r"""
+        WITH toks AS (
+            SELECT doc_id, regexp_split_to_array(trim(text), '\s+') AS ts
+            FROM documents WHERE trim(text) != ''
+        ),
+        paras AS (
+            SELECT doc_id, unnest(range(1, length(ts) + 1, 10)) AS i, ts
+            FROM toks
+        ),
+        hashed AS (
+            SELECT doc_id,
+                   ('0x' || substr(md5(array_to_string(ts[i:i+9], ' ')), 1, 16))::UBIGINT >> 1 AS h,
+                   doc_id * 1048576 + (i - 1) // 10 AS packed
+            FROM paras
+        ),
+        marked AS (
+            SELECT doc_id,
+                   CASE WHEN packed = min(packed) OVER (PARTITION BY h)
+                        THEN 0 ELSE 1 END AS dup
+            FROM hashed
+        )
+        SELECT doc_id, count(*)::BIGINT AS n_paras, sum(dup)::BIGINT AS n_dup_paras
+        FROM marked GROUP BY doc_id""",
+    ),
+    # PII scrub over fixture text augmented with planted PII (every
+    # 5th doc) so the oracle exercises the positive side too.
+    "pii_redaction": Query(_pii_redaction, _pii_sql()),
+    # Benchmark-leak check: 5-gram overlap vs the broadcast blocklist
+    # built from docs 0..19.
+    "decontaminate": Query(
+        lambda sf: cleaning.decontaminate(
+            _docs(sf), blocklist_max_id=20, n=5
+        ),
+        r"""
+        WITH g AS (
+            SELECT doc_id, list_distinct(
+                CASE WHEN length(ts) < 5 THEN [array_to_string(ts, ' ')]
+                     ELSE list_transform(range(1, length(ts) - 3),
+                                         i -> array_to_string(ts[i:i+4], ' '))
+                END) AS gs
+            FROM (SELECT doc_id, regexp_split_to_array(trim(text), '\s+') AS ts
+                  FROM documents WHERE trim(text) != '')
+        ),
+        bl AS (
+            SELECT list_distinct(flatten(list(gs))) AS gl FROM g WHERE doc_id < 20
+        )
+        SELECT d.doc_id,
+               coalesce(length(list_intersect(g.gs, bl.gl)), 0)::BIGINT AS n_hits,
+               coalesce(length(list_intersect(g.gs, bl.gl)) > 0, false) AS contaminated
+        FROM documents d LEFT JOIN g USING (doc_id) CROSS JOIN bl""",
+    ),
+    # Train/val/test split labels, deterministic in (seed, doc_id).
+    "dataset_split": Query(
+        lambda sf: sampling.dataset_split(
+            _docs(sf).select_columns(["doc_id", "lang"]), seed=11
+        ),
+        f"""
+        SELECT doc_id, lang,
+               {_split_sql("h")} AS split
+        FROM (SELECT doc_id, lang,
+                     ('0x' || substr(md5('11:' || doc_id), 1, 16))::UBIGINT >> 1 AS h
+              FROM documents)""",
+    ),
+    # Leakage-safe variant: md5(seed:source) decides ONCE per group,
+    # so a site's near-duplicate pages can never straddle train and
+    # eval.  Output is per-(split, source) doc counts — each source
+    # appearing under exactly one split IS the leakage guarantee.
+    # stages/sampling.py::grouped_split — md5(seed:source) decides
+    # once per GROUP (leakage-safe split); same byte rule as above.
+    # A NULL source makes h NULL, so the CASE falls through to
+    # 'test'; the engine labels a NULL group 'test' by the same rule.
+    "source_split_counts": Query(_source_split_counts, f"""
+        SELECT {_split_sql("h")} AS split,
+               source, count(*)::BIGINT AS n_docs
+        FROM (SELECT source,
+                     ('0x' || substr(md5('11:' || source), 1, 16))::UBIGINT >> 1 AS h
+              FROM documents)
+        GROUP BY split, source"""),
+    # Contamination audit: MinHash near-dup pairs straddling the
+    # per-row split — the measurement that motivates grouped_split.
+    # pipelines/curation.py::split_contamination — the same pair set
+    # as minhash_dedup_pairs, labeled with dataset_split's md5 rule
+    # and rolled up per (split_a, split_b).
+    "split_contamination": Query(
+        lambda sf: curation.split_contamination(
+            _docs(sf, "doc_id", "text"), hot_buckets="error"
+        ),
+        f"""
+        WITH pairs AS (SELECT * FROM ({_minhash_sql()}) q)
+        SELECT
+          {_split_sql("ha")} AS split_a,
+          {_split_sql("hb")} AS split_b,
+          count(*)::BIGINT AS n_pairs
+        FROM (SELECT doc_a, doc_b,
+                     ('0x' || substr(md5('11:' || doc_a), 1, 16))::UBIGINT >> 1 AS ha,
+                     ('0x' || substr(md5('11:' || doc_b), 1, 16))::UBIGINT >> 1 AS hb
+              FROM pairs)
+        GROUP BY split_a, split_b""",
+    ),
+    # Distributed BPE merge training (arXiv:1508.07909): corpus ->
+    # weighted word-vocab dataset, then per merge round one light
+    # pair-count shuffle + per-block argmax + stateless merge apply.
+    # No SQL oracle: k data-dependent sequential-rewrite rounds are
+    # the iterative-algorithm exemption; parity is pinned to the
+    # single-process reference in tests/test_training_ops.py.
+    "bpe_merge_table": Query(
+        lambda sf: bpe.bpe_train(_docs(sf, "text"), n_merges=16),
+        rows_only=(
+            "iterative argmax-merge training is not SQL-expressible; the merge "
+            "table is pinned against a pure-Python reference in "
+            "tests/test_training_ops.py"
+        ),
+    ),
+    # LM concat-and-chunk packing layout: global ordered prefix sum
+    # (range buckets -> driver carry prefix -> per-bucket vectorized
+    # cumsum) maps every doc to its context-window span.
+    # stages/packing.py::pack_sequences — exact-integer window
+    # cumsum reproduces the distributed range-bucket prefix sum.
+    "packed_sequences": Query(
+        lambda sf: packing.pack_sequences(_docs(sf, "doc_id", "text"), context_len=512),
+        r"""
+WITH t AS (
+  SELECT doc_id,
+     length(regexp_split_to_array(trim(text), '\s+'))::BIGINT AS n
+  FROM documents WHERE trim(text) != ''),
+c AS (SELECT doc_id, n, sum(n) OVER (ORDER BY doc_id)::BIGINT AS cum FROM t)
+SELECT doc_id, n AS n_tokens, (cum - n) AS start_offset,
+   ((cum - n) // 512)::BIGINT AS first_pack,
+   ((cum - 1) // 512)::BIGINT AS last_pack
+FROM c""",
+    ),
+    # CCNet-style LM quality signal: corpus-trained Laplace char-
+    # bigram model (one count pass, broadcast once), per-doc total
+    # NLL in exact integer nanos; perplexity derives downstream.
+    # stages/lm.py::charlm_nll — Laplace char-bigram NLL; codepoint
+    # semantics (DuckDB length/substr) match the engine's UTF-32
+    # arrays; nano floor arithmetic identical to Python math.
+    "charlm_nll": Query(
+        lambda sf: lm.charlm_nll(_docs(sf, "doc_id", "text")),
+        _CHARLM_NLL_SQL,
+    ),
+    # CCNet head/middle/tail terciles: charlm scores -> exact
+    # 1/3, 2/3 quantile thresholds -> broadcast-scalar bucketing.
+    # CCNet head/middle/tail terciles (composition of the charlm and
+    # percentile_disc oracles; v = integer per-bigram score).
+    "ccnet_buckets": Query(
+        lambda sf: selection.ccnet_buckets(_docs(sf, "doc_id", "text")),
+        f"""
+WITH nll AS ({_CHARLM_NLL_SQL}),
+scored AS (SELECT doc_id, nll_nano // n_bigrams AS v FROM nll),
+t AS (SELECT percentile_disc(1.0/3) WITHIN GROUP (ORDER BY v) AS t1,
+         percentile_disc(2.0/3) WITHIN GROUP (ORDER BY v) AS t2
+  FROM scored)
+SELECT s.doc_id,
+   CASE WHEN s.v <= t.t1 THEN 'head'
+        WHEN s.v <= t.t2 THEN 'middle'
+        ELSE 'tail' END AS bucket
+FROM scored s, t""",
+    ),
+    # DSIR data selection (arXiv:2302.03169): hashed-unigram
+    # log-likelihood-ratio weights, target = lang='en'; nano
+    # fixed-point so the per-doc sum is an exact integer.
+    # stages/selection.py::dsir_weights — Laplace-smoothed hashed-
+    # unigram log ratios (target = lang='en') in integer nanos;
+    # ln/floor arithmetic identical to Python math.log/floor.
+    "dsir_weights": Query(
+        lambda sf: selection.dsir_weights(
+            _docs(sf), target_col="lang", target_value="en"
+        ),
+        _dsir_sql(),
+    ),
+    # The resampling half: top-50 most target-like docs — a total
+    # order on (weight desc, doc_id), light rows only.
+    "dsir_select": Query(
+        lambda sf: selection.dsir_select(
+            _docs(sf), k=50, target_col="lang", target_value="en"
+        ),
+        _dsir_sql() + "\nORDER BY weight_nano DESC, doc_id ASC LIMIT 50",
+    ),
+    # Heavy-hitters vocabulary: per-batch partial counts (combiner) →
+    # one token-keyed Sum groupby → total-order top-k.
+    "vocab_top_tokens": Query(
+        lambda sf: text_stage.top_tokens(_docs(sf, "text"), k=100),
+        r"""
+        WITH toks AS (
+            SELECT unnest(regexp_split_to_array(trim(text), '\s+')) AS token
+            FROM documents WHERE trim(text) != ''
+        )
+        SELECT token, count(*) AS n FROM toks
+        GROUP BY token ORDER BY n DESC, token ASC LIMIT 100""",
+    ),
+    # Deterministic samplers: keep decision = md5(seed:doc_id), a pure
+    # function the SQL oracle recomputes — rerunning a failed shard
+    # keeps the same rows (Dataset.random_sample would not).
+    # md5(seed:doc_id) top-63-bit threshold — identical bytes to the
+    # engine's hashlib.md5(f"{seed}:{doc_id}") keep rule.
+    "sample_documents": Query(
+        lambda sf: sampling.bernoulli_sample(
+            _docs(sf), rate=0.2, seed=7
+        ).select_columns(["doc_id", "lang"]),
+        f"""
+        SELECT doc_id, lang FROM documents
+        WHERE ('0x' || substr(md5('7:' || doc_id), 1, 16))::UBIGINT >> 1
+              < {int(0.2 * (1 << 63))}::UBIGINT""",
+    ),
+    "sample_stratified": Query(
+        lambda sf: sampling.stratified_sample(
+            _docs(sf),
+            strata_col="lang",
+            rates={"en": 0.5},
+            default_rate=0.1,
+            seed=7,
+        ).select_columns(["doc_id", "lang"]),
+        f"""
+        SELECT doc_id, lang FROM documents
+        WHERE ('0x' || substr(md5('7:' || doc_id), 1, 16))::UBIGINT >> 1
+              < CASE WHEN lang = 'en' THEN {int(0.5 * (1 << 63))}::UBIGINT
+                     ELSE {int(0.1 * (1 << 63))}::UBIGINT END""",
+    ),
+    # mT5/XLM-R temperature sampling (alpha=0.5): per-language keep
+    # rate sqrt(c_min/c_l) in exact ppm, md5 keep rule.
+    "sample_temperature": Query(
+        lambda sf: sampling.temperature_sample(
+            _docs(sf), alpha=0.5, seed=7
+        ).select_columns(["doc_id", "lang"]),
+        """
+        WITH c AS (SELECT lang, count(*)::BIGINT AS c FROM documents GROUP BY lang),
+        m AS (SELECT min(c) AS cmin FROM c),
+        r AS (SELECT lang,
+                     floor(1000000 * sqrt(m.cmin::DOUBLE / c.c::DOUBLE) + 0.5)::BIGINT AS t
+              FROM c, m)
+        SELECT d.doc_id, d.lang
+        FROM documents d JOIN r USING (lang)
+        WHERE ((('0x' || substr(md5('7:' || d.doc_id), 1, 16))::UBIGINT >> 1)
+               % 1000000)::BIGINT < r.t""",
+    ),
+    "dedup_exact": Query(lambda sf: dedup.exact_dedup(_docs(sf)), """
+        SELECT min(doc_id) AS doc_id, count(*) AS n_dups
+        FROM documents GROUP BY text"""),
+    # Incremental crawl dedup: today's docs (id >= 100) whose exact
+    # content is absent from the id < 100 snapshot — one bucketed
+    # anti-join shuffle over light hash rows.  The fixture has no
+    # natural dups across the id-100 boundary, so 5 snapshot texts
+    # are re-planted as today-ids (1e6+i) on BOTH sides — the oracle
+    # proves drops AND keeps.
+    # Engine key: first 8 md5 bytes big-endian >> 1 (text_hash_batch)
+    # = ('0x' || first 16 hex chars)::UBIGINT >> 1.
+    "new_docs_vs_snapshot": Query(_new_docs_vs_snapshot, """
+        WITH aug AS (
+            SELECT doc_id, text FROM documents
+            UNION ALL
+            SELECT doc_id + 1000000 AS doc_id, text FROM documents
+            WHERE doc_id < 5
+        ),
+        h AS (
+            SELECT doc_id,
+                   (('0x' || substr(md5(text), 1, 16))::UBIGINT >> 1)::BIGINT
+                       AS key
+            FROM aug
+        )
+        SELECT t.doc_id FROM h t
+        WHERE t.doc_id >= 100
+          AND NOT EXISTS (
+              SELECT 1 FROM h s WHERE s.doc_id < 100 AND s.key = t.key
+          )"""),
+    # Asymmetric n-gram containment (Broder) over the bounded
+    # sample: quote/subset detection the symmetric Jaccard misses.
+    "containment_pairs": Query(lambda sf: dedup.containment_pairs(_docs(sf)), rf"""
+        WITH {_TRIGRAM_SETS_SQL}
+        SELECT src_doc, dst_doc, containment_ppm FROM (
+            SELECT a.doc_id AS src_doc, b.doc_id AS dst_doc,
+                   (length(list_intersect(a.gs, b.gs))::BIGINT * 1000000
+                    // length(a.gs))::BIGINT AS containment_ppm
+            FROM sh a JOIN sh b ON a.doc_id != b.doc_id
+        ) WHERE containment_ppm >= 500000"""),
+    # Incremental NEAR-dup: the minhash LSH pairs that cross the
+    # id-100 boundary, as (new_doc, old_doc); 29 natural
+    # cross-boundary pairs at threshold 0.7 on this fixture.
+    "near_dup_vs_snapshot": _near_dup_vs_snapshot(snapshot_max_id=100, threshold=0.7),
+    # Incremental-recrawl delta: FULL-outer hash_join of current vs
+    # derived-previous content hashes -> new/changed/unchanged/gone.
+    "snapshot_diff": Query(
+        lambda sf: dedup.snapshot_diff(_docs(sf, "doc_id", "text")),
+        """
+        WITH prev AS (
+            SELECT doc_id,
+                   CASE WHEN doc_id % 10 = 0
+                        THEN coalesce(text, '') || chr(1)
+                        ELSE coalesce(text, '') END AS ptext
+            FROM documents WHERE doc_id % 17 != 3
+            UNION ALL
+            SELECT doc_id + 10000000 AS doc_id, '' AS ptext
+            FROM documents WHERE doc_id % 23 = 5
+        )
+        SELECT coalesce(d.doc_id, p.doc_id) AS doc_id,
+               CASE WHEN p.doc_id IS NULL THEN 'new'
+                    WHEN d.doc_id IS NULL THEN 'gone'
+                    WHEN coalesce(d.text, '') != p.ptext THEN 'changed'
+                    ELSE 'unchanged' END AS status
+        FROM documents d FULL JOIN prev p ON d.doc_id = p.doc_id""",
+    ),
+    # Distributed Okapi BM25 keyword search: stats+df pass -> scoring
+    # pass with per-block top-k; fixed-point nano scores make the
+    # sum order-independent and SQL-exact.
+    # Same fixed-point floor(contrib*1e9 + 0.5) nano arithmetic as
+    # stages/search.py::bm25_topk — DuckDB ln is bit-identical to
+    # Python math.log, and integer nano sums commute.
+    "bm25_search": Query(
+        lambda sf: search.bm25_topk(
+            _docs(sf, "doc_id", "text"), ("merge", "window", "spark"), k=10
+        ),
+        r"""
+        WITH toks AS (
+            SELECT doc_id, unnest(regexp_split_to_array(trim(text), '\s+')) AS term
+            FROM documents WHERE trim(text) != ''
+        ),
+        dl AS (SELECT doc_id, count(*)::DOUBLE AS dl FROM toks GROUP BY doc_id),
+        stats AS (SELECT (SELECT count(*) FROM documents)::DOUBLE AS n,
+                         (SELECT coalesce(sum(dl), 0) FROM dl)::DOUBLE AS wl),
+        tf AS (SELECT doc_id, term, count(*)::DOUBLE AS tf FROM toks
+               WHERE term IN ('merge', 'window', 'spark')
+               GROUP BY doc_id, term),
+        df AS (SELECT term, count(*)::DOUBLE AS df FROM tf GROUP BY term),
+        scored AS (
+            SELECT tf.doc_id,
+                   sum(floor(ln((stats.n - df.df + 0.5) / (df.df + 0.5) + 1)
+                             * tf.tf * (1.2 + 1)
+                             / (tf.tf + 1.2 * (1 - 0.75
+                                    + 0.75 * dl.dl / (stats.wl / stats.n)))
+                             * 1000000000 + 0.5)::BIGINT) AS nano
+            FROM tf JOIN df USING (term) JOIN dl USING (doc_id)
+                 CROSS JOIN stats
+            GROUP BY tf.doc_id
+        )
+        SELECT row_number() OVER (ORDER BY nano DESC, doc_id)::BIGINT AS rank,
+               doc_id, nano::DOUBLE / 1000000000 AS score
+        FROM scored ORDER BY nano DESC, doc_id LIMIT 10""",
+    ),
+    # Token-budget estimate: whitespace + GPT-2-style pre-tokenizer
+    # piece counts (ASCII-literal pattern, Python-re/RE2 identical).
+    "bpe_token_counts": Query(_text_map(text_stage.bpe_token_count_batch), r"""
+        SELECT doc_id,
+               CASE WHEN trim(text) = '' THEN 0
+                    ELSE len(regexp_split_to_array(trim(text), '\s+'))
+               END::BIGINT AS n_tokens,
+               len(regexp_extract_all(text,
+                   '''(?:s|t|re|ve|m|ll|d)| ?[A-Za-z]+| ?[0-9]+| ?[^\sA-Za-z0-9]+|\s+'
+               ))::BIGINT AS n_bpe_tokens
+        FROM documents"""),
+    # Weighted sampling without replacement (Efraimidis-Spirakis):
+    # deterministic md5 uniforms, nano fixed-point ln(u)/w keys,
+    # per-block top-k -> one k-row sort.
+    # u = (md5-int63 + 1) / 2^63 exactly as the engine computes it;
+    # ln and the nano floor agree bit-for-bit.
+    "weighted_sample_docs": Query(
+        lambda sf: sampling.weighted_sample(
+            _docs(sf, "doc_id", "n_chars"), weight_col="n_chars", k=50, seed=7
+        ),
+        r"""
+        WITH h AS (
+            SELECT doc_id,
+                   (('0x' || substr(md5('7:' || doc_id), 1, 16))::UBIGINT >> 1)
+                       AS h63,
+                   n_chars
+            FROM documents WHERE n_chars > 0
+        ),
+        keyed AS (
+            SELECT doc_id,
+                   floor(ln((h63 + 1)::DOUBLE / 9223372036854775808)
+                         / n_chars::DOUBLE * 1000000000 + 0.5)::BIGINT AS nano
+            FROM h
+        )
+        SELECT row_number() OVER (ORDER BY nano DESC, doc_id)::BIGINT AS rank,
+               doc_id
+        FROM keyed ORDER BY nano DESC, doc_id LIMIT 50""",
+    ),
+    # Count-Min token-frequency sketch: per-block cell combiners ->
+    # one keyed Sum over <= depth*width light rows; counters are
+    # md5-derived integers the SQL oracle recomputes.
+    "countmin_tokens": Query(
+        lambda sf: sketches.countmin_sketch(
+            _docs(sf, "text"), col="text", depth=4, width=256
+        ),
+        r"""
+        WITH toks AS (
+            SELECT unnest(regexp_split_to_array(trim(text), '\s+')) AS term
+            FROM documents WHERE trim(text) != ''
+        ),
+        tc AS (SELECT term, count(*)::BIGINT AS c FROM toks GROUP BY term),
+        cells AS (
+            SELECT r.j AS row_id,
+                   ((('0x' || substr(md5(r.j || ':' || tc.term), 1, 16))::UBIGINT >> 1)
+                    % 256)::BIGINT AS col_id,
+                   tc.c
+            FROM tc CROSS JOIN (VALUES (0), (1), (2), (3)) r(j)
+        )
+        SELECT row_id::BIGINT AS row_id, col_id, sum(c)::BIGINT AS counter
+        FROM cells GROUP BY row_id, col_id""",
+    ),
+    # Exact frequency-threshold heavy hitters in two passes
+    # (TPUT-style): per-batch supported counts + truncation-ceiling
+    # upper bounds give a provable candidate superset (U < threshold
+    # reasserted at runtime), then an exact broadcast-filtered
+    # recount — never a full-vocab shuffle.  Bigrams: 916 keys at
+    # sf0.01, 54 survivors at threshold 40.
+    "heavy_hitter_tokens": Query(
+        lambda sf: sketches.heavy_hitters(
+            _docs(sf, "text"), col="text", threshold=40, ngram=2
+        ),
+        r"""
+        WITH d AS (
+            SELECT regexp_split_to_array(trim(text), '\s+') AS a
+            FROM documents WHERE trim(text) != ''
+        ),
+        bi AS (SELECT a[i] || ' ' || a[i+1] AS token
+               FROM d, unnest(range(1, len(a))) t(i))
+        SELECT token, count(*)::BIGINT AS n
+        FROM bi GROUP BY token HAVING count(*) >= 40""",
+    ),
+    # Vocabulary-coverage scoring: per-doc OOV ppm vs the top-10
+    # corpus vocab (vocab build broadcast once, stateless scoring).
+    # Top-10 vocab (n DESC, token ASC — top_tokens' tie-break), then
+    # per-doc OOV counts with exact integer ppm.
+    "oov_rates": Query(
+        lambda sf: text_stage.oov_rates(_docs(sf, "doc_id", "text"), vocab_k=10),
+        r"""
+        WITH toks AS (
+            SELECT doc_id,
+                   unnest(regexp_split_to_array(trim(text), '\s+')) AS term
+            FROM documents WHERE trim(text) != ''
+        ),
+        v AS (
+            SELECT term FROM toks GROUP BY term
+            ORDER BY count(*) DESC, term ASC LIMIT 10
+        ),
+        s AS (
+            SELECT doc_id, count(*)::BIGINT AS n_tokens,
+                   sum(CASE WHEN term NOT IN (SELECT term FROM v)
+                            THEN 1 ELSE 0 END)::BIGINT AS n_oov
+            FROM toks GROUP BY doc_id
+        )
+        SELECT d.doc_id,
+               coalesce(s.n_tokens, 0) AS n_tokens,
+               coalesce(s.n_oov, 0) AS n_oov,
+               CASE WHEN coalesce(s.n_tokens, 0) > 0
+                    THEN s.n_oov * 1000000 // s.n_tokens
+                    ELSE 0 END::BIGINT AS oov_ppm
+        FROM documents d LEFT JOIN s USING (doc_id)""",
+    ),
+    # Collocation mining: top-20 bigrams by PMI (combiner partials →
+    # two keyed Sums → two bucketed joins to attach unigram counts).
+    # Nano fixed-point PMI on exact-integer ratios converted to
+    # double once per side — ln and floor agree bit-for-bit.
+    "bigram_collocations": Query(
+        lambda sf: text_stage.bigram_collocations(
+            _docs(sf, "text"), k=20, min_count=5
+        ),
+        r"""
+        WITH d AS (
+            SELECT regexp_split_to_array(trim(text), '\s+') AS a
+            FROM documents WHERE trim(text) != ''
+        ),
+        uni AS (SELECT unnest(a) AS term FROM d),
+        cu AS (SELECT term, count(*)::BIGINT AS c FROM uni GROUP BY term),
+        tot AS (SELECT (SELECT count(*) FROM uni)::BIGINT AS tu,
+                       (SELECT coalesce(sum(len(a) - 1), 0) FROM d)::BIGINT AS tb),
+        bi AS (SELECT a[i] AS x, a[i+1] AS y
+               FROM d, unnest(range(1, len(a))) t(i)),
+        cb AS (SELECT x, y, count(*)::BIGINT AS n_xy FROM bi
+               GROUP BY x, y HAVING count(*) >= 5),
+        scored AS (
+            SELECT cb.x, cb.y, cb.n_xy,
+                   floor(ln((cb.n_xy::HUGEINT * tot.tu * tot.tu)::DOUBLE
+                            / (tot.tb::HUGEINT * cx.c * cy.c)::DOUBLE)
+                         * 1000000000 + 0.5)::BIGINT AS nano
+            FROM cb JOIN cu cx ON cx.term = cb.x
+                    JOIN cu cy ON cy.term = cb.y
+                 CROSS JOIN tot
+        )
+        SELECT x, y, n_xy, nano::DOUBLE / 1000000000 AS score
+        FROM scored ORDER BY nano DESC, x, y LIMIT 20""",
+    ),
+    # HyperLogLog distinct-text sketch: per-block register maxima →
+    # one Max groupby over ≤2^p light rows; registers are pure
+    # md5-derived integers the SQL oracle recomputes exactly.
+    # Exact register parity: DuckDB bin/strpos gives an integer
+    # leading-zero count — no float log2 on either side.
+    "hll_text_registers": Query(
+        lambda sf: sketches.hll_registers(_docs(sf, "text"), col="text", p=10),
+        """
+        WITH h AS (
+            SELECT ('0x' || substr(md5(text), 1, 16))::UBIGINT AS h
+            FROM documents WHERE text IS NOT NULL
+        ),
+        parts AS (
+            SELECT (h >> 54)::BIGINT AS bucket,
+                   (h % (1::UBIGINT << 54))::UBIGINT AS rest
+            FROM h
+        )
+        SELECT bucket,
+               max(CASE WHEN rest = 0 THEN 55
+                        ELSE strpos(lpad(bin(rest), 54, '0'), '1')
+                   END)::BIGINT AS rho_max
+        FROM parts GROUP BY bucket""",
+    ),
+    # Grouped mergeable sketch: per-host distinct-token HLL
+    # registers (group, bucket, rho_max) — one keyed Max groupby of
+    # constant-size per-block partials instead of a per-group exact
+    # COUNT(DISTINCT) shuffle.
+    # p=8 -> 56 rest bits; registers grouped by the doc_id-formula
+    # host; distinct (host, token) pairs feed the same exact-integer
+    # rho as the global sketch.
+    "host_token_hll": Query(_host_token_hll, r"""
+        WITH toks AS (
+            SELECT 'site' || (doc_id % 97) || '.example.org' AS hostn,
+                   unnest(regexp_split_to_array(trim(text), '\s+')) AS tok
+            FROM documents WHERE trim(text) != ''
+        ),
+        h AS (
+            SELECT DISTINCT hostn,
+                   ('0x' || substr(md5(tok), 1, 16))::UBIGINT AS h
+            FROM toks
+        ),
+        parts AS (
+            SELECT hostn, (h >> 56)::BIGINT AS bucket,
+                   (h % (1::UBIGINT << 56))::UBIGINT AS rest
+            FROM h
+        )
+        SELECT hostn AS "group", bucket,
+               max(CASE WHEN rest = 0 THEN 57
+                        ELSE strpos(lpad(bin(rest), 56, '0'), '1')
+                   END)::BIGINT AS rho_max
+        FROM parts GROUP BY hostn, bucket"""),
+    # Pregel-style PageRank over the crawl link graph (5 rounds,
+    # integer fixed-point units so sums commute; oracle = unrolled
+    # iteration CTEs with identical integer arithmetic).
+    "pagerank": _pagerank(iters=5),
+    # TrustRank (seeded PageRank): teleport restricted to the
+    # doc_id % 17 == 0 seed set, 3 rounds, same integer arithmetic.
+    "trustrank": _pagerank(iters=3, trust=True),
+    # Spam mass (Gyöngyi et al. 2006): the per-mille fraction of
+    # each node's PageRank NOT funded by the trusted core —
+    # pagerank run twice (uniform + seeded), one light equi-join.
+    "spam_mass": _spam_mass(iters=3),
+    # HITS hubs/authorities: integer-exact half-rounds (join + Sum
+    # per half-round, per-half-round >> replacing normalization).
+    "hits_scores": _hits(iters=2, shift=1, base_shift=20),
+    # In-degree distribution of the same graph (zero-degree nodes
+    # included): two light-row keyed aggregations.
+    "link_degree_histogram": Query(_degree_histogram, f"""
+        WITH{_EDGES_SQL},
+        deg AS (
+            SELECT d.doc_id AS id, count(e.dst)::BIGINT AS indeg
+            FROM documents d LEFT JOIN edges e ON e.dst = d.doc_id
+            GROUP BY d.doc_id
+        )
+        SELECT indeg AS degree, count(*)::BIGINT AS n_nodes
+        FROM deg GROUP BY indeg"""),
+    # Classic index-build exchange: exact per-batch tf rows, one
+    # term-hash-bucket shuffle to stamp each term's df.
+    # Whitespace tokenization identical to the engine's (trim +
+    # split on whitespace runs); df = postings per term.
+    "inverted_index": Query(
+        lambda sf: search.build_inverted_index(_docs(sf, "doc_id", "text")),
+        r"""
+        WITH toks AS (
+            SELECT doc_id, unnest(regexp_split_to_array(trim(text), '\s+')) AS term
+            FROM documents WHERE trim(text) != ''
+        ),
+        tf AS (SELECT term, doc_id, count(*)::BIGINT AS tf
+               FROM toks GROUP BY term, doc_id)
+        SELECT term, doc_id, tf,
+               count(*) OVER (PARTITION BY term)::BIGINT AS df
+        FROM tf""",
+    ),
+    # ExactSubstr-style cleaning (Lee et al. 2021, n-gram anchors):
+    # drop every token covered by a cross-doc duplicated 5-gram;
+    # hybrid broadcast/join span removal (path decided by dup-set size).
+    # Same md5-int63 gram hash as the engine (_hash63); DISTINCT
+    # (doc, gram) first = engine's per-doc gram set.
+    # Same token/gram/hash skeleton as dup_ngrams, then: covered
+    # token positions = union of [i, i+4] over duplicated gram
+    # starts; clean_text = surviving tokens joined by ' ' (the
+    # operator's whitespace-normalization contract).
+    "remove_dup_spans": Query(
+        lambda sf: dedup.remove_dup_spans(_docs(sf, "doc_id", "text"), n=5, min_docs=2),
+        r"""
+        WITH toks AS (
+            SELECT doc_id, regexp_split_to_array(trim(text), '\s+') AS a
+            FROM documents WHERE trim(text) != ''
+        ),
+        pos AS (
+            SELECT doc_id, i,
+                   (('0x' || substr(md5(array_to_string(a[i:i+4], ' ')), 1, 16))::UBIGINT >> 1)::BIGINT AS h
+            FROM toks, unnest(range(1, len(a) - 3)) AS t(i)
+        ),
+        dup AS (
+            SELECT h FROM (
+                SELECT h, count(DISTINCT doc_id) AS c FROM pos GROUP BY h
+            ) WHERE c >= 2
+        ),
+        cov AS (
+            SELECT DISTINCT p.doc_id, u.j
+            FROM pos p JOIN dup USING (h), unnest(range(p.i, p.i + 5)) AS u(j)
+        ),
+        tk AS (
+            SELECT t.doc_id, a[u.j] AS tok, u.j
+            FROM toks t, unnest(range(1, len(a) + 1)) AS u(j)
+        ),
+        counts AS (SELECT doc_id, len(a)::BIGINT AS n_tokens FROM toks),
+        ncov AS (SELECT doc_id, count(*)::BIGINT AS n_removed FROM cov GROUP BY doc_id),
+        kept AS (
+            SELECT tk.doc_id, string_agg(tk.tok, ' ' ORDER BY tk.j) AS clean_text
+            FROM tk LEFT JOIN cov ON cov.doc_id = tk.doc_id AND cov.j = tk.j
+            WHERE cov.j IS NULL
+            GROUP BY tk.doc_id
+        )
+        SELECT d.doc_id,
+               coalesce(c.n_tokens, 0)::BIGINT AS n_tokens,
+               coalesce(nc.n_removed, 0)::BIGINT AS n_removed,
+               coalesce(k.clean_text, '') AS clean_text
+        FROM documents d
+        LEFT JOIN counts c USING (doc_id)
+        LEFT JOIN ncov nc ON nc.doc_id = d.doc_id
+        LEFT JOIN kept k ON k.doc_id = d.doc_id""",
+    ),
+    # Memorization diagnostic: word 5-grams present in >=2 distinct
+    # docs; light (hash, doc) rows -> Count groupby.
+    "dup_ngrams": Query(
+        lambda sf: dedup.dup_ngrams(_docs(sf, "doc_id", "text"), n=5, min_docs=2),
+        r"""
+        WITH toks AS (
+            SELECT doc_id, regexp_split_to_array(trim(text), '\s+') AS a
+            FROM documents WHERE trim(text) != ''
+        ),
+        grams AS (
+            SELECT DISTINCT doc_id,
+                   (('0x' || substr(md5(array_to_string(a[i:i+4], ' ')), 1, 16))::UBIGINT >> 1)::BIGINT AS ngram_hash
+            FROM toks, unnest(range(1, len(a) - 3)) AS t(i)
+        )
+        SELECT ngram_hash, count(*)::BIGINT AS n_docs
+        FROM grams GROUP BY ngram_hash HAVING count(*) >= 2""",
+    ),
+    # Domain-quota curation: keep the 10 lowest-doc_id docs per
+    # source via the salted two-phase cap (skew-safe).
+    "cap_per_source": Query(
+        lambda sf: sampling.cap_per_group(
+            _docs(sf, "doc_id", "source"), group_col="source", cap=10
+        ),
+        """
+        SELECT doc_id, source FROM documents
+        QUALIFY row_number() OVER (PARTITION BY source ORDER BY doc_id) <= 10""",
+    ),
+    # hot_buckets="error": the SQL oracle enumerates every band
+    # collision pair, so a fixture hot enough to trigger star-sampling
+    # must fail loudly here, not as a confusing hash mismatch.
+    "minhash_dedup_pairs": Query(
+        lambda sf: dedup.minhash_lsh_pairs(
+            _docs(sf), hot_buckets="error"
+        ),
+        _minhash_sql(),
+    ),
+    # Cluster-level near-dup: connected components (min-label
+    # propagation + pointer doubling) over the minhash pair graph —
+    # oracle recomputes the components with a recursive CTE over the
+    # exact same SQL-derived pair set.
+    "near_dup_clusters": Query(
+        lambda sf: _typed_df(
+            dedup.near_dup_clusters(_docs(sf), hot_buckets="error"),
+            {"doc_id": "int64", "cluster_rep": "int64"},
+        ),
+        _near_dup_clusters_sql(),
+    ),
+    # The dedup ACTION: per-doc keep flag (0 for non-rep cluster
+    # members): one map over the doc ids against the sorted drop-id
+    # array while the cluster table fits light_table, else a
+    # light-row union + Max groupby.
+    "near_dup_keep": Query(
+        lambda sf: dedup.near_dup_keep(
+            _docs(sf), hot_buckets="error"
+        ),
+        _near_dup_keep_sql(),
+    ),
+    # End-to-end curation funnel: quality + lang-ID + near-dup keep
+    # flags in ONE text pass (joined on above the light budget),
+    # per-language kept/total stats.
+    # Composition of the gopher_quality, lang_id, and near_dup_keep
+    # oracles: per predicted language, total docs and the docs/tokens
+    # surviving quality AND dedup.
+    "curated_corpus_stats": Query(
+        lambda sf: curation.curated_corpus_stats(sf, hot_buckets="error"),
+        f"""
+WITH lang AS ({_lang_id_sql()}),
+q AS ({_GOPHER_QUALITY_SQL}),
+k AS ({_near_dup_keep_sql()})
+SELECT lang.pred_lang,
+   count(*)::BIGINT AS n_docs,
+   sum(CASE WHEN q.passes = 1 AND k.keep = 1 THEN 1 ELSE 0 END)::BIGINT
+       AS n_kept,
+   sum(CASE WHEN q.passes = 1 AND k.keep = 1 THEN q.n_words ELSE 0 END)::BIGINT
+       AS kept_tokens
+FROM lang JOIN q USING (doc_id) JOIN k USING (doc_id)
+GROUP BY lang.pred_lang""",
+    ),
+    "simhash": Query(_text_map(dedup.simhash_batch), _SIMHASH_SQL),
+    "token_jaccard_pairs": Query(
+        lambda sf: dedup.token_jaccard_pairs(
+            _docs(sf), max_doc_id=200, min_jaccard=0.5
+        ),
+        r"""
+        WITH toks AS (
+            SELECT doc_id,
+                   list_distinct(regexp_split_to_array(trim(text), '\s+')) AS ts
+            FROM documents WHERE doc_id < 200 AND trim(text) != ''
+        )
+        SELECT a.doc_id AS doc_a, b.doc_id AS doc_b,
+               round(length(list_intersect(a.ts, b.ts))::DOUBLE
+                     / length(list_distinct(list_concat(a.ts, b.ts))), 6) AS jaccard
+        FROM toks a JOIN toks b ON a.doc_id < b.doc_id
+        WHERE length(list_intersect(a.ts, b.ts))::DOUBLE
+              / length(list_distinct(list_concat(a.ts, b.ts))) >= 0.5""",
+    ),
+    "ngram_jaccard_pairs": Query(
+        lambda sf: _typed_df(
+            dedup.ngram_jaccard_pairs(_docs(sf), n=3, max_doc_id=200, min_jaccard=0.03),
+            {"doc_a": "int64", "doc_b": "int64", "jaccard": "float64"},
+        ),
+        rf"""
+        WITH {_TRIGRAM_SETS_SQL}
+        SELECT a.doc_id AS doc_a, b.doc_id AS doc_b,
+               round(length(list_intersect(a.gs, b.gs))::DOUBLE
+                     / length(list_distinct(list_concat(a.gs, b.gs))), 6) AS jaccard
+        FROM sh a JOIN sh b ON a.doc_id < b.doc_id
+        WHERE length(list_intersect(a.gs, b.gs))::DOUBLE
+              / length(list_distinct(list_concat(a.gs, b.gs))) >= 0.03""",
+    ),
+    "ann_cosine_topk": Query(
+        lambda sf: similarity.brute_force_topk(_embeddings(sf), query_ids=_QUERY_IDS, k=5),
+        """
+        WITH q AS (SELECT vec_id AS qid, embedding AS qe FROM embeddings WHERE vec_id < 8),
+        scored AS (
+            SELECT q.qid, e.vec_id AS nid,
+                   list_cosine_similarity(q.qe::DOUBLE[], e.embedding::DOUBLE[]) AS c
+            FROM q, embeddings e WHERE e.vec_id != q.qid
+        ),
+        ranked AS (
+            SELECT qid, nid,
+                   row_number() OVER (PARTITION BY qid ORDER BY c DESC, nid ASC) AS rnk
+            FROM scored
+        )
+        SELECT qid AS query_id, nid AS neighbor_id, rnk AS rank
+        FROM ranked WHERE rnk <= 5""",
+    ),
+    "ann_lsh_topk": _ann_lsh(k=5, n_planes=12),
+    # Corpus→corpus k-NN graph over LSH candidates: every vector's
+    # top-3 banded-collision neighbors, hash-verified against the
+    # band-restricted exact recomputation.
+    "knn_graph": _knn_graph(k=3, n_bands=8, planes_per_band=6),
+    # IVF in the APPROXIMATE regime (n_probe=4 of 16 cells): the SQL
+    # oracle recomputes the probe-restricted search from the literal
+    # centroids (seed-deterministic k-means over the vec_id<2048
+    # sample — same shared-constant pattern as the minhash perms).
+    "ann_ivf_topk": _ann_ivf(k=5, n_centroids=16, n_probe=4),
+    # PQ/ADC compressed scan (Jégou et al.): m sub-codes per vector,
+    # query scores = per-subspace lookup-table sums (rounded 9dp).
+    "ann_pq_topk": _ann_pq(k=5, m=16, n_codes=64),
+    "embedding_dup_pairs": Query(
+        lambda sf: similarity.embedding_dup_pairs(
+            _embeddings(sf), threshold=0.4
+        ),
+        """
+        SELECT a.vec_id AS vec_a, b.vec_id AS vec_b,
+               round(list_cosine_similarity(a.embedding::DOUBLE[],
+                                            b.embedding::DOUBLE[]), 6) AS cosine
+        FROM embeddings a JOIN embeddings b ON a.vec_id < b.vec_id
+        WHERE list_cosine_similarity(a.embedding::DOUBLE[],
+                                     b.embedding::DOUBLE[]) >= 0.4""",
+    ),
+    # Spherical k-means: deterministic sample init + 2 distributed
+    # Lloyd iterations (partial sums per batch, K-row driver combine,
+    # centroids rounded to a fixed grid); the oracle replays the
+    # iterations in SQL from the literal init centroids.
+    "kmeans_clusters": _kmeans(n_clusters=8, refine_iters=2),
+    # Scalar int8-range quantization: per-dim min/max from one
+    # light aggregate pass, explicit half-up floor both sides.
+    # Per-dim min/max over the unnested doubles, then the same
+    # half-up floor the engine applies; constant dims -> 0.
+    "scalar_quantize": Query(
+        lambda sf: similarity.scalar_quantize(
+            _embeddings(sf)
+        ),
+        """
+        WITH v AS (
+            SELECT vec_id, embedding::DOUBLE[] AS e FROM embeddings
+        ),
+        x AS (
+            SELECT vec_id, i.i - 1 AS dim_id, e[i.i] AS val
+            FROM v, unnest(range(1, len(e) + 1)) i(i)
+        ),
+        s AS (
+            SELECT dim_id, min(val) AS lo, max(val) AS hi
+            FROM x GROUP BY dim_id
+        )
+        SELECT x.vec_id, x.dim_id,
+               CASE WHEN s.hi > s.lo THEN
+                    least(greatest(
+                        floor((x.val - s.lo) * 255 / (s.hi - s.lo) + 0.5),
+                        0), 255)
+               ELSE 0 END::BIGINT AS q
+        FROM x JOIN s USING (dim_id)""",
+    ),
+    # Johnson–Lindenstrauss projection to 16 dims (seeded Gaussian,
+    # exact ÷4 scale, 6-dp values flattened for value comparison).
+    "jl_projection": _jl(out_dim=16, seed=11),
+    # Margin-based bitext mining (Artetxe & Schwenk 2019): planted
+    # translated twins matched by the 2·cos − μ_k(b) − μ_k(a*)
+    # distance margin; 6-dp + id tie-breaks keep it SQL-exact.
+    # Planted twins via a correlated list_transform (the engine's
+    # double arithmetic verbatim); both top-k means and the margin
+    # replayed with the same 6-dp rounding and id tie-breaks.
+    "xling_margin_pairs": Query(
+        lambda sf: similarity.xling_margin_pairs(
+            _embeddings(sf), k=4
+        ),
+        """
+        WITH a AS (SELECT vec_id, embedding::DOUBLE[] AS e FROM embeddings),
+        b AS (
+            SELECT vec_id + 5000000 AS bid,
+                   list_transform(range(1, len(e) + 1),
+                       p -> e[p] + ((vec_id + p - 1) % 7 - 3) * 0.01) AS e
+            FROM a WHERE vec_id % 29 = 6
+        ),
+        cos AS (
+            SELECT b.bid, a.vec_id AS aid,
+                   round(list_cosine_similarity(a.e, b.e), 6) AS c
+            FROM a, b
+        ),
+        topb AS (
+            SELECT bid, aid, c, row_number() OVER (
+                PARTITION BY bid ORDER BY c DESC, aid ASC) AS rn
+            FROM cos
+        ),
+        mu_b AS (SELECT bid,
+                        sum(CAST(round(c * 1000000) AS BIGINT)) AS s
+                 FROM topb WHERE rn <= 4 GROUP BY bid),
+        best AS (SELECT bid, aid, c FROM topb WHERE rn = 1),
+        topa AS (
+            SELECT aid, bid, c, row_number() OVER (
+                PARTITION BY aid ORDER BY c DESC, bid ASC) AS rn
+            FROM cos WHERE aid IN (SELECT aid FROM best)
+        ),
+        mu_a AS (SELECT aid,
+                        sum(CAST(round(c * 1000000) AS BIGINT)) AS s
+                 FROM topa WHERE rn <= 4 GROUP BY aid)
+        SELECT best.bid AS src_id, best.aid AS matched_id,
+               (8 * CAST(round(best.c * 1000000) AS BIGINT)
+                - mu_b.s - mu_a.s)::BIGINT AS margin_micro4
+        FROM best JOIN mu_b USING (bid)
+        JOIN mu_a ON mu_a.aid = best.aid""",
+    ),
+    # SemDeDup (Abbas et al. 2023): within each k-means cluster drop
+    # members whose cosine to any earlier member reaches 0.5; the
+    # oracle replays the clustering AND the pairwise rule in SQL.
+    "semdedup": _semdedup(n_clusters=8, threshold=0.5, refine_iters=2),
+    # Banded-LSH near-dup pairs over the fixture AUGMENTED with three
+    # planted exact duplicates (vec 0..2 copied to vec_id+10^7): the
+    # oracle now exercises BOTH sides — recall (the planted pairs must
+    # surface) and precision (nothing else may).
+    "embedding_dup_pairs_lsh": Query(_embedding_dup_pairs_lsh, f"""
+        WITH aug AS (
+            SELECT vec_id, embedding FROM embeddings
+            UNION ALL
+            SELECT vec_id + {_PLANTED_DUP_OFFSET}, embedding
+            FROM embeddings WHERE vec_id < {_PLANTED_DUP_COUNT}
+        )
+        SELECT a.vec_id AS vec_a, b.vec_id AS vec_b,
+               round(list_cosine_similarity(a.embedding::DOUBLE[],
+                                            b.embedding::DOUBLE[]), 6) AS cosine
+        FROM aug a JOIN aug b ON a.vec_id < b.vec_id
+        WHERE list_cosine_similarity(a.embedding::DOUBLE[],
+                                     b.embedding::DOUBLE[]) >= 0.9"""),
+    "media_features": Query(multimodal.media_features, _media_features_sql()),
+    # Perceptual-hash (dHash) image dedup through the REAL BMP
+    # decoder: planted pixel-formula images (doc_id % 41 families)
+    # are encoded as genuine padded BMP bytes, decoded, hashed, and
+    # Min/Count-grouped; the oracle replays the formula and the
+    # 56-bit hash in SQL, so any decode error fails the hash.
+    # dHash replay: gray(x,y) from the planted affine-mod-256 pixel
+    # formulas (synth_family_bmp), bit y*8+x set iff gray(x+1,y) >
+    # gray(x,y), summed with << — verifies the engine's encode →
+    # decode → hash path bit-for-bit.
+    "image_dhash_dups": Query(multimodal.image_dhash_dedup, _dhash_dups_sql(
+        "(299 * (((d.doc_id % 41) * 37 + x.x * 11 + y.y * 23) % 256)"
+        " + 587 * (((d.doc_id % 41) * 59 + x.x * 17 + y.y * 5) % 256)"
+        " + 114 * (((d.doc_id % 41) * 83 + x.x * 3 + y.y * 29) % 256))"
+        " // 1000"
+    )),
+    # same dHash replay with the synth_family_png formulas (mod 37,
+    # different affine constants) — the engine side routes through
+    # the REAL stdlib-zlib PNG decode with all five scanline filters,
+    # so a wrong unfilter produces a different hash and fails here.
+    "image_dhash_png_dups": Query(
+        lambda sf: multimodal.image_dhash_dedup(sf, n_families=37, image_format="png"),
+        _dhash_dups_sql(
+        "(299 * (((d.doc_id % 37) * 41 + x.x * 13 + y.y * 19) % 256)"
+        " + 587 * (((d.doc_id % 37) * 67 + x.x * 7 + y.y * 31) % 256)"
+        " + 114 * (((d.doc_id % 37) * 89 + x.x * 5 + y.y * 3) % 256))"
+        " // 1000"
+    ),
+    ),
+    # Same dedup over REAL baseline-JPEG decode (numpy DCT codec).
+    # The family pixel design guarantees dHash survives the lossy
+    # round trip by margin, so the oracle replays ORIGINAL pixels.
+    # stages/multimodal.synth_family_jpeg + ImageDHashStage over the
+    # REAL numpy JPEG codec — the pixel design guarantees the dHash
+    # survives the lossy round trip by margin (gaps >= 24 vs <= ~3
+    # perturbation at quality 95), so replaying the ORIGINAL pixel
+    # formula is exact; r=g=b makes the luma equal gray on both sides.
+    "image_dhash_jpeg_dups": Query(
+        lambda sf: multimodal.image_dhash_dedup(sf, n_families=37, image_format="jpeg"),
+        _dhash_dups_sql(
+        "CASE WHEN x.x % 2 = 0 THEN 128"
+        " ELSE 104 + 48 * (((d.doc_id % 37) >> (((x.x // 2) + 4 * y.y) % 6)) & 1)"
+        " END"
+    ),
+    ),
+    # Same dedup over REAL GIF decode (stdlib-free LZW) — lossless,
+    # so the oracle replays exact palette-indexed pixels.
+    # stages/multimodal.synth_family_gif + ImageDHashStage over the
+    # REAL LZW GIF codec — lossless, so the palette-index pixel
+    # formula replays exactly.
+    "image_dhash_gif_dups": Query(
+        lambda sf: multimodal.image_dhash_dedup(sf, n_families=37, image_format="gif"),
+        _dhash_dups_sql(
+        "(299 * ((((d.doc_id % 37) * 5 + x.x * 3 + y.y * 7) % 16) * 31 % 256)"
+        " + 587 * ((((d.doc_id % 37) * 5 + x.x * 3 + y.y * 7) % 16) * 57 % 256)"
+        " + 114 * ((((d.doc_id % 37) * 5 + x.x * 3 + y.y * 7) % 16) * 11 % 256))"
+        " // 1000"
+    ),
+    ),
+    # Per-window integer audio energy over REAL RIFF/WAVE decode
+    # (PCM codec in numpy/stdlib) — the VAD/segmentation layout.
+    # stages/multimodal.audio_window_energy — the synthesized WAVE's
+    # sample formula replayed; energy is an int64 sum of squares, so
+    # the comparison is exact.
+    "audio_window_energy": Query(multimodal.audio_window_energy, """
+        WITH s AS (
+            SELECT d.doc_id, i.i,
+                   ((d.doc_id * 7 + i.i * 13) % 65536) - 32768 AS v
+            FROM documents d, range(600) i(i)
+        )
+        SELECT doc_id AS media_id,
+               (i // 256)::BIGINT AS window_index,
+               count(*)::BIGINT AS n_window_samples,
+               sum(v * v)::BIGINT AS energy
+        FROM s GROUP BY 1, 2"""),
+    # One pipeline through ALL FIVE real image codecs: sniff ->
+    # genuine decode -> per-format media inventory.
+    # stages/multimodal.media_sniff_stats — every synthetic payload
+    # decodes to 7x9 = 63 pixels; format is doc_id % 5.
+    "media_sniff_stats": Query(multimodal.media_sniff_stats, """
+        SELECT CASE doc_id % 5
+                   WHEN 0 THEN 'bmp' WHEN 1 THEN 'png'
+                   WHEN 2 THEN 'jpeg' WHEN 3 THEN 'gif'
+                   ELSE 'pnm' END AS format,
+               count(*)::BIGINT AS n_media,
+               (count(*) * 63)::BIGINT AS n_pixels
+        FROM documents GROUP BY 1"""),
+    # REAL video frame sampling: MJPG AVI container-parsed, every
+    # 2nd frame JPEG-decoded, keyframe dHash emitted — the video
+    # dedup fingerprint layout.
+    # stages/multimodal.video_frame_dhash — frame fi of doc d is the
+    # synth_family_jpeg image of (d % 37 + fi) % 37; the dHash
+    # margin contract (see image_dhash_jpeg_dups) makes replaying
+    # the ORIGINAL pixel formula exact per sampled frame.
+    "video_frame_dhash": Query(multimodal.video_frame_dhash, """
+        WITH fr AS (SELECT unnest([0, 2, 4]) AS fi),
+        g AS (
+            SELECT d.doc_id, fr.fi, x.x, y.y,
+                   CASE WHEN x.x % 2 = 0 THEN 128
+                        ELSE 104 + 48 * ((((d.doc_id % 37 + fr.fi) % 37)
+                             >> (((x.x // 2) + 4 * y.y) % 6)) & 1)
+                   END AS gray
+            FROM documents d, fr, range(9) x(x), range(7) y(y)
+        ),
+        bits AS (
+            SELECT a.doc_id, a.fi, (a.y * 8 + a.x)::BIGINT AS idx
+            FROM g a JOIN g b
+              ON b.doc_id = a.doc_id AND b.fi = a.fi
+             AND b.y = a.y AND b.x = a.x + 1
+            WHERE a.x < 8 AND b.gray > a.gray
+        )
+        SELECT d.doc_id AS media_id, fr.fi::BIGINT AS frame_index,
+               coalesce(sum(1::BIGINT << idx), 0)::BIGINT AS dhash
+        FROM documents d CROSS JOIN fr
+        LEFT JOIN bits ON bits.doc_id = d.doc_id AND bits.fi = fr.fi
+        GROUP BY 1, 2"""),
+    # Crawl oracle: the converged robots-respecting visited set equals
+    # the reachable set of the deterministic link graph (seeds = docs
+    # 0..9, edges doc → (13d+1)%N and (29d+7)%N, hosts with index%13==0
+    # disallow /article/ paths) — recomputed here with a recursive CTE.
+    "crawl_reachable": Query(crawl.crawl_reachable, f"""
+        WITH RECURSIVE reach(id) AS (
+            SELECT doc_id FROM documents WHERE doc_id < 10
+              AND NOT ((doc_id % 97) % 13 = 0 AND doc_id % 4 != 2)
+            UNION
+            SELECT l.t FROM reach r
+            JOIN ({_LINKS_SQL}) l ON l.doc_id = r.id
+            WHERE NOT ((l.t % 97) % 13 = 0 AND l.t % 4 != 2)
+        )
+        SELECT id AS doc_id,
+               {_URL_SQL.replace('doc_id', 'id')} AS url
+        FROM reach"""),
+    # Crawl-ORDERING evidence: pages per wave == BFS depth histogram
+    # under a non-binding budget (depth-tracking recursive-CTE oracle).
+    "crawl_wave_counts": Query(crawl.crawl_wave_counts, f"""
+        WITH RECURSIVE reach(id, d) AS (
+            SELECT doc_id, 0 FROM documents WHERE doc_id < 10
+              AND NOT ((doc_id % 97) % 13 = 0 AND doc_id % 4 != 2)
+            UNION
+            SELECT l.t, r.d + 1 FROM reach r
+            JOIN ({_LINKS_SQL}) l ON l.doc_id = r.id
+            WHERE NOT ((l.t % 97) % 13 = 0 AND l.t % 4 != 2)
+              AND r.d < 63
+        )
+        SELECT md::BIGINT AS wave, count(*)::BIGINT AS n_fetched
+        FROM (SELECT id, min(d) AS md FROM reach GROUP BY id)
+        GROUP BY 1"""),
+    "golden_corpus_dates": Query(
+        lambda sf: _golden_corpus_dates(sf, exclude_known=True),
+        _golden_corpus_sql,
+    ),
+    # Full 1000-doc corpus including the 6 rows whose recorded outputs
+    # are internally inconsistent in the reference corpus itself
+    # (tests/golden_mismatches.json) — rows-only by necessity; the
+    # byte-parity gate lives in tests/test_golden_corpus.py.
+    "golden_corpus_dates_full": Query(
+        lambda sf: _golden_corpus_dates(sf, exclude_known=False),
+        rows_only=(
+            "includes the 6 inconsistently-recorded golden-corpus rows "
+            "(tests/golden_mismatches.json); byte parity for the other 994 is "
+            "gated in tests/test_golden_corpus.py"
+        ),
+    ),
+    # Exact distributed quantiles (histogram-refinement selection,
+    # no full sort) — percentile_disc semantics.
+    "value_quantiles": _value_quantiles([0.0, 0.25, 0.5, 0.75, 0.9, 0.99, 1.0]),
+    "windowed_events": Query(streaming.windowed_events, """
+        SELECT strftime(date_trunc('hour', ts), '%Y-%m-%d %H:%M:%S') AS window_start, event_type,
+               count(*) AS n_events, round(sum(value), 2) AS sum_value
+        FROM events GROUP BY 1, 2"""),
+    # Sliding (hopping) windows: window 2h / hop 1h — every event in
+    # two windows, combiner-before-shuffle like the tumbling variant.
+    "sliding_window_events": Query(streaming.sliding_window_events, """
+        SELECT strftime(date_trunc('hour', ts) - j.j * INTERVAL 1 HOUR,
+                        '%Y-%m-%d %H:%M:%S') AS window_start,
+               event_type, count(*) AS n_events,
+               round(sum(value), 2) AS sum_value
+        FROM events CROSS JOIN (VALUES (0), (1)) j(j)
+        GROUP BY 1, 2"""),
+    # Per-group exact quantiles: one histogram pass for ALL groups
+    # (light (key,bin,cnt) rows), one combined collect pass.
+    "grouped_quantiles": _grouped_quantiles("events", "event_type", "value"),
+    # Per-language doc-length quantiles — the length-filter
+    # calibration table (CCNet tunes length cuts per language); the
+    # same bounded-scan grouped exact-quantile machinery.
+    "doclen_quantiles_by_lang": _grouped_quantiles(
+        "documents", "lang", "n_chars", "int64",
+    ),
+    # Grouped top-N: keyed Sum groupby -> stable-hash type buckets ->
+    # vectorized in-bucket ranking.
+    "top_users_per_type": Query(analytics.top_users_per_type, """
+        WITH totals AS (
+            SELECT event_type, user_id, round(sum(value), 2) AS total_value
+            FROM events GROUP BY event_type, user_id
+        ),
+        ranked AS (
+            SELECT event_type, user_id, total_value,
+                   row_number() OVER (
+                       PARTITION BY event_type
+                       ORDER BY total_value DESC, user_id ASC
+                   ) AS rank
+            FROM totals
+        )
+        SELECT event_type, user_id, total_value, rank::BIGINT AS rank
+        FROM ranked WHERE rank <= 3"""),
+    "asof_latest_order": Query(streaming.asof_join_latest_order, """
+        SELECT e.event_id,
+               coalesce(o.o_orderkey, -1) AS o_orderkey
+        FROM events e
+        LEFT JOIN LATERAL (
+            SELECT o_orderkey FROM orders o2
+            WHERE o2.o_custkey = e.user_id
+              AND o2.o_orderdate <= CAST(e.ts AS DATE)
+            ORDER BY o2.o_orderdate DESC, o2.o_orderkey DESC
+            LIMIT 1
+        ) o ON TRUE"""),
+    "sessionize_events": Query(streaming.sessionize_events, """
+        WITH ordered AS (
+            SELECT event_id, user_id, ts,
+                   CASE WHEN ts - lag(ts) OVER w > INTERVAL 30 MINUTE
+                        THEN 1 ELSE 0 END AS new_session
+            FROM events
+            WINDOW w AS (PARTITION BY user_id ORDER BY ts, event_id)
+        )
+        SELECT event_id,
+               CAST(user_id * 1000000
+                    + sum(new_session) OVER (
+                          PARTITION BY user_id ORDER BY ts, event_id
+                          ROWS UNBOUNDED PRECEDING
+                      ) AS BIGINT) AS session_id
+        FROM ordered"""),
+    # Politeness audit over the fetch log: per-key ordered gap scan
+    # vs the key's declared minimum delay (same bucketed vectorized
+    # shape as sessionize_events).
+    # pipelines/streaming.crawl_delay_compliance — lag-window gap scan
+    # in integer microseconds vs the fixture's per-key delay policy.
+    "crawl_delay_compliance": Query(streaming.crawl_delay_compliance, """
+        WITH g AS (
+            SELECT user_id, ts,
+                   lag(ts) OVER (PARTITION BY user_id
+                                 ORDER BY ts, event_id) AS prev
+            FROM events
+        )
+        SELECT user_id, count(*)::BIGINT AS n_events,
+               sum(CASE WHEN prev IS NOT NULL
+                         AND epoch_us(ts) - epoch_us(prev)
+                             < (user_id % 5 + 1) * 60000000
+                        THEN 1 ELSE 0 END)::BIGINT AS n_violations,
+               (user_id % 5 + 1) * 60 AS min_gap_s
+        FROM g GROUP BY user_id"""),
+    # Distributed range (interval) join: grid-cell equi-join
+    # reduction + exact containment filter over overlapping windows.
+    "events_in_windows": Query(streaming.events_in_windows, """
+        WITH w AS (
+            SELECT i::BIGINT AS window_id,
+                   TIMESTAMP '2024-01-01' + i * (INTERVAL 4 HOUR) AS wstart,
+                   TIMESTAMP '2024-01-01' + i * (INTERVAL 4 HOUR)
+                       + (2 + (i % 5)) * (INTERVAL 1 HOUR) AS wend
+            FROM generate_series(0, 179) s(i)
+        )
+        SELECT e.event_id, w.window_id
+        FROM events e JOIN w ON e.ts >= w.wstart AND e.ts < w.wend"""),
+    # Interval-overlap join: both sides grid-expanded, one equi-join,
+    # first-shared-cell emission (exactly-once, no distinct shuffle).
+    "orders_overlapping_windows": Query(streaming.orders_overlapping_windows, """
+        WITH w AS (
+            SELECT i::BIGINT AS window_id,
+                   TIMESTAMP '1995-01-01' + i * 10 * (INTERVAL 1 DAY) AS wstart,
+                   TIMESTAMP '1995-01-01' + i * 10 * (INTERVAL 1 DAY)
+                       + (3 + (i % 9)) * (INTERVAL 1 DAY) AS wend
+            FROM generate_series(0, 239) s(i)
+        ),
+        spans AS (
+            SELECT o_orderkey, o_orderdate AS ostart,
+                   o_orderdate + (1 + (o_orderkey % 7)) * (INTERVAL 1 DAY) AS oend
+            FROM orders
+        )
+        SELECT s.o_orderkey, w.window_id
+        FROM spans s JOIN w ON s.ostart < w.wend AND w.wstart < s.oend"""),
+    # GROUPING SETS rollup in one pass: finest partial per block,
+    # coarser levels derived from it, one Sum groupby on the
+    # composite (grouping_id, keys).
+    "events_rollup": Query(analytics.events_rollup, """
+        SELECT (CASE WHEN grouping(event_type) = 0 AND grouping(day) = 0 THEN 0
+                     WHEN grouping(event_type) = 0 THEN 1
+                     WHEN grouping(day) = 0 THEN 2
+                     ELSE 3 END)::BIGINT AS grouping_id,
+               coalesce(event_type, '') AS event_type,
+               coalesce(day, '') AS day,
+               count(value)::BIGINT AS n_events,
+               round(sum(value), 2) AS sum_value
+        FROM (SELECT event_type, strftime(ts, '%Y-%m-%d') AS day, value
+              FROM events)
+        GROUP BY GROUPING SETS ((event_type, day), (event_type), (day), ())"""),
+    "events_by_type": Query(analytics.events_by_type, """
+        SELECT event_type, count(*) AS n_events,
+               round(sum(value), 2) AS sum_value
+        FROM events GROUP BY event_type"""),
+    # Exact COUNT(DISTINCT) per group: local pair dedup -> pair
+    # groupby -> partial-count Sum groupby.
+    "distinct_users_by_type": Query(analytics.distinct_users_by_type, """
+        SELECT event_type, count(DISTINCT user_id)::BIGINT AS n_users
+        FROM events GROUP BY event_type"""),
+    "top_users_by_value": Query(analytics.top_users_by_value, """
+        SELECT user_id, round(sum(value), 2) AS total_value
+        FROM events GROUP BY user_id
+        ORDER BY sum(value) DESC, user_id ASC LIMIT 10"""),
+    "orders_by_segment": Query(analytics.orders_by_segment, """
+        SELECT c.c_mktsegment, count(*) AS n_orders,
+               round(sum(o.o_totalprice), 2) AS total_price
+        FROM orders o JOIN customer c ON o.o_custkey = c.c_custkey
+        GROUP BY c.c_mktsegment"""),
+    "orders_customer_join": Query(analytics.orders_customer_join, """
+        SELECT o.o_orderkey, o.o_custkey, c.c_mktsegment,
+               round(o.o_totalprice, 2) AS o_totalprice
+        FROM orders o JOIN customer c ON o.o_custkey = c.c_custkey"""),
+    # Skew-aware join: a planted mega-customer (every 3rd order)
+    # takes the hot-key broadcast path, cold keys the bucketed join.
+    "orders_customer_skew_join": Query(analytics.orders_customer_skew_join, """
+        WITH p AS (
+            SELECT o_orderkey,
+                   CASE WHEN o_orderkey % 3 = 0 THEN 1
+                        ELSE o_custkey END AS o_custkey,
+                   o_totalprice
+            FROM orders
+        )
+        SELECT p.o_orderkey, p.o_custkey, c.c_mktsegment,
+               round(p.o_totalprice, 2) AS o_totalprice
+        FROM p JOIN customer c ON p.o_custkey = c.c_custkey"""),
+    # LEFT OUTER variant: unmatched orders keep a null segment.
+    "orders_customer_left_join": Query(analytics.orders_customer_left_join, """
+        SELECT o.o_orderkey, o.o_custkey, c.c_mktsegment,
+               round(o.o_totalprice, 2) AS o_totalprice
+        FROM orders o LEFT JOIN (
+            SELECT * FROM customer WHERE c_custkey < 50
+        ) c ON o.o_custkey = c.c_custkey"""),
+    # FULL OUTER variant: customer-only rows surface too.
+    "orders_customer_full_join": Query(analytics.orders_customer_full_join, """
+        SELECT o.o_orderkey,
+               coalesce(o.o_custkey, c.c_custkey) AS o_custkey,
+               c.c_mktsegment,
+               round(o.o_totalprice, 2) AS o_totalprice
+        FROM (SELECT * FROM orders WHERE o_orderkey < 1000) o
+        FULL JOIN (
+            SELECT * FROM customer WHERE c_custkey < 50
+        ) c ON o.o_custkey = c.c_custkey"""),
+    "pricing_summary": Query(analytics.pricing_summary, """
+        SELECT l_returnflag, l_linestatus,
+               round(sum(l_quantity), 2) AS sum_qty,
+               sum(CAST(round(l_extendedprice * 100) AS BIGINT)) / 100.0 AS sum_base_price,
+               sum(CAST(round(l_extendedprice * (1 - l_discount) * 100) AS BIGINT)) / 100.0
+                   AS sum_disc_price,
+               count(*) AS count_order
+        FROM lineitem WHERE l_shipdate <= DATE '1998-09-02'
+        GROUP BY l_returnflag, l_linestatus
+        ORDER BY l_returnflag, l_linestatus"""),
+}
 
-    corpus = Path(__file__).parent / "tests" / "data" / "comparison_corpus.json"
-    excl = ", ".join(f"'{u}'" for u in _known_inconsistent_urls())
-    return f"""
-SELECT url, fast AS date_str
-FROM read_json_auto('{corpus}')
-WHERE url NOT IN ({excl})"""
+ROWS_ONLY: dict[str, str] = {
+    name: q.rows_only for name, q in REGISTRY.items() if q.rows_only is not None
+}

@@ -420,10 +420,10 @@ def run_headline() -> dict:
         3,
     )
 
-    import __ray_entry__ as entrymod
+    from go_htmldate_ray.pipelines.extract_dates import link_rank
 
     queries["pagerank"] = round(
-        bench_query(lambda sf: entrymod._pagerank(sf, iters=3)), 3
+        bench_query(lambda sf: link_rank(sf, iters=3)), 3
     )
 
     # Container ingestion path: gzip'd WARC shards → parse → doc_id
@@ -572,10 +572,10 @@ def run_headline() -> dict:
     queries["host_components"] = round(bench_query(ed_mod.host_components), 3)
     queries["host_cocitation"] = round(bench_query(ed_mod.host_cocitation), 3)
     queries["trustrank"] = round(
-        bench_query(lambda sf: entrymod._trustrank(sf, iters=3)), 3
+        bench_query(lambda sf: link_rank(sf, iters=3, kind="trustrank")), 3
     )
     queries["spam_mass"] = round(
-        bench_query(lambda sf: entrymod._spam_mass(sf, iters=3)), 3
+        bench_query(lambda sf: link_rank(sf, iters=3, kind="spam_mass")), 3
     )
     from go_htmldate_ray.pipelines import streaming as _str_mod
 

@@ -1529,6 +1529,61 @@ def reciprocal_links(sf_dir: str):
     return agg.map_batches(finish, batch_format="pyarrow")
 
 
+def link_graph(sf_dir: str):
+    """``(nodes, edges, seeded)`` of the synthesized pages' link graph:
+    every doc links to its two :func:`~go_htmldate_ray.sources.pages.outlinks`.
+    ``nodes`` is ``id``, ``edges`` is ``src``/``dst`` (int64), and
+    ``seeded`` is ``nodes`` plus the 0/1 ``is_seed`` column marking the
+    ``doc_id % 17 == 0`` trust seeds (the hand-vetted hosts stand-in,
+    ~6% of nodes at every sf, so trust decays visibly along the fixture
+    ring).  All three are lazy reads of the documents table."""
+    import numpy as np
+
+    from ..sources.io import read_parquet_clean
+    from ..sources.pages import outlinks
+
+    docs = read_parquet_clean(f"{sf_dir}/documents.parquet", columns=["doc_id"])
+    n = docs.count()
+
+    def nodes(b: pa.Table) -> pa.Table:
+        return pa.table({"id": b.column("doc_id").cast(pa.int64())})
+
+    def seeded(b: pa.Table) -> pa.Table:
+        ids = np.asarray(b.column("doc_id"), dtype=np.int64)
+        return pa.table(
+            {"id": pa.array(ids), "is_seed": pa.array((ids % 17 == 0).astype(np.int64))}
+        )
+
+    def edges(b: pa.Table) -> pa.Table:
+        d = np.asarray(b.column("doc_id"), dtype=np.int64)
+        return pa.table(
+            {
+                "src": pa.array(np.concatenate([d, d]), pa.int64()),
+                "dst": pa.array(np.concatenate(outlinks(d, n)), pa.int64()),
+            }
+        )
+
+    return tuple(
+        docs.map_batches(f, batch_format="pyarrow") for f in (nodes, edges, seeded)
+    )
+
+
+def link_rank(sf_dir: str, *, iters: int, kind: str = "pagerank"):
+    """The :func:`link_graph`'s integer rank vector: ``kind`` is
+    ``"pagerank"`` (uniform), ``"trustrank"`` (seeded on ``is_seed``) or
+    ``"spam_mass"`` (both, as :func:`~go_htmldate_ray.stages.graph.spam_mass`)."""
+    from ..stages import graph
+
+    nodes, edges, seeded = link_graph(sf_dir)
+    if kind == "pagerank":
+        return graph.pagerank(nodes, edges, iters=iters)
+    if kind == "trustrank":
+        return graph.pagerank(seeded, edges, iters=iters, seed_col="is_seed")
+    if kind == "spam_mass":
+        return graph.spam_mass(seeded, edges, seed_col="is_seed", iters=iters)
+    raise ValueError(f"unknown link rank kind {kind!r}")
+
+
 def frontier_priority(
     sf_dir: str,
     *,
@@ -1563,50 +1618,10 @@ def frontier_priority(
 
     from ..sources.io import read_parquet_clean
     from ..sources.pages import N_HOSTS, page_host
-    from ..stages.graph import pagerank
     from ..stages.sampling import cap_per_group
 
     docs = read_parquet_clean(f"{sf_dir}/documents.parquet", columns=["doc_id"])
-    n = docs.count()
-
-    # the deterministic link graph the crawl oracle uses:
-    # doc -> (13d+1)%N and (29d+7)%N
-    nodes = docs.map_batches(
-        lambda b: pa.table({"id": b.column("doc_id").cast(pa.int64())}),
-        batch_format="pyarrow",
-    )
-
-    def edges(batch: pa.Table) -> pa.Table:
-        d = np.asarray(batch.column("doc_id"), dtype=np.int64)
-        return pa.table(
-            {
-                "src": pa.array(np.concatenate([d, d]), pa.int64()),
-                "dst": pa.array(
-                    np.concatenate([(13 * d + 1) % n, (29 * d + 7) % n]), pa.int64()
-                ),
-            }
-        )
-
-    if rank == "trustrank":
-        def seed(b: pa.Table) -> pa.Table:
-            ids = np.asarray(b.column("id"), dtype=np.int64)
-            return pa.table(
-                {
-                    "id": b.column("id"),
-                    "is_seed": pa.array((ids % 17 == 0).astype(np.int64)),
-                }
-            )
-
-        ranks = pagerank(
-            nodes.map_batches(seed, batch_format="pyarrow"),
-            docs.map_batches(edges, batch_format="pyarrow"),
-            iters=iters,
-            seed_col="is_seed",
-        )
-    else:
-        ranks = pagerank(
-            nodes, docs.map_batches(edges, batch_format="pyarrow"), iters=iters
-        )
+    ranks = link_rank(sf_dir, iters=iters, kind=rank)
 
     def host_partial(b: pa.Table) -> pa.Table:
         d = np.asarray(b.column("doc_id"), dtype=np.int64)

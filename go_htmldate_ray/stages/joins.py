@@ -229,13 +229,9 @@ def hash_join(
         raise ValueError(f"how must be 'inner', 'left' or 'full', got {how!r}")
     right_on = right_on or on
 
-    left_schema = left.schema()
-    right_schema = right.schema()
-    left_names = list(left_schema.names)
-    left_types = dict(zip(left_schema.names, left_schema.types))
-    right_types = {
-        n: t for n, t in zip(right_schema.names, right_schema.types) if n != right_on
-    }
+    left_types = dict(_fields(left, on))
+    left_names = list(left_types)
+    right_types = {n: t for n, t in _fields(right, right_on) if n != right_on}
     right_names = list(right_types)
 
     def _left_only(lrows: pa.Table, mask: np.ndarray) -> pa.Table:

@@ -151,26 +151,22 @@ def test_partitioned_sink_resume(tmp_path):
     assert read_partitioned(out).count() == 500
 
 
+def _assert_match_oracles(names):
+    """Each named driver query equals its DuckDB oracle at sf0.001 under
+    the oracle checker's rule (the driver gate runs sf0.01)."""
+    import __ray_entry__ as entry
+    from tools.check_oracles import check, connect
+
+    con = connect(SF)
+    oracles = entry.oracle_sql()
+    for name in names:
+        _, why = check(con, entry.REGISTRY[name].fn, oracles[name], SF)
+        assert why is None, f"{name}: {why}"
+
+
 def test_streaming_ops_match_duckdb():
     """Windowed aggregate, as-of join, sessionization vs DuckDB oracles."""
-    import duckdb
-
-    import __ray_entry__ as entry
-
-    con = duckdb.connect()
-    for t in ("events", "orders", "documents", "embeddings"):
-        con.execute(
-            f"CREATE VIEW {t} AS SELECT * FROM read_parquet('{SF}/{t}.parquet')"
-        )
-    from tools.check_oracles import canon
-
-    qs = entry.queries()
-    oracles = entry.oracle_sql()
-    for name in ("windowed_events", "asof_latest_order", "sessionize_events"):
-        ray_df = canon(qs[name](SF).to_pandas())
-        duck_df = canon(con.sql(oracles[name]).df())
-        duck_df = duck_df.astype(ray_df.dtypes.to_dict())
-        assert ray_df.equals(duck_df), name
+    _assert_match_oracles(["windowed_events", "asof_latest_order", "sessionize_events"])
 
 
 def test_winnow_fingerprints_detect_overlap():
@@ -3637,24 +3633,9 @@ def test_char_entropy_batch_hand_computed():
 
 
 def test_host_graph_queries_match_duckdb():
-    """host_components / host_cocitation / char_entropy /
-    lid_disagreement / crawl_delay_compliance vs their DuckDB oracles at
-    sf0.001 (the driver gate runs sf0.01; this pins the same contract in
-    pytest)."""
-    import duckdb
-
-    import __ray_entry__ as entry
-
-    con = duckdb.connect()
-    for t in ("events", "documents"):
-        con.execute(
-            f"CREATE VIEW {t} AS SELECT * FROM read_parquet('{SF}/{t}.parquet')"
-        )
-    from tools.check_oracles import canon, to_pandas
-
-    qs = entry.queries()
-    oracles = entry.oracle_sql()
-    for name in (
+    """The host-graph, link-rank and text-signal queries vs their DuckDB
+    oracles at sf0.001."""
+    _assert_match_oracles([
         "host_components",
         "host_cocitation",
         "host_bib_coupling",
@@ -3666,11 +3647,7 @@ def test_host_graph_queries_match_duckdb():
         "spam_mass",
         "badword_filter",
         "host_boilerplate",
-    ):
-        ray_df = canon(to_pandas(qs[name](SF)))
-        duck_df = canon(con.sql(oracles[name]).df())
-        duck_df = duck_df.astype(ray_df.dtypes.to_dict())
-        assert ray_df.equals(duck_df), name
+    ])
 
 
 def test_trustrank_mass_stays_near_seeds():
@@ -4190,6 +4167,7 @@ def test_mn_date_rejects_out_of_range_runs():
 
 def test_page_link_stats_counts_real_anchors():
     import __ray_entry__ as entry
+    from go_htmldate_ray.sources.pages import outlinks
 
     rows = {
         r["doc_id"]: r
@@ -4199,7 +4177,7 @@ def test_page_link_stats_counts_real_anchors():
     assert n > 0
     # every synthesized page carries exactly the two formula anchors
     d = 3
-    t1, t2 = (13 * d + 1) % n, (29 * d + 7) % n
+    t1, t2 = outlinks(d, n)
     expect_ext = sum(1 for t in (t1, t2) if t % 97 != d % 97)
     r = rows[d]
     assert r["n_links"] == 2

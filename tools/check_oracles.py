@@ -2,9 +2,10 @@
 entry and its oracle_sql() on the same sf dir, compare row count, schema,
 and order-insensitive values.
 
-Queries without an oracle must be declared in ``__ray_entry__.ROWS_ONLY``
-(with a reason) — an undeclared missing oracle is a FAILURE, so "rows-only
-by documented necessity" and "forgot the oracle" can't be confused.
+Each ``__ray_entry__.REGISTRY`` record carries exactly one of an oracle
+and a documented rows-only reason (its constructor rejects anything
+else), so "rows-only by necessity" and "forgot the oracle" cannot be
+confused; rows-only queries must return at least one row.
 
 With ``--artifact PATH`` (default ``CORRECTNESS_local.json`` when
 ``--artifact`` is passed bare), writes the full per-query result map as a
@@ -51,8 +52,68 @@ def canon(df):
     return df.sort_values(by=list(df.columns)).reset_index(drop=True)
 
 
-def main(sf_dir: str, only: list[str] | None = None, artifact: str | None = None):
+TABLES = (
+    "region nation customer supplier part orders lineitem events documents embeddings"
+).split()
+
+
+def connect(sf_dir: str):
+    """A DuckDB connection with one view per fixture table of ``sf_dir``."""
     import duckdb
+
+    con = duckdb.connect()
+    for t in TABLES:
+        con.execute(
+            f"CREATE VIEW {t} AS SELECT * FROM read_parquet('{sf_dir}/{t}.parquet')"
+        )
+    return con
+
+
+_FIELDS = ("rows_match", "schema_match", "hash_match", "ray_rows", "oracle_rows", "err")
+
+
+def check(con, fn, sql: str, sf_dir: str) -> tuple[dict, str | None]:
+    """Run one query and its oracle on ``sf_dir`` and compare them the
+    way the driver does: column names, row count, then every value of
+    the ``canon`` forms, dtypes included (DuckDB's are not cast to
+    Ray's).  Returns the result record and, for a failure, why."""
+    res = dict.fromkeys(_FIELDS)
+    try:
+        ray_df = canon(to_pandas(fn(sf_dir)))
+    except Exception as e:
+        res["err"] = f"ray error {type(e).__name__}: {e}"
+        return res, res["err"]
+    try:
+        duck_df = canon(con.sql(sql).df())
+    except Exception as e:
+        res["err"] = f"oracle error {e}"
+        return res, res["err"]
+    schema_match = list(ray_df.columns) == list(duck_df.columns)
+    rows_match = len(ray_df) == len(duck_df)
+    res.update(
+        rows_match=rows_match,
+        schema_match=schema_match,
+        hash_match=schema_match and rows_match and ray_df.equals(duck_df),
+        ray_rows=len(ray_df),
+        oracle_rows=len(duck_df),
+    )
+    if not schema_match:
+        return res, f"columns {list(ray_df.columns)} vs {list(duck_df.columns)}"
+    if not rows_match:
+        return res, f"rows {len(ray_df)} vs {len(duck_df)}"
+    if not res["hash_match"]:
+        diff = (ray_df != duck_df).any(axis=1)
+        why = [f"{int(diff.sum())}/{len(ray_df)} rows differ"]
+        for i in diff[diff].index[:3]:
+            why.append(f"  ray : {ray_df.loc[i].to_dict()}")
+            why.append(f"  duck: {duck_df.loc[i].to_dict()}")
+        if not diff.any():
+            why.append(f"  dtypes {dict(ray_df.dtypes)} vs {dict(duck_df.dtypes)}")
+        return res, "\n".join(why)
+    return res, None
+
+
+def main(sf_dir: str, only: list[str] | None = None, artifact: str | None = None):
     import ray
 
     if not ray.is_initialized():
@@ -66,97 +127,40 @@ def main(sf_dir: str, only: list[str] | None = None, artifact: str | None = None
 
     qs = entrymod.queries()
     oracles = entrymod.oracle_sql()
-    rows_only = getattr(entrymod, "ROWS_ONLY", {})
-
-    con = duckdb.connect()
-    for t in "region nation customer supplier part orders lineitem events documents embeddings".split():
-        con.execute(
-            f"CREATE VIEW {t} AS SELECT * FROM read_parquet('{sf_dir}/{t}.parquet')"
-        )
+    rows_only = entrymod.ROWS_ONLY
+    con = connect(sf_dir)
 
     results: dict[str, dict] = {}
     failures = 0
-
-    def record(name, **kw):
-        results[name] = {
-            "rows_match": None,
-            "schema_match": None,
-            "hash_match": None,
-            "ray_rows": None,
-            "oracle_rows": None,
-            "err": None,
-            **kw,
-        }
-
-    for name in rows_only:
-        if name not in qs:
-            print(f"FAIL {name}: ROWS_ONLY entry has no queries() entry")
-            record(name, err="ROWS_ONLY entry has no queries() entry")
-            failures += 1
     for name, fn in qs.items():
         if only and name not in only:
             continue
         t0 = time.monotonic()
-        try:
-            ray_df = canon(to_pandas(fn(sf_dir)))
-        except Exception as e:
-            print(f"FAIL {name}: ray error {type(e).__name__}: {e}")
-            record(name, err=f"ray error {type(e).__name__}: {e}")
-            failures += 1
-            continue
-        if name not in oracles:
-            if name in rows_only:
-                print(f"ok(rows-only) {name}: {len(ray_df)} rows — {rows_only[name]}")
-                record(
-                    name,
-                    rows_match=len(ray_df) > 0,
-                    ray_rows=len(ray_df),
-                    rows_only_reason=rows_only[name],
-                )
-                if len(ray_df) == 0:
+        if name in rows_only:
+            res = dict.fromkeys(_FIELDS)
+            try:
+                n = len(to_pandas(fn(sf_dir)))
+            except Exception as e:
+                res["err"] = f"ray error {type(e).__name__}: {e}"
+                print(f"FAIL {name}: {res['err']}")
+                failures += 1
+            else:
+                print(f"ok(rows-only) {name}: {n} rows — {rows_only[name]}")
+                res.update(rows_match=n > 0, ray_rows=n, rows_only_reason=rows_only[name])
+                if n == 0:
                     print(f"FAIL {name}: rows-only query returned 0 rows")
                     failures += 1
-            else:
-                print(f"FAIL {name}: no oracle_sql() entry and not in ROWS_ONLY")
-                record(name, err="no oracle and not declared ROWS_ONLY")
-                failures += 1
+            results[name] = res
             continue
-        try:
-            duck_df = canon(con.sql(oracles[name]).df())
-        except Exception as e:
-            print(f"FAIL {name}: oracle error {e}")
-            record(name, err=f"oracle error {e}")
-            failures += 1
-            continue
-        schema_match = list(ray_df.columns) == list(duck_df.columns)
-        rows_match = len(ray_df) == len(duck_df)
-        hash_match = schema_match and rows_match and ray_df.equals(duck_df)
-        record(
-            name,
-            rows_match=rows_match,
-            schema_match=schema_match,
-            hash_match=hash_match,
-            ray_rows=len(ray_df),
-            oracle_rows=len(duck_df),
-            secs=round(time.monotonic() - t0, 2),
-        )
-        if not schema_match:
-            print(f"FAIL {name}: columns {list(ray_df.columns)} vs {list(duck_df.columns)}")
-            failures += 1
-        elif not rows_match:
-            print(f"FAIL {name}: rows {len(ray_df)} vs {len(duck_df)}")
-            failures += 1
-        elif not hash_match:
-            diff = (ray_df != duck_df).any(axis=1)
-            n_bad = int(diff.sum())
-            print(f"FAIL {name}: {n_bad}/{len(ray_df)} rows differ")
-            bad_idx = diff[diff].index[:3]
-            for i in bad_idx:
-                print("  ray :", ray_df.loc[i].to_dict())
-                print("  duck:", duck_df.loc[i].to_dict())
-            failures += 1
+        res, why = check(con, fn, oracles[name], sf_dir)
+        if res["err"] is None:
+            res["secs"] = round(time.monotonic() - t0, 2)
+        results[name] = res
+        if why is None:
+            print(f"OK   {name}: {res['ray_rows']} rows")
         else:
-            print(f"OK   {name}: {len(ray_df)} rows")
+            print(f"FAIL {name}: {why}")
+            failures += 1
     print("failures:", failures)
     if artifact:
         payload = {
