@@ -2228,17 +2228,8 @@ REGISTRY: dict[str, Query] = {
     # Oriented distinct host edges from the link formula, the same
     # two-join triangle enumeration (b < c wedge once), per-host
     # credit of all three corners, zero hosts via LEFT JOIN.
-    "host_triangles": Query(ed.host_triangles, """
-        WITH e0 AS (
-            SELECT doc_id % 97 AS s,
-                   ((doc_id*13+1) % (SELECT count(*) FROM documents)) % 97
-                       AS t
-            FROM documents
-            UNION ALL
-            SELECT doc_id % 97,
-                   ((doc_id*29+7) % (SELECT count(*) FROM documents)) % 97
-            FROM documents
-        ),
+    "host_triangles": Query(ed.host_triangles, f"""
+        WITH e0 AS (SELECT doc_id % 97 AS s, t % 97 AS t FROM ({_LINKS_SQL})),
         e AS (
             SELECT DISTINCT least(s, t) AS a, greatest(s, t) AS b
             FROM e0 WHERE s <> t
@@ -2700,11 +2691,8 @@ FROM c GROUP BY 1 HAVING count(*) > 1""",
                            THEN chr(10) || strftime({_DATE_SQL}, '%Y-%m-%d')
                            ELSE '' END
                    || COALESCE(chr(10) || c.body, '')
-                   || chr(10) || 'related '
-                   || ((d.doc_id * 13 + 1) % (SELECT count(*) FROM documents))
-                   || ' related '
-                   || ((d.doc_id * 29 + 7) % (SELECT count(*) FROM documents))
-                       AS t
+                   || chr(10) || 'related ' || ({_OUTLINKS_SQL[0]})
+                   || ' related ' || ({_OUTLINKS_SQL[1]}) AS t
             FROM documents d JOIN chunks c USING (doc_id)
         )
         SELECT doc_id, length(t)::BIGINT AS n_chars, md5(t) AS text_md5

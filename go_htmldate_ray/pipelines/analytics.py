@@ -383,7 +383,7 @@ def orders_customer_full_join(
     )
 
 
-def top_users_per_type(sf_dir: str, k: int = 3, n_buckets: int = 64):
+def top_users_per_type(sf_dir: str, k: int = 3):
     """events → per-event-type top-k users by total value
     (event_type, user_id, total_value, rank) — the grouped top-N shape:
     per-batch partial sums on (type, user) → one keyed Sum groupby →
@@ -395,7 +395,7 @@ def top_users_per_type(sf_dir: str, k: int = 3, n_buckets: int = 64):
     import ray.data
     from ray.data.aggregate import Sum
 
-    from ..stages.joins import _bucket_of
+    from ..stages.joins import SHUFFLE_BUCKETS, _bucket_of
 
     ds = read_parquet_clean(
         f"{sf_dir}/events.parquet", columns=["event_type", "user_id", "value"]
@@ -435,7 +435,7 @@ def top_users_per_type(sf_dir: str, k: int = 3, n_buckets: int = 64):
                 "event_type": batch.column("event_type"),
                 "user_id": batch.column("user_id"),
                 "total_value": pc.round(batch.column("sum(part_sum)"), ndigits=2),
-                "bkt": _bucket_of(h, n_buckets),
+                "bkt": _bucket_of(h, SHUFFLE_BUCKETS),
             }
         )
 

@@ -33,7 +33,6 @@ def extract_dates(
     *,
     skip_extensive_search: bool = True,
     concurrency=(1, 8),
-    batch_size: int = 64,
 ):
     """Dataset of (doc_id, url, date_str, ...) for the sf dir's pages."""
     pages = read_pages(sf_dir)
@@ -44,7 +43,7 @@ def extract_dates(
             "skip_extensive_search": skip_extensive_search,
         },
         batch_format="pyarrow",
-        batch_size=batch_size,
+        batch_size=64,
         concurrency=concurrency,
         num_cpus=1,
         # deterministic stage + resumable outputs: fail fast to the retry
@@ -675,9 +674,6 @@ def redirect_resolution(sf_dir: str):
 
         return resolved.map_batches(attach, batch_format="pyarrow")
 
-    # size the URL re-attach joins to the map size, like resolve_pointers
-    # does internally — 64 near-empty bucket tasks × 2 joins is pure
-    # scheduling overhead on a small map
     from ..sources.pages import count_documents
     from ..stages.joins import adaptive_buckets
 

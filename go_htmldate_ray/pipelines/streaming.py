@@ -27,7 +27,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..sources.io import read_parquet_clean
-from ..stages.joins import _bucket_of
+from ..stages.joins import SHUFFLE_BUCKETS, _bucket_of
 
 SESSION_GAP_MINUTES = 30
 
@@ -181,7 +181,7 @@ def asof_join_latest_order(sf_dir: str):
     return events.map_batches(join, batch_format="pyarrow")
 
 
-def _asof_latest_order_copartition(sf_dir: str, n_buckets: int = 64):
+def _asof_latest_order_copartition(sf_dir: str):
     """Co-partitioned as-of join: each side ships its packed
     ``(key·2^21 + day)`` int64, and one
     :func:`~go_htmldate_ray.stages.joins.co_partition` exchange on the
@@ -240,11 +240,11 @@ def _asof_latest_order_copartition(sf_dir: str, n_buckets: int = 64):
         )
 
     return co_partition(
-        events, orders, "user_id", "o_custkey", asof_bucket, n_buckets=n_buckets
+        events, orders, "user_id", "o_custkey", asof_bucket, n_buckets=SHUFFLE_BUCKETS
     )
 
 
-def sessionize_events(sf_dir: str, n_buckets: int = 64):
+def sessionize_events(sf_dir: str):
     """events → (event_id, session_id): a new session starts when a user's
     gap since their previous event exceeds 30 minutes.
     session_id = user_id * 10^6 + per-user session index (0-based).
@@ -267,7 +267,7 @@ def sessionize_events(sf_dir: str, n_buckets: int = 64):
         uid = batch.column("user_id").cast(pa.int64())
         return pa.table(
             {
-                "bucket": _bucket_of(uid, n_buckets),
+                "bucket": _bucket_of(uid, SHUFFLE_BUCKETS),
                 "user_id": uid,
                 "event_id": batch.column("event_id").cast(pa.int64()),
                 "ts_us": pc.cast(
@@ -498,7 +498,7 @@ def orders_overlapping_windows(sf_dir: str):
     return joined.select_columns(["o_orderkey", "window_id"])
 
 
-def crawl_delay_compliance(sf_dir: str, n_buckets: int = 64):
+def crawl_delay_compliance(sf_dir: str):
     """Politeness audit over a fetch log: per key (the events fixture's
     ``user_id`` standing in for a crawl host), order fetches by
     (ts, event_id) and count consecutive-fetch gaps SHORTER than the
@@ -526,7 +526,7 @@ def crawl_delay_compliance(sf_dir: str, n_buckets: int = 64):
         uid = batch.column("user_id").cast(pa.int64())
         return pa.table(
             {
-                "bucket": _bucket_of(uid, n_buckets),
+                "bucket": _bucket_of(uid, SHUFFLE_BUCKETS),
                 "user_id": uid,
                 "event_id": batch.column("event_id").cast(pa.int64()),
                 "ts_us": pc.cast(

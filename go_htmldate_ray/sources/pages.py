@@ -122,7 +122,7 @@ def count_documents(sf_dir: str) -> int:
     return pq.ParquetFile(f"{sf_dir}/documents.parquet").metadata.num_rows
 
 
-def read_pages(sf_dir: str, *, override_num_blocks: int | None = None):
+def read_pages(sf_dir: str):
     """Lazy pages Dataset for an sf dir: read documents → synthesize.
 
     Column-pruned at the read (only doc_id/text/lang leave storage); the
@@ -135,7 +135,6 @@ def read_pages(sf_dir: str, *, override_num_blocks: int | None = None):
     ds = read_parquet_clean(
         f"{sf_dir}/documents.parquet",
         columns=["doc_id", "text", "lang"],
-        override_num_blocks=override_num_blocks,
     )
     return ds.map_batches(
         lambda b: synthesize_pages_batch(b, n_docs),

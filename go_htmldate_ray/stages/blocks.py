@@ -18,15 +18,18 @@ import pyarrow as pa
 LIGHT_TABLE_BYTES = 128 << 20
 
 
-def rebase(mat):
-    """Fresh Dataset over a materialized dataset's blocks (zero-copy
-    object-store refs).  Iterative algorithms MUST cut the lineage each
-    round: a materialized Dataset still carries its whole stats ancestry,
-    and Ray's stats summarisation recurses over it — exponentially across
-    rounds (observed as a driver hang in stats.to_summary by round ~6)."""
+def rebase(ds, n_blocks: int):
+    """``ds`` materialized in ``n_blocks`` blocks, as a fresh Dataset over
+    them (zero-copy object-store refs).  Iterative algorithms MUST cut the
+    lineage each round: a materialized Dataset still carries its whole
+    stats ancestry, and Ray's stats summarisation recurses over it —
+    exponentially across rounds (observed as a driver hang in
+    stats.to_summary by round ~6).  And they pin the block count: else
+    each round's union and shuffle multiply tiny blocks (round 4 took
+    100× round 0)."""
     import ray.data
 
-    return ray.data.from_arrow_refs(mat.to_arrow_refs())
+    return ray.data.from_arrow_refs(ds.repartition(n_blocks).materialize().to_arrow_refs())
 
 
 def light_table(ds, schema: pa.Schema) -> pa.Table | None:

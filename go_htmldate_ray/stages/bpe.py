@@ -111,13 +111,15 @@ def word_count_dataset(ds, *, text_col: str = "text"):
     )
 
 
+_VOCAB_BLOCKS = 16  # bpe_train's vocabulary blocks, pinned every round
+
+
 def bpe_train(
     ds,
     *,
     n_merges: int = 20,
     text_col: str = "text",
     max_word_len: int = 64,
-    n_blocks: int = 16,
 ):
     """documents → (rank, left, right, count): the learned merge table.
 
@@ -141,10 +143,10 @@ def bpe_train(
         )
 
     vocab = rebase(
-        word_count_dataset(ds, text_col=text_col)
-        .map_batches(to_symbols, batch_format="pyarrow")
-        .repartition(n_blocks)
-        .materialize()
+        word_count_dataset(ds, text_col=text_col).map_batches(
+            to_symbols, batch_format="pyarrow"
+        ),
+        _VOCAB_BLOCKS,
     )
 
     def pair_partials(batch: pa.Table) -> pa.Table:
@@ -213,11 +215,7 @@ def bpe_train(
                 }
             )
 
-        vocab = rebase(
-            vocab.map_batches(apply_merge, batch_format="pyarrow")
-            .repartition(n_blocks)
-            .materialize()
-        )
+        vocab = rebase(vocab.map_batches(apply_merge, batch_format="pyarrow"), _VOCAB_BLOCKS)
 
     import ray.data
 

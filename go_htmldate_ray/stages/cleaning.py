@@ -76,9 +76,7 @@ def split_paragraphs(text: str, *, mode: str = "newline", chunk_tokens: int = 10
     raise ValueError(f"unknown paragraph mode: {mode}")
 
 
-def paragraph_dedup_stats(
-    ds, *, mode: str = "chunk", chunk_tokens: int = 10, n_buckets: int = 64
-):
+def paragraph_dedup_stats(ds, *, mode: str = "chunk", chunk_tokens: int = 10):
     """documents → (doc_id, n_paras, n_dup_paras).
 
     A paragraph occurrence is a *duplicate* iff an identical normalized
@@ -91,7 +89,7 @@ def paragraph_dedup_stats(
     """
     from ray.data.aggregate import Sum, Count
 
-    from .joins import _bucket_of
+    from .joins import SHUFFLE_BUCKETS, _bucket_of
 
     def passage_rows(batch: pa.Table) -> pa.Table:
         doc_ids, hashes, packed = [], [], []
@@ -123,7 +121,7 @@ def paragraph_dedup_stats(
         ds.select_columns(["doc_id", "text"])
         .map_batches(passage_rows, batch_format="pyarrow")
         .map_batches(
-            lambda b: b.append_column("bkt", _bucket_of(b.column("h"), n_buckets)),
+            lambda b: b.append_column("bkt", _bucket_of(b.column("h"), SHUFFLE_BUCKETS)),
             batch_format="pyarrow",
         )
     )

@@ -331,7 +331,7 @@ def _band_rows(batch: pa.Table, dtype, band_keys) -> pa.Table:
     batch, one per row and band: the payload itself stays out of the
     bucket shuffle (a 128-word signature per band row would be 16× the
     exchange)."""
-    from .joins import DEFAULT_JOIN_BUCKETS, _bucket_of
+    from .joins import SHUFFLE_BUCKETS, _bucket_of
 
     keys = band_keys(_rows_matrix(batch.column("payload"), dtype))
     band_key = pa.array(keys.ravel(), pa.int64())
@@ -339,7 +339,7 @@ def _band_rows(batch: pa.Table, dtype, band_keys) -> pa.Table:
         {
             "band_key": band_key,
             "id": pa.array(np.repeat(batch.column("key").to_numpy(), keys.shape[1]), pa.int64()),
-            "shuffle_bucket": _bucket_of(band_key, DEFAULT_JOIN_BUCKETS),
+            "shuffle_bucket": _bucket_of(band_key, SHUFFLE_BUCKETS),
         }
     )
 
@@ -661,7 +661,7 @@ def connected_components(
     from ray.data.aggregate import Min, Sum
 
     from .blocks import light_table, rebase
-    from .joins import hash_join
+    from .joins import adaptive_buckets, hash_join, state_blocks
 
     pairs = pairs.materialize()
     if pairs.count() == 0:
@@ -703,31 +703,21 @@ def connected_components(
         )
         .materialize()
     )
-    # The node set is fixed across rounds; pin the per-round block count
-    # to it (≈2M label rows per block).  Without this each round's
-    # union/shuffle MULTIPLIES tiny blocks and scheduling overhead blows
-    # up exponentially (measured: round 4 took 100× round 0 unpinned).
+    # the node set is fixed across rounds, and so is the layout
     n_nodes = labels.count()
-    n_blocks = max(1, min(512, n_nodes // 2_000_000 + 1))
-    # Shuffle width scales with the node count (adaptive_buckets: ~500k
-    # rows per bucket, floor 8) — a 97-node host graph must not pay 64
-    # near-empty join tasks × 2 joins × rounds in pure scheduling
-    # overhead, exactly the pagerank sizing rule.
-    from .joins import adaptive_buckets
-
-    j_buckets = max(adaptive_buckets(n_nodes), n_blocks)
-    labels = rebase(labels.repartition(n_blocks).materialize())
+    n_blocks, n_buckets = state_blocks(n_nodes), adaptive_buckets(n_nodes)
+    labels = rebase(labels, n_blocks)
     prev_sum = labels.aggregate(Sum("label"))["sum(label)"]
 
     for _ in range(max_iters):
         # (1) neighbour min: labels join the symmetric edge list, each
         # node takes Min(own, neighbours)
-        nb = hash_join(edges, labels, on="u", right_on="node", n_buckets=j_buckets)
+        nb = hash_join(edges, labels, on="u", right_on="node", n_buckets=n_buckets)
         cand = nb.map_batches(
             lambda b: pa.table({"node": b.column("v"), "label": b.column("label")}),
             batch_format="pyarrow",
         )
-        mins = (
+        mins = rebase(
             labels.union(cand)
             .groupby("node")
             .aggregate(Min("label"))
@@ -736,11 +726,9 @@ def connected_components(
                     {"node": b.column("node"), "label": b.column("min(label)")}
                 ),
                 batch_format="pyarrow",
-            )
-            .repartition(n_blocks)
-            .materialize()
+            ),
+            n_blocks,
         )
-        mins = rebase(mins)
         # (2) pointer doubling: label ← label[label].  label[x] only ever
         # decreases and roots satisfy label[r] == r, so the self-join
         # always matches and jumping compresses chains in O(log diameter)
@@ -751,18 +739,17 @@ def connected_components(
             ),
             batch_format="pyarrow",
         )
-        labels = (
-            hash_join(mins, right, on="label", right_on="node2", n_buckets=j_buckets)
-            .map_batches(
+        labels = rebase(
+            hash_join(
+                mins, right, on="label", right_on="node2", n_buckets=n_buckets
+            ).map_batches(
                 lambda b: pa.table(
                     {"node": b.column("node"), "label": b.column("label2")}
                 ),
                 batch_format="pyarrow",
-            )
-            .repartition(n_blocks)
-            .materialize()
+            ),
+            n_blocks,
         )
-        labels = rebase(labels)
         cur_sum = labels.aggregate(Sum("label"))["sum(label)"]
         if cur_sum == prev_sum:  # labels are monotone non-increasing
             break
@@ -1528,7 +1515,6 @@ def spotsigs_pairs(
     min_df: int = 2,
     max_df: int = 4,
     threshold_ppm: int = 500_000,
-    n_buckets: int = 64,
     max_candidate_docs: int = 100_000,
 ):
     """documents → (doc_a, doc_b, n_shared, jaccard_ppm): SpotSigs
@@ -1553,7 +1539,7 @@ def spotsigs_pairs(
     from ray.data.aggregate import Sum
 
     from .cleaning import _hash63_cached
-    from .joins import _bucket_of
+    from .joins import SHUFFLE_BUCKETS, _bucket_of
 
     def sig_rows(batch: pa.Table) -> pa.Table:
         ids = batch.column("doc_id").to_pylist()
@@ -1608,7 +1594,7 @@ def spotsigs_pairs(
         base.map_batches(sig_rows, batch_format="pyarrow")
         .map_batches(
             lambda b: b.append_column(
-                "bkt", _bucket_of(b.column("sig"), n_buckets)
+                "bkt", _bucket_of(b.column("sig"), SHUFFLE_BUCKETS)
             ),
             batch_format="pyarrow",
         )

@@ -35,7 +35,6 @@ def pagerank(
     total: int = 10**15,
     damping_num: int = 85,
     damping_den: int = 100,
-    n_buckets: int | None = None,
     seed_col: str | None = None,
     _extra_vectors: list | None = None,
 ):
@@ -68,7 +67,7 @@ def pagerank(
     from ray.data.aggregate import Sum
 
     from .blocks import light_table, rebase
-    from .joins import hash_join, sorted_lookup
+    from .joins import adaptive_buckets, hash_join, sorted_lookup, state_blocks
 
     # Pin the (light, int64) node/edge relations once: count(), the
     # outdegree pass, the fast-path collect and every join round would
@@ -170,17 +169,7 @@ def pagerank(
             )
         )
 
-    if n_buckets is None:
-        # Per-iteration shuffle task count scales with buckets; size to
-        # the node count (~500k rank rows per bucket, floor 8) so a
-        # small graph doesn't pay 64 near-empty tasks × 2 shuffles ×
-        # iters in pure scheduling overhead.
-        from .joins import adaptive_buckets
-
-        n_buckets = adaptive_buckets(n_nodes)
-
-    # ~2M rank rows per block, like connected_components
-    n_blocks = max(1, min(512, n_nodes // 2_000_000 + 1))
+    n_buckets, n_blocks = adaptive_buckets(n_nodes), state_blocks(n_nodes)
 
     # One-time: stamp each edge with its source's outdegree (per-batch
     # partial counts → keyed Sum → bucketed join back onto the edges).
@@ -217,9 +206,7 @@ def pagerank(
         )
     )
     edges_deg = rebase(
-        hash_join(e, deg, on="src", right_on="dsrc", n_buckets=n_buckets)
-        .repartition(n_blocks)
-        .materialize()
+        hash_join(e, deg, on="src", right_on="dsrc", n_buckets=n_buckets), n_blocks
     )
 
     def node_rows(use_r0: bool, marker: int):
@@ -246,15 +233,13 @@ def pagerank(
         return f
 
     base_rows = rebase(
-        nodes.map_batches(node_rows(False, 1), batch_format="pyarrow")
-        .repartition(n_blocks)
-        .materialize()
+        nodes.map_batches(node_rows(False, 1), batch_format="pyarrow"), n_blocks
     )
     ranks = rebase(
-        nodes.map_batches(node_rows(True, 1), batch_format="pyarrow")
-        .select_columns(["id", *names])
-        .repartition(n_blocks)
-        .materialize()
+        nodes.map_batches(node_rows(True, 1), batch_format="pyarrow").select_columns(
+            ["id", *names]
+        ),
+        n_blocks,
     )
 
     def contrib(batch: pa.Table) -> pa.Table:
@@ -285,13 +270,13 @@ def pagerank(
             edges_deg, ranks, on="src", right_on="id", n_buckets=n_buckets
         )
         contribs = joined.map_batches(contrib, batch_format="pyarrow")
-        ranks = (
+        ranks = rebase(
             base_rows.union(contribs)
             .groupby("id")
             .aggregate(*sums)
-            .map_batches(keep_real_nodes, batch_format="pyarrow")
+            .map_batches(keep_real_nodes, batch_format="pyarrow"),
+            n_blocks,
         )
-        ranks = rebase(ranks.repartition(n_blocks).materialize())
 
     if _extra_vectors:
         return ranks  # (id, <one column per vector>)
@@ -375,7 +360,6 @@ def resolve_pointers(
     src: str = "src",
     nxt: str = "next",
     max_chain: int = 16,
-    n_buckets: int | None = None,
 ):
     """Redirect-chain / pointer resolution by path doubling.
 
@@ -404,7 +388,7 @@ def resolve_pointers(
     import ray.data
 
     from .blocks import rebase
-    from .joins import hash_join
+    from .joins import adaptive_buckets, hash_join, state_blocks
 
     n_rows = ds.count()
     if n_rows == 0:
@@ -417,11 +401,7 @@ def resolve_pointers(
                 }
             )
         )
-    if n_buckets is None:
-        from .joins import adaptive_buckets
-
-        n_buckets = adaptive_buckets(n_rows)
-    n_blocks = max(1, min(512, n_rows // 2_000_000 + 1))
+    n_buckets, n_blocks = adaptive_buckets(n_rows), state_blocks(n_rows)
 
     def prep(batch: pa.Table) -> pa.Table:
         s = batch.column(src).cast(pa.int64())
@@ -434,11 +414,7 @@ def resolve_pointers(
             }
         )
 
-    state = rebase(
-        ds.map_batches(prep, batch_format="pyarrow")
-        .repartition(n_blocks)
-        .materialize()
-    )
+    state = rebase(ds.map_batches(prep, batch_format="pyarrow"), n_blocks)
 
     def project_right(batch: pa.Table) -> pa.Table:
         return pa.table(
@@ -464,9 +440,8 @@ def resolve_pointers(
         right = state.map_batches(project_right, batch_format="pyarrow")
         state = rebase(
             hash_join(state, right, on="cur", right_on="jsrc", n_buckets=n_buckets)
-            .map_batches(advance, batch_format="pyarrow")
-            .repartition(n_blocks)
-            .materialize()
+            .map_batches(advance, batch_format="pyarrow"),
+            n_blocks,
         )
 
     return state.map_batches(
@@ -481,7 +456,7 @@ def resolve_pointers(
     )
 
 
-def hits(nodes, edges, *, iters: int = 2, scale_shift: int = 1, base_shift: int = 20, n_buckets: int | None = None):
+def hits(nodes, edges, *, iters: int = 2, scale_shift: int = 1, base_shift: int = 20):
     """Integer-exact HITS hubs/authorities (Kleinberg 1999, "Authoritative
     sources in a hyperlinked environment") over a (src, dst) edge set:
 
@@ -509,7 +484,7 @@ def hits(nodes, edges, *, iters: int = 2, scale_shift: int = 1, base_shift: int 
     from ray.data.aggregate import Sum
 
     from .blocks import light_table, rebase
-    from .joins import adaptive_buckets, hash_join, sorted_lookup
+    from .joins import adaptive_buckets, hash_join, sorted_lookup, state_blocks
 
     if iters < 1:
         raise ValueError(f"iters must be >= 1, got {iters}")
@@ -570,9 +545,7 @@ def hits(nodes, edges, *, iters: int = 2, scale_shift: int = 1, base_shift: int 
             )
         )
 
-    if n_buckets is None:
-        n_buckets = adaptive_buckets(n_nodes)
-    n_blocks = max(1, min(512, n_nodes // 2_000_000 + 1))
+    n_buckets, n_blocks = adaptive_buckets(n_nodes), state_blocks(n_nodes)
     base = 1 << base_shift
 
     e = rebase(
@@ -584,9 +557,8 @@ def hits(nodes, edges, *, iters: int = 2, scale_shift: int = 1, base_shift: int 
                 }
             ),
             batch_format="pyarrow",
-        )
-        .repartition(n_blocks)
-        .materialize()
+        ),
+        n_blocks,
     )
 
     def const_rows(value: int, marker: int):
@@ -603,16 +575,12 @@ def hits(nodes, edges, *, iters: int = 2, scale_shift: int = 1, base_shift: int 
 
         return f
 
-    zeros = rebase(
-        nodes.map_batches(const_rows(0, 1), batch_format="pyarrow")
-        .repartition(n_blocks)
-        .materialize()
-    )
+    zeros = rebase(nodes.map_batches(const_rows(0, 1), batch_format="pyarrow"), n_blocks)
     h = rebase(
-        nodes.map_batches(const_rows(base, 1), batch_format="pyarrow")
-        .select_columns(["id", "c"])
-        .repartition(n_blocks)
-        .materialize()
+        nodes.map_batches(const_rows(base, 1), batch_format="pyarrow").select_columns(
+            ["id", "c"]
+        ),
+        n_blocks,
     )
 
     def filter_shift(b: pa.Table) -> pa.Table:
@@ -639,13 +607,13 @@ def hits(nodes, edges, *, iters: int = 2, scale_shift: int = 1, base_shift: int 
             ),
             batch_format="pyarrow",
         )
-        out = (
+        return rebase(
             zeros.union(contribs)
             .groupby("id")
             .aggregate(Sum("c"), Sum("b"))
-            .map_batches(filter_shift, batch_format="pyarrow")
+            .map_batches(filter_shift, batch_format="pyarrow"),
+            n_blocks,
         )
-        return rebase(out.repartition(n_blocks).materialize())
 
     a = None
     for _ in range(iters):
@@ -820,7 +788,6 @@ def cocitation_pairs(
     dst_col: str = "dst_host",
     min_common: int = 3,
     max_out_degree: int = 4096,
-    n_buckets: int = 64,
 ):
     """Co-citation over a DISTINCT (src, dst) edge set: pairs of targets
     linked from the same source, scored by how many sources they share —
@@ -846,11 +813,13 @@ def cocitation_pairs(
     import pyarrow.compute as pc
     from ray.data.aggregate import Sum
 
+    from .joins import SHUFFLE_BUCKETS
+
     def tag(b: pa.Table) -> pa.Table:
         ids = _host_ids(b.column(src_col).to_pylist())
         return pa.table(
             {
-                "bucket": pa.array([i % n_buckets for i in ids], pa.int64()),
+                "bucket": pa.array([i % SHUFFLE_BUCKETS for i in ids], pa.int64()),
                 "src": b.column(src_col),
                 "dst": b.column(dst_col),
             }

@@ -14,13 +14,17 @@ clusters and choke on schema-less empty partitions).
 
 The grouping key is a hash bucket of the join key, not the key itself:
 grouping on the raw key would invoke a per-group Python callback once per
-key, the maximum-overhead shape for a corpus-sized key domain.  With
-``n_buckets`` groups each callback resolves a whole bucket of keys with
-vectorized numpy (:func:`sorted_lookup` for the ≤1-row-per-key lookup
-side, a repeat/tile index construction for the general cartesian), so
-per-group overhead is amortised over ~|rows|/n_buckets rows.  Size
-``n_buckets`` like shuffle partitions (a few × cluster cores, or data /
-~100 MB).
+key, the maximum-overhead shape for a corpus-sized key domain.  Each
+callback resolves a whole bucket of keys with vectorized numpy
+(:func:`sorted_lookup` for the ≤1-row-per-key lookup side, a repeat/tile
+index construction for the general cartesian), so per-group overhead is
+amortised over ~|rows|/width rows.
+
+Layout is not part of any operator's API.  The one width rule: a
+single-pass exchange is :data:`SHUFFLE_BUCKETS` wide; an operator that
+knows its row count (the iterative graph, suffix and component rounds)
+uses :func:`adaptive_buckets` of it and keeps its state in
+:func:`state_blocks` blocks.  No result depends on either.
 
 Null keys follow SQL: a null key matches nothing, not even another null.
 ``co_partition`` gives each side's null-key rows a bucket of their own, so
@@ -38,14 +42,23 @@ import pyarrow.compute as pc
 _BUCKET = "__join_bucket"
 _FROM_RIGHT = "__join_from_right"
 
-DEFAULT_JOIN_BUCKETS = 64
+# the width of every single-pass bucketed exchange
+SHUFFLE_BUCKETS = 64
+
+
+def state_blocks(n_rows: int) -> int:
+    """Block count for an iterative operator's ``n_rows``-row state
+    (≈2M rows per block, 1 to 512), pinned every round by
+    :func:`~go_htmldate_ray.stages.blocks.rebase`."""
+    return max(1, min(512, n_rows // 2_000_000 + 1))
 
 
 def adaptive_buckets(n_rows: int) -> int:
-    """Shared shuffle-width heuristic for keyed joins over ``n_rows``-row
-    state tables (~500k rows per bucket, floor 8, cap 256): small inputs
-    skip paying dozens of near-empty shuffle tasks per exchange."""
-    return max(8, min(256, n_rows // 500_000 + 8))
+    """Shuffle width for the keyed joins of an operator over ``n_rows``
+    rows: ~500k rows per bucket, floor 8, cap 256 (a 97-node host graph
+    must not pay 64 near-empty join tasks per exchange per round), and
+    never fewer buckets than :func:`state_blocks` blocks."""
+    return max(8, min(256, n_rows // 500_000 + 8), state_blocks(n_rows))
 
 
 def _bucket_of(keys: pa.ChunkedArray | pa.Array, n_buckets: int) -> pa.Array:
@@ -151,7 +164,6 @@ def attach_payload(
     out_col: str,
     carry_cols: dict[str, pa.DataType],
     dedupe: bool = False,
-    n_buckets: int = DEFAULT_JOIN_BUCKETS,
 ):
     """Inner-join ``lookup``'s payload onto ``pairs``.
 
@@ -167,7 +179,6 @@ def attach_payload(
             values co-locate on the join bucket, so candidate-pair dedup
             piggybacks on this shuffle instead of needing its own
             all-to-all.
-        n_buckets: hash buckets for the grouping (see module docstring).
 
     Returns a Dataset with ``carry_cols`` + ``out_col``; pairs whose key
     is null or has no lookup row are dropped (inner semantics).
@@ -197,7 +208,9 @@ def attach_payload(
             out_col, payload.take(pa.array(order[pos[hit]], pa.int64()))
         )
 
-    return co_partition(projected, lookup, key_col, "key", resolve, n_buckets=n_buckets)
+    return co_partition(
+        projected, lookup, key_col, "key", resolve, n_buckets=SHUFFLE_BUCKETS
+    )
 
 
 def hash_join(
@@ -206,7 +219,7 @@ def hash_join(
     *,
     on: str,
     right_on: str | None = None,
-    n_buckets: int = DEFAULT_JOIN_BUCKETS,
+    n_buckets: int | None = None,
     how: str = "inner",
 ):
     """General distributed equi-join over :func:`co_partition`
@@ -224,6 +237,7 @@ def hash_join(
     key (mirrors SQL ``USING``).  Non-key column-name collisions are the
     caller's responsibility.  Skewed keys amplify the within-group
     cartesian — this is an equi-join; pre-aggregate hot keys first.
+    ``n_buckets`` defaults to :data:`SHUFFLE_BUCKETS`.
     """
     if how not in ("inner", "left", "full"):
         raise ValueError(f"how must be 'inner', 'left' or 'full', got {how!r}")
@@ -281,7 +295,9 @@ def hash_join(
             parts.append(_right_only(rrows, ~sorted_lookup(matched, rk)[1]))
         return pa.concat_tables(parts)
 
-    return co_partition(left, right, on, right_on, emit_bucket, n_buckets=n_buckets)
+    return co_partition(
+        left, right, on, right_on, emit_bucket, n_buckets=n_buckets or SHUFFLE_BUCKETS
+    )
 
 
 def anti_join(
@@ -290,7 +306,6 @@ def anti_join(
     *,
     on: str,
     right_on: str | None = None,
-    n_buckets: int = DEFAULT_JOIN_BUCKETS,
 ):
     """Left ANTI equi-join: left rows whose key has NO match in right —
     the "new since the last snapshot" / incremental-dedup exchange.  A
@@ -316,7 +331,9 @@ def anti_join(
         _, hit = sorted_lookup(np.unique(_int64(rrows, right_on)), _int64(lrows, on))
         return lrows.filter(pa.array(~hit))
 
-    return co_partition(left, right_keys, on, right_on, keep_unmatched, n_buckets=n_buckets)
+    return co_partition(
+        left, right_keys, on, right_on, keep_unmatched, n_buckets=SHUFFLE_BUCKETS
+    )
 
 
 PAIR_CAP = 200  # bucket size above which all-pairs expansion is star-sampled
@@ -452,7 +469,6 @@ def range_join(
     right_start: str,
     right_end: str,
     grid_us: int,
-    n_buckets: int = DEFAULT_JOIN_BUCKETS,
 ):
     """Distributed range (interval) join: left rows whose ``left_ts``
     falls inside a right row's half-open ``[right_start, right_end)``.
@@ -488,9 +504,7 @@ def range_join(
 
     left_cells = left.map_batches(stamp_left, batch_format="pyarrow")
     right_cells = right.map_batches(expand_right, batch_format="pyarrow")
-    joined = hash_join(
-        left_cells, right_cells, on=_CELL, n_buckets=n_buckets, how="inner"
-    )
+    joined = hash_join(left_cells, right_cells, on=_CELL)
 
     def contain(batch: pa.Table) -> pa.Table:
         ts = _us(batch.column(left_ts))
@@ -512,7 +526,6 @@ def interval_overlap_join(
     right_start: str,
     right_end: str,
     grid_us: int,
-    n_buckets: int = DEFAULT_JOIN_BUCKETS,
 ):
     """Distributed interval-overlap join: pairs whose half-open spans
     intersect (``l.start < r.end AND r.start < l.end``).
@@ -552,9 +565,7 @@ def interval_overlap_join(
         lambda b: _expand_cells(b, right_start, right_end, grid_us),
         batch_format="pyarrow",
     )
-    joined = hash_join(
-        left_cells, right_cells, on=_CELL, n_buckets=n_buckets, how="inner"
-    )
+    joined = hash_join(left_cells, right_cells, on=_CELL)
     return joined.map_batches(contain, batch_format="pyarrow")
 
 
@@ -565,8 +576,6 @@ def skew_join(
     on: str,
     right_on: str | None = None,
     hot_threshold: int = 10_000,
-    n_buckets: int = DEFAULT_JOIN_BUCKETS,
-    materialize_left: bool = False,
 ):
     """Skew-aware inner equi-join: keys whose LEFT-side frequency reaches
     ``hot_threshold`` take the broadcast path (their right-side rows are
@@ -587,12 +596,8 @@ def skew_join(
     row total, so no second ``count()`` execution.  Output column layout
     matches :func:`hash_join` (left columns + right columns minus the
     right key); row order is not significant, as with every join here.
-
-    ``materialize_left``: the left lineage is consumed three times (key
-    counts, hot map, cold map).  For a plain read that recompute is
-    cheaper than pinning the table; for an expensive derived left, pass
-    True to materialize once and trade object-store footprint for the
-    3× recompute.
+    The left lineage is read three times (key counts, hot map, cold map):
+    pass a materialized left when it is expensive to recompute.
     """
     import ray
     from ray.data.aggregate import Sum
@@ -601,8 +606,6 @@ def skew_join(
 
     right_on = right_on or on
     right_names = [n for n in right.schema().names if n != right_on]
-    if materialize_left:
-        left = left.materialize()
 
     def key_counts(batch: pa.Table) -> pa.Table:
         keys = np.asarray(batch.column(on), dtype=np.int64)
@@ -638,7 +641,7 @@ def skew_join(
     hot_keys = frozenset(hot_rows.column("k").to_pylist())
 
     if not hot_keys:
-        return hash_join(left, right, on=on, right_on=right_on, n_buckets=n_buckets)
+        return hash_join(left, right, on=on, right_on=right_on)
 
     hot_arr = pa.array(sorted(hot_keys), pa.int64())
 
@@ -723,7 +726,5 @@ def skew_join(
         # cold inner join is provably empty — skip its barrier entirely
         # (this also sidesteps schema inference on an empty mapped side)
         return hot
-    cold = hash_join(
-        left_cold, right_cold, on=on, right_on=right_on, n_buckets=n_buckets
-    )
+    cold = hash_join(left_cold, right_cold, on=on, right_on=right_on)
     return cold.union(hot)

@@ -11,10 +11,10 @@ no native operator for.
 plus one grouped pass:
 
 1. **Range stats** — ``min``/``max`` of the order column (one tiny
-   aggregate) define ``n_buckets`` contiguous key ranges, so bucket
+   aggregate) define ``SHUFFLE_BUCKETS`` contiguous key ranges, so bucket
    order IS key order (hash buckets would scramble the carry chain).
 2. **Bucket partials** — per-batch partial sums → one keyed ``Sum``
-   over ≤ ``n_buckets`` light rows → the driver prefix-sums them into
+   over ≤ one light row per bucket → the driver prefix-sums them into
    per-bucket start offsets (broadcast once).
 3. **Within-bucket cumsum** — ``groupby(bucket).map_groups``: every row
    of a key range co-locates, a vectorized argsort + ``np.cumsum`` adds
@@ -33,10 +33,17 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 
-def ordered_cumsum(ds, *, order_col: str, value_col: str, n_buckets: int = 64):
+def ordered_cumsum(ds, *, order_col: str, value_col: str):
     """→ the input rows plus ``cum`` = inclusive cumulative sum of
     ``value_col`` in ascending ``order_col`` order (order values must be
     unique integers)."""
+    from .joins import SHUFFLE_BUCKETS
+
+    return _ordered_cumsum(ds, order_col, value_col, SHUFFLE_BUCKETS)
+
+
+def _ordered_cumsum(ds, order_col: str, value_col: str, n_buckets: int):
+    # n_buckets range buckets: suffix_array's rounds pass adaptive_buckets
     import ray
     from ray.data.aggregate import Max, Min, Sum
 
@@ -112,7 +119,7 @@ def ordered_cumsum(ds, *, order_col: str, value_col: str, n_buckets: int = 64):
     )
 
 
-def pack_sequences(ds, *, context_len: int = 512, n_buckets: int = 64):
+def pack_sequences(ds, *, context_len: int = 512):
     """documents → (doc_id, n_tokens, start_offset, first_pack,
     last_pack): the standard LM concat-and-chunk packing layout.  The
     global token stream concatenates documents in doc_id order;
@@ -144,9 +151,7 @@ def pack_sequences(ds, *, context_len: int = 512, n_buckets: int = 64):
     counted = ds.select_columns(["doc_id", "text"]).map_batches(
         token_counts, batch_format="pyarrow"
     )
-    cum = ordered_cumsum(
-        counted, order_col="doc_id", value_col="n_tokens", n_buckets=n_buckets
-    )
+    cum = ordered_cumsum(counted, order_col="doc_id", value_col="n_tokens")
 
     def layout(batch: pa.Table) -> pa.Table:
         c = np.asarray(batch.column("cum"), dtype=np.int64)

@@ -8,18 +8,18 @@ of column scans instead of a total-order sort:
 1. count + global min/max              (2 cheap aggregates)
 2. one histogram pass: every batch bins its values with the SAME fixed
    arithmetic and emits partial (bin, count) rows; a Sum groupby yields
-   ≤ ``n_bins`` rows on the driver
+   one row per bin (8192 bins) on the driver
 3. locate each target rank's bin from the cumulative counts, then ONE
-   collect pass pulls only those bins' values (expected n/n_bins rows
+   collect pass pulls only those bins' values (expected n/8192 rows
    each) and selects in-memory with np.partition arithmetic
 
-A bin holding more than ``bin_row_cap`` rows (heavy skew / duplicate
-pileups) is REFINED recursively — re-histogrammed within its own range —
-rather than collected; a bin whose min == max is a single value and
-resolves immediately.  Total scans: 3 + refinement depth (rare).  At
-100 TB pass the column projection pre-materialized if re-scan cost
-matters; the operator itself only ever drives ≤ n_bins + collected-bin
-rows to the driver.
+A bin whose float64 values do not fit
+:data:`~go_htmldate_ray.stages.blocks.LIGHT_TABLE_BYTES` (heavy skew /
+duplicate pileups) is REFINED recursively — re-histogrammed within its
+own range — rather than collected, down to a range too narrow to split.
+Total scans: 3 + refinement depth (rare).  At 100 TB pass the column
+projection pre-materialized if re-scan cost matters; the operator itself
+only ever drives one row per bin plus collected-bin rows to the driver.
 """
 
 from __future__ import annotations
@@ -28,6 +28,17 @@ import math
 
 import numpy as np
 import pyarrow as pa
+
+from . import blocks
+
+# histogram bins: over the whole column, and per group
+_BINS, _GROUP_BINS = 8192, 1024
+
+
+def _collectable(rows: int) -> bool:
+    """A bin is collected on the driver when its float64 values fit the
+    one driver budget; a larger bin is refined."""
+    return rows * 8 <= blocks.LIGHT_TABLE_BYTES
 
 
 def _bin_index(vals: np.ndarray, lo: float, hi: float, n_bins: int) -> np.ndarray:
@@ -87,18 +98,18 @@ def _collect_bins(ds, col: str, lo: float, hi: float, n_bins: int, wanted: set):
 
 def _refine_rank(
     ds, col: str, rank: int, lo: float, hi: float, hist: np.ndarray,
-    n_bins: int, bin_row_cap: int, depth: int = 0,
+    n_bins: int, depth: int = 0,
 ) -> float:
     """Element at 1-based ``rank`` of the values in [lo, hi] whose
     histogram over that range is ``hist`` — the recursive path for bins
-    over ``bin_row_cap`` (heavy skew)."""
+    too heavy to collect (heavy skew)."""
     cum = np.cumsum(hist)
     b = int(np.searchsorted(cum, rank))
     rank_in_bin = rank - (int(cum[b - 1]) if b else 0)
     width = (hi - lo) / n_bins
     blo = lo + b * width
     bhi = hi if b == n_bins - 1 else lo + (b + 1) * width
-    if hist[b] <= bin_row_cap or depth >= 8 or bhi <= blo:
+    if _collectable(hist[b]) or depth >= 8 or bhi <= blo:
         vals = _collect_bins(ds, col, lo, hi, n_bins, {b})[b]
         vals = np.asarray(vals)
         return float(np.partition(vals, rank_in_bin - 1)[rank_in_bin - 1])
@@ -111,18 +122,11 @@ def _refine_rank(
     sub = ds.map_batches(only_bin, batch_format="pyarrow")
     sub_hist = _histogram(sub, col, blo, bhi, n_bins)
     return _refine_rank(
-        sub, col, rank_in_bin, blo, bhi, sub_hist, n_bins, bin_row_cap, depth + 1
+        sub, col, rank_in_bin, blo, bhi, sub_hist, n_bins, depth + 1
     )
 
 
-def exact_quantiles(
-    ds,
-    col: str,
-    qs: list[float],
-    *,
-    n_bins: int = 8192,
-    bin_row_cap: int = 1_000_000,
-):
+def exact_quantiles(ds, col: str, qs: list[float]):
     """Dataset → pandas DataFrame (q, value) of exact discrete quantiles
     of ``col`` (see module docstring).  The result is len(qs) rows — a
     driver-side DataFrame is the honest type for it."""
@@ -144,15 +148,15 @@ def exact_quantiles(
         )
     mm = proj.aggregate(Min(col), Max(col))
     lo, hi = float(mm[f"min({col})"]), float(mm[f"max({col})"])
-    hist = _histogram(proj, col, lo, hi, n_bins)
+    hist = _histogram(proj, col, lo, hi, _BINS)
 
     # ranks → bins; all light bins are collected in ONE pass, heavy bins
-    # (over bin_row_cap) go through recursive refinement individually
+    # go through recursive refinement individually
     cum = np.cumsum(hist)
     rank_of = {q: max(1, math.ceil(q * n)) for q in qs}
     bin_of = {q: int(np.searchsorted(cum, r)) for q, r in rank_of.items()}
-    light = {b for b in bin_of.values() if hist[b] <= bin_row_cap}
-    collected = _collect_bins(proj, col, lo, hi, n_bins, light) if light else {}
+    light = {b for b in bin_of.values() if _collectable(hist[b])}
+    collected = _collect_bins(proj, col, lo, hi, _BINS, light) if light else {}
 
     out = []
     for q in qs:
@@ -162,20 +166,12 @@ def exact_quantiles(
             vals = np.asarray(collected[b])
             value = float(np.partition(vals, rank_in_bin - 1)[rank_in_bin - 1])
         else:
-            value = _refine_rank(proj, col, rank, lo, hi, hist, n_bins, bin_row_cap)
+            value = _refine_rank(proj, col, rank, lo, hi, hist, _BINS)
         out.append({"q": q, "value": value})
     return pd.DataFrame(out)
 
 
-def grouped_quantiles(
-    ds,
-    key: str,
-    col: str,
-    qs: list[float],
-    *,
-    n_bins: int = 1024,
-    bin_row_cap: int = 1_000_000,
-):
+def grouped_quantiles(ds, key: str, col: str, qs: list[float]):
     """Per-group exact discrete quantiles → pandas DataFrame
     (key, q, value) — the grouped generalization of
     :func:`exact_quantiles`, in the same bounded number of scans for ALL
@@ -220,7 +216,7 @@ def grouped_quantiles(
             lo, hi = bounds[k]
             mask = keys_np == k
             bins, counts = np.unique(
-                _bin_index(vals[mask], lo, hi, n_bins), return_counts=True
+                _bin_index(vals[mask], lo, hi, _GROUP_BINS), return_counts=True
             )
             out_k.extend([k] * len(bins))
             out_b.extend(bins.tolist())
@@ -240,8 +236,8 @@ def grouped_quantiles(
         .groupby([key, "bin"])
         .aggregate(Sum("cnt"))
         .take_all()
-    )  # ≤ n_groups × n_bins rows
-    hists = {k: np.zeros(n_bins, dtype=np.int64) for k in stats}
+    )  # ≤ n_groups × _GROUP_BINS rows
+    hists = {k: np.zeros(_GROUP_BINS, dtype=np.int64) for k in stats}
     for r in hist_rows:
         hists[r[key]][r["bin"]] = r["sum(cnt)"]
 
@@ -253,7 +249,7 @@ def grouped_quantiles(
         rank_of = {q: max(1, math.ceil(q * n)) for q in qs}
         bin_of = {q: int(np.searchsorted(cum, r)) for q, r in rank_of.items()}
         plan[k] = (cum, rank_of, bin_of)
-        lt = {b for b in bin_of.values() if hists[k][b] <= bin_row_cap}
+        lt = {b for b in bin_of.values() if _collectable(hists[k][b])}
         if lt:
             light[k] = lt
 
@@ -267,7 +263,7 @@ def grouped_quantiles(
             for k, wanted in light.items():
                 lo, hi = bounds[k]
                 mask = keys_np == k
-                b = _bin_index(vals[mask], lo, hi, n_bins)
+                b = _bin_index(vals[mask], lo, hi, _GROUP_BINS)
                 idx[mask] = b
                 keep[mask] = np.isin(b, list(wanted))
             t = pa.table(
@@ -298,8 +294,6 @@ def grouped_quantiles(
                     lambda t, kk=k: t.filter(pc.equal(t.column(key), kk)),
                     batch_format="pyarrow",
                 )
-                value = _refine_rank(
-                    sub, col, rank, lo, hi, hists[k], n_bins, bin_row_cap
-                )
+                value = _refine_rank(sub, col, rank, lo, hi, hists[k], _GROUP_BINS)
             out.append({key: k, "q": q, "value": value})
     return pd.DataFrame(out)

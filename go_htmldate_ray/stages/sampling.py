@@ -145,14 +145,15 @@ def grouped_split(
     return ds.map_batches(f, batch_format="pyarrow")
 
 
+_SALT_BUCKETS = 16  # cap_per_group's phase-1 sub-buckets per group
+
+
 def cap_per_group(
     ds,
     *,
     group_col: str,
     cap: int,
     id_col: str = "doc_id",
-    salt_buckets: int = 16,
-    n_hash_buckets: int = 64,
 ):
     """Per-group quota: keep at most ``cap`` rows per ``group_col`` value
     (the domain-quota curation rule — "no single host may dominate the
@@ -160,10 +161,10 @@ def cap_per_group(
     Returns the kept rows with the input's columns.
 
     Skew-safe two-phase shape: phase 1 groups on the SALTED key
-    ``md5(group) * salt_buckets + id % salt_buckets`` and keeps the
+    ``md5(group) * _SALT_BUCKETS + id % _SALT_BUCKETS`` and keeps the
     ``cap`` smallest ids per (group, sub-bucket), so a mega-group's rows
-    split across ``salt_buckets`` tasks and at most
-    ``salt_buckets × cap`` rows per group survive into phase 2; phase 2
+    split across ``_SALT_BUCKETS`` tasks and at most
+    ``_SALT_BUCKETS × cap`` rows per group survive into phase 2; phase 2
     groups on a HASH BUCKET of the group value (never one Python call
     per group value).  Both phases resolve their caps with one
     group-aware lexsort + run-boundary rank per task — a salt-key hash
@@ -173,7 +174,7 @@ def cap_per_group(
     import numpy as np
 
     from .cleaning import _hash63_cached
-    from .joins import _bucket_of
+    from .joins import SHUFFLE_BUCKETS, _bucket_of
 
     if cap < 1:
         raise ValueError(f"cap must be >= 1, got {cap}")
@@ -207,12 +208,12 @@ def cap_per_group(
         gh = _group_hashes(batch)
         ids = np.asarray(batch.column(id_col), dtype=np.int64)
         # truncate the hash so the packed key can't overflow int64
-        key = (gh % (1 << 40)) * salt_buckets + ids % salt_buckets
+        key = (gh % (1 << 40)) * _SALT_BUCKETS + ids % _SALT_BUCKETS
         return batch.append_column("__salt", pa.array(key, pa.int64()))
 
     def bucket(batch: pa.Table) -> pa.Table:
         gh = pa.array(_group_hashes(batch), pa.int64())
-        return batch.append_column("__bkt", _bucket_of(gh, n_hash_buckets))
+        return batch.append_column("__bkt", _bucket_of(gh, SHUFFLE_BUCKETS))
 
     phase1 = (
         ds.map_batches(salt, batch_format="pyarrow")
@@ -344,7 +345,7 @@ def budget_allocation(ds, *, budget: int, group_col: str = "host"):
 
     Shape: per-batch host-count partials → ONE keyed Sum groupby →
     :func:`~go_htmldate_ray.stages.packing.ordered_cumsum` over the
-    per-host rows (bucketed prefix sums, ≤n_buckets driver rows) → a
+    per-host rows (bucketed prefix sums, ≤SHUFFLE_BUCKETS driver rows) → a
     stateless vectorized allocate map.  Exact int64 arithmetic holds
     while ``2·total·budget < 2⁶³`` (e.g. a 10¹⁰-URL frontier with a
     10⁸ budget); beyond that, promote the two products to Python ints.

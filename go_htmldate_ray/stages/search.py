@@ -52,7 +52,7 @@ def _tokens_with_docs(batch: pa.Table) -> tuple[pa.Array, pa.Array]:
     return flat.filter(keep), docs.filter(keep)
 
 
-def build_inverted_index(ds, *, n_buckets: int = 64):
+def build_inverted_index(ds):
     """documents → posting rows (term, doc_id, tf, df) — the classic
     index-build exchange: tf rows are exact after one stateless
     per-batch aggregation (a document lives in exactly one batch, so
@@ -63,11 +63,11 @@ def build_inverted_index(ds, *, n_buckets: int = 64):
     semantics), never materializes on the driver.
 
     The bucket key is a stable md5-based hash of the term (Python's
-    ``hash()`` is per-process salted), ≫ #terms-per-bucket granularity
-    via ``n_buckets`` so no per-term Python callback ever runs.
+    ``hash()`` is per-process salted), grouped by hash bucket so no
+    per-term Python callback ever runs.
     """
     from .cleaning import _hash63_cached
-    from .joins import _bucket_of
+    from .joins import SHUFFLE_BUCKETS, _bucket_of
 
     def tf_rows(batch: pa.Table) -> pa.Table:
         term, doc = _tokens_with_docs(batch)
@@ -82,7 +82,7 @@ def build_inverted_index(ds, *, n_buckets: int = 64):
                 "term": t.column("term"),
                 "doc_id": t.column("doc_id"),
                 "tf": t.column("count_all").cast(pa.int64()),
-                "bkt": _bucket_of(h, n_buckets),
+                "bkt": _bucket_of(h, SHUFFLE_BUCKETS),
             }
         )
 

@@ -182,13 +182,16 @@ def lsh_topk(ds, query_ids: list[int], k: int = 5, n_planes: int = 12):
 
 # --- exact all-pairs near-dup (oracle baseline) ------------------------------
 
-def embedding_dup_pairs(ds, *, threshold: float = 0.4, chunk_rows: int = 4096):
+_CHUNK_ROWS = 4096  # embedding_dup_pairs' rows per chunk
+
+
+def embedding_dup_pairs(ds, *, threshold: float = 0.4):
     """Embedding-cosine near-duplicate pairs: (vec_a, vec_b, cosine) for all
     pairs with cosine ≥ threshold, vec_a < vec_b — EXACT, in distributed
     block-pair form.
 
     Pass 1 streams the (vec_id, unit-norm embedding) projection into
-    object-store blocks of ~``chunk_rows`` rows; the driver keeps only the
+    object-store blocks of ~``_CHUNK_ROWS`` rows; the driver keeps only the
     block *references* (``to_arrow_refs`` — no ``ray.get``, no
     ``take_all``).  Pass 2 fans one task out per block pair (i ≤ j); each
     task pulls exactly two blocks zero-copy from the object store, matmuls
@@ -203,7 +206,7 @@ def embedding_dup_pairs(ds, *, threshold: float = 0.4, chunk_rows: int = 4096):
     import ray.data
 
     n = ds.count()
-    n_chunks = max(1, -(-n // chunk_rows))
+    n_chunks = max(1, -(-n // _CHUNK_ROWS))
     norm = (
         ds.select_columns(["vec_id", "embedding"])
         .map_batches(_normalize_batch, batch_format="pyarrow")
@@ -428,10 +431,10 @@ def knn_graph(
     # and rank every vector inside the bucket with one vectorized
     # lexsort (the sampling.cap_per_group shape).
     def bucket(batch: pa.Table) -> pa.Table:
-        from .joins import DEFAULT_JOIN_BUCKETS, _bucket_of
+        from .joins import SHUFFLE_BUCKETS, _bucket_of
 
         return batch.append_column(
-            "__bkt", _bucket_of(batch.column("vec_id"), DEFAULT_JOIN_BUCKETS)
+            "__bkt", _bucket_of(batch.column("vec_id"), SHUFFLE_BUCKETS)
         )
 
     def topk_bucket(group: pa.Table) -> pa.Table:
@@ -808,6 +811,9 @@ def pq_topk(ds, query_ids: list[int], k: int = 5, *, m: int = 4, n_codes: int = 
 # --- SemDeDup: semantic deduplication within k-means clusters ----------------
 
 
+_TILE_ROWS, _TILE_COLS = 8192, 2048  # semdedup's similarity tile
+
+
 def semdedup(
     ds,
     *,
@@ -816,8 +822,6 @@ def semdedup(
     refine_iters: int = 2,
     sample_rows: int = 2048,
     round_decimals: int = 6,
-    tile_rows: int = 8192,
-    tile_cols: int = 2048,
 ):
     """SemDeDup (Abbas et al. 2023): semantic deduplication by clustering
     embeddings with spherical k-means, then dropping every cluster member
@@ -835,7 +839,7 @@ def semdedup(
     partials to the driver, vectors never materialized), assignment is
     one broadcast matmul pass, and the within-cluster quadratic pass runs
     per cluster under ``groupby("cluster").map_groups`` with a
-    ``tile_rows × tile_cols`` similarity tiling so no m×m matrix is ever
+    ``_TILE_ROWS × _TILE_COLS`` similarity tiling so no m×m matrix is ever
     allocated.  The O(m²) score count per cluster is the algorithm's
     semantics; at corpus scale the knob is ``n_clusters`` ∝ N (the paper
     uses 110k clusters) so cluster sizes stay bounded — a cluster must
@@ -873,12 +877,12 @@ def semdedup(
         unit = mat / norms
         m = len(ids)
         keep = np.ones(m, dtype=np.int64)
-        for cstart in range(1, m, tile_cols):
-            cstop = min(cstart + tile_cols, m)
+        for cstart in range(1, m, _TILE_COLS):
+            cstop = min(cstart + _TILE_COLS, m)
             colmax = np.full(cstop - cstart, -1.0)
             cols = np.arange(cstart, cstop)
-            for rstart in range(0, cstop, tile_rows):
-                rstop = min(rstart + tile_rows, cstop)
+            for rstart in range(0, cstop, _TILE_ROWS):
+                rstop = min(rstart + _TILE_ROWS, cstop)
                 sims = unit[rstart:rstop] @ unit[cstart:cstop].T
                 mask = np.arange(rstart, rstop)[:, None] >= cols[None, :]
                 sims[mask] = -1.0

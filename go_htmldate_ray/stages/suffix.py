@@ -48,7 +48,6 @@ def suffix_array(
     *,
     doc_col: str = "doc_id",
     text_col: str = "text",
-    n_buckets: int | None = None,
     max_rounds: int = 40,
 ):
     """→ Dataset (doc_id, pos, srank): dense global rank of each
@@ -59,8 +58,8 @@ def suffix_array(
     from ray.data.aggregate import Count
 
     from .blocks import rebase
-    from .joins import adaptive_buckets, hash_join
-    from .packing import ordered_cumsum
+    from .joins import adaptive_buckets, hash_join, state_blocks
+    from .packing import _ordered_cumsum
 
     def char_rows(batch: pa.Table) -> pa.Table:
         docs_out, poss, ranks = [], [], []
@@ -116,10 +115,8 @@ def suffix_array(
         raise ValueError(
             f"suffix_array packing supports < 2^30 total characters, got {n_rows}"
         )
-    if n_buckets is None:
-        n_buckets = adaptive_buckets(n_rows)
-    n_blocks = max(1, min(512, n_rows // 2_000_000 + 1))
-    state = rebase(state.repartition(n_blocks).materialize())
+    n_buckets, n_blocks = adaptive_buckets(n_rows), state_blocks(n_rows)
+    state = rebase(state, n_blocks)
 
     prev_distinct = -1
     offset = 1
@@ -170,14 +167,10 @@ def suffix_array(
                 }
             )
 
-        paired = rebase(
-            joined.map_batches(pair_rows, batch_format="pyarrow")
-            .repartition(n_blocks)
-            .materialize()
-        )
+        paired = rebase(joined.map_batches(pair_rows, batch_format="pyarrow"), n_blocks)
 
         distinct = paired.groupby("pair").aggregate(Count()).materialize()
-        ranked = ordered_cumsum(
+        ranked = _ordered_cumsum(
             distinct.map_batches(
                 lambda b: pa.table(
                     {
@@ -189,9 +182,9 @@ def suffix_array(
                 ),
                 batch_format="pyarrow",
             ),
-            order_col="pair",
-            value_col="one",
-            n_buckets=n_buckets,
+            "pair",
+            "one",
+            n_buckets,
         )
         # materialize: ordered_cumsum's internals, the count, and the
         # join-back otherwise each re-execute the full distinct-pair
@@ -211,10 +204,8 @@ def suffix_array(
                 on="pair",
                 right_on="jpair",
                 n_buckets=n_buckets,
-            )
-            .select_columns(["doc", "pos", "rank"])
-            .repartition(n_blocks)
-            .materialize()
+            ).select_columns(["doc", "pos", "rank"]),
+            n_blocks,
         )
 
         if n_distinct == prev_distinct:
@@ -316,7 +307,7 @@ def repeated_substrings(
     from ray.data.aggregate import Count, Min
 
     from .blocks import light_table
-    from .joins import DEFAULT_JOIN_BUCKETS, co_partition, hash_join
+    from .joins import SHUFFLE_BUCKETS, co_partition, hash_join
 
     docs = ds.select_columns([doc_col, text_col]).materialize()
     sa = suffix_array(docs, doc_col=doc_col, text_col=text_col)
@@ -356,7 +347,7 @@ def repeated_substrings(
             "doc",
             doc_col,
             lambda r, d: _with_prefixes(r, texts_of(d), cap),
-            n_buckets=DEFAULT_JOIN_BUCKETS,
+            n_buckets=SHUFFLE_BUCKETS,
         )
     rep_t = attached.materialize()
 

@@ -872,7 +872,7 @@ def doc_term_freqs(ds):
     )
 
 
-def tfidf_top_terms(ds, *, k: int = 3, n_buckets: int = 64):
+def tfidf_top_terms(ds, *, k: int = 3):
     """documents → (doc_id, term, tf, df, rank): each document's top-k
     most distinctive terms, ranked by tf/df descending (term ascending on
     ties) — a tf-idf ranking whose score order is exactly reproducible
@@ -886,7 +886,7 @@ def tfidf_top_terms(ds, *, k: int = 3, n_buckets: int = 64):
     top-k (lexsort + run-boundary ranks; one group per *hash bucket*,
     never per term or per doc)."""
     from .cleaning import _hash63_cached
-    from .joins import _bucket_of
+    from .joins import SHUFFLE_BUCKETS, _bucket_of
 
     def tag_term_bucket(batch: pa.Table) -> pa.Table:
         # hash only the UNIQUE terms of the batch (np.unique inverse
@@ -895,7 +895,7 @@ def tfidf_top_terms(ds, *, k: int = 3, n_buckets: int = 64):
         terms = np.asarray(batch.column("term").to_pylist(), dtype=object)
         uniq, inv = np.unique(terms, return_inverse=True)
         bkt_u = np.asarray(
-            [_hash63_cached(t) % n_buckets for t in uniq], dtype=np.int64
+            [_hash63_cached(t) % SHUFFLE_BUCKETS for t in uniq], dtype=np.int64
         )
         return batch.append_column("tbkt", pa.array(bkt_u[inv], pa.int64()))
 
@@ -933,7 +933,7 @@ def tfidf_top_terms(ds, *, k: int = 3, n_buckets: int = 64):
 
     def bucket(batch: pa.Table) -> pa.Table:
         return batch.append_column(
-            "bkt", _bucket_of(batch.column("doc_id"), n_buckets)
+            "bkt", _bucket_of(batch.column("doc_id"), SHUFFLE_BUCKETS)
         )
 
     empty = pa.table(

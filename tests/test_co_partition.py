@@ -1,7 +1,9 @@
 """The bucketed joins built on ``joins.co_partition`` against DuckDB over
 the same Arrow tables: ``hash_join`` (inner, left, full), ``anti_join``
-and ``attach_payload``, with duplicate and null keys, empty sides, and
-inputs spread over more blocks than rows.  A null key matches nothing
+and ``attach_payload``, with duplicate and null keys, empty sides,
+inputs spread over more blocks than rows, and shuffle widths of 1 and 4
+(the operators without a width argument take ``joins.SHUFFLE_BUCKETS``,
+patched here).  A null key matches nothing
 (SQL), so inner joins drop it, outer joins keep it unmatched and the
 anti join keeps it."""
 
@@ -9,6 +11,7 @@ from collections import Counter
 
 import duckdb
 import pyarrow as pa
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -61,6 +64,7 @@ def _sql(query: str, **tables) -> Counter:
 def test_joins_match_duckdb(
     ray_session, lkeys, rkeys, extra_blocks, n_buckets, typed_empty
 ):
+    from go_htmldate_ray.stages import joins
     from go_htmldate_ray.stages.joins import anti_join, hash_join
 
     l_tbl = pa.table(
@@ -88,7 +92,9 @@ def test_joins_match_duckdb(
         got = hash_join(left, right, on="k", right_on="rk", how=how, n_buckets=n_buckets)
         want = _sql(sql, l=l_tbl, r=r_tbl)
         assert _rows(got, ["k", "lv", "rv"], absent) == want, how
-    got = anti_join(left, right, on="k", right_on="rk", n_buckets=n_buckets)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(joins, "SHUFFLE_BUCKETS", n_buckets)
+        got = anti_join(left, right, on="k", right_on="rk")
     want = _sql(f"SELECT l.k, l.lv FROM l ANTI JOIN r ON {on}", l=l_tbl, r=r_tbl)
     assert _rows(got, ["k", "lv"], absent) == want
 
@@ -99,13 +105,15 @@ def test_joins_match_duckdb(
     lookup_keys=st.lists(st.one_of(st.none(), st.integers(-3, 5)), max_size=6, unique=True),
     extra_blocks=st.integers(0, 3),
     dedupe=st.booleans(),
+    n_buckets=st.sampled_from([1, 4]),
 )
-@example(pair_keys=[1, None, 1, 2], lookup_keys=[1, None], extra_blocks=1, dedupe=True)
-@example(pair_keys=[], lookup_keys=[0, 4, None], extra_blocks=0, dedupe=True)
-@example(pair_keys=[0, 4], lookup_keys=[], extra_blocks=0, dedupe=False)
+@example(pair_keys=[1, None, 1, 2], lookup_keys=[1, None], extra_blocks=1, dedupe=True, n_buckets=4)
+@example(pair_keys=[], lookup_keys=[0, 4, None], extra_blocks=0, dedupe=True, n_buckets=1)
+@example(pair_keys=[0, 4], lookup_keys=[], extra_blocks=0, dedupe=False, n_buckets=4)
 def test_attach_payload_matches_duckdb(
-    ray_session, pair_keys, lookup_keys, extra_blocks, dedupe
+    ray_session, pair_keys, lookup_keys, extra_blocks, dedupe, n_buckets
 ):
+    from go_htmldate_ray.stages import joins
     from go_htmldate_ray.stages.joins import attach_payload
 
     p_tbl = pa.table(
@@ -120,15 +128,16 @@ def test_attach_payload_matches_duckdb(
             "payload": pa.array([f"p{k}".encode() for k in lookup_keys], pa.binary()),
         }
     )
-    got = attach_payload(
-        _ds(p_tbl, extra_blocks),
-        _ds(lk_tbl, extra_blocks),
-        key_col="k",
-        out_col="pl",
-        carry_cols={"k": pa.int64(), "other": pa.int64()},
-        dedupe=dedupe,
-        n_buckets=4,
-    )
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(joins, "SHUFFLE_BUCKETS", n_buckets)
+        got = attach_payload(
+            _ds(p_tbl, extra_blocks),
+            _ds(lk_tbl, extra_blocks),
+            key_col="k",
+            out_col="pl",
+            carry_cols={"k": pa.int64(), "other": pa.int64()},
+            dedupe=dedupe,
+        )
     distinct = "DISTINCT" if dedupe else ""
     want = _sql(
         f"SELECT {distinct} p.k, p.other, lk.payload FROM p JOIN lk ON p.k = lk.key",

@@ -191,13 +191,15 @@ def test_winnow_batch_query():
     assert all(r["n_fingerprints"] > 0 for r in rows)
 
 
-def test_embedding_dup_pairs_exact_tiles():
+def test_embedding_dup_pairs_exact_tiles(monkeypatch):
     """Distributed tile scorer equals numpy all-pairs, including pairs that
-    straddle chunk boundaries (chunk_rows forces several tiles)."""
+    straddle chunk boundaries (16-row chunks force several tiles)."""
     import numpy as np
     import ray.data
+    from go_htmldate_ray.stages import similarity
     from go_htmldate_ray.stages.similarity import embedding_dup_pairs
 
+    monkeypatch.setattr(similarity, "_CHUNK_ROWS", 16)
     rng = np.random.RandomState(3)
     vecs = rng.standard_normal((90, 16)).astype(np.float32)
     ds = ray.data.from_items(
@@ -205,7 +207,7 @@ def test_embedding_dup_pairs_exact_tiles():
     )
     got = {
         (r["vec_a"], r["vec_b"]): r["cosine"]
-        for r in embedding_dup_pairs(ds, threshold=0.3, chunk_rows=16).take_all()
+        for r in embedding_dup_pairs(ds, threshold=0.3).take_all()
     }
     m = vecs.astype(np.float64)
     m /= np.linalg.norm(m, axis=1, keepdims=True)
@@ -853,7 +855,6 @@ def test_bucketed_join_randomized_vs_python(ray_session):
         out_col="pl",
         carry_cols={"k": pa.int64(), "other": pa.int64()},
         dedupe=True,
-        n_buckets=16,
     ).take_all()
     got_t = sorted((r["k"], r["other"], bytes(r["pl"])) for r in out)
     want_t = sorted(
@@ -1066,17 +1067,21 @@ def test_top_tokens_vs_counter(ray_session):
     assert got == want
 
 
-def test_exact_quantiles_vs_numpy(ray_session):
+def test_exact_quantiles_vs_numpy(ray_session, scale_path, monkeypatch):
     """Histogram-refinement selection must return the exact ceil(q*n)-rank
-    element — including under forced refinement (tiny bin_row_cap) and
-    massive duplicate pileups."""
+    element — including under forced refinement (no driver budget, so no
+    bin is collected before refining) and massive duplicate pileups."""
     import math
 
     import numpy as np
     import pyarrow as pa
     import ray.data
 
+    from go_htmldate_ray.stages import quantiles
     from go_htmldate_ray.stages.quantiles import exact_quantiles
+
+    calls, refine = [], quantiles._refine_rank
+    monkeypatch.setattr(quantiles, "_refine_rank", lambda *a: calls.append(a) or refine(*a))
 
     rng = np.random.RandomState(13)
     vals = np.concatenate(
@@ -1088,7 +1093,9 @@ def test_exact_quantiles_vs_numpy(ray_session):
     )
     ds = ray.data.from_arrow(pa.table({"value": pa.array(vals, pa.float64())}))
     qs = [0.0, 0.1, 0.5, 0.62, 0.9, 0.999, 1.0]
-    got = exact_quantiles(ds, "value", qs, n_bins=64, bin_row_cap=500)
+    with scale_path():
+        got = exact_quantiles(ds, "value", qs)
+    assert len(calls) >= len(qs)
     srt = np.sort(vals)
     n = len(vals)
     for q, v in zip(got["q"], got["value"]):
@@ -1147,7 +1154,7 @@ def test_anti_join_randomized_vs_python(ray_session):
     right = ray.data.from_arrow(pa.table({"k": pa.array(rkeys, pa.int64())}))
     got = sorted(
         (r["k"], r["lv"])
-        for r in anti_join(left, right, on="k", n_buckets=16).take_all()
+        for r in anti_join(left, right, on="k").take_all()
     )
     rset = set(rkeys.tolist())
     want = sorted(
@@ -1297,9 +1304,7 @@ def test_cap_per_group_vs_python(ray_session):
         pa.table({"doc_id": pa.array(ids, pa.int64()),
                   "source": pa.array(groups.tolist(), pa.string())})
     )
-    out = cap_per_group(
-        ds, group_col="source", cap=7, salt_buckets=8
-    ).take_all()
+    out = cap_per_group(ds, group_col="source", cap=7).take_all()
     got = sorted((r["source"], r["doc_id"]) for r in out)
 
     want = []
@@ -1983,7 +1988,6 @@ def test_range_join_vs_bruteforce(ray_session):
             right_start="s",
             right_end="e",
             grid_us=grid_s * 1_000_000,
-            n_buckets=8,
         ).take_all()
         assert {(r["pid"], r["iid"]) for r in got} == expect
         assert len(got) == len(expect)  # no duplicate emissions
@@ -2016,7 +2020,6 @@ def test_range_join_boundaries(ray_session):
         right_start="s",
         right_end="e",
         grid_us=3 * us,  # interval spans 4 cells
-        n_buckets=4,
     ).take_all()
     assert {(r["pid"], r["iid"]) for r in got} == {(0, 7), (2, 7)}
 
@@ -2065,7 +2068,6 @@ def test_interval_overlap_join_vs_bruteforce(ray_session):
             right_start="s2",
             right_end="e2",
             grid_us=grid_s * us,
-            n_buckets=8,
         ).take_all()
         assert {(r["lid"], r["rid"]) for r in got} == expect
         assert len(got) == len(expect)  # first-shared-cell rule: no dups
@@ -2146,7 +2148,6 @@ def test_interval_joins_pre_epoch_timestamps(ray_session):
         right_start="s2",
         right_end="e2",
         grid_us=day,
-        n_buckets=4,
     ).take_all()
     assert {(r["lid"], r["rid"]) for r in got} == expect
     assert len(got) == len(expect)
@@ -2171,7 +2172,6 @@ def test_interval_joins_pre_epoch_timestamps(ray_session):
         right_start="s2",
         right_end="e2",
         grid_us=day,
-        n_buckets=4,
     ).take_all()
     assert {(r["pid"], r["rid"]) for r in got_pts} == expect_pts
 
@@ -2584,11 +2584,12 @@ def test_semdedup_planted_duplicate_dropped():
     assert by_id[7]["cluster"] == by_id[50]["cluster"]
 
 
-def test_semdedup_tiling_matches_bruteforce():
+def test_semdedup_tiling_matches_bruteforce(monkeypatch):
     """Tiny tile sizes must give the identical keep set as an untiled
     numpy column-max reference over each cluster."""
     import numpy as np
     import ray.data
+    from go_htmldate_ray.stages import similarity
     from go_htmldate_ray.stages.similarity import semdedup
 
     rng = np.random.RandomState(11)
@@ -2600,9 +2601,9 @@ def test_semdedup_tiling_matches_bruteforce():
         [{"vec_id": i, "embedding": vecs[i].tolist()} for i in range(40)]
     )
     tau = 0.8
-    rows = semdedup(
-        ds, n_clusters=3, threshold=tau, refine_iters=1, tile_rows=4, tile_cols=3
-    ).take_all()
+    monkeypatch.setattr(similarity, "_TILE_ROWS", 4)
+    monkeypatch.setattr(similarity, "_TILE_COLS", 3)
+    rows = semdedup(ds, n_clusters=3, threshold=tau, refine_iters=1).take_all()
     got = {r["vec_id"]: (r["cluster"], r["keep"]) for r in rows}
     # reference: same clustering (read from result), untiled keep rule
     unit = vecs / np.linalg.norm(vecs, axis=1, keepdims=True)
@@ -3484,11 +3485,6 @@ def test_skew_join_empty_right_side():
     )
     got = skew_join(left, right, on="k", right_on="rk", hot_threshold=50).take_all()
     assert got == []
-    # materialize_left path: same result, left pinned once
-    got2 = skew_join(
-        left, right, on="k", right_on="rk", hot_threshold=50, materialize_left=True
-    ).take_all()
-    assert got2 == []
 
 
 def test_hot_path_subtrees_deep_trap_paths():
@@ -3541,7 +3537,7 @@ def test_cocitation_pairs_toy_graph():
     )
     out = sorted(
         (r["host_a"], r["host_b"], r["n_common"])
-        for r in cocitation_pairs(edges, min_common=1, n_buckets=4).take_all()
+        for r in cocitation_pairs(edges, min_common=1).take_all()
     )
     # s1 -> {a,b,c,d}: 6 pairs; s2 -> {a,c}: ac; s3 -> {b}: none
     assert out == [
@@ -3553,7 +3549,7 @@ def test_cocitation_pairs_toy_graph():
         ("c", "d", 1),
     ]
     # threshold filters
-    out2 = cocitation_pairs(edges, min_common=2, n_buckets=4).take_all()
+    out2 = cocitation_pairs(edges, min_common=2).take_all()
     assert [(r["host_a"], r["host_b"], r["n_common"]) for r in out2] == [
         ("a", "c", 2)
     ]
@@ -3573,7 +3569,7 @@ def test_cocitation_out_degree_cap_is_loud():
         )
     )
     with pytest.raises(Exception, match="out-degree"):
-        cocitation_pairs(edges, max_out_degree=4, n_buckets=2).take_all()
+        cocitation_pairs(edges, max_out_degree=4).take_all()
 
 
 def test_string_connected_components_two_islands():

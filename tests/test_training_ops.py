@@ -317,7 +317,7 @@ def test_bpe_train_matches_reference(ray_session):
     ]
     ds = ray.data.from_items(docs).repartition(7)
     got = [(r["rank"], r["left"], r["right"], r["count"])
-           for r in bpe_train(ds, n_merges=12, n_blocks=4).take_all()]
+           for r in bpe_train(ds, n_merges=12).take_all()]
 
     wc: dict[str, int] = {}
     for d in docs:
@@ -376,8 +376,7 @@ def test_ordered_cumsum_matches_numpy(ray_session):
         pa.table({"k": pa.array(keys, pa.int64()), "v": pa.array(vals, pa.int64())})
     ).repartition(8)
     got = {r["k"]: r["cum"]
-           for r in ordered_cumsum(ds, order_col="k", value_col="v",
-                                   n_buckets=16).take_all()}
+           for r in ordered_cumsum(ds, order_col="k", value_col="v").take_all()}
     order = np.argsort(keys)
     want = dict(zip(keys[order].tolist(), np.cumsum(vals[order]).tolist()))
     assert got == want
@@ -552,7 +551,7 @@ def test_grouped_quantiles_matches_numpy(ray_session):
         pa.table({"k": pa.array(keys), "v": pa.array(vals, pa.float64())})
     )
     qs = [0.0, 0.25, 0.5, 0.9, 1.0]
-    got = grouped_quantiles(ds, "k", "v", qs, n_bins=64)
+    got = grouped_quantiles(ds, "k", "v", qs)
     import math
 
     for k, arr in (("a", vals[:1000]), ("b", vals[1000:])):
@@ -563,19 +562,24 @@ def test_grouped_quantiles_matches_numpy(ray_session):
             assert float(row["value"].iloc[0]) == expected, (k, q)
 
 
-def test_grouped_quantiles_heavy_bin_refinement(ray_session):
+def test_grouped_quantiles_heavy_bin_refinement(ray_session, scale_path, monkeypatch):
     import ray.data
 
+    from go_htmldate_ray.stages import quantiles
     from go_htmldate_ray.stages.quantiles import grouped_quantiles
 
-    # one group piled on few values (every bin heavy at tiny cap) forces
-    # the per-group refinement path
+    # one group piled on few values; with no driver budget every bin is
+    # too heavy to collect, which forces the per-group refinement path
+    calls, refine = [], quantiles._refine_rank
+    monkeypatch.setattr(quantiles, "_refine_rank", lambda *a: calls.append(a) or refine(*a))
     vals = np.repeat([1.0, 2.0, 3.0], 400)
     ds = ray.data.from_arrow(
         pa.table({"k": pa.array(["x"] * 1200), "v": pa.array(vals, pa.float64())})
     )
-    got = grouped_quantiles(ds, "k", "v", [0.5], n_bins=4, bin_row_cap=50)
+    with scale_path():
+        got = grouped_quantiles(ds, "k", "v", [0.5])
     assert float(got["value"].iloc[0]) == 2.0
+    assert calls
 
 
 def test_top_users_per_type_ranks(ray_session):
