@@ -57,13 +57,13 @@ from go_htmldate_ray.stages import (
 @dataclass(frozen=True)
 class Query:
     """One driver query: ``fn`` over an sf dir, checked either by
-    ``sql`` — the DuckDB oracle, as text or as a zero-argument builder
-    for oracles whose literals are derived from the fixture — or, when
-    no oracle is expressible, by the rows-only check, with the reason in
-    ``rows_only``."""
+    ``sql`` — the DuckDB oracle, as text or, for oracles whose literals
+    are derived from the fixture, as a function of the sf dir the check
+    reads — or, when no oracle is expressible, by the rows-only check,
+    with the reason in ``rows_only``."""
 
     fn: Callable[[str], Any]
-    sql: str | Callable[[], str] | None = None
+    sql: str | Callable[[str], str] | None = None
     rows_only: str | None = None
 
     def __post_init__(self):
@@ -80,9 +80,12 @@ def queries() -> dict[str, Callable[[str], Any]]:
     return _rotate({name: q.fn for name, q in REGISTRY.items()})
 
 
-def oracle_sql() -> dict[str, str]:
+def oracle_sql(sf_dir: str | None = None) -> dict[str, str]:
+    """Each query's DuckDB oracle over ``sf_dir``, the fixture the check
+    runs on (``_ORACLE_SF_DIR`` when none is named)."""
+    sf_dir = sf_dir or _ORACLE_SF_DIR
     return _rotate({
-        name: q.sql() if callable(q.sql) else q.sql
+        name: q.sql(sf_dir) if callable(q.sql) else q.sql
         for name, q in REGISTRY.items()
         if q.sql is not None
     })
@@ -490,7 +493,7 @@ def _golden_corpus_dates(sf_dir, exclude_known: bool):
     )
 
 
-def _golden_corpus_sql() -> str:
+def _golden_corpus_sql(_sf_dir: str) -> str:
     # The reference's own recorded Fast outputs ARE the oracle: DuckDB
     # reads the ported comparison corpus (scripts/comparison/data.go →
     # tests/data/comparison_corpus.json) and excludes the 6 rows whose
@@ -1094,20 +1097,18 @@ est AS (
 SELECT doc_a, doc_b, est_jaccard FROM est WHERE est_jaccard >= {threshold}"""
 
 
-# The driver's correctness compare runs engine and oracle side-by-side at
-# this fixture; oracles whose SQL embeds data-derived constants (LSH plane
-# width, IVF centroids) read the SAME fixture to regenerate them.
+# Oracles whose SQL embeds data-derived constants (LSH plane width, IVF
+# centroids) regenerate them from the fixture the check runs on, the one
+# the engine reads; a caller that names no fixture gets this one.
 _ORACLE_SF_DIR = "/root/testdata/sf0.01"
 
 
-def _fixture_embedding_matrix(max_vec_id: int | None = None):
-    """(vec_id-sorted) embedding matrix of the oracle fixture — the same
-    rows the engine's bounded samples see, read with plain pyarrow."""
+def _fixture_embedding_matrix(sf_dir: str, max_vec_id: int | None = None):
+    """(vec_id-sorted) embedding matrix of the fixture — the same rows the
+    engine's bounded samples see, read with plain pyarrow."""
     import pyarrow.parquet as pq
 
-    t = pq.read_table(
-        f"{_ORACLE_SF_DIR}/embeddings.parquet", columns=["vec_id", "embedding"]
-    )
+    t = pq.read_table(f"{sf_dir}/embeddings.parquet", columns=["vec_id", "embedding"])
     ids = np.asarray(t.column("vec_id").to_pylist(), dtype=np.int64)
     emb = t.column("embedding").to_pylist()
     if max_vec_id is not None:
@@ -1117,16 +1118,12 @@ def _fixture_embedding_matrix(max_vec_id: int | None = None):
     return np.asarray([emb[int(i)] for i in order], dtype=np.float64)
 
 
-def _fixture_embedding_dim(default: int = 64) -> int:
-    try:
-        import pyarrow.parquet as pq
+def _fixture_embedding_dim(sf_dir: str) -> int:
+    """Embedding width of the fixture; a missing file raises."""
+    import pyarrow.parquet as pq
 
-        t = pq.read_table(
-            f"{_ORACLE_SF_DIR}/embeddings.parquet", columns=["embedding"]
-        )
-        return len(t.column("embedding")[0])
-    except Exception:
-        return default
+    t = pq.read_table(f"{sf_dir}/embeddings.parquet", columns=["embedding"])
+    return len(t.column("embedding")[0])
 
 
 def _near_dup_keep_sql() -> str:
@@ -1223,7 +1220,9 @@ SELECT doc_id, (c1 + c2 + c3)::BIGINT AS n_redacted,
 FROM s3"""
 
 
-def _kmeans_sql(n_clusters: int, refine_iters: int, round_decimals: int = 6) -> str:
+def _kmeans_sql(
+    sf_dir: str, n_clusters: int, refine_iters: int, round_decimals: int = 6
+) -> str:
     # Full SQL replay of stages/similarity.kmeans_assign: literal init
     # centroids (the deterministic bounded-sample k-means — the IVF
     # shared-constant pattern), then each distributed Lloyd iteration
@@ -1232,7 +1231,7 @@ def _kmeans_sql(n_clusters: int, refine_iters: int, round_decimals: int = 6) -> 
     # same fixed decimal grid; empty cells keep the previous centroid.
     cents = np.round(
         similarity.kmeans_centroids(
-            _fixture_embedding_matrix(max_vec_id=2048), n_clusters
+            _fixture_embedding_matrix(sf_dir, max_vec_id=2048), n_clusters
         ),
         round_decimals,
     )
@@ -1285,7 +1284,7 @@ SELECT vec_id, cid::BIGINT AS cluster FROM (
 # its oracle share --------------------------------------------------------
 
 def _ann_lsh(*, k: int, n_planes: int) -> Query:
-    def sql() -> str:
+    def sql(sf_dir: str) -> str:
         # The LSH restriction is deterministic: hyperplanes from
         # RandomState(42) (the one band of the BandedHasher that
         # stages/similarity.lsh_topk uses),
@@ -1295,7 +1294,7 @@ def _ann_lsh(*, k: int, n_planes: int) -> Query:
         # The plane width comes from the fixture itself, not a literal 64,
         # so a fixture dim change cannot silently desynchronize the oracle.
         rng = np.random.RandomState(42)
-        planes = rng.standard_normal((n_planes, _fixture_embedding_dim()))
+        planes = rng.standard_normal((n_planes, _fixture_embedding_dim(sf_dir)))
         plane_rows = ", ".join(
             f"({p}, [{','.join(repr(float(x)) for x in planes[p])}]::DOUBLE[])"
             for p in range(n_planes)
@@ -1338,7 +1337,7 @@ def _ann_lsh(*, k: int, n_planes: int) -> Query:
 
 
 def _knn_graph(*, k: int, n_bands: int, planes_per_band: int) -> Query:
-    def sql() -> str:
+    def sql(sf_dir: str) -> str:
         # Band-restricted exact recomputation of stages/similarity.knn_graph:
         # the banded planes are regenerated from RandomState(42) (same seed
         # and layout as BandedHasher — plane row p belongs to band p // r at
@@ -1349,7 +1348,7 @@ def _knn_graph(*, k: int, n_bands: int, planes_per_band: int) -> Query:
         # deterministic on both sides.
         rng = np.random.RandomState(42)
         r = planes_per_band
-        planes = rng.standard_normal((n_bands * r, _fixture_embedding_dim()))
+        planes = rng.standard_normal((n_bands * r, _fixture_embedding_dim(sf_dir)))
         plane_rows = ", ".join(
             f"({p}, [{','.join(repr(float(x)) for x in planes[p])}]::DOUBLE[])"
             for p in range(n_bands * r)
@@ -1396,7 +1395,7 @@ def _knn_graph(*, k: int, n_bands: int, planes_per_band: int) -> Query:
 
 
 def _ann_ivf(*, k: int, n_centroids: int, n_probe: int) -> Query:
-    def sql() -> str:
+    def sql(sf_dir: str) -> str:
         # Probe-restricted IVF search recomputed in SQL from the literal
         # centroids (kmeans_centroids over the vec_id-sorted fixture sample —
         # seed-deterministic, the shared-constant pattern of the minhash
@@ -1406,7 +1405,7 @@ def _ann_ivf(*, k: int, n_centroids: int, n_probe: int) -> Query:
         # stages/similarity.ivf_topk; dot products are norm-invariant, so
         # raw embeddings feed the assignment directly.
         cents = similarity.kmeans_centroids(
-            _fixture_embedding_matrix(max_vec_id=2048), n_centroids
+            _fixture_embedding_matrix(sf_dir, max_vec_id=2048), n_centroids
         )
         cent_rows = ", ".join(
             f"({c}, [{','.join(repr(float(x)) for x in cents[c])}]::DOUBLE[])"
@@ -1460,14 +1459,14 @@ def _ann_ivf(*, k: int, n_centroids: int, n_probe: int) -> Query:
 
 
 def _ann_pq(*, k: int, m: int, n_codes: int) -> Query:
-    def sql() -> str:
+    def sql(sf_dir: str) -> str:
         # PQ / ADC search recomputed in SQL from the trained codebook
         # literals (deterministic per-subspace L2 k-means over the
         # vec_id-sorted fixture sample — the IVF centroid-literal pattern).
         # Encoding (argmin sub-distance, ties -> lowest code), the per-
         # subspace lookup contributions and their 9-decimal-rounded sum all
         # mirror stages/similarity.pq_topk; ranking ties break by id.
-        mat = _fixture_embedding_matrix(max_vec_id=2048)
+        mat = _fixture_embedding_matrix(sf_dir, max_vec_id=2048)
         norms = np.linalg.norm(mat, axis=1, keepdims=True)
         norms[norms == 0] = 1.0
         mat = mat / norms
@@ -1533,12 +1532,12 @@ def _kmeans(*, n_clusters: int, refine_iters: int) -> Query:
         lambda sf: similarity.kmeans_assign(
             _embeddings(sf), n_clusters=n_clusters, refine_iters=refine_iters
         ),
-        lambda: _kmeans_sql(n_clusters, refine_iters),
+        lambda sf: _kmeans_sql(sf, n_clusters, refine_iters),
     )
 
 
 def _semdedup(*, n_clusters: int, threshold: float, refine_iters: int) -> Query:
-    def sql() -> str:
+    def sql(sf_dir: str) -> str:
         # Full SQL replay of stages/similarity.semdedup: the kmeans_assign
         # replay (literal init centroids + Lloyd CTEs) provides the cluster
         # assignment; keep = 0 iff some same-cluster member with a smaller
@@ -1549,7 +1548,7 @@ def _semdedup(*, n_clusters: int, threshold: float, refine_iters: int) -> Query:
         # which DuckDB orders ABOVE the threshold) — same CASE pattern as
         # _kmeans_sql's nrm CTE
         return f"""
-    WITH assign AS ({_kmeans_sql(n_clusters, refine_iters)}),
+    WITH assign AS ({_kmeans_sql(sf_dir, n_clusters, refine_iters)}),
     v AS (
       SELECT vec_id, e,
              CASE WHEN sqrt(list_inner_product(e, e)) = 0 THEN 1.0
@@ -1577,12 +1576,12 @@ def _semdedup(*, n_clusters: int, threshold: float, refine_iters: int) -> Query:
 
 
 def _jl(*, out_dim: int, seed: int) -> Query:
-    def sql() -> str:
+    def sql(sf_dir: str) -> str:
         # The projection matrix literals come from the same RandomState the
         # engine rebuilds per batch; the ÷root scale is float-exact.
         import math
 
-        dim = _fixture_embedding_dim()
+        dim = _fixture_embedding_dim(sf_dir)
         p = np.random.RandomState(seed).standard_normal((out_dim, dim))
         root = math.isqrt(out_dim)
         rows = ", ".join(

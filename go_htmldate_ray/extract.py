@@ -53,8 +53,10 @@ _SEGMENT_PROBE = 2 * C.MAX_SEGMENT_LEN
 # --- public API (core.go:48-133) --------------------------------------------
 
 def from_html(content: bytes | str, opts: Optional[Options] = None) -> Result:
-    """Parse HTML and extract the publication date (mirrors FromReader)."""
-    return from_document(dom.parse_html(content), opts)
+    """Parse HTML and extract the publication date (mirrors FromReader).
+    The page is parsed only as far as the cascade reads it: a URL hit
+    parses nothing, and a meta or JSON-LD hit usually only the head."""
+    return from_document(dom.open_html(content), opts)
 
 
 def _canonical_url(doc: dom.Node) -> str:
@@ -68,7 +70,7 @@ def _canonical_url(doc: dom.Node) -> str:
     return ""
 
 
-def from_document(doc: dom.Node, opts: Optional[Options] = None) -> Result:
+def from_document(doc: dom.Document, opts: Optional[Options] = None) -> Result:
     """Extract the publication date from a parsed document (FromDocument,
     core.go:59-133)."""
     opts = replace(opts) if opts is not None else Options()
@@ -104,13 +106,13 @@ def from_document(doc: dom.Node, opts: Optional[Options] = None) -> Result:
 
 # --- the cascade (core.go:136-271) ------------------------------------------
 
-def find_date(doc: dom.Node, opts: Options) -> DateTuple:
+def find_date(doc: dom.Document, opts: Options) -> DateTuple:
     """2-tuple cascade API (FindDate, core.go:136-271)."""
     raw, dt, _stage = find_date_staged(doc, opts)
     return raw, dt
 
 
-def find_date_staged(doc: dom.Node, opts: Options):
+def find_date_staged(doc: dom.Document, opts: Options):
     """The cascade, additionally naming the stage that fired — the
     EnableLog-equivalent trace (core-options.go:44-45 / core.go:97): with
     ``opts.enable_log`` each hit is logged, and the stage name reaches
@@ -158,9 +160,7 @@ def find_date_staged(doc: dom.Node, opts: Options):
     discard_unwanted(doc)
 
     # M6: date-selector elements (core.go:174-187)
-    rule = fast_date_rule if opts.skip_extensive_search else slow_date_rule
-    date_elements = [e for e in doc.iter_elements() if rule(e)]
-    raw, dt = examine_other_elements(date_elements, opts)
+    raw, dt = examine_other_elements(date_elements(doc, opts.skip_extensive_search), opts)
     if dt is not None:
         return _hit(opts, raw, dt, "date-selector")
 
@@ -176,7 +176,8 @@ def find_date_staged(doc: dom.Node, opts: Options):
         return _hit(opts, raw, dt, "time-element")
 
     # Serialize once, reused by M9/M11/M13 (core.go:212-219), with one
-    # digit index of the string that anchors their scans (patterns.py)
+    # digit index of the string that anchors their scans (patterns.py).
+    # Completion guarantees an <html> element.
     html_node = dom.query_first_element(doc, "html")
     html_string = html_node.inner_html() if html_node is not None else doc.inner_html()
     runs = P.digit_runs(html_string)
@@ -202,8 +203,7 @@ def find_date_staged(doc: dom.Node, opts: Options):
     if not opts.skip_extensive_search:
         ref_value = 0
         ref_string = ""
-        for text_node in query_free_text_nodes(doc):
-            data = text_node.data
+        for data in free_text_runs(doc):
             # Spaces normalized in a prefix give a prefix of the normalized
             # whole, so a long normalized prefix rules the segment out.
             if len(data) > _SEGMENT_PROBE and len(
@@ -261,11 +261,13 @@ _DATE_RULE_LITERALS = re.compile("|".join(re.escape(token) for token in (
 
 def date_rule(el: dom.Node) -> bool:
     """Token tests on id/class/itemprop (selector/date.go:62-97)."""
-    if el.attrs_lack(_DATE_RULE_LITERALS):
-        return False
-    id_ = el.id
-    class_ = el.class_name
-    itemprop = el.attr("itemprop")
+    return not el.attrs_lack(_DATE_RULE_LITERALS) and _date_rule_attrs(el.attrs)
+
+
+def _date_rule_attrs(attrs: dict[str, str]) -> bool:
+    id_ = attrs.get("id", "")
+    class_ = attrs.get("class", "")
+    itemprop = attrs.get("itemprop", "")
 
     id_class_item = _str_or(id_, class_, itemprop)
     id_class = _str_or(id_, class_)
@@ -296,28 +298,51 @@ def fast_date_rule(el: dom.Node) -> bool:
     return False
 
 
-def query_free_text_nodes(doc: dom.Node):
-    """Direct text children of free-text elements
-    (selector/free-text.go + selector/selector.go:33-47)."""
-    for el in doc.iter_elements():
-        if el.tag in C.FREE_TEXT_TAGS:
-            for child in el.children:
-                if child.type == dom.TEXT and child.data != "":
-                    yield child
+def date_elements(doc: dom.Document, fast: bool) -> list[dom.Node]:
+    """The elements ``fast_date_rule`` (``fast``) or ``slow_date_rule``
+    accepts, in document order.  A scan of the tag array and the raw
+    attribute blobs: a node is built only for an element that passes."""
+    names = doc.names
+    lack = doc.attrs_lack
+    attrs_of = doc.attrs_of
+    out = []
+    for j in doc.element_ids():
+        tag = names[j]
+        if tag == "footer" or tag == "small" or (
+            (not fast or tag in C.FAST_DATE_TAGS)
+            and not lack(j, _DATE_RULE_LITERALS)
+            and _date_rule_attrs(attrs_of(j))
+        ):
+            out.append(doc.node(j))
+    return out
+
+
+def free_text_runs(doc: dom.Document) -> list[str]:
+    """Direct text children of free-text elements, element by element in
+    document order (selector/free-text.go + selector/selector.go:33-47):
+    the text runs whose parent's tag is a free-text tag, ordered by
+    parent."""
+    names, parents, texts = doc.names, doc.parents, doc.texts
+    tags = C.FREE_TEXT_TAGS
+    runs = [j for j in doc.text_ids() if names[parents[j]] in tags and texts[j]]
+    runs.sort(key=parents.__getitem__)  # stable: document order per parent
+    return [texts[j] for j in runs]
 
 
 # --- pruning (utils.go:32-60, extractors.go:36-46) --------------------------
 
-def clean_document(doc: dom.Node) -> None:
-    for node in doc.get_elements_by_tag(*C.CLEAN_TAGS):
-        if node.parent is not None:
-            node.remove()
+_CLEAN_TAGS = tuple(C.CLEAN_TAGS)
 
 
-def discard_unwanted(doc: dom.Node) -> None:
-    for node in doc.get_elements_by_tag("div"):
-        if node.id in C.DISCARD_DIV_IDS and node.parent is not None:
-            node.remove()
+def clean_document(doc: dom.Document) -> None:
+    doc.prune(doc.ids_by_tag(_CLEAN_TAGS))
+
+
+def discard_unwanted(doc: dom.Document) -> None:
+    attrs_of = doc.attrs_of
+    doc.prune([
+        j for j in doc.ids_by_tag(("div",)) if attrs_of(j).get("id", "") in C.DISCARD_DIV_IDS
+    ])
 
 
 # --- M2: meta scan (core.go:353-475) ----------------------------------------

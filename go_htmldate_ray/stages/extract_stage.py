@@ -51,8 +51,11 @@ def extract_batch(batch: pa.Table, opts: Options, return_trace: bool = False) ->
     # URL fast path: M1 returns before any DOM work in the cascade
     # (core.go:138-144), so a URL-dated row never needs its html parsed.
     # extract_time falls through to the full path (findTime then runs on
-    # the URL raw string, a flow the fast path can't reproduce cheaply).
-    url_fast_ok = not opts.defer_url_extractor and not opts.extract_time
+    # the URL raw string, a flow the fast path can't reproduce cheaply),
+    # and so do user stages, which run ahead of M1.
+    url_fast_ok = (
+        not opts.defer_url_extractor and not opts.extract_time and not opts.custom_stages
+    )
 
     # ONE batch-local Options copy, url swapped per row: from_document
     # itself copies its opts argument before any mutation (extract.py:60,

@@ -8,8 +8,8 @@
   where a parsed node renders its parsed attributes.
 - ``_render`` walks the tree in one loop; it must write exactly what the
   recursive renderer (kept below as the reference) writes.
-- ``get_elements_by_tag`` merges several tags' index lists by source
-  offset; the order must be the document order of a full walk.
+- ``get_elements_by_tag`` merges several tags' index lists by element
+  id; the order must be the document order of a full walk.
 """
 
 from hypothesis import HealthCheck, example, given, settings

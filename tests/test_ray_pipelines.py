@@ -158,7 +158,7 @@ def _assert_match_oracles(names):
     from tools.check_oracles import check, connect
 
     con = connect(SF)
-    oracles = entry.oracle_sql()
+    oracles = entry.oracle_sql(SF)
     for name in names:
         _, why = check(con, entry.REGISTRY[name].fn, oracles[name], SF)
         assert why is None, f"{name}: {why}"
@@ -644,6 +644,38 @@ def test_extract_stage_full_options_passthrough():
     )
     out2 = HtmldateExtractor(options=opts2)(batch)
     assert out2.column("date_str").to_pylist() != ["2020-03-03"]
+
+
+def test_extract_stage_runs_custom_stages_before_url_date():
+    """User stages run ahead of M1 in the cascade, so a URL-dated row
+    must not take the batch URL fast path past them: the batch stage
+    gives what ``from_html`` gives."""
+    from datetime import datetime, timezone
+
+    import pyarrow as pa
+    from go_htmldate_ray.extract import from_html
+    from go_htmldate_ray.functions.kernels import Options
+    from go_htmldate_ray.stages.extract_stage import HtmldateExtractor, extract_batch
+
+    def mine(doc, opts):
+        return "2011-02-03", datetime(2011, 2, 3, tzinfo=timezone.utc)
+
+    url = "https://example.org/2019/05/06/post.html"
+    html = b"<html><body><p>x</p></body></html>"
+    batch = pa.table({"url": pa.array([url]), "html": pa.array([html], pa.binary())})
+    opts = Options(custom_stages=[("mine", mine)]).with_defaults()
+    single = from_html(html, Options(custom_stages=[("mine", mine)], url=url))
+    assert (single.format(), single.src_stage) == ("2011-02-03", "custom:mine")
+    out = extract_batch(batch, opts, return_trace=True)
+    assert out.column("date_str").to_pylist() == ["2011-02-03"]
+    assert out.column("src_stage").to_pylist() == ["custom:mine"]
+    out = HtmldateExtractor(options=opts, return_trace=True)(batch)
+    assert out.column("date_str").to_pylist() == ["2011-02-03"]
+    assert out.column("src_stage").to_pylist() == ["custom:mine"]
+    # without user stages the fast path still answers from the URL
+    out = extract_batch(batch, Options().with_defaults(), return_trace=True)
+    assert out.column("date_str").to_pylist() == ["2019-05-06"]
+    assert out.column("src_stage").to_pylist() == ["url"]
 
 
 def test_minhash_ignores_empty_documents():

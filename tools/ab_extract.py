@@ -15,7 +15,9 @@ field must be equal on every page; a difference stops the run.
 
 Prints, per page set and round, the summed per-page time of each engine and
 the ratio this/other (below 1 = this tree is faster), then the ratio of the
-totals over all rounds.  The engine that runs second on a page runs a few
+totals over all rounds, and the same totals split by the cascade stage that
+dated each page in this tree (``Result.src_stage``; "none" for an undated
+page), which shows which kind of page a saving sits on.  The engine that runs second on a page runs a few
 percent faster on small pages, and which engine that is flips from round
 to round, so only the total over an even number of rounds is free of that
 bias.  Timings taken in separate processes on a shared machine swing by
@@ -74,10 +76,11 @@ def _fields(result) -> tuple:
     )
 
 
-def run_round(engines, urls, htmls, extensive: bool, flip: bool) -> list[float]:
-    """Summed seconds per engine over one pass of the pages.  The cyclic
-    garbage collector is paused for the pass, so neither side pays for
-    collecting the other's DOM trees."""
+def run_round(engines, urls, htmls, extensive: bool, flip: bool, by_stage: dict) -> list[float]:
+    """Summed seconds per engine over one pass of the pages; each page's
+    seconds are also added to ``by_stage[stage]``, keyed by the stage that
+    dated it in this tree.  The cyclic garbage collector is paused for the
+    pass, so neither side pays for collecting the other's DOM trees."""
     opts = [
         e.Options(use_original_date=True, skip_extensive_search=not extensive).with_defaults()
         for e in engines
@@ -89,15 +92,22 @@ def run_round(engines, urls, htmls, extensive: bool, flip: bool) -> list[float]:
     for i, html in enumerate(htmls):
         order = (0, 1) if (i % 2 == 0) != flip else (1, 0)
         got = [None, None]
+        took = [0.0, 0.0]
         for k in order:
             opts[k].url = urls[i]
             t = clock()
             got[k] = engines[k].from_html(html, opts[k])
-            totals[k] += clock() - t
+            took[k] = clock() - t
         if _fields(got[0]) != _fields(got[1]):
             raise SystemExit(
                 f"page {i}: results differ\n  other: {_fields(got[0])}\n  this:  {_fields(got[1])}"
             )
+        stage = got[1].src_stage if got[1].date_time is not None else "none"
+        split = by_stage.setdefault(stage or "none", [0.0, 0.0, 0])
+        for k in (0, 1):
+            totals[k] += took[k]
+            split[k] += took[k]
+        split[2] += 1
     gc.enable()
     return totals
 
@@ -114,11 +124,12 @@ def main(argv=None) -> int:
     other = load_engine(args.other)
     engines = (other, this_engine)
     for name, urls, htmls, extensive in page_sets(args.seed):
-        run_round(engines, urls, htmls, extensive, False)  # warm-up, checks equality
+        run_round(engines, urls, htmls, extensive, False, {})  # warm-up, checks equality
         n = len(htmls)
         totals = [0.0, 0.0]
+        by_stage: dict[str, list] = {}
         for r in range(args.rounds):
-            t_other, t_this = run_round(engines, urls, htmls, extensive, r % 2 == 1)
+            t_other, t_this = run_round(engines, urls, htmls, extensive, r % 2 == 1, by_stage)
             totals[0] += t_other
             totals[1] += t_this
             print(
@@ -130,6 +141,11 @@ def main(argv=None) -> int:
             f"ms/page, this {1e3 * totals[1] / (n * args.rounds):.3f} ms/page, "
             f"ratio {totals[1] / totals[0]:.3f}"
         )
+        for stage, (t_other, t_this, pages) in sorted(by_stage.items()):
+            print(
+                f"  {name} {stage}: {pages // args.rounds} pages, other {t_other:.3f} s, "
+                f"this {t_this:.3f} s, ratio {t_this / t_other:.3f}"
+            )
     return 0
 
 

@@ -126,7 +126,7 @@ def main(sf_dir: str, only: list[str] | None = None, artifact: str | None = None
     import __ray_entry__ as entrymod
 
     qs = entrymod.queries()
-    oracles = entrymod.oracle_sql()
+    oracles = entrymod.oracle_sql(sf_dir)
     rows_only = entrymod.ROWS_ONLY
     con = connect(sf_dir)
 
