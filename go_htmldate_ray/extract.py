@@ -282,25 +282,11 @@ def _date_rule_attrs(attrs: dict[str, str]) -> bool:
     return _CLASS_TOKENS.search(class_) is not None
 
 
-def slow_date_rule(el: dom.Node) -> bool:
-    """footer/small or any element passing date_rule (selector/date.go:11-18)."""
-    if el.tag in ("footer", "small"):
-        return True
-    return date_rule(el)
-
-
-def fast_date_rule(el: dom.Node) -> bool:
-    """Restricted tag list + date_rule (selector/date.go:21-29)."""
-    if el.tag in ("footer", "small"):
-        return True
-    if el.tag in C.FAST_DATE_TAGS:
-        return date_rule(el)
-    return False
-
-
 def date_elements(doc: dom.Document, fast: bool) -> list[dom.Node]:
-    """The elements ``fast_date_rule`` (``fast``) or ``slow_date_rule``
-    accepts, in document order.  A scan of the tag array and the raw
+    """The date-selector elements in document order: every ``footer`` and
+    ``small``, and each element that passes ``date_rule`` (the slow rule,
+    selector/date.go:11-18), or only those among ``FAST_DATE_TAGS``
+    (``fast``, selector/date.go:21-29).  A scan of the tag array and the raw
     attribute blobs: a node is built only for an element that passes."""
     names = doc.names
     lack = doc.attrs_lack

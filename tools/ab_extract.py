@@ -17,10 +17,10 @@ Prints, per page set and round, the summed per-page time of each engine and
 the ratio this/other (below 1 = this tree is faster), then the ratio of the
 totals over all rounds, and the same totals split by the cascade stage that
 dated each page in this tree (``Result.src_stage``; "none" for an undated
-page), which shows which kind of page a saving sits on.  The engine that runs second on a page runs a few
-percent faster on small pages, and which engine that is flips from round
-to round, so only the total over an even number of rounds is free of that
-bias.  Timings taken in separate processes on a shared machine swing by
+page), which shows which kind of page a saving sits on.  The engine that
+runs second on a page runs a few percent faster on small pages, and which
+engine that is flips from round to round, so only the total over an even
+number of rounds is free of that bias.  Timings taken in separate processes on a shared machine swing by
 tens of percent; this ratio repeats far more tightly, because both sides
 share one process.
 """
